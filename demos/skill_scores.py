@@ -13,7 +13,6 @@ from flarecast import (
     gmgs,
     gmgs_influence,
     harmonic_mean,
-    prob_dist,
     tss_ge_m,
 )
 
@@ -49,13 +48,16 @@ constant[:, 0] = cm.observed_counts()
 print("GMGS of an always-quiet forecaster:", round(gmgs(ConfusionMatrix(constant)), 12))
 
 # The Brier skill score needs probability forecasts; build a tiny example.
-forecasts = [
-    (prob_dist([0.1, 0.1, 0.4, 0.4]), FlareClass.X),
-    (prob_dist([0.6, 0.3, 0.1, 0.0]), FlareClass.O),
-    (prob_dist([0.2, 0.3, 0.3, 0.2]), FlareClass.M),
-    (prob_dist([0.5, 0.4, 0.1, 0.0]), FlareClass.C),
-]
-bss = bss_ge_m(forecasts)
+probs = np.array(
+    [
+        [0.1, 0.1, 0.4, 0.4],
+        [0.6, 0.3, 0.1, 0.0],
+        [0.2, 0.3, 0.3, 0.2],
+        [0.5, 0.4, 0.1, 0.0],
+    ]
+)
+observed = [FlareClass.X, FlareClass.O, FlareClass.M, FlareClass.C]
+bss = bss_ge_m(probs, observed)
 print("\nBSS(>=M) on four probability forecasts:", round(bss, 4))
 print("harmonic mean of 0.484 and 0.353:", round(harmonic_mean(0.484, 0.353), 4))
 

@@ -21,14 +21,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ClassWeights, FlareClass, N_CLASSES, Sample
+from .core import FlareClass, N_CLASSES, Sample
 from .cycle import CycleConfig
 from .losses import (
     HeadState,
+    batch_factors_arrays,
     bss_grad_w,
     bss_loss,
     flare_loss_arrays,
-    flare_loss_grad,
+    gradient_error,
     ib_factor_bss,
     softmax,
 )
@@ -36,6 +37,7 @@ from .metrics import build_report
 from .pipeline import (
     DataFileError,
     SplitSpec,
+    _new_id,
     events_for_samples,
     gen_synthetic,
     label_samples,
@@ -265,9 +267,10 @@ def cmd_label(args) -> int:
     return 0
 
 
-def _read_predictions(path) -> Tuple[List[str], Optional[np.ndarray], Optional[List[FlareClass]]]:
+def _read_predictions(path) -> Tuple[List[str], np.ndarray, Optional[np.ndarray]]:
     """Prediction file: either hard classes (`id,label`) or distributions
-    (`id,p_o,p_c,p_m,p_x`)."""
+    (`id,p_o,p_c,p_m,p_x`). Returns the ids, the predicted class ranks, and
+    the distributions (None for hard classes)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -276,54 +279,46 @@ def _read_predictions(path) -> Tuple[List[str], Optional[np.ndarray], Optional[L
         header = [h.strip().lower() for h in header]
         rows = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
     if header == ["id", "label"]:
-        ids, classes = [], []
-        for line_no, row in rows:
-            try:
-                if len(row) != 2:
-                    raise ValueError(f"expected 2 fields, got {len(row)}")
-                ids.append(row[0].strip())
-                classes.append(FlareClass.from_name(row[1]))
-            except ValueError as exc:
-                raise DataFileError(path, line_no, str(exc)) from None
-        return ids, None, classes
-    if header == ["id", "p_o", "p_c", "p_m", "p_x"]:
-        ids, probs = [], []
-        for line_no, row in rows:
-            try:
-                if len(row) != 5:
-                    raise ValueError(f"expected 5 fields, got {len(row)}")
-                ids.append(row[0].strip())
+        width = 2
+    elif header == ["id", "p_o", "p_c", "p_m", "p_x"]:
+        width = 5
+    else:
+        raise DataFileError(path, 1, "expected header 'id,label' or 'id,p_o,p_c,p_m,p_x'")
+    ids, classes, probs = [], [], []
+    seen: Dict[str, int] = {}
+    for line_no, row in rows:
+        try:
+            if len(row) != width:
+                raise ValueError(f"expected {width} fields, got {len(row)}")
+            ids.append(_new_id(row[0], line_no, seen))
+            if width == 2:
+                classes.append(int(FlareClass.from_name(row[1])))
+            else:
                 vec = np.array([float(v) for v in row[1:]])
                 if np.any(vec < 0) or abs(vec.sum() - 1.0) > 1e-6:
                     raise ValueError(f"probabilities must be non-negative and sum to 1, got {row[1:]}")
                 probs.append(vec / vec.sum())
-            except ValueError as exc:
-                raise DataFileError(path, line_no, str(exc)) from None
-        return ids, np.array(probs), None
-    raise DataFileError(path, 1, "expected header 'id,label' or 'id,p_o,p_c,p_m,p_x'")
+        except ValueError as exc:
+            raise DataFileError(path, line_no, str(exc)) from None
+    if width == 2:
+        return ids, np.array(classes, dtype=np.int64), None
+    dists = np.array(probs).reshape(-1, N_CLASSES)
+    return ids, dists.argmax(axis=1), dists
 
 
 def cmd_eval(args) -> int:
     label_rows = read_labels(args.labels)
-    pred_ids, pred_probs, pred_classes = _read_predictions(args.preds)
-    by_id = {}
-    for i, pid in enumerate(pred_ids):
-        by_id[pid] = i
-    pairs = []
-    forecasts = []
-    for sid, observed in label_rows:
-        if sid not in by_id:
+    pred_ids, predicted, pred_probs = _read_predictions(args.preds)
+    row_of = {pid: i for i, pid in enumerate(pred_ids)}
+    order = []
+    for sid, _ in label_rows:
+        if sid not in row_of:
             raise ValueError(f"id mismatch between files: {sid!r} has no prediction")
-        i = by_id.pop(sid)
-        if pred_probs is not None:
-            pred = FlareClass(int(pred_probs[i].argmax()))
-            forecasts.append((pred_probs[i], observed))
-        else:
-            pred = pred_classes[i]
-        pairs.append((observed, pred))
-    if by_id:
-        extra = sorted(by_id)[0]
+        order.append(row_of[sid])
+    if len(pred_ids) > len(label_rows):
+        extra = sorted(set(pred_ids) - {sid for sid, _ in label_rows})[0]
         raise ValueError(f"id mismatch between files: prediction {extra!r} has no label")
+    observed = np.array([int(c) for _, c in label_rows], dtype=np.int64)
 
     climatology = None
     if args.climatology != "rows":
@@ -333,7 +328,8 @@ def cmd_eval(args) -> int:
                 raise ValueError
         except ValueError:
             raise UsageError("--climatology must be 'rows' or 4 comma-separated probabilities") from None
-    report = build_report(pairs, prob_forecasts=forecasts if forecasts else None, climatology=climatology)
+    probs = pred_probs[order] if pred_probs is not None else None
+    report = build_report(observed, predicted[order], probs, climatology)
 
     out_dir = _ensure_out_dir(args.out_dir)
     text = report.to_text()
@@ -390,17 +386,12 @@ def _random_head_state(rng: np.random.Generator, hidden_width: int) -> Tuple[Hea
     return HeadState.from_hidden(h, w), y
 
 
-def _max_rel_err(analytic: np.ndarray, reference: np.ndarray) -> float:
-    denom = max(1.0, float(np.max(np.abs(analytic))))
-    return float(np.max(np.abs(analytic - reference))) / denom
-
-
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     rng = np.random.default_rng(args.seed)
-    step = 1e-6
     hidden_width = 6
+    ones = np.ones(1)
 
     worst_fd = 0.0
     worst_identity = 0.0
@@ -408,45 +399,23 @@ def cmd_gradcheck(args) -> int:
     for _ in range(args.trials):
         state, y = _random_head_state(rng, hidden_width)
         analytic = bss_grad_w(state, y)
-        fd = np.zeros_like(analytic)
         w = state.weights.copy()
-        for k in range(N_CLASSES):
-            for l in range(hidden_width):
-                w[k, l] += step
-                up = bss_loss(y, softmax(w @ state.hidden))
-                w[k, l] -= 2 * step
-                down = bss_loss(y, softmax(w @ state.hidden))
-                w[k, l] += step
-                fd[k, l] = (up - down) / (2 * step)
-        worst_fd = max(worst_fd, _max_rel_err(analytic, fd))
+        worst_fd = max(worst_fd, gradient_error(lambda: bss_loss(y, softmax(w @ state.hidden)), w, analytic))
 
         factor = ib_factor_bss(state, y)
         grad_sum = float(np.abs(analytic).sum())
         worst_identity = max(worst_identity, abs(factor - grad_sum) / max(grad_sum, 1e-30))
 
-        batch = [(state, y)]
-        weights = ClassWeights.uniform()
-        grads = flare_loss_grad(batch, weights, 3.0, True)
-        f_ce = np.array([max(np.abs(state.probs - y).sum() * np.abs(state.hidden).sum(), 1e-8)])
-        f_bss = np.array([factor])
-        h_l1 = np.array([np.abs(state.hidden).sum()])
         y_row = y[None, :]
-        ones = np.ones(1)
+        h_l1 = np.array([np.abs(state.hidden).sum()])
+        frozen = batch_factors_arrays(state.probs[None, :], y_row, h_l1)
+        _, d_logits = flare_loss_arrays(state.probs[None, :], y_row, h_l1, ones, 3.0, True, frozen_factors=frozen)
+        z = state.logits.copy()
 
-        def loss_at(z: np.ndarray) -> float:
-            return flare_loss_arrays(
-                softmax(z)[None, :], y_row, h_l1, ones, 3.0, True, frozen_factors=(f_ce, f_bss)
-            ).total
+        def loss_at() -> float:
+            return flare_loss_arrays(softmax(z)[None, :], y_row, h_l1, ones, 3.0, True, frozen_factors=frozen)[0].total
 
-        fd_z = np.zeros(N_CLASSES)
-        for k in range(N_CLASSES):
-            z = state.logits.copy()
-            z[k] += step
-            up = loss_at(z)
-            z[k] -= 2 * step
-            down = loss_at(z)
-            fd_z[k] = (up - down) / (2 * step)
-        worst_total = max(worst_total, _max_rel_err(grads[0], fd_z))
+        worst_total = max(worst_total, gradient_error(loss_at, z, d_logits[0]))
 
     checks = [
         ("bss head-weight gradient vs central differences", worst_fd, GRADCHECK_TOL_FD),

@@ -155,25 +155,30 @@ class ConfusionMatrix:
         return self.counts.sum(axis=0)
 
 
-def build_confusion(pairs: Sequence[Tuple[FlareClass, FlareClass]]) -> ConfusionMatrix:
-    """Count (observed, predicted) pairs into a confusion matrix.
+def build_confusion(observed, predicted) -> ConfusionMatrix:
+    """Count observed-by-predicted class ranks into a confusion matrix.
 
     Parameters
     ----------
-    pairs : sequence of (FlareClass, FlareClass)
-        Observed and predicted class per evaluated sample.
+    observed, predicted : array_like of int
+        Class rank (0..3, or :class:`FlareClass` members) per evaluated
+        sample, aligned by position.
 
     Raises
     ------
     ValueError
-        If the sequence is empty.
+        If the arrays are empty, differ in shape, or hold a rank outside 0..3.
     """
-    if len(pairs) == 0:
+    obs = np.asarray(observed, dtype=np.int64)
+    pred = np.asarray(predicted, dtype=np.int64)
+    if obs.ndim != 1 or obs.shape != pred.shape:
+        raise ValueError(f"observed and predicted must be 1-d and aligned, got shapes {obs.shape} and {pred.shape}")
+    if obs.size == 0:
         raise ValueError("empty evaluation set")
-    c = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for obs, pred in pairs:
-        c[int(obs), int(pred)] += 1
-    return ConfusionMatrix(c)
+    if min(obs.min(), pred.min()) < 0 or max(obs.max(), pred.max()) >= N_CLASSES:
+        raise ValueError(f"class rank outside 0..{N_CLASSES - 1}")
+    counts = np.bincount(N_CLASSES * obs + pred, minlength=N_CLASSES * N_CLASSES)
+    return ConfusionMatrix(counts.reshape(N_CLASSES, N_CLASSES))
 
 
 @dataclass(frozen=True)

@@ -14,16 +14,18 @@ The influence terms are gated by ``ib_active`` so trainers can disable them
 during a warm-up phase. Influence factors are always treated as detached
 per-sample constants when differentiating.
 
-Per-sample functions are the reference implementations; the ``*_arrays``
-kernels are the vectorized equivalents used by both the batch API here and
-the trainer's hot path, so there is a single source of truth for the math.
+Per-sample functions are the reference implementations. The batch math has
+one kernel, :func:`flare_loss_arrays`, which returns the loss breakdown and
+its logit gradient together; the list API here and the trainer's hot path
+both go through it. :func:`gradient_error` is the one central-difference
+check, shared by the trainer's first-batch verification and ``gradcheck``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,10 +43,12 @@ __all__ = [
     "ib_factor_ce",
     "flare_loss",
     "flare_loss_grad",
+    "gradient_error",
 ]
 
 PROB_FLOOR = 1e-12   # floor inside logarithms; keeps CE finite on saturated softmax
 FACTOR_FLOOR = 1e-8  # floor for influence factors, which vanish at perfect predictions
+FD_STEP = 1e-6  # central-difference step of gradient_error
 
 IB_CE_MODES = ("residual", "literal")
 
@@ -209,8 +213,14 @@ def flare_loss_arrays(
     ib_active: bool,
     ib_ce_mode: str = "residual",
     frozen_factors: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> LossBreakdown:
-    """Vectorized composite loss over a batch given per-sample arrays."""
+) -> Tuple[LossBreakdown, np.ndarray]:
+    """Vectorized composite loss over a batch and its gradient w.r.t. every
+    sample's logits (B x 4).
+
+    The influence factors are computed once per batch (or taken from
+    ``frozen_factors``) and detached: each acts as a fixed per-sample scale
+    and is not differentiated through.
+    """
     b = probs.shape[0]
     if b == 0:
         raise ValueError("empty batch")
@@ -219,43 +229,6 @@ def flare_loss_arrays(
     bss = (delta * delta).sum(axis=1)
     wce = float((sample_weights * ce).sum() / b)
     wbss = float((sample_weights * bss).sum() / b)
-    if ib_active:
-        f_ce, f_bss = (
-            frozen_factors
-            if frozen_factors is not None
-            else batch_factors_arrays(probs, ys, hidden_l1, ib_ce_mode)
-        )
-        ib_ce = float((sample_weights * ce / f_ce).sum() / b)
-        ib_bss = float((sample_weights * bss / f_bss).sum() / b)
-    else:
-        ib_ce = 0.0
-        ib_bss = 0.0
-    total = (wce + ib_ce) + lambda_bss * (wbss + ib_bss)
-    return LossBreakdown(wce=wce, ib_ce=ib_ce, wbss=wbss, ib_bss=ib_bss, total=total, ib_active=ib_active)
-
-
-def flare_loss_grad_arrays(
-    probs: np.ndarray,
-    ys: np.ndarray,
-    hidden_l1: np.ndarray,
-    sample_weights: np.ndarray,
-    lambda_bss: float,
-    ib_active: bool,
-    ib_ce_mode: str = "residual",
-    frozen_factors: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> np.ndarray:
-    """Gradient of the composite loss w.r.t. every sample's logits (B x 4).
-
-    Influence factors are detached: each acts as a fixed per-sample scale and
-    is not differentiated through.
-    """
-    b = probs.shape[0]
-    if b == 0:
-        raise ValueError("empty batch")
-    delta = probs - ys
-    dp = (delta * probs).sum(axis=1, keepdims=True)
-    ce_grad = delta
-    bss_grad = 2.0 * probs * (delta - dp)
     ce_scale = np.ones(b)
     bss_scale = np.full(b, lambda_bss)
     if ib_active:
@@ -264,10 +237,19 @@ def flare_loss_grad_arrays(
             if frozen_factors is not None
             else batch_factors_arrays(probs, ys, hidden_l1, ib_ce_mode)
         )
+        ib_ce = float((sample_weights * ce / f_ce).sum() / b)
+        ib_bss = float((sample_weights * bss / f_bss).sum() / b)
         ce_scale = ce_scale + 1.0 / f_ce
         bss_scale = bss_scale + lambda_bss / f_bss
+    else:
+        ib_ce = 0.0
+        ib_bss = 0.0
+    total = (wce + ib_ce) + lambda_bss * (wbss + ib_bss)
+    breakdown = LossBreakdown(wce=wce, ib_ce=ib_ce, wbss=wbss, ib_bss=ib_bss, total=total, ib_active=ib_active)
+    dp = (delta * probs).sum(axis=1, keepdims=True)
+    bss_grad = 2.0 * probs * (delta - dp)
     w = sample_weights / b
-    return (w * ce_scale)[:, None] * ce_grad + (w * bss_scale)[:, None] * bss_grad
+    return breakdown, (w * ce_scale)[:, None] * delta + (w * bss_scale)[:, None] * bss_grad
 
 
 def _batch_arrays(
@@ -296,7 +278,7 @@ def flare_loss(
     if lambda_bss < 0.0:
         raise ValueError("lambda_bss must be non-negative")
     probs, ys, h_l1, sample_w = _batch_arrays(batch, weights)
-    return flare_loss_arrays(probs, ys, h_l1, sample_w, lambda_bss, ib_active, ib_ce_mode, frozen_factors)
+    return flare_loss_arrays(probs, ys, h_l1, sample_w, lambda_bss, ib_active, ib_ce_mode, frozen_factors)[0]
 
 
 def flare_loss_grad(
@@ -311,5 +293,27 @@ def flare_loss_grad(
     if lambda_bss < 0.0:
         raise ValueError("lambda_bss must be non-negative")
     probs, ys, h_l1, sample_w = _batch_arrays(batch, weights)
-    g = flare_loss_grad_arrays(probs, ys, h_l1, sample_w, lambda_bss, ib_active, ib_ce_mode, frozen_factors)
-    return [g[i] for i in range(g.shape[0])]
+    _, g = flare_loss_arrays(probs, ys, h_l1, sample_w, lambda_bss, ib_active, ib_ce_mode, frozen_factors)
+    return list(g)
+
+
+def gradient_error(f: Callable[[], float], x: np.ndarray, analytic: np.ndarray) -> float:
+    """Relative error of an analytic gradient against central differences.
+
+    ``f`` evaluates the scalar function at the current contents of the
+    contiguous array ``x``; each entry of ``x`` is moved by ``FD_STEP`` in
+    place on both sides and then restored exactly. The error is
+    ``max |analytic - fd| / max(1, max |analytic|)``.
+    """
+    flat = x.ravel()
+    fd = np.empty(flat.size)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + FD_STEP
+        up = f()
+        flat[i] = orig - FD_STEP
+        down = f()
+        flat[i] = orig
+        fd[i] = (up - down) / (2.0 * FD_STEP)
+    a = np.asarray(analytic, dtype=float).ravel()
+    return float(np.max(np.abs(a - fd))) / max(1.0, float(np.max(np.abs(a))))

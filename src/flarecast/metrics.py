@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -137,32 +137,38 @@ def tss_ge_m(cm: ConfusionMatrix) -> float:
     return tp / (tp + fn) - fp / (fp + tn)
 
 
-def bss_ge_m(forecasts: Sequence[Tuple[np.ndarray, FlareClass]]) -> float:
+def bss_ge_m(probs, observed) -> float:
     """Brier skill score for the >=M event from probabilistic forecasts.
 
     Parameters
     ----------
-    forecasts : sequence of (probabilities, observed class)
-        Each probability vector is a 4-class distribution; the event forecast
-        is ``q = p_M + p_X``.
+    probs : array_like, shape (N, 4)
+        One 4-class distribution per forecast; the event forecast is
+        ``q = p_M + p_X``.
+    observed : array_like of int, shape (N,)
+        Observed class rank per forecast, aligned with ``probs``.
 
     Returns
     -------
     float
         ``1 - BS / BS_clim`` where ``BS`` is the mean squared error of ``q``
         against the binary outcome and ``BS_clim = r (1 - r)`` uses the event
-        base rate ``r`` of the evaluated sequence itself.
+        base rate ``r`` of the evaluated set itself.
 
     Raises
     ------
     ValueError
-        If the sequence is empty or its base rate is 0 or 1.
+        If the set is empty or its base rate is 0 or 1.
     """
-    if len(forecasts) == 0:
+    obs = np.asarray(observed)
+    if obs.size == 0:
         raise ValueError("empty evaluation set")
+    p = np.asarray(probs, dtype=float)
+    if obs.ndim != 1 or p.shape != (obs.size, N_CLASSES):
+        raise ValueError(f"probs must have shape ({obs.size}, {N_CLASSES}) to match observed, got {p.shape}")
     t = int(EVENT_THRESHOLD)
-    q = np.array([float(np.asarray(p)[t:].sum()) for p, _ in forecasts])
-    o = np.array([1.0 if int(label) >= t else 0.0 for _, label in forecasts])
+    q = p[:, t:].sum(axis=1)
+    o = (obs >= t).astype(float)
     rate = float(o.mean())
     if rate == 0.0 or rate == 1.0:
         raise ValueError("degenerate climatology for BSS")
@@ -259,23 +265,19 @@ class MetricReport:
         return "\n".join(rows) + "\n"
 
 
-def build_report(
-    pairs: Sequence[Tuple[FlareClass, FlareClass]],
-    prob_forecasts: Optional[Sequence[Tuple[np.ndarray, FlareClass]]] = None,
-    climatology=None,
-) -> MetricReport:
-    """Assemble a MetricReport from hard (observed, predicted) pairs.
+def build_report(observed, predicted, probs=None, climatology=None) -> MetricReport:
+    """Assemble a MetricReport from observed and predicted class-rank arrays.
 
-    ``prob_forecasts`` enables the Brier skill score; without it the report
-    carries ``bss_ge_m=None``. The harmonic mean of GMGS and BSS is filled in
-    only when both are strictly positive.
+    ``probs`` (one distribution per row, aligned with ``observed``) enables
+    the Brier skill score; without it the report carries ``bss_ge_m=None``.
+    The harmonic mean of GMGS and BSS is filled in only when both are
+    strictly positive.
     """
-    cm = build_confusion(pairs)
+    cm = build_confusion(observed, predicted)
     clim = cm.observed_counts() / cm.n if climatology is None else np.asarray(climatology, dtype=float)
-    s = gerrity_matrix(clim)
-    g = float((cm.counts * s.scores).sum() / cm.n)
+    g = gmgs(cm, clim)
     tss = tss_ge_m(cm)
-    bss = bss_ge_m(prob_forecasts) if prob_forecasts is not None else None
+    bss = bss_ge_m(probs, observed) if probs is not None else None
     hm = harmonic_mean(g, bss) if (bss is not None and g > 0.0 and bss > 0.0) else None
     return MetricReport(
         gmgs=g,
@@ -283,5 +285,5 @@ def build_report(
         bss_ge_m=bss,
         hm=hm,
         confusion=cm,
-        influence_table=tuple(gmgs_influence(cm, s)),
+        influence_table=tuple(gmgs_influence(cm, gerrity_matrix(clim))),
     )

@@ -15,7 +15,7 @@ import csv
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -304,6 +304,15 @@ def _parse_time(text: str) -> datetime:
     return t.astimezone(timezone.utc)
 
 
+def _new_id(raw: str, line_no: int, seen: Dict[str, int]) -> str:
+    """Stripped row id, recorded in ``seen`` with its line; a repeat raises ValueError."""
+    sid = raw.strip()
+    if sid in seen:
+        raise ValueError(f"duplicate id {sid!r} (first on line {seen[sid]})")
+    seen[sid] = line_no
+    return sid
+
+
 def write_events(path, events: Sequence[FlareEvent]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -351,6 +360,7 @@ def read_samples(path) -> List[Sample]:
         if header is None or len(header) < 4 or [h.strip() for h in header[:3]] != ["id", "timestamp", "mask"]:
             raise DataFileError(path, 1, "expected header 'id,timestamp,mask,f0..'")
         dim = len(header) - 3
+        seen: Dict[str, int] = {}
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -362,7 +372,7 @@ def read_samples(path) -> List[Sample]:
                     raise ValueError(f"mask must be {N_CHANNELS} characters of 0/1, got {mask!r}")
                 samples.append(
                     Sample(
-                        id=row[0].strip(),
+                        id=_new_id(row[0], line_no, seen),
                         timestamp=_parse_time(row[1]),
                         features=np.array([float(v) for v in row[3:]]),
                         channel_mask=tuple(c == "1" for c in mask),
@@ -388,13 +398,14 @@ def read_labels(path) -> List[Tuple[str, FlareClass]]:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["id", "label"]:
             raise DataFileError(path, 1, "expected header 'id,label'")
+        seen: Dict[str, int] = {}
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
                 if len(row) != 2:
                     raise ValueError(f"expected 2 fields, got {len(row)}")
-                out.append((row[0].strip(), FlareClass.from_name(row[1])))
+                out.append((_new_id(row[0], line_no, seen), FlareClass.from_name(row[1])))
             except ValueError as exc:
                 raise DataFileError(path, line_no, str(exc)) from None
     return out

@@ -24,7 +24,7 @@ from .losses import (
     LossBreakdown,
     batch_factors_arrays,
     flare_loss_arrays,
-    flare_loss_grad_arrays,
+    gradient_error,
     softmax,
 )
 from .metrics import MetricReport, build_report
@@ -182,7 +182,10 @@ def adamw_step(
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise RuntimeError("diverged: non-finite gradient")
-        m, v = moments.get(name, (np.zeros_like(p), np.zeros_like(p)))
+        if name in moments:
+            m, v = moments[name]
+        else:
+            m, v = np.zeros_like(p), np.zeros_like(p)
         m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
         v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
         p = p * (1.0 - cfg.learning_rate * cfg.weight_decay)
@@ -227,36 +230,21 @@ def _verify_first_batch(x, phis, params, cfg, y_rows, sample_w, ib_active) -> No
     Influence factors are frozen at their base-point values, matching the
     detached treatment in the analytic gradient.
     """
-    def loss_at(p: Params) -> float:
-        _, _, head_in, _, probs = _forward_arrays(x, phis, p)
+    def loss_at() -> float:
+        _, _, head_in, _, probs = _forward_arrays(x, phis, params)
         h_l1 = np.abs(head_in).sum(axis=1)
         return flare_loss_arrays(
             probs, y_rows, h_l1, sample_w, cfg.lambda_bss, ib_active, cfg.ib_ce_mode, frozen
-        ).total
+        )[0].total
 
     a0, a1, head_in, _, probs = _forward_arrays(x, phis, params)
     h_l1 = np.abs(head_in).sum(axis=1)
     frozen = batch_factors_arrays(probs, y_rows, h_l1, cfg.ib_ce_mode) if ib_active else None
-    d_logits = flare_loss_grad_arrays(
+    _, d_logits = flare_loss_arrays(
         probs, y_rows, h_l1, sample_w, cfg.lambda_bss, ib_active, cfg.ib_ce_mode, frozen
     )
     grads = _backprop(x, a0, a1, head_in, d_logits, params, phis is not None)
-    step = 1e-6
-    worst = 0.0
-    for name in params:
-        flat = params[name].ravel()
-        fd = np.empty_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = loss_at(params)
-            flat[i] = orig - step
-            down = loss_at(params)
-            flat[i] = orig
-            fd[i] = (up - down) / (2.0 * step)
-        a = grads[name].ravel()
-        denom = max(1.0, float(np.max(np.abs(a))))
-        worst = max(worst, float(np.max(np.abs(a - fd))) / denom)
+    worst = max(gradient_error(loss_at, params[name], grads[name]) for name in params)
     if worst > 1e-5:
         raise RuntimeError(f"diverged: gradient verification failed (relative error {worst:.3e})")
 
@@ -318,10 +306,7 @@ def train(samples: Sequence[Sample], fold: Fold, cfg: TrainConfig) -> TrainResul
                 _verify_first_batch(x, phis, params, cfg, y_rows, sample_w, ib_active)
             a0, a1, head_in, _, probs = _forward_arrays(x, phis, params)
             h_l1 = np.abs(head_in).sum(axis=1)
-            breakdown = flare_loss_arrays(
-                probs, y_rows, h_l1, sample_w, cfg.lambda_bss, ib_active, cfg.ib_ce_mode
-            )
-            d_logits = flare_loss_grad_arrays(
+            breakdown, d_logits = flare_loss_arrays(
                 probs, y_rows, h_l1, sample_w, cfg.lambda_bss, ib_active, cfg.ib_ce_mode
             )
             grads = _backprop(x, a0, a1, head_in, d_logits, params, phis is not None)
@@ -341,7 +326,7 @@ def train(samples: Sequence[Sample], fold: Fold, cfg: TrainConfig) -> TrainResul
         )
 
         probs_val = _predict_arrays(x_val, phis_val, params)
-        report = _report_from_probs(probs_val, val_labels)
+        report = build_report(val_labels, probs_val.argmax(axis=1), probs_val)
         record = EpochRecord(
             epoch=epoch,
             losses=epoch_losses,
@@ -362,13 +347,6 @@ def _predict_arrays(x: np.ndarray, phis: Optional[np.ndarray], params: Params) -
     return probs
 
 
-def _report_from_probs(probs: np.ndarray, labels: np.ndarray) -> MetricReport:
-    preds = probs.argmax(axis=1)
-    pairs = [(FlareClass(int(o)), FlareClass(int(p))) for o, p in zip(labels, preds)]
-    forecasts = [(probs[i], FlareClass(int(labels[i]))) for i in range(len(labels))]
-    return build_report(pairs, prob_forecasts=forecasts)
-
-
 def predict_probs(samples: Sequence[Sample], params: Params, cfg: TrainConfig) -> np.ndarray:
     """Predicted class distributions for a batch of samples."""
     x = np.stack([s.features for s in samples])
@@ -380,7 +358,7 @@ def evaluate_fold(samples: Sequence[Sample], idx: Sequence[int], params: Params,
     subset = [samples[i] for i in idx]
     probs = predict_probs(subset, params, cfg)
     labels = np.array([int(s.label) for s in subset])
-    return _report_from_probs(probs, labels)
+    return build_report(labels, probs.argmax(axis=1), probs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 These deliberately reimplement the checked quantities by other means: the
 scoring matrix in arbitrary precision via mpmath, gradients via central
-finite differences, and window labeling by brute-force scan. None of them
-import the code paths they verify beyond plain data containers.
+finite differences, window labeling by brute-force scan, and confusion
+counts and the Brier skill score by per-row loops. None of them import the
+code paths they verify beyond plain data containers.
 """
 
 import mpmath as mp
@@ -106,3 +107,37 @@ def pairs_from_matrix(counts):
         for j in range(4):
             pairs.extend([(FlareClass(i), FlareClass(j))] * int(counts[i, j]))
     return pairs
+
+
+def ranks_from_pairs(pairs):
+    """Split (observed, predicted) class pairs into the two rank arrays the scoring API takes."""
+    observed = np.array([int(o) for o, _ in pairs], dtype=np.int64)
+    predicted = np.array([int(p) for _, p in pairs], dtype=np.int64)
+    return observed, predicted
+
+
+def arrays_from_forecasts(forecasts):
+    """Split (distribution, observed class) forecasts into an (N, 4) array and observed ranks."""
+    probs = np.array([np.asarray(p, dtype=float) for p, _ in forecasts]).reshape(-1, 4)
+    observed = np.array([int(o) for _, o in forecasts], dtype=np.int64)
+    return probs, observed
+
+
+def confusion_loop(pairs):
+    """Confusion counts by one increment per (observed, predicted) pair."""
+    c = np.zeros((4, 4), dtype=np.int64)
+    for obs, pred in pairs:
+        c[int(obs), int(pred)] += 1
+    return c
+
+
+def bss_loop(forecasts):
+    """Brier skill score for the >=M event, reading one forecast at a time.
+
+    The event probability and outcome are extracted per forecast; the means
+    are then taken over arrays, as the array path does.
+    """
+    q = np.array([float(np.asarray(p)[2:].sum()) for p, _ in forecasts])
+    o = np.array([1.0 if int(label) >= 2 else 0.0 for _, label in forecasts])
+    rate = float(o.mean())
+    return 1.0 - float(((q - o) ** 2).mean()) / (rate * (1.0 - rate))

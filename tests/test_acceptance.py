@@ -192,9 +192,9 @@ def test_criterion_5_gradient_correctness():
         for k in range(4):
             z = state.logits.copy()
             z[k] += step
-            up = flare_loss_arrays(softmax(z)[None, :], ys, h_l1, sample_w, 3.0, True, frozen_factors=frozen).total
+            up = flare_loss_arrays(softmax(z)[None, :], ys, h_l1, sample_w, 3.0, True, frozen_factors=frozen)[0].total
             z[k] -= 2 * step
-            down = flare_loss_arrays(softmax(z)[None, :], ys, h_l1, sample_w, 3.0, True, frozen_factors=frozen).total
+            down = flare_loss_arrays(softmax(z)[None, :], ys, h_l1, sample_w, 3.0, True, frozen_factors=frozen)[0].total
             fd_z[k] = (up - down) / (2 * step)
         assert max_rel_err(analytic_z, fd_z) <= 1e-6
     elapsed = time.monotonic() - start

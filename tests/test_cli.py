@@ -185,6 +185,27 @@ class TestEval:
         assert code == 2
         assert "'b'" in capsys.readouterr().err
 
+    def test_duplicate_prediction_id_exits_2_naming_line(self, tmp_path, capsys):
+        write_labels(tmp_path / "labels.csv", list("abcd"), list(FlareClass))
+        write_labels(tmp_path / "preds.csv", list("abcda"), list(FlareClass) + [FlareClass.O])
+        code = run_cli(
+            "eval", "--preds", tmp_path / "preds.csv", "--labels", tmp_path / "labels.csv",
+            "--out-dir", tmp_path / "out",
+        )
+        assert code == 2
+        assert "preds.csv:6: duplicate id 'a'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_label_id_exits_2_naming_line(self, tmp_path, capsys):
+        write_labels(tmp_path / "labels.csv", list("abca"), list(FlareClass))
+        write_labels(tmp_path / "preds.csv", list("abc"), list(FlareClass)[:3])
+        code = run_cli(
+            "eval", "--preds", tmp_path / "preds.csv", "--labels", tmp_path / "labels.csv",
+            "--out-dir", tmp_path / "out",
+        )
+        assert code == 2
+        assert "labels.csv:5: duplicate id 'a'" in capsys.readouterr().err
+
 
 def make_training_data(tmp_path, n=240, seed=2):
     run_cli(
@@ -210,6 +231,14 @@ seed=4
 
 
 class TestTrain:
+    def test_duplicate_label_id_exits_2(self, tmp_path, capsys):
+        make_training_data(tmp_path)
+        lines = (tmp_path / "labels.csv").read_text().splitlines()
+        (tmp_path / "labels.csv").write_text("\n".join(lines + [lines[1]]) + "\n")
+        code = run_cli("train", "--data-dir", tmp_path, "--out-dir", tmp_path / "out")
+        assert code == 2
+        assert f"labels.csv:{len(lines) + 1}: duplicate id" in capsys.readouterr().err
+
     def test_full_warmup_zeros_influence_columns(self, tmp_path):
         make_training_data(tmp_path)
         cfg = tmp_path / "run.cfg"

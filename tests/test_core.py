@@ -17,7 +17,7 @@ from flarecast import (
     prob_dist,
 )
 
-from oracles import REFERENCE_CLASS_COUNTS, REFERENCE_CONFUSION, pairs_from_matrix
+from oracles import REFERENCE_CLASS_COUNTS, REFERENCE_CONFUSION, pairs_from_matrix, ranks_from_pairs
 
 UTC = timezone.utc
 
@@ -88,23 +88,32 @@ class TestSample:
 
 class TestBuildConfusion:
     def test_single_diagonal_count(self):
-        cm = build_confusion([(FlareClass.O, FlareClass.O)])
+        cm = build_confusion([FlareClass.O], [FlareClass.O])
         assert cm.counts[0, 0] == 1
         assert cm.n == 1
 
     def test_repeated_off_diagonal_count(self):
-        cm = build_confusion([(FlareClass.X, FlareClass.C)] * 2)
+        cm = build_confusion([FlareClass.X] * 2, [FlareClass.C] * 2)
         assert cm.counts[3, 1] == 2
         assert cm.n == 2
 
     def test_reference_matrix_reconstructed(self):
-        cm = build_confusion(pairs_from_matrix(REFERENCE_CONFUSION))
+        cm = build_confusion(*ranks_from_pairs(pairs_from_matrix(REFERENCE_CONFUSION)))
         assert np.array_equal(cm.counts, REFERENCE_CONFUSION)
         assert cm.n == 8306
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty evaluation set"):
-            build_confusion([])
+            build_confusion([], [])
+
+    def test_out_of_range_rank_rejected(self):
+        for observed, predicted in (([4], [0]), ([0], [-1])):
+            with pytest.raises(ValueError, match="outside 0..3"):
+                build_confusion(observed, predicted)
+
+    def test_misaligned_arrays_rejected(self):
+        with pytest.raises(ValueError, match="aligned"):
+            build_confusion([0, 1], [0])
 
     def test_marginals_match_pair_counts(self):
         rng = np.random.default_rng(7)
@@ -112,7 +121,7 @@ class TestBuildConfusion:
             (FlareClass(int(a)), FlareClass(int(b)))
             for a, b in zip(rng.integers(0, 4, 200), rng.integers(0, 4, 200))
         ]
-        cm = build_confusion(pairs)
+        cm = build_confusion(*ranks_from_pairs(pairs))
         obs = np.bincount([int(a) for a, _ in pairs], minlength=4)
         pred = np.bincount([int(b) for _, b in pairs], minlength=4)
         assert np.array_equal(cm.observed_counts(), obs)

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flarecast import (
     FlareClass,
     ConfusionMatrix,
     bss_ge_m,
+    build_confusion,
     build_report,
     gerrity_matrix,
     gmgs,
@@ -22,9 +24,13 @@ from oracles import (
     FROZEN_GMGS_REFERENCE,
     FROZEN_TSS_REFERENCE,
     REFERENCE_CONFUSION,
+    arrays_from_forecasts,
+    bss_loop,
+    confusion_loop,
     gerrity_mp,
     gmgs_mp,
     pairs_from_matrix,
+    ranks_from_pairs,
 )
 
 
@@ -156,7 +162,7 @@ class TestBss:
             (prob_dist([0.0, 0.0, 0.5, 0.5]), FlareClass.M),
             (prob_dist([0.5, 0.5, 0.0, 0.0]), FlareClass.O),
         ]
-        assert bss_ge_m(forecasts) == pytest.approx(1.0)
+        assert bss_ge_m(*arrays_from_forecasts(forecasts)) == pytest.approx(1.0)
 
     def test_base_rate_forecast_scores_zero(self):
         # event frequency 0.5; every forecast assigns q = 0.5
@@ -164,7 +170,7 @@ class TestBss:
             (prob_dist([0.25, 0.25, 0.25, 0.25]), FlareClass.X),
             (prob_dist([0.25, 0.25, 0.25, 0.25]), FlareClass.C),
         ]
-        assert bss_ge_m(forecasts) == pytest.approx(0.0, abs=1e-12)
+        assert bss_ge_m(*arrays_from_forecasts(forecasts)) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_sample_arithmetic(self):
         # events (1, 0), q = (0.8, 0.4): BS = 0.10, BS_clim = 0.25, skill = 0.6
@@ -172,15 +178,19 @@ class TestBss:
             (prob_dist([0.1, 0.1, 0.4, 0.4]), FlareClass.X),
             (prob_dist([0.3, 0.3, 0.2, 0.2]), FlareClass.O),
         ]
-        assert bss_ge_m(forecasts) == pytest.approx(0.6)
+        assert bss_ge_m(*arrays_from_forecasts(forecasts)) == pytest.approx(0.6)
 
     def test_degenerate_base_rate_rejected(self):
         with pytest.raises(ValueError, match="degenerate climatology for BSS"):
-            bss_ge_m([(prob_dist([0.25, 0.25, 0.25, 0.25]), FlareClass.X)])
+            bss_ge_m([prob_dist([0.25, 0.25, 0.25, 0.25])], [FlareClass.X])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            bss_ge_m([])
+            bss_ge_m([], [])
+
+    def test_misaligned_probabilities_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            bss_ge_m([prob_dist([0.25, 0.25, 0.25, 0.25])], [FlareClass.X, FlareClass.O])
 
 
 class TestInfluence:
@@ -236,7 +246,7 @@ class TestHarmonicMean:
 class TestMetricReport:
     def test_build_report_hard_predictions(self):
         pairs = pairs_from_matrix(REFERENCE_CONFUSION)
-        report = build_report(pairs)
+        report = build_report(*ranks_from_pairs(pairs))
         assert report.gmgs == pytest.approx(FROZEN_GMGS_REFERENCE, abs=1e-12)
         assert report.tss_ge_m == pytest.approx(FROZEN_TSS_REFERENCE, abs=1e-12)
         assert report.bss_ge_m is None
@@ -250,14 +260,14 @@ class TestMetricReport:
             (prob_dist([0.2, 0.2, 0.3, 0.3]), FlareClass.M),
             (prob_dist([0.4, 0.3, 0.2, 0.1]), FlareClass.C),
         ]
-        pairs = [(obs, FlareClass(int(np.argmax(p)))) for p, obs in forecasts]
-        report = build_report(pairs, prob_forecasts=forecasts)
+        probs, observed = arrays_from_forecasts(forecasts)
+        report = build_report(observed, probs.argmax(axis=1), probs)
         assert report.bss_ge_m is not None
         if report.gmgs > 0 and report.bss_ge_m > 0:
             assert report.hm == pytest.approx(harmonic_mean(report.gmgs, report.bss_ge_m))
 
     def test_text_and_csv_serialization(self):
-        report = build_report(pairs_from_matrix(REFERENCE_CONFUSION))
+        report = build_report(*ranks_from_pairs(pairs_from_matrix(REFERENCE_CONFUSION)))
         text = report.to_text()
         assert "gmgs" in text and "bss_ge_m      n/a" in text
         assert "5336" in text
@@ -276,3 +286,30 @@ class TestMetricReport:
         table = gmgs_influence(cm, s)
         with pytest.raises(ValueError, match="sorted"):
             MetricReport(0.5, 0.5, None, None, cm, tuple(reversed(table)))
+
+
+class TestArrayScoringMatchesLoopOracle:
+    """The bincount confusion and array BSS reproduce the per-row loops exactly."""
+
+    # Each case opens with one row per class, so every score is defined.
+    pair_lists = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=300).map(
+        lambda rows: [(c, c) for c in range(4)] + rows
+    )
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(pairs=pair_lists, seed=st.integers(0, 2**32 - 1))
+    def test_scores_equal_loop_forms(self, pairs, seed):
+        pairs = [(FlareClass(o), FlareClass(p)) for o, p in pairs]
+        probs = np.random.default_rng(seed).dirichlet(np.ones(4), size=len(pairs))
+        forecasts = [(probs[i], obs) for i, (obs, _) in enumerate(pairs)]
+        observed, predicted = ranks_from_pairs(pairs)
+
+        counts = confusion_loop(pairs)
+        assert np.array_equal(build_confusion(observed, predicted).counts, counts)
+        assert bss_ge_m(probs, observed) == bss_loop(forecasts)
+
+        report = build_report(observed, predicted, probs)
+        assert np.array_equal(report.confusion.counts, counts)
+        assert report.gmgs == gmgs(ConfusionMatrix(counts))
+        assert report.tss_ge_m == tss_ge_m(ConfusionMatrix(counts))
+        assert report.bss_ge_m == bss_loop(forecasts)

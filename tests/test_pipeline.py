@@ -266,3 +266,18 @@ class TestCsvFormats:
         path.write_text("id,timestamp,mask,f0\na,2020-01-01T00:00:00Z,1111,0.5\n")
         with pytest.raises(DataFileError, match=r"samples\.csv:2"):
             read_samples(path)
+
+    def test_duplicate_label_id_names_second_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("id,label\na,X\nb,C\na,O\n")
+        with pytest.raises(DataFileError, match=r"labels\.csv:4: duplicate id 'a' \(first on line 2\)"):
+            read_labels(path)
+
+    def test_duplicate_sample_id_names_second_line(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        row = "1111111111,0.5"
+        path.write_text(
+            f"id,timestamp,mask,f0\na,2020-01-01T00:00:00Z,{row}\na,2020-01-01T02:00:00Z,{row}\n"
+        )
+        with pytest.raises(DataFileError, match=r"samples\.csv:3: duplicate id 'a'"):
+            read_samples(path)
