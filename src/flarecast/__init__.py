@@ -5,7 +5,7 @@ from .core import (
     ClassWeights,
     ConfusionMatrix,
     FlareClass,
-    Sample,
+    SampleTable,
     ScoringMatrix,
     build_confusion,
     class_weights,
@@ -44,7 +44,6 @@ from .pipeline import (
     SplitSpec,
     apply_channel_policy,
     gen_synthetic,
-    label_max_class,
     label_samples,
     split_timeseries,
 )

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import FlareClass, N_CLASSES, Sample
+from .core import FlareClass, N_CLASSES, SampleTable
 from .cycle import CycleConfig
 from .losses import (
     HeadState,
@@ -38,6 +38,7 @@ from .pipeline import (
     DataFileError,
     SplitSpec,
     _new_id,
+    apply_channel_policy,
     events_for_samples,
     gen_synthetic,
     label_samples,
@@ -49,7 +50,7 @@ from .pipeline import (
     write_labels,
     write_samples,
 )
-from .trainer import TrainConfig, evaluate_fold, save_checkpoint, train, write_history
+from .trainer import TrainConfig, evaluate_fold, require_all_classes, save_checkpoint, train, write_history
 
 ENV_PREFIX = "FLARE_"
 
@@ -238,9 +239,9 @@ def cmd_gen_data(args) -> int:
     except ValueError:
         raise UsageError("--class-probs must be 4 comma-separated probabilities summing to 1") from None
     out_dir = _ensure_out_dir(args.out_dir)
-    samples = gen_synthetic(args.n, probs, args.seed, args.feature_dim, spacing_steps=args.spacing_steps)
-    write_samples(out_dir / "samples.csv", samples)
-    write_events(out_dir / "events.csv", events_for_samples(samples))
+    table = gen_synthetic(args.n, probs, args.seed, args.feature_dim, spacing_steps=args.spacing_steps)
+    write_samples(out_dir / "samples.csv", table)
+    write_events(out_dir / "events.csv", events_for_samples(table))
     echo = sorted(
         [
             f"n={args.n}",
@@ -252,7 +253,7 @@ def cmd_gen_data(args) -> int:
         ]
     )
     _write_config_echo(out_dir, echo)
-    print(f"wrote {len(samples)} samples and events to {out_dir}")
+    print(f"wrote {len(table)} samples and events to {out_dir}")
     return 0
 
 
@@ -260,10 +261,9 @@ def cmd_label(args) -> int:
     if args.horizon_hours <= 0:
         raise UsageError("--horizon-hours must be positive")
     events = read_events(args.events)
-    samples = read_samples(args.samples)
-    labels = label_samples(samples, events, horizon_hours=args.horizon_hours)
-    write_labels(args.out, [s.id for s in samples], labels)
-    print(f"labeled {len(samples)} samples -> {args.out}")
+    table = read_samples(args.samples)
+    write_labels(args.out, table.ids, label_samples(table, events, horizon_hours=args.horizon_hours))
+    print(f"labeled {len(table)} samples -> {args.out}")
     return 0
 
 
@@ -348,32 +348,38 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _attach_labels(table: SampleTable, label_rows: Sequence[Tuple[str, FlareClass]]) -> SampleTable:
+    """``table`` with every row's label looked up by id; raises ValueError naming the first unlabeled id."""
+    ids = np.array([sid for sid, _ in label_rows], dtype=str)
+    ranks = np.array([int(c) for _, c in label_rows], dtype=np.int8)
+    unlabeled = table.ids[~np.isin(table.ids, ids)]
+    if len(unlabeled):
+        raise ValueError(f"sample {unlabeled[0]!r} has no label in labels.csv")
+    order = np.argsort(ids)
+    return replace(table, labels=ranks[order[np.searchsorted(ids, table.ids, sorter=order)]])
+
+
 def cmd_train(args) -> int:
     cfg, split_spec, fold_index = resolve_run_config(args.config, args.set or [])
     data_dir = Path(args.data_dir)
-    samples = read_samples(data_dir / "samples.csv")
-    labels = dict(read_labels(data_dir / "labels.csv"))
-    labeled = []
-    for s in samples:
-        if s.id not in labels:
-            raise ValueError(f"sample {s.id!r} has no label in labels.csv")
-        labeled.append(Sample(s.id, s.timestamp, s.features, s.channel_mask, labels[s.id]))
-    labeled.sort(key=lambda s: s.timestamp)
+    table = _attach_labels(read_samples(data_dir / "samples.csv"), read_labels(data_dir / "labels.csv"))
+    table, excluded = apply_channel_policy(table.take(np.argsort(table.times, kind="stable")))
 
-    folds = split_timeseries(labeled, split_spec)
-    fold = folds[fold_index]
-    result = train(labeled, fold, cfg)
+    fold = split_timeseries(table, split_spec)[fold_index]
+    require_all_classes(table.labels, test=fold.test)
+    result = train(table, fold, cfg)
 
     out_dir = _ensure_out_dir(args.out_dir)
     write_history(out_dir / "history.csv", result.history)
     save_checkpoint(out_dir / "checkpoint.txt", result.best, cfg)
-    test_report = evaluate_fold(labeled, fold.test, result.best.params, cfg)
+    test_report = evaluate_fold(table, fold.test, result.best.params, cfg)
     (out_dir / "test_report.txt").write_text(test_report.to_text())
     (out_dir / "test_report.csv").write_text(test_report.to_csv())
     _write_config_echo(out_dir, _config_echo_lines(cfg, split_spec, fold_index))
     print(
         f"best epoch {result.best.epoch}: validation gmgs {result.best.val_gmgs:.4f}; "
-        f"test gmgs {test_report.gmgs:.4f}, tss {test_report.tss_ge_m:.4f}"
+        f"test gmgs {test_report.gmgs:.4f}, tss {test_report.tss_ge_m:.4f}; "
+        f"{excluded} samples excluded by channel policy"
     )
     return 0
 

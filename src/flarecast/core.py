@@ -1,18 +1,18 @@
 """Domain types shared by every flarecast module.
 
-Four ordinal flare classes (O < C < M < X), probability vectors over them,
-confusion matrices, inverse-frequency class weights, and the scoring matrix
-container used by the Gerrity-based skill score. Everything here is immutable
-after construction; arrays are frozen so instances can be shared freely
-across threads.
+Four ordinal flare classes (O < C < M < X), the columnar sample table,
+probability vectors over the classes, confusion matrices, inverse-frequency
+class weights, and the scoring matrix container used by the Gerrity-based
+skill score. Everything here is immutable after construction; arrays are
+frozen so instances can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from enum import IntEnum
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,11 @@ FLUX_THRESHOLD_M = 1e-5
 FLUX_THRESHOLD_C = 1e-6
 
 SAMPLE_CADENCE_HOURS = 2.0
+GRID_SECONDS = int(SAMPLE_CADENCE_HOURS * 3600)
 N_CHANNELS = 10
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+MICROSECOND = timedelta(microseconds=1)
 
 
 class FlareClass(IntEnum):
@@ -93,36 +97,60 @@ def one_hot_to_class(y: np.ndarray) -> FlareClass:
     return FlareClass(int(np.argmax(y)))
 
 
-def _check_utc_grid(ts: datetime) -> None:
-    if ts.tzinfo is None or ts.utcoffset() != timezone.utc.utcoffset(None):
-        raise ValueError(f"timestamp must be UTC: {ts!r}")
-    if ts.timestamp() % (SAMPLE_CADENCE_HOURS * 3600.0) != 0.0:
-        raise ValueError(f"timestamp not aligned to the {SAMPLE_CADENCE_HOURS:g}-hour grid: {ts.isoformat()}")
+def grid_seconds(t: datetime) -> int:
+    """UTC epoch seconds of ``t``; ValueError if it is naive or off the 2-hour grid (sub-seconds count)."""
+    if t.tzinfo is None:
+        raise ValueError(f"timestamp must be UTC: {t!r}")
+    us = (t - EPOCH) // MICROSECOND
+    if us % (GRID_SECONDS * 1_000_000):
+        raise ValueError(f"timestamp not aligned to the {SAMPLE_CADENCE_HOURS:g}-hour grid: {t.isoformat()}")
+    return us // 1_000_000
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One observation instant: features, per-channel presence mask, optional label."""
+class SampleTable:
+    """Observation instants as aligned columns, one row per instant.
 
-    id: str
-    timestamp: datetime
+    ``ids`` (str), ``times`` (int64 UTC epoch seconds on the 2-hour grid),
+    ``mask`` (bool ``(n, 10)`` channel presence), ``features`` (float64
+    ``(n, D)``) and ``labels`` (int8 class rank, -1 for unlabeled; all -1
+    when omitted). Columns are copied and frozen at construction, which also
+    checks that they are aligned and well-formed.
+    """
+
+    ids: np.ndarray
+    times: np.ndarray
+    mask: np.ndarray
     features: np.ndarray
-    channel_mask: Tuple[bool, ...]
-    label: Optional[FlareClass] = None
+    labels: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        _check_utc_grid(self.timestamp)
-        if len(self.channel_mask) != N_CHANNELS:
-            raise ValueError(f"channel_mask must have {N_CHANNELS} entries, got {len(self.channel_mask)}")
-        object.__setattr__(self, "channel_mask", tuple(bool(b) for b in self.channel_mask))
-        feats = np.asarray(self.features, dtype=float)
-        if feats.ndim != 1:
-            raise ValueError("features must be a 1-d vector")
-        object.__setattr__(self, "features", _frozen(feats.copy()))
+        n = len(self.ids)
+        labels = np.full(n, -1) if self.labels is None else np.asarray(self.labels)
+        if np.any((labels < -1) | (labels >= N_CLASSES)):
+            raise ValueError(f"labels must be class ranks in -1..{N_CLASSES - 1}")
+        columns = {
+            "ids": np.array(self.ids, dtype=str),
+            "times": np.array(self.times, dtype=np.int64),
+            "mask": np.array(self.mask, dtype=bool),
+            "features": np.array(self.features, dtype=float),
+            "labels": labels.astype(np.int8),
+        }
+        if columns["ids"].ndim != 1 or any(c.shape[:1] != (n,) for c in columns.values()):
+            raise ValueError("sample columns must be aligned: one entry per id")
+        if columns["features"].ndim != 2 or columns["mask"].shape != (n, N_CHANNELS):
+            raise ValueError(f"features must be 2-d and the mask must have {N_CHANNELS} channels per row")
+        if np.any(columns["times"] % GRID_SECONDS):
+            raise ValueError(f"timestamp not aligned to the {SAMPLE_CADENCE_HOURS:g}-hour grid")
+        for name, column in columns.items():
+            object.__setattr__(self, name, _frozen(column))
 
-    @property
-    def missing_channels(self) -> int:
-        return N_CHANNELS - sum(self.channel_mask)
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows) -> "SampleTable":
+        """The rows selected by an index array or boolean mask, in that order."""
+        return SampleTable(self.ids[rows], self.times[rows], self.mask[rows], self.features[rows], self.labels[rows])
 
 
 @dataclass(frozen=True)
@@ -198,9 +226,6 @@ class ClassWeights:
     @classmethod
     def uniform(cls) -> "ClassWeights":
         return cls(np.ones(N_CLASSES))
-
-    def for_label(self, label: FlareClass) -> float:
-        return float(self.weights[int(label)])
 
 
 def class_weights(counts: Sequence[int]) -> ClassWeights:

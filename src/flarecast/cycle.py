@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-__all__ = ["CycleConfig", "cycle_phase", "DEFAULT_CYCLE"]
+import numpy as np
+
+from .core import EPOCH, MICROSECOND
+
+__all__ = ["CycleConfig", "cycle_phase", "cycle_phases", "DEFAULT_CYCLE"]
 
 # Default period: 48,204 two-hour steps = 96,408 hours, almost exactly 11 years.
 DEFAULT_PERIOD_HOURS = 48_204 * 2.0
@@ -39,5 +42,10 @@ def cycle_phase(t: datetime, cfg: CycleConfig = DEFAULT_CYCLE) -> float:
     """
     if t.tzinfo is None:
         raise ValueError("timestamp must be timezone-aware UTC")
-    delta_hours = (t - cfg.base_time).total_seconds() / 3600.0
-    return -math.cos(2.0 * math.pi * delta_hours / cfg.period_hours)
+    return float(cycle_phases((t - EPOCH) // MICROSECOND, cfg))
+
+
+def cycle_phases(epoch_us, cfg: CycleConfig = DEFAULT_CYCLE) -> np.ndarray:
+    """:func:`cycle_phase` of each int64 UTC epoch microsecond count, element-wise."""
+    delta_hours = (np.asarray(epoch_us, dtype=np.int64) - (cfg.base_time - EPOCH) // MICROSECOND) / 1e6 / 3600.0
+    return -np.cos(2.0 * np.pi * delta_hours / cfg.period_hours)

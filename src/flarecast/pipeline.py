@@ -5,28 +5,37 @@ File formats (all comma-separated with a header row):
 
 * events:  ``peak_time,class`` with ISO-8601 UTC timestamps and class O/C/M/X.
 * samples: ``id,timestamp,mask,f0..f{D-1}`` with the 10-channel presence mask
-  as a string of ten 0/1 characters.
+  as a string of ten 0/1 characters, held as a :class:`~flarecast.core.SampleTable`.
 * labels:  ``id,label``.
 """
 
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
-from dataclasses import dataclass
+from array import array
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import N_CHANNELS, N_CLASSES, FlareClass, Sample
+from .core import (
+    EPOCH,
+    GRID_SECONDS,
+    MICROSECOND,
+    N_CHANNELS,
+    N_CLASSES,
+    FlareClass,
+    SampleTable,
+    grid_seconds,
+)
 
 __all__ = [
     "FlareEvent",
     "SplitSpec",
     "Fold",
     "DataFileError",
-    "label_max_class",
     "label_samples",
     "apply_channel_policy",
     "split_timeseries",
@@ -73,72 +82,49 @@ class FlareEvent:
             raise ValueError("event peak_time must be timezone-aware UTC")
 
 
-def label_max_class(
-    t: datetime,
+def label_samples(
+    table: SampleTable,
     events: Sequence[FlareEvent],
     horizon_hours: float = DEFAULT_HORIZON_HOURS,
-) -> FlareClass:
-    """Largest flare class with a peak inside the window ``(t, t + horizon]``.
+) -> np.ndarray:
+    """Largest flare class peaking inside ``(t, t + horizon]`` for every row.
 
     The window is half-open on the left: an event peaking exactly at ``t`` is
-    excluded, one peaking exactly at ``t + horizon`` is included. Returns O
-    when no event of class C or above peaks inside the window.
+    excluded, one peaking exactly at ``t + horizon`` is included. Returns int8
+    class ranks, 0 (O) where no event of class C or above peaks in the window.
+    Times are compared in integer microseconds, so fractional seconds in event
+    times and in the horizon keep their place relative to the boundaries.
     """
-    end = t + timedelta(hours=horizon_hours)
-    best = FlareClass.O
-    for ev in events:
-        if t < ev.peak_time <= end and ev.flare_class > best:
-            best = ev.flare_class
-    return best
-
-
-def label_samples(
-    samples: Sequence[Sample],
-    events: Sequence[FlareEvent],
-    horizon_hours: float = DEFAULT_HORIZON_HOURS,
-) -> List[FlareClass]:
-    """Window-maximum label for every sample; sorts the events once and bisects."""
-    evs = sorted(events, key=lambda e: e.peak_time)
-    times = [e.peak_time for e in evs]
-    labels = []
-    for s in samples:
-        lo = bisect_right(times, s.timestamp)
-        hi = bisect_right(times, s.timestamp + timedelta(hours=horizon_hours))
-        best = FlareClass.O
-        for ev in evs[lo:hi]:
-            if ev.flare_class > best:
-                best = ev.flare_class
-        labels.append(best)
+    ev_us = np.array([(e.peak_time - EPOCH) // MICROSECOND for e in events], dtype=np.int64)
+    ev_cls = np.array([int(e.flare_class) for e in events], dtype=np.int8)
+    order = np.argsort(ev_us, kind="stable")
+    ev_us, ev_cls = ev_us[order], ev_cls[order]
+    t_us = table.times * 1_000_000
+    lo = np.searchsorted(ev_us, t_us, side="right")
+    hi = np.searchsorted(ev_us, t_us + timedelta(hours=horizon_hours) // MICROSECOND, side="right")
+    # The window max is the number of thresholds (>= C, >= M, >= X) with an event inside.
+    labels = np.zeros(len(table), dtype=np.int8)
+    for c in range(1, N_CLASSES):
+        at_least = np.concatenate(([0], np.cumsum(ev_cls >= c)))
+        labels += at_least[hi] > at_least[lo]
     return labels
 
 
-def _channel_blocks(dim: int) -> List[np.ndarray]:
-    return np.array_split(np.arange(dim), N_CHANNELS)
-
-
-def apply_channel_policy(samples: Sequence[Sample]) -> Tuple[List[Sample], int]:
+def apply_channel_policy(table: SampleTable) -> Tuple[SampleTable, int]:
     """Enforce the channel-completeness and labeled-only policy.
 
-    Samples missing 3 or more of the 10 channels (at least 25%) are excluded,
-    as are unlabeled samples. Samples missing 1-2 channels are kept with the
-    corresponding feature blocks zero-filled; complete samples pass through
-    unchanged. Returns the kept samples and the number excluded.
+    Rows missing 3 or more of the 10 channels (at least 25%) are excluded, as
+    are unlabeled rows. Rows missing 1-2 channels are kept with the missing
+    channels' ``np.array_split(range(D), 10)`` feature blocks set to +0.0;
+    other features pass through unchanged. Returns the kept rows and the
+    number excluded.
     """
-    kept: List[Sample] = []
-    excluded = 0
-    for s in samples:
-        if s.label is None or s.missing_channels > MAX_MISSING_CHANNELS:
-            excluded += 1
-            continue
-        if s.missing_channels == 0:
-            kept.append(s)
-            continue
-        feats = s.features.copy()
-        for ch, block in enumerate(_channel_blocks(feats.shape[0])):
-            if not s.channel_mask[ch]:
-                feats[block] = 0.0
-        kept.append(Sample(s.id, s.timestamp, feats, s.channel_mask, s.label))
-    return kept, excluded
+    missing = N_CHANNELS - table.mask.sum(axis=1)
+    kept = table.take((table.labels >= 0) & (missing <= MAX_MISSING_CHANNELS))
+    dim = kept.features.shape[1]
+    block_sizes = dim // N_CHANNELS + (np.arange(N_CHANNELS) < dim % N_CHANNELS)
+    present = np.repeat(kept.mask, block_sizes, axis=1)
+    return replace(kept, features=np.where(present, kept.features, 0.0)), len(table) - len(kept)
 
 
 @dataclass(frozen=True)
@@ -178,8 +164,8 @@ class SplitSpec:
             raise ValueError("explicit split sizes must be positive")
 
 
-def split_timeseries(samples: Sequence[Sample], spec: SplitSpec) -> List[Fold]:
-    """Expanding-window chronological folds over time-sorted samples.
+def split_timeseries(table: SampleTable, spec: SplitSpec) -> List[Fold]:
+    """Expanding-window chronological folds over a time-sorted table.
 
     Within every fold the train, validation, and test ranges are disjoint,
     contiguous, and chronologically ordered; the training range grows from
@@ -191,10 +177,9 @@ def split_timeseries(samples: Sequence[Sample], spec: SplitSpec) -> List[Fold]:
         If the samples are not chronologically sorted or any fold segment
         would be empty.
     """
-    n = len(samples)
-    for a, b in zip(samples, samples[1:]):
-        if b.timestamp < a.timestamp:
-            raise ValueError("samples must be sorted chronologically")
+    n = len(table)
+    if np.any(np.diff(table.times) < 0):
+        raise ValueError("samples must be sorted chronologically")
     folds = []
     for f in range(1, spec.fold_count + 1):
         if spec.sizes is not None:
@@ -233,7 +218,7 @@ def gen_synthetic(
     spacing_steps: int = 1,
     start: datetime = DEFAULT_START_TIME,
     separation: float = 1.2,
-) -> List[Sample]:
+) -> SampleTable:
     """Deterministic labeled samples with class-conditional Gaussian features.
 
     Class counts follow the target probabilities exactly (largest-remainder
@@ -257,32 +242,27 @@ def gen_synthetic(
     direction = np.ones(feature_dim) / np.sqrt(feature_dim)
     feats = rng.standard_normal((n, feature_dim))
     feats += (ranks[:, None] - 1.5) * separation * direction
-    mask = (True,) * N_CHANNELS
-    width = len(str(n))
-    step = timedelta(hours=2.0 * spacing_steps)
-    return [
-        Sample(
-            id=f"s{i:0{width}d}",
-            timestamp=start + i * step,
-            features=feats[i],
-            channel_mask=mask,
-            label=FlareClass(int(ranks[i])),
-        )
-        for i in range(n)
-    ]
+    return SampleTable(
+        ids=np.char.mod(f"s%0{len(str(n))}d", np.arange(n)),
+        times=grid_seconds(start) + np.arange(n, dtype=np.int64) * (GRID_SECONDS * spacing_steps),
+        mask=np.ones((n, N_CHANNELS), dtype=bool),
+        features=feats,
+        labels=ranks,
+    )
 
 
-def events_for_samples(samples: Sequence[Sample], offset_hours: float = 36.0) -> List[FlareEvent]:
-    """One event per labeled sample of class C or above, peaking inside its window.
+def events_for_samples(table: SampleTable, offset_hours: float = 36.0) -> List[FlareEvent]:
+    """One event per labeled row of class C or above, peaking inside its window.
 
     With samples spaced more than the labeling horizon apart the windows do
     not overlap, so :func:`label_samples` on the result reproduces the
-    samples' own labels exactly.
+    table's own labels exactly.
     """
+    offset = timedelta(hours=offset_hours)
+    flaring = table.labels > FlareClass.O
     return [
-        FlareEvent(s.timestamp + timedelta(hours=offset_hours), s.label)
-        for s in samples
-        if s.label is not None and s.label > FlareClass.O
+        FlareEvent(EPOCH + timedelta(seconds=t) + offset, FlareClass(c))
+        for t, c in zip(table.times[flaring].tolist(), table.labels[flaring].tolist())
     ]
 
 
@@ -313,6 +293,33 @@ def _new_id(raw: str, line_no: int, seen: Dict[str, int]) -> str:
     return sid
 
 
+@contextmanager
+def _csv_rows(path, fields: List[str], more: str = ""):
+    """Open a CSV file whose stripped header is ``fields``, followed by one or
+    more columns where ``more`` names them, and yield ``(header, rows)``:
+    ``rows`` iterates ``(line_no, row)`` over the non-blank rows, each as wide
+    as the header. A ValueError raised while the rows are read or used becomes
+    a DataFileError naming the file and line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader, [])]
+        if header[: len(fields)] != fields or (len(header) > len(fields)) != bool(more):
+            raise DataFileError(path, 1, f"expected header {','.join(fields + [more] if more else fields)!r}")
+
+        def rows() -> Iterator[Tuple[int, List[str]]]:
+            for row in reader:
+                if row and len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                if row:
+                    yield reader.line_num, row
+
+        try:
+            yield header, rows()
+        except ValueError as exc:
+            raise DataFileError(path, reader.line_num, str(exc)) from None
+
+
 def write_events(path, events: Sequence[FlareEvent]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -322,90 +329,55 @@ def write_events(path, events: Sequence[FlareEvent]) -> None:
 
 
 def read_events(path) -> List[FlareEvent]:
-    events = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["peak_time", "class"]:
-            raise DataFileError(path, 1, "expected header 'peak_time,class'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != 2:
-                    raise ValueError(f"expected 2 fields, got {len(row)}")
-                events.append(FlareEvent(_parse_time(row[0]), FlareClass.from_name(row[1])))
-            except ValueError as exc:
-                raise DataFileError(path, line_no, str(exc)) from None
-    return events
+    with _csv_rows(path, ["peak_time", "class"]) as (_, rows):
+        return [FlareEvent(_parse_time(row[0]), FlareClass.from_name(row[1])) for _, row in rows]
 
 
-def write_samples(path, samples: Sequence[Sample]) -> None:
-    if not samples:
-        raise ValueError("no samples to write")
-    dim = samples[0].features.shape[0]
+def write_samples(path, table: SampleTable) -> None:
+    stamps = np.datetime_as_string(table.times.astype("datetime64[s]"))
+    masks = (table.mask.astype(np.uint8) + ord("0")).view(f"S{N_CHANNELS}").ravel().astype(str)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["id", "timestamp", "mask"] + [f"f{i}" for i in range(dim)])
-        for s in samples:
-            mask = "".join("1" if b else "0" for b in s.channel_mask)
-            w.writerow([s.id, _format_time(s.timestamp), mask] + [repr(float(v)) for v in s.features])
+        w.writerow(["id", "timestamp", "mask"] + [f"f{i}" for i in range(table.features.shape[1])])
+        rows = zip(table.ids.tolist(), stamps.tolist(), masks.tolist(), table.features)
+        w.writerows([sid, stamp + "Z", mask] + [repr(v) for v in feats.tolist()] for sid, stamp, mask, feats in rows)
 
 
-def read_samples(path) -> List[Sample]:
-    samples = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 4 or [h.strip() for h in header[:3]] != ["id", "timestamp", "mask"]:
-            raise DataFileError(path, 1, "expected header 'id,timestamp,mask,f0..'")
-        dim = len(header) - 3
-        seen: Dict[str, int] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != dim + 3:
-                    raise ValueError(f"expected {dim + 3} fields, got {len(row)}")
-                mask = row[2].strip()
-                if len(mask) != N_CHANNELS or set(mask) - {"0", "1"}:
-                    raise ValueError(f"mask must be {N_CHANNELS} characters of 0/1, got {mask!r}")
-                samples.append(
-                    Sample(
-                        id=_new_id(row[0], line_no, seen),
-                        timestamp=_parse_time(row[1]),
-                        features=np.array([float(v) for v in row[3:]]),
-                        channel_mask=tuple(c == "1" for c in mask),
-                    )
-                )
-            except ValueError as exc:
-                raise DataFileError(path, line_no, str(exc)) from None
-    return samples
+def read_samples(path) -> SampleTable:
+    """Stream ``samples.csv`` into an unlabeled table, row by row into flat buffers."""
+    ids: List[str] = []
+    seen: Dict[str, int] = {}
+    times = array("q")
+    masks = bytearray()
+    feats = array("d")
+    with _csv_rows(path, ["id", "timestamp", "mask"], more="f0..") as (header, rows):
+        for line_no, row in rows:
+            mask = row[2].strip()
+            if len(mask) != N_CHANNELS or set(mask) - {"0", "1"}:
+                raise ValueError(f"mask must be {N_CHANNELS} characters of 0/1, got {mask!r}")
+            ids.append(_new_id(row[0], line_no, seen))
+            times.append(grid_seconds(_parse_time(row[1])))
+            feats.extend([float(v) for v in row[3:]])
+            masks += mask.encode()
+    n = len(ids)
+    return SampleTable(
+        ids,
+        np.frombuffer(times, dtype=np.int64),
+        np.frombuffer(masks, dtype=np.uint8).reshape(n, N_CHANNELS) == ord("1"),
+        np.frombuffer(feats, dtype=np.float64).reshape(n, len(header) - 3),
+    )
 
 
-def write_labels(path, ids: Sequence[str], labels: Sequence[FlareClass]) -> None:
+def write_labels(path, ids: Sequence[str], labels) -> None:
+    """Write ``id,label`` rows; ``labels`` are class ranks or :class:`FlareClass` members."""
+    names = np.array([c.name for c in FlareClass])[np.asarray(labels, dtype=np.int64)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "label"])
-        for sid, label in zip(ids, labels):
-            w.writerow([sid, label.name])
+        w.writerows(zip(ids, names.tolist()))
 
 
 def read_labels(path) -> List[Tuple[str, FlareClass]]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["id", "label"]:
-            raise DataFileError(path, 1, "expected header 'id,label'")
-        seen: Dict[str, int] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != 2:
-                    raise ValueError(f"expected 2 fields, got {len(row)}")
-                out.append((_new_id(row[0], line_no, seen), FlareClass.from_name(row[1])))
-            except ValueError as exc:
-                raise DataFileError(path, line_no, str(exc)) from None
-    return out
+    seen: Dict[str, int] = {}
+    with _csv_rows(path, ["id", "label"]) as (_, rows):
+        return [(_new_id(row[0], line_no, seen), FlareClass.from_name(row[1])) for line_no, row in rows]

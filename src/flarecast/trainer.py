@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ClassWeights, FlareClass, N_CLASSES, Sample, class_weights
-from .cycle import DEFAULT_CYCLE, CycleConfig, cycle_phase
+from .core import ClassWeights, FlareClass, N_CLASSES, SampleTable, class_weights
+from .cycle import DEFAULT_CYCLE, CycleConfig, cycle_phases
 from .losses import (
     HeadState,
     LossBreakdown,
@@ -38,6 +38,7 @@ __all__ = [
     "init_params",
     "forward",
     "adamw_step",
+    "require_all_classes",
     "train",
     "predict_probs",
     "evaluate_fold",
@@ -137,16 +138,13 @@ def _forward_arrays(x: np.ndarray, phis: Optional[np.ndarray], params: Params):
     return a0, a1, head_in, logits, softmax(logits)
 
 
-def _phis(samples: Sequence[Sample], cfg: TrainConfig) -> Optional[np.ndarray]:
-    if not cfg.use_cycle_embedding:
-        return None
-    return np.array([cycle_phase(s.timestamp, cfg.cycle) for s in samples])
+def _phis(times: np.ndarray, cfg: TrainConfig) -> Optional[np.ndarray]:
+    return cycle_phases(times * 1_000_000, cfg.cycle) if cfg.use_cycle_embedding else None
 
 
-def forward(sample: Sample, params: Params, cfg: TrainConfig) -> HeadState:
-    """Head state of one sample under the current parameters."""
-    phis = _phis([sample], cfg)
-    _, _, head_in, logits, probs = _forward_arrays(sample.features[None, :], phis, params)
+def forward(table: SampleTable, row: int, params: Params, cfg: TrainConfig) -> HeadState:
+    """Head state of one row of the table under the current parameters."""
+    _, _, head_in, logits, probs = _forward_arrays(table.features[[row]], _phis(table.times[[row]], cfg), params)
     return HeadState(head_in[0], params["head"], logits[0], probs[0])
 
 
@@ -249,7 +247,15 @@ def _verify_first_batch(x, phis, params, cfg, y_rows, sample_w, ib_active) -> No
         raise RuntimeError(f"diverged: gradient verification failed (relative error {worst:.3e})")
 
 
-def train(samples: Sequence[Sample], fold: Fold, cfg: TrainConfig) -> TrainResult:
+def require_all_classes(labels: np.ndarray, **ranges: Sequence[int]) -> None:
+    """Raise ValueError naming the first range (by keyword) whose labels miss a class."""
+    for name, idx in ranges.items():
+        missing = [FlareClass(c).name for c in np.setdiff1d(range(N_CLASSES), labels[np.asarray(idx, dtype=np.intp)])]
+        if missing:
+            raise ValueError(f"degenerate split: {name} range is missing class(es) {', '.join(missing)}")
+
+
+def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
     """Run the full training loop on one chronological fold.
 
     Influence terms activate at ``epoch == warmup_epochs``; validation GMGS is
@@ -263,17 +269,13 @@ def train(samples: Sequence[Sample], fold: Fold, cfg: TrainConfig) -> TrainResul
     RuntimeError
         On numerical divergence.
     """
-    labels = np.array([int(s.label) for s in samples if s.label is not None])
-    if len(labels) != len(samples):
+    if np.any(table.labels < 0):
         raise ValueError("all samples must be labeled for training")
-    x_all = np.stack([s.features for s in samples])
-    phis_all = _phis(samples, cfg)
+    labels = table.labels.astype(np.intp)
+    x_all = table.features
+    phis_all = _phis(table.times, cfg)
     train_idx = np.array(fold.train)
-    for name, idx in (("training", train_idx), ("validation", np.array(fold.validation))):
-        present = np.unique(labels[idx])
-        if len(present) < N_CLASSES:
-            missing = [FlareClass(c).name for c in range(N_CLASSES) if c not in present]
-            raise ValueError(f"degenerate split: {name} range is missing class(es) {', '.join(missing)}")
+    require_all_classes(labels, training=fold.train, validation=fold.validation)
 
     counts = np.bincount(labels[train_idx], minlength=N_CLASSES)
     weights = class_weights(counts) if cfg.use_class_weights else ClassWeights.uniform()
@@ -283,11 +285,6 @@ def train(samples: Sequence[Sample], fold: Fold, cfg: TrainConfig) -> TrainResul
     params = init_params(x_all.shape[1], cfg, rng)
     moments: Moments = {}
     step_index = 0
-
-    val_idx = np.array(fold.validation)
-    x_val = x_all[val_idx]
-    phis_val = None if phis_all is None else phis_all[val_idx]
-    val_labels = labels[val_idx]
 
     best: Optional[Checkpoint] = None
     history: List[EpochRecord] = []
@@ -325,8 +322,7 @@ def train(samples: Sequence[Sample], fold: Fold, cfg: TrainConfig) -> TrainResul
             ib_active=ib_active,
         )
 
-        probs_val = _predict_arrays(x_val, phis_val, params)
-        report = build_report(val_labels, probs_val.argmax(axis=1), probs_val)
+        report = evaluate_fold(table, fold.validation, params, cfg)
         record = EpochRecord(
             epoch=epoch,
             losses=epoch_losses,
@@ -342,23 +338,16 @@ def train(samples: Sequence[Sample], fold: Fold, cfg: TrainConfig) -> TrainResul
     return TrainResult(best=best, history=history)
 
 
-def _predict_arrays(x: np.ndarray, phis: Optional[np.ndarray], params: Params) -> np.ndarray:
-    _, _, _, _, probs = _forward_arrays(x, phis, params)
-    return probs
+def predict_probs(table: SampleTable, params: Params, cfg: TrainConfig) -> np.ndarray:
+    """Predicted class distributions, one row per row of the table."""
+    return _forward_arrays(table.features, _phis(table.times, cfg), params)[-1]
 
 
-def predict_probs(samples: Sequence[Sample], params: Params, cfg: TrainConfig) -> np.ndarray:
-    """Predicted class distributions for a batch of samples."""
-    x = np.stack([s.features for s in samples])
-    return _predict_arrays(x, _phis(samples, cfg), params)
-
-
-def evaluate_fold(samples: Sequence[Sample], idx: Sequence[int], params: Params, cfg: TrainConfig) -> MetricReport:
-    """Metric report of the parameters on one index range of the dataset."""
-    subset = [samples[i] for i in idx]
+def evaluate_fold(table: SampleTable, idx: Sequence[int], params: Params, cfg: TrainConfig) -> MetricReport:
+    """Metric report of the parameters on one index range of the table."""
+    subset = table.take(np.asarray(idx, dtype=np.intp))
     probs = predict_probs(subset, params, cfg)
-    labels = np.array([int(s.label) for s in subset])
-    return build_report(labels, probs.argmax(axis=1), probs)
+    return build_report(subset.labels, probs.argmax(axis=1), probs)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 These deliberately reimplement the checked quantities by other means: the
 scoring matrix in arbitrary precision via mpmath, gradients via central
 finite differences, window labeling by brute-force scan, and confusion
-counts and the Brier skill score by per-row loops. None of them import the
+counts, the Brier skill score and the channel policy by per-row loops. None of them import the
 code paths they verify beyond plain data containers.
 """
+
+from datetime import timedelta
 
 import mpmath as mp
 import numpy as np
@@ -141,3 +143,35 @@ def bss_loop(forecasts):
     o = np.array([1.0 if int(label) >= 2 else 0.0 for _, label in forecasts])
     rate = float(o.mean())
     return 1.0 - float(((q - o) ** 2).mean()) / (rate * (1.0 - rate))
+
+
+def label_max_class(t, events, horizon_hours=72.0):
+    """Largest flare class among events peaking in ``(t, t + horizon]``, by scanning every event."""
+    from flarecast import FlareClass
+
+    end = t + timedelta(hours=horizon_hours)
+    best = FlareClass.O
+    for ev in events:
+        if t < ev.peak_time <= end and ev.flare_class > best:
+            best = ev.flare_class
+    return best
+
+
+def channel_policy_loop(masks, features, labels):
+    """The channel policy one row at a time.
+
+    Returns the kept row indices, their features with each missing channel's
+    ``np.array_split`` block assigned 0.0, and the number of rows excluded.
+    """
+    kept, rows, excluded = [], [], 0
+    for i, (mask, feats, label) in enumerate(zip(masks, features, labels)):
+        if label < 0 or 10 - sum(bool(b) for b in mask) >= 3:
+            excluded += 1
+            continue
+        out = np.array(feats, dtype=float)
+        for ch, block in enumerate(np.array_split(np.arange(out.shape[0]), 10)):
+            if not mask[ch]:
+                out[block] = 0.0
+        kept.append(i)
+        rows.append(out)
+    return kept, np.array(rows).reshape(len(kept), np.shape(features)[1]), excluded

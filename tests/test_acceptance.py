@@ -9,7 +9,7 @@ see the fallback test, which pins the documented behaviour instead).
 """
 
 import time
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from flarecast import (
     ConfusionMatrix,
     FlareClass,
     FlareEvent,
+    SampleTable,
     SplitSpec,
     TrainConfig,
     apply_channel_policy,
@@ -31,7 +32,7 @@ from flarecast import (
     gmgs,
     gmgs_influence,
     ib_factor_bss,
-    label_max_class,
+    label_samples,
     softmax,
     train,
     tss_ge_m,
@@ -269,18 +270,17 @@ def test_criterion_8_end_to_end_synthetic():
 
 def test_criterion_9_pipeline_policies():
     base = gen_synthetic(3, [0.25] * 4, seed=0, feature_dim=10)
-    from flarecast import Sample
+    masks = [(True,) * 10, (False, False) + (True,) * 8, (False,) * 3 + (True,) * 7]
+    labels = [FlareClass.C, FlareClass.O, FlareClass.M]
+    table = SampleTable(["a", "b", "c"], base.times, masks, np.ones((3, 10)), labels)
+    kept, excluded = apply_channel_policy(table)
+    assert kept.ids.tolist() == ["a", "b"] and excluded == 1
+    assert np.array_equal(kept.features[0], np.ones(10))
+    assert np.array_equal(kept.features[1], [0, 0] + [1] * 8)
 
-    complete = Sample("a", base[0].timestamp, np.ones(10), (True,) * 10, FlareClass.C)
-    two_missing = Sample("b", base[1].timestamp, np.ones(10), (False, False) + (True,) * 8, FlareClass.O)
-    three_missing = Sample("c", base[2].timestamp, np.ones(10), (False,) * 3 + (True,) * 7, FlareClass.M)
-    kept, excluded = apply_channel_policy([complete, two_missing, three_missing])
-    assert [s.id for s in kept] == ["a", "b"] and excluded == 1
-    assert np.array_equal(kept[0].features, np.ones(10))
-    assert np.array_equal(kept[1].features, [0, 0] + [1] * 8)
-
-    t0 = base[0].timestamp
-    assert label_max_class(t0, [FlareEvent(t0 + timedelta(hours=63), FlareClass.X)]) is FlareClass.X
-    assert label_max_class(t0, [FlareEvent(t0, FlareClass.X)]) is FlareClass.O
-    assert label_max_class(t0, [FlareEvent(t0 + timedelta(hours=72), FlareClass.X)]) is FlareClass.X
+    first = base.take([0])
+    t0 = datetime.fromtimestamp(int(first.times[0]), timezone.utc)
+    assert label_samples(first, [FlareEvent(t0 + timedelta(hours=63), FlareClass.X)])[0] == FlareClass.X
+    assert label_samples(first, [FlareEvent(t0, FlareClass.X)])[0] == FlareClass.O
+    assert label_samples(first, [FlareEvent(t0 + timedelta(hours=72), FlareClass.X)])[0] == FlareClass.X
     ok(9, "channel keep/zero-fill/exclude fixtures and half-open labeling window hold")

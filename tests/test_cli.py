@@ -99,6 +99,37 @@ class TestLabel:
         assert code == 2
         assert "events.csv:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "stamp, reason",
+        [
+            ("2020-01-01T09:00:00Z", "grid"),
+            ("2020-01-01T10:00:00.5Z", "grid"),
+            ("2020-01-01T10:00:00", "UTC offset"),
+        ],
+    )
+    def test_bad_sample_time_exits_2_naming_line(self, tmp_path, capsys, stamp, reason):
+        (tmp_path / "events.csv").write_text("peak_time,class\n")
+        (tmp_path / "samples.csv").write_text(
+            f"id,timestamp,mask,f0\na,2020-01-01T00:00:00Z,1111111111,0.5\nb,{stamp},1111111111,0.5\n"
+        )
+        code = run_cli(
+            "label", "--events", tmp_path / "events.csv",
+            "--samples", tmp_path / "samples.csv", "--out", tmp_path / "labels.csv",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "samples.csv:3" in err and reason in err
+
+    def test_header_only_samples_give_header_only_labels(self, tmp_path):
+        (tmp_path / "events.csv").write_text("peak_time,class\n2020-01-01T05:00:00Z,X\n")
+        (tmp_path / "samples.csv").write_text("id,timestamp,mask,f0,f1\n")
+        code = run_cli(
+            "label", "--events", tmp_path / "events.csv",
+            "--samples", tmp_path / "samples.csv", "--out", tmp_path / "labels.csv",
+        )
+        assert code == 0
+        assert (tmp_path / "labels.csv").read_text().splitlines() == ["id,label"]
+
 
 class TestEval:
     def write_pairs(self, tmp_path, pairs):
@@ -239,6 +270,41 @@ class TestTrain:
         assert code == 2
         assert f"labels.csv:{len(lines) + 1}: duplicate id" in capsys.readouterr().err
 
+    def test_header_only_samples_exit_2(self, tmp_path, capsys):
+        (tmp_path / "samples.csv").write_text("id,timestamp,mask,f0\n")
+        (tmp_path / "labels.csv").write_text("id,label\n")
+        assert run_cli("train", "--data-dir", tmp_path, "--out-dir", tmp_path / "out") == 2
+        assert "too few samples (0)" in capsys.readouterr().err
+
+    def test_channel_policy_applied(self, tmp_path, capsys):
+        make_training_data(tmp_path, n=600)
+        lines = (tmp_path / "samples.csv").read_text().splitlines()
+        for i in range(1, len(lines), 2):  # every other row misses three channels
+            fields = lines[i].split(",")
+            fields[2] = "0001111111"
+            lines[i] = ",".join(fields)
+        (tmp_path / "samples.csv").write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CONFIG)
+        assert run_cli("train", "--config", cfg, "--data-dir", tmp_path, "--out-dir", tmp_path / "out") == 0
+        assert "300 samples excluded by channel policy" in capsys.readouterr().out
+        # the 300 kept rows split 180/60/60, so the test report counts 60
+        metrics = read_metric_csv(tmp_path / "out" / "test_report.csv")
+        assert sum(int(v) for k, v in metrics.items() if k.startswith("confusion_")) == 60
+
+    def test_degenerate_test_range_rejected_before_training(self, tmp_path, capsys):
+        make_training_data(tmp_path)
+        rows = read_labels(tmp_path / "labels.csv")
+        cut = len(rows) * 4 // 5  # the test range of fold_count=1
+        calmed = [c if i < cut else min(c, FlareClass.C) for i, (_, c) in enumerate(rows)]
+        write_labels(tmp_path / "labels.csv", [sid for sid, _ in rows], calmed)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CONFIG)
+        code = run_cli("train", "--config", cfg, "--data-dir", tmp_path, "--out-dir", tmp_path / "out")
+        assert code == 2
+        assert "test range is missing class(es) M, X" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_full_warmup_zeros_influence_columns(self, tmp_path):
         make_training_data(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -307,7 +373,7 @@ class TestTrain:
     def test_divergence_exits_3(self, tmp_path, monkeypatch, capsys):
         import flarecast.cli as cli
 
-        make_training_data(tmp_path, n=60)
+        make_training_data(tmp_path)  # every class in every range, so training starts
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BASE_CONFIG)
 

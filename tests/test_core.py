@@ -9,13 +9,14 @@ import pytest
 from flarecast import (
     ConfusionMatrix,
     FlareClass,
-    Sample,
+    SampleTable,
     build_confusion,
     class_weights,
     one_hot,
     one_hot_to_class,
     prob_dist,
 )
+from flarecast.core import grid_seconds
 
 from oracles import REFERENCE_CLASS_COUNTS, REFERENCE_CONFUSION, pairs_from_matrix, ranks_from_pairs
 
@@ -71,19 +72,68 @@ class TestProbDist:
             one_hot_to_class(np.array([0.5, 0.5, 0.0, 0.0]))
 
 
+def table_at(*stamps, mask_width=10, features=None, labels=None):
+    n = len(stamps)
+    return SampleTable(
+        [f"s{i}" for i in range(n)],
+        [grid_seconds(t) if isinstance(t, datetime) else t for t in stamps],
+        np.ones((n, mask_width), dtype=bool),
+        np.zeros((n, 4)) if features is None else features,
+        labels,
+    )
+
+
 class TestSample:
     def test_grid_alignment_enforced(self):
         with pytest.raises(ValueError, match="2-hour grid"):
-            Sample("a", datetime(2020, 1, 1, 3, tzinfo=UTC), np.zeros(4), (True,) * 10)
-        Sample("a", datetime(2020, 1, 1, 4, tzinfo=UTC), np.zeros(4), (True,) * 10)
+            grid_seconds(datetime(2020, 1, 1, 3, tzinfo=UTC))
+        with pytest.raises(ValueError, match="2-hour grid"):
+            grid_seconds(datetime(2020, 1, 1, 4, 0, 0, 500_000, tzinfo=UTC))
+        with pytest.raises(ValueError, match="2-hour grid"):
+            table_at(grid_seconds(datetime(2020, 1, 1, tzinfo=UTC)) + 3600)
+        table = table_at(datetime(2020, 1, 1, 4, tzinfo=UTC))
+        assert table.times[0] == datetime(2020, 1, 1, 4, tzinfo=UTC).timestamp()
 
     def test_mask_length_enforced(self):
-        with pytest.raises(ValueError, match="10 entries"):
-            Sample("a", datetime(2020, 1, 1, tzinfo=UTC), np.zeros(4), (True,) * 9)
+        with pytest.raises(ValueError, match="10 channels"):
+            table_at(datetime(2020, 1, 1, tzinfo=UTC), mask_width=9)
 
     def test_naive_timestamp_rejected(self):
         with pytest.raises(ValueError, match="UTC"):
-            Sample("a", datetime(2020, 1, 1), np.zeros(4), (True,) * 10)
+            grid_seconds(datetime(2020, 1, 1))
+
+    def test_columns_must_align(self):
+        t = datetime(2020, 1, 1, tzinfo=UTC)
+        with pytest.raises(ValueError, match="aligned"):
+            table_at(t, t, features=np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="aligned"):
+            table_at(t, labels=[0, 1])
+        with pytest.raises(ValueError, match="2-d"):
+            table_at(t, features=np.zeros(1))
+
+    def test_labels_are_ranks_or_unlabeled(self):
+        t = datetime(2020, 1, 1, tzinfo=UTC)
+        assert table_at(t).labels.tolist() == [-1]
+        assert table_at(t, t, labels=[FlareClass.X, -1]).labels.dtype == np.int8
+        for bad in (-2, 4):
+            with pytest.raises(ValueError, match="-1..3"):
+                table_at(t, labels=[bad])
+
+    def test_columns_frozen_and_copied(self):
+        feats = np.zeros((1, 4))
+        table = table_at(datetime(2020, 1, 1, tzinfo=UTC), features=feats)
+        feats[0, 0] = 1.0
+        assert table.features[0, 0] == 0.0
+        for column in (table.ids, table.times, table.mask, table.features, table.labels):
+            assert not column.flags.writeable
+
+    def test_take_selects_rows_in_order(self):
+        stamps = [datetime(2020, 1, 1, 2 * h, tzinfo=UTC) for h in range(3)]
+        table = table_at(*stamps, features=np.arange(12.0).reshape(3, 4), labels=[0, 1, 2])
+        sub = table.take(np.array([2, 0]))
+        assert sub.ids.tolist() == ["s2", "s0"] and sub.labels.tolist() == [2, 0]
+        assert np.array_equal(sub.features, table.features[[2, 0]])
+        assert len(table.take(table.labels > 0)) == 2
 
 
 class TestBuildConfusion:

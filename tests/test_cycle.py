@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flarecast import CycleConfig, cycle_phase
-from flarecast.cycle import DEFAULT_BASE_TIME, DEFAULT_PERIOD_HOURS
+from flarecast.cycle import DEFAULT_BASE_TIME, DEFAULT_PERIOD_HOURS, cycle_phases
 
 
 def at_hours(delta_hours: float) -> datetime:
@@ -48,6 +48,15 @@ class TestProperties:
         for _ in range(200):
             delta = float(rng.uniform(0, 2e5))
             assert cycle_phase(at_hours(delta)) == cycle_phase(at_hours(-delta))
+
+    def test_array_form_equals_scalar_form(self):
+        rng = np.random.default_rng(3)
+        seconds = rng.integers(-2 * 10**9, 4 * 10**9, 500)
+        epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+        for cfg in (CycleConfig(), CycleConfig(base_time=datetime(2001, 2, 3, 4, 5, 6, 789, tzinfo=timezone.utc))):
+            got = cycle_phases(seconds * 1_000_000, cfg)
+            want = [cycle_phase(epoch + timedelta(seconds=int(s)), cfg) for s in seconds]
+            assert got.tolist() == want
 
     def test_custom_config(self):
         cfg = CycleConfig(base_time=datetime(2000, 1, 1, tzinfo=timezone.utc), period_hours=100.0)

@@ -5,19 +5,21 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flarecast import (
     FlareClass,
     FlareEvent,
-    Sample,
+    SampleTable,
     SplitSpec,
     apply_channel_policy,
     gen_synthetic,
-    label_max_class,
     label_samples,
     split_timeseries,
 )
+from flarecast.core import grid_seconds
 from flarecast.pipeline import (
+    DEFAULT_START_TIME,
     DataFileError,
     REFERENCE_SPLIT_SIZES,
     events_for_samples,
@@ -29,6 +31,8 @@ from flarecast.pipeline import (
     write_samples,
 )
 
+from oracles import channel_policy_loop, label_max_class
+
 UTC = timezone.utc
 T0 = datetime(2021, 10, 26, 0, 0, tzinfo=UTC)
 
@@ -37,19 +41,34 @@ def event(hours_after: float, cls: FlareClass) -> FlareEvent:
     return FlareEvent(T0 + timedelta(hours=hours_after), cls)
 
 
-def make_sample(i: int, label=None, mask=(True,) * 10, features=None, step_hours=2) -> Sample:
-    feats = np.arange(10, dtype=float) + i if features is None else features
-    return Sample(f"s{i:03d}", T0 + timedelta(hours=step_hours * i), feats, mask, label)
+def make_table(rows, labels=None, mask=(True,) * 10, features=None, step_hours=2) -> SampleTable:
+    """Rows ``i`` in ``rows``: id ``s{i:03d}``, time ``T0 + step_hours * i``, features ``arange(10) + i``."""
+    rows = np.asarray(rows)
+    feats = np.arange(10, dtype=float) + rows[:, None] if features is None else features
+    return SampleTable(
+        [f"s{i:03d}" for i in rows],
+        grid_seconds(T0) + 3600 * step_hours * rows,
+        np.tile(mask, (len(rows), 1)),
+        feats,
+        labels,
+    )
+
+
+def window_label(events) -> FlareClass:
+    """Label of a one-row table at ``T0``."""
+    labels = label_samples(make_table([0]), events)
+    assert labels.dtype == np.int8 and labels.shape == (1,)
+    return FlareClass(int(labels[0]))
 
 
 class TestLabelMaxClass:
     def test_x_event_inside_window(self):
         # an X-class peak about 63 hours ahead labels the instant X
-        assert label_max_class(T0, [event(63, FlareClass.X)]) is FlareClass.X
+        assert window_label([event(63, FlareClass.X)]) is FlareClass.X
 
     def test_empty_window_defaults_to_quiet(self):
-        assert label_max_class(T0, []) is FlareClass.O
-        assert label_max_class(T0, [event(100, FlareClass.X)]) is FlareClass.O
+        assert window_label([]) is FlareClass.O
+        assert window_label([event(100, FlareClass.X)]) is FlareClass.O
 
     def test_maximum_over_window(self):
         events = [event(10, FlareClass.C), event(70, FlareClass.M)]
@@ -58,12 +77,12 @@ class TestLabelMaxClass:
             (e.flare_class for e in events if 0 < (e.peak_time - T0).total_seconds() / 3600 <= 72),
             default=FlareClass.O,
         )
-        assert label_max_class(T0, events) is expected is FlareClass.M
+        assert window_label(events) is expected is FlareClass.M
 
     def test_half_open_boundaries(self):
-        assert label_max_class(T0, [event(0, FlareClass.X)]) is FlareClass.O
-        assert label_max_class(T0, [event(72, FlareClass.X)]) is FlareClass.X
-        assert label_max_class(T0, [event(72.0000001, FlareClass.X)]) is FlareClass.O
+        assert window_label([event(0, FlareClass.X)]) is FlareClass.O
+        assert window_label([event(72, FlareClass.X)]) is FlareClass.X
+        assert window_label([event(72.0000001, FlareClass.X)]) is FlareClass.O
 
     def test_monotone_in_added_events(self):
         rng = np.random.default_rng(0)
@@ -71,69 +90,67 @@ class TestLabelMaxClass:
         last = FlareClass.O
         for _ in range(50):
             events.append(event(float(rng.uniform(0.1, 72)), FlareClass(int(rng.integers(4)))))
-            now = label_max_class(T0, events)
+            now = window_label(events)
             assert now >= last
             last = now
 
     def test_unsorted_events_handled(self):
         events = [event(70, FlareClass.M), event(10, FlareClass.C)]
-        assert label_max_class(T0, events) is FlareClass.M
+        assert window_label(events) is FlareClass.M
 
     def test_label_samples_matches_scalar_op(self):
         rng = np.random.default_rng(1)
         events = [event(float(rng.uniform(-50, 250)), FlareClass(int(rng.integers(4)))) for _ in range(60)]
-        samples = [make_sample(i) for i in range(40)]
-        batch = label_samples(samples, events)
-        for s, got in zip(samples, batch):
-            assert got is label_max_class(s.timestamp, events)
+        batch = label_samples(make_table(range(40)), events)
+        for i, got in enumerate(batch):
+            assert got == label_max_class(T0 + timedelta(hours=2 * i), events)
 
 
 class TestChannelPolicy:
     def test_complete_sample_kept_unchanged(self):
-        s = make_sample(0, label=FlareClass.C)
-        kept, excluded = apply_channel_policy([s])
+        table = make_table([0], labels=[FlareClass.C])
+        kept, excluded = apply_channel_policy(table)
         assert excluded == 0
-        assert kept[0] is s
+        assert list(kept.ids) == ["s000"] and kept.times[0] == table.times[0]
+        assert np.array_equal(kept.mask, table.mask) and kept.labels[0] == FlareClass.C
+        assert np.array_equal(kept.features.view(np.int64), table.features.view(np.int64))
 
     def test_two_missing_kept_with_zero_fill(self):
         mask = (False, False) + (True,) * 8
-        s = make_sample(1, label=FlareClass.O, mask=mask)
-        kept, excluded = apply_channel_policy([s])
+        table = make_table([1], labels=[FlareClass.O], mask=mask)
+        kept, excluded = apply_channel_policy(table)
         assert excluded == 0
-        assert kept[0].channel_mask == mask
-        assert np.array_equal(kept[0].features[:2], [0.0, 0.0])
-        assert np.array_equal(kept[0].features[2:], s.features[2:])
+        assert tuple(kept.mask[0]) == mask
+        assert np.array_equal(kept.features[0, :2], [0.0, 0.0])
+        assert np.array_equal(kept.features[0, 2:], table.features[0, 2:])
 
     def test_three_missing_excluded(self):
         mask = (False, False, False) + (True,) * 7
-        kept, excluded = apply_channel_policy([make_sample(2, label=FlareClass.M, mask=mask)])
-        assert kept == [] and excluded == 1
+        kept, excluded = apply_channel_policy(make_table([2], labels=[FlareClass.M], mask=mask))
+        assert len(kept) == 0 and excluded == 1
 
     def test_unlabeled_excluded(self):
-        kept, excluded = apply_channel_policy([make_sample(3, label=None)])
-        assert kept == [] and excluded == 1
+        kept, excluded = apply_channel_policy(make_table([3]))
+        assert len(kept) == 0 and excluded == 1
 
     def test_block_zeroing_for_wide_features(self):
         mask = tuple(ch != 4 for ch in range(10))
-        feats = np.ones(20)
-        s = make_sample(4, label=FlareClass.C, mask=mask, features=feats)
-        kept, _ = apply_channel_policy([s])
-        out = kept[0].features
+        table = make_table([4], labels=[FlareClass.C], mask=mask, features=np.ones((1, 20)))
+        kept, _ = apply_channel_policy(table)
+        out = kept.features[0]
         assert np.array_equal(out[8:10], [0.0, 0.0])  # channel 4 owns features 8..9
         assert out.sum() == 18.0
 
 
 class TestSplitTimeseries:
     def test_single_fold_ratio_partition(self):
-        samples = [make_sample(i) for i in range(10)]
-        folds = split_timeseries(samples, SplitSpec(fold_count=1))
+        folds = split_timeseries(make_table(range(10)), SplitSpec(fold_count=1))
         assert folds[0].train == range(0, 6)
         assert folds[0].validation == range(6, 8)
         assert folds[0].test == range(8, 10)
 
     def test_three_folds_expand_and_stay_ordered(self):
-        samples = [make_sample(i) for i in range(30)]
-        folds = split_timeseries(samples, SplitSpec(fold_count=3))
+        folds = split_timeseries(make_table(range(30)), SplitSpec(fold_count=3))
         assert len(folds) == 3
         prev_train_end = 0
         for fold in folds:
@@ -147,23 +164,19 @@ class TestSplitTimeseries:
         assert folds[0].train.stop < folds[1].train.stop < folds[2].train.stop
 
     def test_reference_sizes_expressible(self):
-        samples = [make_sample(i) for i in range(47_895)]
         spec = SplitSpec(fold_count=1, sizes=REFERENCE_SPLIT_SIZES)
-        fold = split_timeseries(samples, spec)[0]
+        fold = split_timeseries(make_table(range(47_895), features=np.zeros((47_895, 10))), spec)[0]
         assert (len(fold.train), len(fold.validation), len(fold.test)) == REFERENCE_SPLIT_SIZES
 
     def test_too_few_samples_rejected(self):
-        samples = [make_sample(i) for i in range(2)]
         with pytest.raises(ValueError, match="too few samples"):
-            split_timeseries(samples, SplitSpec(fold_count=1))
-        samples = [make_sample(i) for i in range(4)]
+            split_timeseries(make_table(range(2)), SplitSpec(fold_count=1))
         with pytest.raises(ValueError, match="too few samples"):
-            split_timeseries(samples, SplitSpec(fold_count=3))
+            split_timeseries(make_table(range(4)), SplitSpec(fold_count=3))
 
     def test_unsorted_rejected(self):
-        samples = [make_sample(1), make_sample(0)]
         with pytest.raises(ValueError, match="sorted"):
-            split_timeseries(samples, SplitSpec(fold_count=1))
+            split_timeseries(make_table([1, 0]), SplitSpec(fold_count=1))
 
     def test_bad_fractions_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -174,34 +187,36 @@ class TestGenSynthetic:
     def test_deterministic(self):
         a = gen_synthetic(100, [0.38, 0.35, 0.23, 0.04], seed=7, feature_dim=6)
         b = gen_synthetic(100, [0.38, 0.35, 0.23, 0.04], seed=7, feature_dim=6)
-        for x, y in zip(a, b):
-            assert x.id == y.id and x.timestamp == y.timestamp and x.label == y.label
-            assert np.array_equal(x.features, y.features)
+        assert np.array_equal(a.ids, b.ids) and np.array_equal(a.times, b.times)
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.features, b.features)
 
     def test_seed_changes_output(self):
         a = gen_synthetic(50, [0.25] * 4, seed=0, feature_dim=4)
         b = gen_synthetic(50, [0.25] * 4, seed=1, feature_dim=4)
-        assert any(not np.array_equal(x.features, y.features) for x, y in zip(a, b))
+        assert any(not np.array_equal(x, y) for x, y in zip(a.features, b.features))
 
     def test_label_frequencies_match_targets(self):
         probs = np.array([0.38, 0.35, 0.23, 0.04])
-        samples = gen_synthetic(10_000, probs, seed=3, feature_dim=5)
-        freq = np.bincount([int(s.label) for s in samples], minlength=4) / 10_000
+        table = gen_synthetic(10_000, probs, seed=3, feature_dim=5)
+        freq = np.bincount(table.labels, minlength=4) / 10_000
         assert np.all(np.abs(freq - probs) <= 0.02)
 
     def test_stratified_base_case(self):
-        samples = gen_synthetic(4, [0.25] * 4, seed=11, feature_dim=3)
-        assert sorted(int(s.label) for s in samples) == [0, 1, 2, 3]
+        table = gen_synthetic(4, [0.25] * 4, seed=11, feature_dim=3)
+        assert sorted(table.labels.tolist()) == [0, 1, 2, 3]
 
     def test_two_hour_grid_and_spacing(self):
-        samples = gen_synthetic(5, [0.25] * 4, seed=0, feature_dim=2, spacing_steps=37)
-        for a, b in zip(samples, samples[1:]):
-            assert (b.timestamp - a.timestamp) == timedelta(hours=74)
+        table = gen_synthetic(5, [0.25] * 4, seed=0, feature_dim=2, spacing_steps=37)
+        assert np.all(np.diff(table.times) == 74 * 3600)
+        assert table.times[0] == grid_seconds(DEFAULT_START_TIME)
+        assert list(table.ids) == ["s0", "s1", "s2", "s3", "s4"]
+        assert table.mask.all()
 
     def test_classes_overlap_but_separate(self):
-        samples = gen_synthetic(4000, [0.25] * 4, seed=5, feature_dim=6)
-        proj = np.array([s.features.mean() for s in samples])
-        labels = np.array([int(s.label) for s in samples])
+        table = gen_synthetic(4000, [0.25] * 4, seed=5, feature_dim=6)
+        proj = table.features.mean(axis=1)
+        labels = table.labels
         means = [proj[labels == k].mean() for k in range(4)]
         stds = [proj[labels == k].std() for k in range(4)]
         assert all(a < b for a, b in zip(means, means[1:]))  # ordered class means
@@ -211,14 +226,14 @@ class TestGenSynthetic:
 
 class TestEventsForSamples:
     def test_round_trip_with_disjoint_windows(self):
-        samples = gen_synthetic(300, [0.38, 0.35, 0.23, 0.04], seed=9, feature_dim=4, spacing_steps=37)
-        events = events_for_samples(samples)
-        relabeled = label_samples(samples, events)
-        assert [int(s.label) for s in samples] == [int(l) for l in relabeled]
+        table = gen_synthetic(300, [0.38, 0.35, 0.23, 0.04], seed=9, feature_dim=4, spacing_steps=37)
+        events = events_for_samples(table)
+        relabeled = label_samples(table, events)
+        assert np.array_equal(table.labels, relabeled)
 
     def test_quiet_samples_produce_no_events(self):
-        samples = gen_synthetic(50, [1.0, 0.0, 0.0, 0.0], seed=2, feature_dim=3)
-        assert events_for_samples(samples) == []
+        table = gen_synthetic(50, [1.0, 0.0, 0.0, 0.0], seed=2, feature_dim=3)
+        assert events_for_samples(table) == []
 
 
 class TestCsvFormats:
@@ -231,18 +246,17 @@ class TestCsvFormats:
         assert back == events
 
     def test_samples_round_trip(self, tmp_path):
-        samples = gen_synthetic(20, [0.25] * 4, seed=1, feature_dim=3)
+        table = gen_synthetic(20, [0.25] * 4, seed=1, feature_dim=3)
         path = tmp_path / "samples.csv"
-        write_samples(path, samples)
+        write_samples(path, table)
         header = path.read_text().splitlines()[0]
         assert header == "id,timestamp,mask,f0,f1,f2"
         back = read_samples(path)
         assert len(back) == 20
-        for a, b in zip(samples, back):
-            assert a.id == b.id and a.timestamp == b.timestamp
-            assert a.channel_mask == b.channel_mask
-            assert np.array_equal(a.features, b.features)  # repr round-trips exactly
-            assert b.label is None
+        assert np.array_equal(table.ids, back.ids) and np.array_equal(table.times, back.times)
+        assert np.array_equal(table.mask, back.mask)
+        assert np.array_equal(table.features, back.features)  # repr round-trips exactly
+        assert np.all(back.labels == -1)
 
     def test_labels_round_trip(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -281,3 +295,68 @@ class TestCsvFormats:
         )
         with pytest.raises(DataFileError, match=r"samples\.csv:3: duplicate id 'a'"):
             read_samples(path)
+
+
+class TestArrayFormsMatchOracles:
+    """Vectorized labeling, channel policy and the samples CSV agree exactly with per-row forms."""
+
+    us_72h = 72 * 3600 * 10**6
+    # An event sits at a row's time, at the window's end, one microsecond to
+    # either side of either, or anywhere from a window before to two after.
+    event_offsets = st.one_of(
+        st.sampled_from([0, -1, 1, us_72h, us_72h - 1, us_72h + 1]),
+        st.integers(-us_72h, 3 * us_72h),
+    )
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        spacing_steps=st.sampled_from([1, 37]),
+        horizon_hours=st.sampled_from([72.0, 72.0000001, 1.5]),
+        events=st.lists(st.tuples(st.integers(0, 39), event_offsets, st.integers(0, 3)), max_size=60),
+    )
+    def test_label_samples_equals_brute_force(self, n, spacing_steps, horizon_hours, events):
+        step = timedelta(hours=2 * spacing_steps)
+        evs = [
+            FlareEvent(T0 + (row % n) * step + timedelta(microseconds=us), FlareClass(c))
+            for row, us, c in events
+        ]
+        got = label_samples(make_table(range(n), step_hours=2 * spacing_steps), evs, horizon_hours)
+        want = [int(label_max_class(T0 + i * step, evs, horizon_hours)) for i in range(n)]
+        assert got.tolist() == want
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(n=st.integers(0, 30), dim=st.integers(1, 25), seed=st.integers(0, 2**32 - 1))
+    def test_channel_policy_equals_row_loop(self, n, dim, seed):
+        rng = np.random.default_rng(seed)
+        missing = rng.integers(0, 5, n)
+        masks = rng.random((n, 10)).argsort(axis=1) >= missing[:, None]  # exactly `missing` channels off
+        feats = rng.standard_normal((n, dim))
+        feats[rng.random((n, dim)) < 0.2] = -0.0
+        labels = rng.integers(-1, 4, n)
+        table = SampleTable([f"s{i}" for i in range(n)], grid_seconds(T0) + 7200 * np.arange(n), masks, feats, labels)
+
+        kept, excluded = apply_channel_policy(table)
+        rows, want_feats, want_excluded = channel_policy_loop(masks, feats, labels)
+        assert excluded == want_excluded and kept.ids.tolist() == [f"s{i}" for i in rows]
+        assert np.array_equal(kept.features.view(np.int64), want_feats.view(np.int64))  # -0.0 kept, +0.0 filled
+        assert np.array_equal(kept.mask, masks[rows]) and np.array_equal(kept.labels, labels[rows])
+        assert np.array_equal(kept.times, table.times[rows])
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 15), dim=st.integers(1, 6))
+    def test_samples_csv_round_trip(self, tmp_path_factory, data, n, dim):
+        values = st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False)
+        feats = np.array(data.draw(st.lists(values, min_size=n * dim, max_size=n * dim)))
+        masks = np.array(data.draw(st.lists(st.booleans(), min_size=10 * n, max_size=10 * n))).reshape(n, 10)
+        steps = data.draw(st.lists(st.integers(-300_000, 300_000), min_size=n, max_size=n))
+        ids = [f'r,"{i}' for i in range(n)]  # a comma and a quote exercise CSV quoting
+        table = SampleTable(ids, grid_seconds(T0) + 7200 * np.array(steps), masks, feats.reshape(n, dim))
+
+        path = tmp_path_factory.mktemp("csv") / "samples.csv"
+        write_samples(path, table)
+        back = read_samples(path)
+        assert back.ids.tolist() == ids and np.array_equal(back.times, table.times)
+        assert np.array_equal(back.mask, masks)
+        assert np.array_equal(back.features.view(np.int64), table.features.view(np.int64))
+        assert np.all(back.labels == -1)

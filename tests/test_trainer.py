@@ -1,6 +1,9 @@
 """Trainer: forward contract, optimizer update rule, training loop schedule,
 checkpoint selection, determinism, and file outputs."""
 
+from dataclasses import replace
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
@@ -42,7 +45,7 @@ class TestForward:
         params = init_params(4, cfg, np.random.default_rng(0))
         for name in params:
             params[name] = np.zeros_like(params[name])
-        state = forward(samples[0], params, cfg)
+        state = forward(samples, 0, params, cfg)
         assert np.allclose(state.probs, 0.25)
 
     def test_embedding_adds_exactly_one_input_channel(self):
@@ -54,20 +57,21 @@ class TestForward:
         params_off = init_params(4, cfg_off, np.random.default_rng(5))
         params_on = {k: v.copy() for k, v in params_off.items()}
         params_on["head"] = np.hstack([params_off["head"], np.zeros((4, 1))])
-        for s in samples:
-            a = forward(s, params_off, cfg_off)
-            b = forward(s, params_on, cfg_on)
+        for row in range(len(samples)):
+            a = forward(samples, row, params_off, cfg_off)
+            b = forward(samples, row, params_on, cfg_on)
             assert b.hidden.size == a.hidden.size + 1
             assert np.array_equal(b.hidden[:-1], a.hidden)
-            assert b.hidden[-1] == cycle_phase(s.timestamp, cfg_on.cycle)
+            stamp = datetime.fromtimestamp(int(samples.times[row]), timezone.utc)
+            assert b.hidden[-1] == cycle_phase(stamp, cfg_on.cycle)
             assert np.allclose(a.probs, b.probs)
 
     def test_deterministic(self):
         cfg = small_config()
         samples = small_dataset(2)
         params = init_params(4, cfg, np.random.default_rng(3))
-        a = forward(samples[0], params, cfg)
-        b = forward(samples[0], params, cfg)
+        a = forward(samples, 0, params, cfg)
+        b = forward(samples, 0, params, cfg)
         assert np.array_equal(a.probs, b.probs) and np.array_equal(a.logits, b.logits)
 
     def test_dimension_mismatch_rejected(self):
@@ -75,7 +79,7 @@ class TestForward:
         samples = small_dataset(1, feature_dim=6)
         params = init_params(4, cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            forward(samples[0], params, cfg)
+            forward(samples, 0, params, cfg)
 
 
 class TestAdamwStep:
@@ -165,15 +169,9 @@ class TestTrainLoop:
             assert r.losses.ib_ce == 0.0 and r.losses.ib_bss == 0.0 and not r.losses.ib_active
 
     def test_degenerate_split_rejected(self):
-        from flarecast import FlareClass, Sample
-
         base = small_dataset(60, feature_dim=3)
         # X appears only in the final test range, never during training
-        samples = [
-            Sample(s.id, s.timestamp, s.features, s.channel_mask,
-                   FlareClass.X if i >= 54 else FlareClass(i % 3))
-            for i, s in enumerate(base)
-        ]
+        samples = replace(base, labels=np.where(np.arange(60) >= 54, 3, np.arange(60) % 3))
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         with pytest.raises(ValueError, match="degenerate split.*X"):
             train(samples, fold, small_config(epochs=1, warmup_epochs=0))
