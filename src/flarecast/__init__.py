@@ -14,19 +14,7 @@ from .core import (
     prob_dist,
 )
 from .cycle import CycleConfig, cycle_phase
-from .losses import (
-    HeadState,
-    LossBreakdown,
-    bss_grad_w,
-    bss_loss,
-    ce_loss,
-    flare_loss,
-    flare_loss_grad,
-    ib_factor_bss,
-    ib_factor_ce,
-    residual,
-    softmax,
-)
+from .losses import LossBreakdown, flare_loss_arrays, softmax
 from .metrics import (
     InfluenceEntry,
     MetricReport,

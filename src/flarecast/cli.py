@@ -11,7 +11,6 @@ environment variables and ``--set key=value`` flags, in that order.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import fields, replace
@@ -23,27 +22,18 @@ import numpy as np
 
 from .core import FlareClass, N_CLASSES, SampleTable
 from .cycle import CycleConfig
-from .losses import (
-    HeadState,
-    batch_factors_arrays,
-    bss_grad_w,
-    bss_loss,
-    flare_loss_arrays,
-    gradient_error,
-    ib_factor_bss,
-    softmax,
-)
+from .losses import _bss_logit_grad, batch_factors_arrays, flare_loss_arrays, gradient_error, softmax
 from .metrics import build_report
 from .pipeline import (
     DataFileError,
     SplitSpec,
-    _new_id,
     apply_channel_policy,
     events_for_samples,
     gen_synthetic,
     label_samples,
     read_events,
     read_labels,
+    read_predictions,
     read_samples,
     split_timeseries,
     write_events,
@@ -71,13 +61,16 @@ class _Parser(argparse.ArgumentParser):
 # Config handling
 # ---------------------------------------------------------------------------
 
-# Keys accepted in config files, environment, and --set, beyond TrainConfig.
-SPLIT_KEYS = ("fold_count", "train_frac", "val_frac", "test_frac", "fold")
-CYCLE_KEYS = ("base_time", "period_hours")
+# Fields that are not configuration keys: the cycle has its own keys, and
+# explicit split sizes are for library callers only.
+NOT_KEYS = ("cycle", "sizes")
 
 
-def _train_config_keys() -> List[str]:
-    return [f.name for f in fields(TrainConfig) if f.name != "cycle"]
+def _config_keys() -> List[str]:
+    """Every key accepted in config files, environment and --set: the fields of
+    TrainConfig, its CycleConfig and SplitSpec, plus the fold index."""
+    names = [f.name for cls in (TrainConfig, CycleConfig, SplitSpec) for f in fields(cls)]
+    return [name for name in names if name not in NOT_KEYS] + ["fold"]
 
 
 def parse_config_file(path) -> Dict[str, str]:
@@ -112,11 +105,36 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
+def _parse_value(default, value: str):
+    """``value`` parsed as the type of a config field's ``default``; the
+    inverse of :func:`_format_value`."""
+    if isinstance(default, bool):
+        return _parse_bool(value)
+    if isinstance(default, tuple):
+        return tuple(int(v) for v in value.split(","))
+    if isinstance(default, datetime):
+        t = datetime.fromisoformat(value.replace("Z", "+00:00"))
+        return t if t.tzinfo is not None else t.replace(tzinfo=timezone.utc)
+    return type(default)(value)
+
+
+def _format_value(value) -> str:
+    """A config field value as written in ``config.txt``."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return value.isoformat() if isinstance(value, datetime) else str(value)
+
+
+def _from_raw(cls, raw: Dict[str, str], **extra):
+    """``cls`` built from the entries of ``raw`` (removed from it) that name its fields."""
+    return cls(**{f.name: _parse_value(f.default, raw.pop(f.name)) for f in fields(cls) if f.name in raw}, **extra)
+
+
 def resolve_run_config(
     config_path: Optional[str], set_overrides: Sequence[str]
 ) -> Tuple[TrainConfig, SplitSpec, int]:
     """Merge defaults, config file, environment, and --set into typed configs."""
-    known = _train_config_keys() + list(SPLIT_KEYS) + list(CYCLE_KEYS)
+    known = _config_keys()
     raw: Dict[str, str] = {}
     if config_path is not None:
         raw.update(parse_config_file(config_path))
@@ -132,77 +150,23 @@ def resolve_run_config(
         raise UsageError(f"unknown configuration key(s): {', '.join(unknown)}")
 
     try:
-        cycle_kwargs = {}
-        if "base_time" in raw:
-            base = raw.pop("base_time")
-            t = datetime.fromisoformat(base.replace("Z", "+00:00"))
-            if t.tzinfo is None:
-                t = t.replace(tzinfo=timezone.utc)
-            cycle_kwargs["base_time"] = t
-        if "period_hours" in raw:
-            cycle_kwargs["period_hours"] = float(raw.pop("period_hours"))
-
-        split_kwargs: Dict[str, object] = {}
-        fold_index: Optional[int] = None
-        for key in SPLIT_KEYS:
-            if key in raw:
-                value = raw.pop(key)
-                if key == "fold":
-                    fold_index = int(value)
-                elif key == "fold_count":
-                    split_kwargs[key] = int(value)
-                else:
-                    split_kwargs[key] = float(value)
-
-        train_kwargs: Dict[str, object] = {}
-        for f in fields(TrainConfig):
-            if f.name not in raw:
-                continue
-            value = raw.pop(f.name)
-            if f.name in ("use_cycle_embedding", "use_class_weights", "verify_gradients"):
-                train_kwargs[f.name] = _parse_bool(value)
-            elif f.name == "hidden_sizes":
-                train_kwargs[f.name] = tuple(int(v) for v in value.split(","))
-            elif f.name in ("epochs", "batch_size", "warmup_epochs", "seed"):
-                train_kwargs[f.name] = int(value)
-            elif f.name == "ib_ce_mode":
-                train_kwargs[f.name] = value
-            else:
-                train_kwargs[f.name] = float(value)
-
-        cfg = TrainConfig(**train_kwargs)
-        if cycle_kwargs:
-            cfg = replace(cfg, cycle=CycleConfig(**cycle_kwargs))
-        split = SplitSpec(**split_kwargs)
+        cfg = _from_raw(TrainConfig, raw, cycle=_from_raw(CycleConfig, raw))
+        split = _from_raw(SplitSpec, raw)
+        fold_index = int(raw.pop("fold")) if "fold" in raw else split.fold_count - 1
     except (ValueError, TypeError) as exc:
         raise UsageError(f"invalid configuration: {exc}") from None
 
-    if fold_index is None:
-        fold_index = split.fold_count - 1
     if not (0 <= fold_index < split.fold_count):
         raise UsageError(f"fold must lie in [0, {split.fold_count})")
     return cfg, split, fold_index
 
 
 def _config_echo_lines(cfg: TrainConfig, split: SplitSpec, fold_index: int) -> List[str]:
-    lines = []
-    for f in fields(TrainConfig):
-        value = getattr(cfg, f.name)
-        if f.name == "cycle":
-            lines.append(f"base_time={value.base_time.isoformat()}")
-            lines.append(f"period_hours={value.period_hours!r}")
-        elif f.name == "hidden_sizes":
-            lines.append(f"hidden_sizes={','.join(str(v) for v in value)}")
-        else:
-            lines.append(f"{f.name}={value}")
-    lines += [
-        f"fold_count={split.fold_count}",
-        f"train_frac={split.train_frac!r}",
-        f"val_frac={split.val_frac!r}",
-        f"test_frac={split.test_frac!r}",
-        f"fold={fold_index}",
-    ]
-    return sorted(lines)
+    """Sorted ``key=value`` lines of every configuration key; fed back through
+    ``--set`` they rebuild the same configuration."""
+    items = [(f.name, getattr(obj, f.name)) for obj in (cfg, cfg.cycle, split) for f in fields(obj)]
+    items.append(("fold", fold_index))
+    return sorted(f"{key}={_format_value(value)}" for key, value in items if key not in NOT_KEYS)
 
 
 def _write_config_echo(out_dir: Path, lines: Sequence[str]) -> None:
@@ -267,48 +231,9 @@ def cmd_label(args) -> int:
     return 0
 
 
-def _read_predictions(path) -> Tuple[List[str], np.ndarray, Optional[np.ndarray]]:
-    """Prediction file: either hard classes (`id,label`) or distributions
-    (`id,p_o,p_c,p_m,p_x`). Returns the ids, the predicted class ranks, and
-    the distributions (None for hard classes)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFileError(path, 1, "empty prediction file")
-        header = [h.strip().lower() for h in header]
-        rows = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
-    if header == ["id", "label"]:
-        width = 2
-    elif header == ["id", "p_o", "p_c", "p_m", "p_x"]:
-        width = 5
-    else:
-        raise DataFileError(path, 1, "expected header 'id,label' or 'id,p_o,p_c,p_m,p_x'")
-    ids, classes, probs = [], [], []
-    seen: Dict[str, int] = {}
-    for line_no, row in rows:
-        try:
-            if len(row) != width:
-                raise ValueError(f"expected {width} fields, got {len(row)}")
-            ids.append(_new_id(row[0], line_no, seen))
-            if width == 2:
-                classes.append(int(FlareClass.from_name(row[1])))
-            else:
-                vec = np.array([float(v) for v in row[1:]])
-                if np.any(vec < 0) or abs(vec.sum() - 1.0) > 1e-6:
-                    raise ValueError(f"probabilities must be non-negative and sum to 1, got {row[1:]}")
-                probs.append(vec / vec.sum())
-        except ValueError as exc:
-            raise DataFileError(path, line_no, str(exc)) from None
-    if width == 2:
-        return ids, np.array(classes, dtype=np.int64), None
-    dists = np.array(probs).reshape(-1, N_CLASSES)
-    return ids, dists.argmax(axis=1), dists
-
-
 def cmd_eval(args) -> int:
     label_rows = read_labels(args.labels)
-    pred_ids, predicted, pred_probs = _read_predictions(args.preds)
+    pred_ids, predicted, pred_probs = read_predictions(args.preds)
     row_of = {pid: i for i, pid in enumerate(pred_ids)}
     order = []
     for sid, _ in label_rows:
@@ -384,14 +309,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _random_head_state(rng: np.random.Generator, hidden_width: int) -> Tuple[HeadState, np.ndarray]:
-    h = rng.standard_normal(hidden_width)
-    w = rng.standard_normal((N_CLASSES, hidden_width))
-    y = np.zeros(N_CLASSES)
-    y[rng.integers(N_CLASSES)] = 1.0
-    return HeadState.from_hidden(h, w), y
-
-
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
@@ -403,23 +320,30 @@ def cmd_gradcheck(args) -> int:
     worst_identity = 0.0
     worst_total = 0.0
     for _ in range(args.trials):
-        state, y = _random_head_state(rng, hidden_width)
-        analytic = bss_grad_w(state, y)
-        w = state.weights.copy()
-        worst_fd = max(worst_fd, gradient_error(lambda: bss_loss(y, softmax(w @ state.hidden)), w, analytic))
+        h = rng.standard_normal(hidden_width)
+        w = rng.standard_normal((N_CLASSES, hidden_width))
+        y = np.zeros((1, N_CLASSES))
+        y[0, rng.integers(N_CLASSES)] = 1.0
+        z = w @ h
+        probs = softmax(z)[None, :]
+        h_l1 = np.array([np.abs(h).sum()])
 
-        factor = ib_factor_bss(state, y)
+        # The Brier term's head-weight gradient is its logit gradient times h.
+        analytic = np.outer(_bss_logit_grad(probs, y)[0], h)
+
+        def bss_at() -> float:
+            return flare_loss_arrays(softmax(w @ h)[None, :], y, h_l1, ones, 3.0, False)[0].wbss
+
+        worst_fd = max(worst_fd, gradient_error(bss_at, w, analytic))
+
+        frozen = batch_factors_arrays(probs, y, h_l1)
         grad_sum = float(np.abs(analytic).sum())
-        worst_identity = max(worst_identity, abs(factor - grad_sum) / max(grad_sum, 1e-30))
+        worst_identity = max(worst_identity, abs(float(frozen[1][0]) - grad_sum) / max(grad_sum, 1e-30))
 
-        y_row = y[None, :]
-        h_l1 = np.array([np.abs(state.hidden).sum()])
-        frozen = batch_factors_arrays(state.probs[None, :], y_row, h_l1)
-        _, d_logits = flare_loss_arrays(state.probs[None, :], y_row, h_l1, ones, 3.0, True, frozen_factors=frozen)
-        z = state.logits.copy()
+        _, d_logits = flare_loss_arrays(probs, y, h_l1, ones, 3.0, True, frozen_factors=frozen)
 
         def loss_at() -> float:
-            return flare_loss_arrays(softmax(z)[None, :], y_row, h_l1, ones, 3.0, True, frozen_factors=frozen)[0].total
+            return flare_loss_arrays(softmax(z)[None, :], y, h_l1, ones, 3.0, True, frozen_factors=frozen)[0].total
 
         worst_total = max(worst_total, gradient_error(loss_at, z, d_logits[0]))
 

@@ -46,6 +46,7 @@ __all__ = [
     "read_samples",
     "write_samples",
     "read_labels",
+    "read_predictions",
     "write_labels",
 ]
 
@@ -294,18 +295,19 @@ def _new_id(raw: str, line_no: int, seen: Dict[str, int]) -> str:
 
 
 @contextmanager
-def _csv_rows(path, fields: List[str], more: str = ""):
-    """Open a CSV file whose stripped header is ``fields``, followed by one or
-    more columns where ``more`` names them, and yield ``(header, rows)``:
-    ``rows`` iterates ``(line_no, row)`` over the non-blank rows, each as wide
-    as the header. A ValueError raised while the rows are read or used becomes
-    a DataFileError naming the file and line.
+def _csv_rows(path, *headers: List[str], more: str = ""):
+    """Open a CSV file whose header, stripped and lowercased, is one of
+    ``headers``, followed by one or more columns where ``more`` names them, and
+    yield ``(header, rows)``: ``rows`` iterates ``(line_no, row)`` over the
+    non-blank rows, each as wide as the header. A ValueError raised while the
+    rows are read or used becomes a DataFileError naming the file and line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        if header[: len(fields)] != fields or (len(header) > len(fields)) != bool(more):
-            raise DataFileError(path, 1, f"expected header {','.join(fields + [more] if more else fields)!r}")
+        header = [h.strip().lower() for h in next(reader, [])]
+        if not any(header[: len(f)] == f and (len(header) > len(f)) == bool(more) for f in headers):
+            expected = " or ".join(repr(",".join(f + [more] if more else f)) for f in headers)
+            raise DataFileError(path, 1, f"expected header {expected}")
 
         def rows() -> Iterator[Tuple[int, List[str]]]:
             for row in reader:
@@ -381,3 +383,28 @@ def read_labels(path) -> List[Tuple[str, FlareClass]]:
     seen: Dict[str, int] = {}
     with _csv_rows(path, ["id", "label"]) as (_, rows):
         return [(_new_id(row[0], line_no, seen), FlareClass.from_name(row[1])) for line_no, row in rows]
+
+
+def read_predictions(path) -> Tuple[List[str], np.ndarray, Optional[np.ndarray]]:
+    """Prediction file: either hard classes (`id,label`) or distributions
+    (`id,p_o,p_c,p_m,p_x`). Returns the ids, the predicted class ranks, and
+    the distributions, each row scaled to sum to 1 (None for hard classes)."""
+    ids: List[str] = []
+    seen: Dict[str, int] = {}
+    ranks = array("q")
+    probs = array("d")
+    with _csv_rows(path, ["id", "label"], ["id", "p_o", "p_c", "p_m", "p_x"]) as (header, rows):
+        for line_no, row in rows:
+            ids.append(_new_id(row[0], line_no, seen))
+            if len(header) == 2:
+                ranks.append(FlareClass.from_name(row[1]))
+                continue
+            vec = [float(v) for v in row[1:]]
+            if not (min(vec) >= 0 and abs(sum(vec) - 1.0) <= 1e-6):
+                raise ValueError(f"probabilities must be non-negative and sum to 1, got {row[1:]}")
+            probs.extend(vec)
+    if len(header) == 2:
+        return ids, np.frombuffer(ranks, dtype=np.int64), None
+    dists = np.frombuffer(probs).reshape(-1, N_CLASSES)
+    dists = dists / dists.sum(axis=1, keepdims=True)
+    return ids, dists.argmax(axis=1), dists

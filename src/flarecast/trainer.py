@@ -12,6 +12,7 @@ validation score wins, earliest epoch on ties.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,14 +20,7 @@ import numpy as np
 
 from .core import ClassWeights, FlareClass, N_CLASSES, SampleTable, class_weights
 from .cycle import DEFAULT_CYCLE, CycleConfig, cycle_phases
-from .losses import (
-    HeadState,
-    LossBreakdown,
-    batch_factors_arrays,
-    flare_loss_arrays,
-    gradient_error,
-    softmax,
-)
+from .losses import IB_CE_MODES, LossBreakdown, batch_factors_arrays, flare_loss_arrays, gradient_error, softmax
 from .metrics import MetricReport, build_report
 from .pipeline import Fold
 
@@ -90,6 +84,8 @@ class TrainConfig:
             raise ValueError("betas must lie in [0, 1)")
         if len(self.hidden_sizes) != 2 or any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden_sizes must be two positive widths")
+        if self.ib_ce_mode not in IB_CE_MODES:
+            raise ValueError(f"unknown influence-factor mode {self.ib_ce_mode!r}")
 
 
 def config_hash(cfg: TrainConfig) -> str:
@@ -125,8 +121,10 @@ def init_params(feature_dim: int, cfg: TrainConfig, rng: np.random.Generator) ->
     return params
 
 
-def _forward_arrays(x: np.ndarray, phis: Optional[np.ndarray], params: Params):
-    """Vectorized forward pass; returns activations needed for backprop."""
+def forward(x: np.ndarray, phis: Optional[np.ndarray], params: Params):
+    """Forward pass over the rows of ``x`` (cycle phases ``phis``, or None
+    without the embedding). Returns ``(a0, a1, head_in, logits, probs)``: the
+    two hidden activations, the head input, the logits and the softmax."""
     if x.shape[1] != params["w0"].shape[1]:
         raise ValueError(
             f"feature dimension mismatch: got {x.shape[1]}, parameters expect {params['w0'].shape[1]}"
@@ -140,12 +138,6 @@ def _forward_arrays(x: np.ndarray, phis: Optional[np.ndarray], params: Params):
 
 def _phis(times: np.ndarray, cfg: TrainConfig) -> Optional[np.ndarray]:
     return cycle_phases(times * 1_000_000, cfg.cycle) if cfg.use_cycle_embedding else None
-
-
-def forward(table: SampleTable, row: int, params: Params, cfg: TrainConfig) -> HeadState:
-    """Head state of one row of the table under the current parameters."""
-    _, _, head_in, logits, probs = _forward_arrays(table.features[[row]], _phis(table.times[[row]], cfg), params)
-    return HeadState(head_in[0], params["head"], logits[0], probs[0])
 
 
 def _backprop(x, a0, a1, head_in, d_logits, params: Params, has_phi: bool) -> Params:
@@ -229,13 +221,13 @@ def _verify_first_batch(x, phis, params, cfg, y_rows, sample_w, ib_active) -> No
     detached treatment in the analytic gradient.
     """
     def loss_at() -> float:
-        _, _, head_in, _, probs = _forward_arrays(x, phis, params)
+        _, _, head_in, _, probs = forward(x, phis, params)
         h_l1 = np.abs(head_in).sum(axis=1)
         return flare_loss_arrays(
             probs, y_rows, h_l1, sample_w, cfg.lambda_bss, ib_active, cfg.ib_ce_mode, frozen
         )[0].total
 
-    a0, a1, head_in, _, probs = _forward_arrays(x, phis, params)
+    a0, a1, head_in, _, probs = forward(x, phis, params)
     h_l1 = np.abs(head_in).sum(axis=1)
     frozen = batch_factors_arrays(probs, y_rows, h_l1, cfg.ib_ce_mode) if ib_active else None
     _, d_logits = flare_loss_arrays(
@@ -301,7 +293,7 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
             sample_w = gamma_by_class[labels[idx]]
             if cfg.verify_gradients and epoch == 0 and lo == 0:
                 _verify_first_batch(x, phis, params, cfg, y_rows, sample_w, ib_active)
-            a0, a1, head_in, _, probs = _forward_arrays(x, phis, params)
+            a0, a1, head_in, _, probs = forward(x, phis, params)
             h_l1 = np.abs(head_in).sum(axis=1)
             breakdown, d_logits = flare_loss_arrays(
                 probs, y_rows, h_l1, sample_w, cfg.lambda_bss, ib_active, cfg.ib_ce_mode
@@ -340,7 +332,7 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
 
 def predict_probs(table: SampleTable, params: Params, cfg: TrainConfig) -> np.ndarray:
     """Predicted class distributions, one row per row of the table."""
-    return _forward_arrays(table.features, _phis(table.times, cfg), params)[-1]
+    return forward(table.features, _phis(table.times, cfg), params)[-1]
 
 
 def evaluate_fold(table: SampleTable, idx: Sequence[int], params: Params, cfg: TrainConfig) -> MetricReport:
@@ -384,7 +376,12 @@ def save_checkpoint(path, checkpoint: Checkpoint, cfg: TrainConfig) -> None:
 
 
 def load_checkpoint(path) -> Tuple[Params, Dict[str, str]]:
-    """Read a checkpoint file back into (params, metadata)."""
+    """Read a checkpoint file back into (params, metadata).
+
+    A malformed array header, a missing values line (a truncated file) or a
+    value count that does not fit the declared shape raises ValueError naming
+    the path and line.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
@@ -397,9 +394,21 @@ def load_checkpoint(path) -> Tuple[Params, Dict[str, str]]:
         meta[key] = value
         i += 1
     while i < len(lines):
-        _, name, shape = lines[i].split()
+        parts = lines[i].split()
+        if len(parts) != 3 or parts[0] != "array" or not all(d.isdigit() for d in parts[2].split("x")):
+            raise ValueError(f"{path}:{i + 1}: expected 'array <name> <shape>', got {lines[i]!r}")
+        _, name, shape = parts
         dims = tuple(int(d) for d in shape.split("x"))
-        values = np.array([float(v) for v in lines[i + 1].split()])
+        if i + 1 == len(lines):
+            raise ValueError(f"{path}:{i + 2}: truncated file: array {name} has no values line")
+        try:
+            values = np.array([float(v) for v in lines[i + 1].split()])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{i + 2}: {exc}") from None
+        if values.size != math.prod(dims):
+            raise ValueError(
+                f"{path}:{i + 2}: array {name} has {values.size} values, its shape {shape} needs {math.prod(dims)}"
+            )
         params[name] = values.reshape(dims)
         i += 2
     return params, meta

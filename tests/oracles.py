@@ -2,15 +2,26 @@
 
 These deliberately reimplement the checked quantities by other means: the
 scoring matrix in arbitrary precision via mpmath, gradients via central
-finite differences, window labeling by brute-force scan, and confusion
-counts, the Brier skill score and the channel policy by per-row loops. None of them import the
-code paths they verify beyond plain data containers.
+finite differences, window labeling by brute-force scan, confusion counts,
+the Brier skill score and the channel policy by per-row loops, and the loss
+family one sample at a time. None of them import the code paths they verify
+beyond plain data containers and the softmax, with two exceptions: the list forms
+``flare_loss``/``flare_loss_grad`` adapt ``(HeadState, y)`` pairs to the
+array kernel ``flarecast.losses.flare_loss_arrays``, and ``forward_row``
+reads one row through ``flarecast.trainer.forward`` with the phases of
+``flarecast.trainer._phis``, so the tests that use it check both.
 """
 
+from dataclasses import dataclass
 from datetime import timedelta
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
 import numpy as np
+
+from flarecast.core import N_CLASSES, ClassWeights, _frozen
+from flarecast.losses import FACTOR_FLOOR, IB_CE_MODES, PROB_FLOOR, LossBreakdown, flare_loss_arrays, softmax
+from flarecast.trainer import _phis, forward
 
 mp.mp.dps = 50
 
@@ -175,3 +186,168 @@ def channel_policy_loop(masks, features, labels):
         kept.append(i)
         rows.append(out)
     return kept, np.array(rows).reshape(len(kept), np.shape(features)[1]), excluded
+
+
+# ---------------------------------------------------------------------------
+# The loss family one sample at a time, and the per-row forward pass
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class HeadState:
+    """Final-layer snapshot for one sample: hidden vector, head weights, logits, probabilities."""
+
+    hidden: np.ndarray
+    weights: np.ndarray
+    logits: np.ndarray
+    probs: np.ndarray
+
+    def __post_init__(self) -> None:
+        h = np.asarray(self.hidden, dtype=float)
+        w = np.asarray(self.weights, dtype=float)
+        z = np.asarray(self.logits, dtype=float)
+        p = np.asarray(self.probs, dtype=float)
+        if h.ndim != 1 or w.shape != (N_CLASSES, h.shape[0]) or z.shape != (N_CLASSES,) or p.shape != (N_CLASSES,):
+            raise ValueError("inconsistent head-state shapes")
+        if np.max(np.abs(z - w @ h)) > 1e-9:
+            raise ValueError("logits do not match weights @ hidden")
+        if np.max(np.abs(p - softmax(z))) > 1e-12 or abs(float(p.sum()) - 1.0) > 1e-12:
+            raise ValueError("probabilities do not match softmax of logits")
+        for name, arr in (("hidden", h), ("weights", w), ("logits", z), ("probs", p)):
+            object.__setattr__(self, name, _frozen(arr.copy()))
+
+    @classmethod
+    def from_hidden(cls, hidden, weights) -> "HeadState":
+        h = np.asarray(hidden, dtype=float)
+        w = np.asarray(weights, dtype=float)
+        z = w @ h
+        return cls(h, w, z, softmax(z))
+
+
+def residual(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Prediction residual ``probs - y``; components sum to zero within 1e-12."""
+    d = np.asarray(probs, dtype=float) - np.asarray(y, dtype=float)
+    if abs(float(d.sum())) > 1e-12:
+        raise ValueError("residual does not sum to zero; inputs are not a distribution/one-hot pair")
+    return d
+
+
+def ce_loss(y: np.ndarray, probs: np.ndarray) -> float:
+    """Cross-entropy of one sample, ``-sum_k y_k log p_k``, with floored probabilities."""
+    p = np.maximum(np.asarray(probs, dtype=float), PROB_FLOOR)
+    return float(-(np.asarray(y, dtype=float) * np.log(p)).sum())
+
+
+def bss_loss(y: np.ndarray, probs: np.ndarray) -> float:
+    """Squared error between the predicted distribution and the one-hot target, in [0, 2]."""
+    d = np.asarray(probs, dtype=float) - np.asarray(y, dtype=float)
+    return float((d * d).sum())
+
+
+def _bss_logit_grad(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d(bss_loss)/d(logits): ``2 p_k (delta_k - delta . p)`` per class k."""
+    d = probs - y
+    return 2.0 * probs * (d - float(d @ probs))
+
+
+def bss_grad_w(state: HeadState, y: np.ndarray) -> np.ndarray:
+    """Analytic gradient of :func:`bss_loss` w.r.t. the head weight matrix.
+
+    Entry (k, l) is ``2 h_l p_k (delta_k - sum_j delta_j p_j)`` with
+    ``delta = probs - y``.
+    """
+    coef = _bss_logit_grad(state.probs, np.asarray(y, dtype=float))
+    return np.outer(coef, state.hidden)
+
+
+def ib_factor_bss(state: HeadState, y: np.ndarray) -> float:
+    """Influence factor of the quadratic loss: total absolute head-weight gradient.
+
+    Equals ``2 ||p * (delta - (delta . p))||_1 * ||h||_1``, which is exactly
+    ``sum_kl |d(bss_loss)/dw_kl|``. Floored at ``FACTOR_FLOOR`` since it
+    vanishes for perfect predictions.
+    """
+    d = residual(state.probs, y)
+    val = 2.0 * float(np.abs(state.probs * (d - float(d @ state.probs))).sum()) * float(
+        np.abs(state.hidden).sum()
+    )
+    return max(val, FACTOR_FLOOR)
+
+
+def ib_factor_ce(state: HeadState, y: np.ndarray, mode: str = "residual") -> float:
+    """Influence factor used with the cross-entropy term.
+
+    ``mode="residual"`` (default): ``||p - y||_1 * ||h||_1``, proportional to
+    the absolute head-weight gradient of the cross-entropy. ``mode="literal"``
+    is the degenerate compatibility form ``||p||_1 * ||h||_1``, constant in p
+    for softmax outputs. Both are floored at ``FACTOR_FLOOR``.
+    """
+    if mode not in IB_CE_MODES:
+        raise ValueError(f"unknown influence-factor mode {mode!r}")
+    h_l1 = float(np.abs(state.hidden).sum())
+    if mode == "residual":
+        val = float(np.abs(residual(state.probs, y)).sum()) * h_l1
+    else:
+        val = float(np.abs(state.probs).sum()) * h_l1
+    return max(val, FACTOR_FLOOR)
+
+
+def _stack_batch(
+    batch: Sequence[Tuple[HeadState, np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if len(batch) == 0:
+        raise ValueError("empty batch")
+    probs = np.stack([s.probs for s, _ in batch])
+    ys = np.stack([np.asarray(y, dtype=float) for _, y in batch])
+    h_l1 = np.array([float(np.abs(s.hidden).sum()) for s, _ in batch])
+    return probs, ys, h_l1
+
+
+def _batch_arrays(
+    batch: Sequence[Tuple[HeadState, np.ndarray]], weights: ClassWeights
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    probs, ys, h_l1 = _stack_batch(batch)
+    sample_w = ys @ weights.weights
+    return probs, ys, h_l1, sample_w
+
+
+def flare_loss(
+    batch: Sequence[Tuple[HeadState, np.ndarray]],
+    weights: ClassWeights,
+    lambda_bss: float,
+    ib_active: bool,
+    ib_ce_mode: str = "residual",
+    frozen_factors: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> LossBreakdown:
+    """Composite loss of a batch of (head state, one-hot label) pairs.
+
+    ``total = (wce + ib_ce) + lambda_bss * (wbss + ib_bss)`` where the
+    influence terms are exactly zero while ``ib_active`` is false (warm-up).
+    ``frozen_factors`` substitutes precomputed per-sample influence factors,
+    which finite-difference checks need to hold constant.
+    """
+    if lambda_bss < 0.0:
+        raise ValueError("lambda_bss must be non-negative")
+    probs, ys, h_l1, sample_w = _batch_arrays(batch, weights)
+    return flare_loss_arrays(probs, ys, h_l1, sample_w, lambda_bss, ib_active, ib_ce_mode, frozen_factors)[0]
+
+
+def flare_loss_grad(
+    batch: Sequence[Tuple[HeadState, np.ndarray]],
+    weights: ClassWeights,
+    lambda_bss: float,
+    ib_active: bool,
+    ib_ce_mode: str = "residual",
+    frozen_factors: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> List[np.ndarray]:
+    """Per-sample gradients of :func:`flare_loss` w.r.t. each sample's logits."""
+    if lambda_bss < 0.0:
+        raise ValueError("lambda_bss must be non-negative")
+    probs, ys, h_l1, sample_w = _batch_arrays(batch, weights)
+    _, g = flare_loss_arrays(probs, ys, h_l1, sample_w, lambda_bss, ib_active, ib_ce_mode, frozen_factors)
+    return list(g)
+
+
+def forward_row(table, row, params, cfg):
+    """Head state of one row of the table under the current parameters."""
+    _, _, head_in, logits, probs = forward(table.features[[row]], _phis(table.times[[row]], cfg), params)
+    return HeadState(head_in[0], params["head"], logits[0], probs[0])

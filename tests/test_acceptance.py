@@ -23,28 +23,29 @@ from flarecast import (
     SplitSpec,
     TrainConfig,
     apply_channel_policy,
-    bss_grad_w,
-    bss_loss,
     cycle_phase,
-    flare_loss_grad,
     gen_synthetic,
     gerrity_matrix,
     gmgs,
     gmgs_influence,
-    ib_factor_bss,
     label_samples,
     softmax,
     train,
     tss_ge_m,
 )
 from flarecast.cycle import DEFAULT_BASE_TIME, DEFAULT_PERIOD_HOURS
-from flarecast.losses import HeadState, batch_factors_arrays, flare_loss_arrays
+from flarecast.losses import batch_factors_arrays, flare_loss_arrays
 from flarecast.pipeline import split_timeseries
 
 from oracles import (
     REFERENCE_CONFUSION,
     REFERENCE_INFLUENCE_TOP5,
+    HeadState,
+    bss_grad_w,
+    bss_loss,
+    flare_loss_grad,
     gerrity_mp,
+    ib_factor_bss,
     max_rel_err,
 )
 
@@ -188,6 +189,7 @@ def test_criterion_5_gradient_correctness():
         h_l1 = np.array([np.abs(state.hidden).sum()])
         sample_w = ys @ weights.weights
         frozen = batch_factors_arrays(probs, ys, h_l1)
+        assert abs(frozen[1][0] - factor) <= 1e-12 * factor
         analytic_z = flare_loss_grad([(state, y)], weights, 3.0, True, frozen_factors=frozen)[0]
         fd_z = np.zeros(4)
         for k in range(4):

@@ -9,9 +9,11 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+import flarecast.cli as cli
 from flarecast import FlareClass
 from flarecast.cli import main
 from flarecast.pipeline import read_labels, write_labels
+from flarecast.trainer import config_hash
 
 from oracles import REFERENCE_CONFUSION, pairs_from_matrix
 
@@ -237,6 +239,30 @@ class TestEval:
         assert code == 2
         assert "labels.csv:5: duplicate id 'a'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, where, reason",
+        [
+            (["id,p_o,p_c,p_m", "a,0.25,0.25,0.5"], 1, "expected header 'id,label' or 'id,p_o,p_c,p_m,p_x'"),
+            (["id,p_o,p_c,p_m,p_x", "a,0.25,0.25,0.25,0.25", "b,0.5,0.5,0.0"], 3, "expected 5 fields, got 4"),
+            (["id,label", "a,O", "b,C,extra"], 3, "expected 2 fields, got 3"),
+            (["id,p_o,p_c,p_m,p_x", "a,0.25,0.25,0.25,0.25", "b,0.5,0.5,0.5,0.5"], 3, "sum to 1"),
+            (["id,p_o,p_c,p_m,p_x", "a,1.2,-0.2,0.0,0.0"], 2, "non-negative"),
+            (["id,p_o,p_c,p_m,p_x", "a,0.25,0.25,0.25,0.25", "b,nan,0.5,0.25,0.25"], 3, "sum to 1"),
+        ],
+        ids=["header", "prob-width", "label-width", "sum", "negative", "nan"],
+    )
+    def test_malformed_predictions_exit_2_naming_line(self, tmp_path, capsys, rows, where, reason):
+        write_labels(tmp_path / "labels.csv", ["a", "b"], [FlareClass.O, FlareClass.C])
+        (tmp_path / "preds.csv").write_text("\n".join(rows) + "\n")
+        code = run_cli(
+            "eval", "--preds", tmp_path / "preds.csv", "--labels", tmp_path / "labels.csv",
+            "--out-dir", tmp_path / "out",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"preds.csv:{where}: " in err and reason in err
+        assert not (tmp_path / "out").exists()
+
 
 def make_training_data(tmp_path, n=240, seed=2):
     run_cli(
@@ -360,6 +386,35 @@ class TestTrain:
         assert run_cli("train", "--config", cfg, "--data-dir", tmp_path, "--out-dir", tmp_path / "o") == 1
         assert "learning_rte" in capsys.readouterr().err
 
+    def test_unknown_ib_ce_mode_is_usage_error_before_reading(self, tmp_path, capsys):
+        # the data directory does not exist: the mode is rejected before any file is read
+        code = run_cli(
+            "train", "--data-dir", tmp_path / "nope", "--out-dir", tmp_path / "o", "--set", "ib_ce_mode=inverse",
+        )
+        assert code == 1
+        assert "unknown influence-factor mode 'inverse'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            [],
+            [
+                "hidden_sizes=16,8", "use_cycle_embedding=false", "verify_gradients=yes", "ib_ce_mode=literal",
+                "learning_rate=1e-3", "base_time=2019-12-01T06:00:00Z", "period_hours=1234.5",
+                "fold_count=4", "train_frac=0.7", "val_frac=0.1", "fold=2",
+            ],
+        ],
+        ids=["defaults", "overridden"],
+    )
+    def test_config_echo_round_trips_through_set(self, overrides):
+        cfg, split, fold = cli.resolve_run_config(None, overrides)
+        echo = cli._config_echo_lines(cfg, split, fold)
+        again = cli.resolve_run_config(None, echo)
+        assert config_hash(again[0]) == config_hash(cfg)
+        assert again == (cfg, split, fold)
+        assert cli._config_echo_lines(*again) == echo
+
     def test_missing_data_dir_exits_2(self, tmp_path):
         assert run_cli("train", "--data-dir", tmp_path / "nope", "--out-dir", tmp_path / "o") == 2
 
@@ -414,10 +469,8 @@ class TestGradcheck:
         assert run_cli("gradcheck", "--trials", 0) == 1
 
     def test_corrupted_gradient_detected(self, monkeypatch, capsys):
-        import flarecast.cli as cli
-
-        real = cli.bss_grad_w
-        monkeypatch.setattr(cli, "bss_grad_w", lambda s, y: real(s, y) * 1.001)
+        real = cli._bss_logit_grad
+        monkeypatch.setattr(cli, "_bss_logit_grad", lambda p, y: real(p, y) * 1.001)
         assert run_cli("gradcheck", "--trials", 3, "--seed", 1) == 3
         assert "FAIL" in capsys.readouterr().out
 

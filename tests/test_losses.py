@@ -6,10 +6,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flarecast import (
-    ClassWeights,
-    FlareClass,
+from flarecast import ClassWeights, FlareClass, one_hot, softmax
+from flarecast.losses import (
+    FACTOR_FLOOR,
+    LossBreakdown,
+    _bss_logit_grad,
+    batch_factors_arrays,
+    flare_loss_arrays,
+)
+
+from oracles import (
     HeadState,
     bss_grad_w,
     bss_loss,
@@ -18,18 +26,9 @@ from flarecast import (
     flare_loss_grad,
     ib_factor_bss,
     ib_factor_ce,
-    one_hot,
+    max_rel_err,
     residual,
-    softmax,
 )
-from flarecast.losses import (
-    FACTOR_FLOOR,
-    LossBreakdown,
-    batch_factors_arrays,
-    flare_loss_arrays,
-)
-
-from oracles import max_rel_err
 
 UNIFORM = ClassWeights.uniform()
 
@@ -337,3 +336,48 @@ class TestFlareLossGrad:
         got = flare_loss_grad(batch, UNIFORM, 2.0, ib_active=True)
         _, kernel = flare_loss_arrays(probs, ys, h_l1, sample_w, 2.0, True)
         assert np.array_equal(np.stack(got), kernel)
+
+
+class TestKernelMatchesPerSampleOracles:
+    """The batch factors and the Brier logit gradient agree with the per-sample forms.
+
+    The CE factor is computed by the same operations in both forms, so it
+    matches exactly. The Brier forms take ``delta . p`` as a dot product
+    (oracle) or a row sum (kernel), which may differ in the last place; the
+    difference then passes through ``delta_k - delta . p``, which cancels on
+    near-certain heads. It is therefore bounded relative to the size of the
+    operands before that cancellation, ``p_k (|delta_k| + sum_i |delta_i p_i|) |h_l|``.
+    """
+
+    # Each row: head width, seed of its standard-normal hidden vector and head
+    # weights, a scale of the hidden vector (0 floors both factors, 10
+    # saturates the softmax), and its target class (None: the target equals
+    # the prediction, so the residual and both factors vanish to the floor).
+    rows = st.tuples(
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1.0, 3.0, 10.0]),
+        st.one_of(st.none(), st.integers(0, 3)),
+    )
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(batch=st.lists(rows, min_size=1, max_size=6))
+    def test_factors_and_brier_gradient(self, batch):
+        states, targets = [], []
+        for width, seed, scale, cls in batch:
+            rng = np.random.default_rng(seed)
+            s = HeadState.from_hidden(scale * rng.standard_normal(width), rng.standard_normal((4, width)))
+            states.append(s)
+            targets.append(s.probs if cls is None else one_hot(FlareClass(cls)))
+        probs = np.stack([s.probs for s in states])
+        ys = np.stack(targets)
+        h_l1 = np.array([np.abs(s.hidden).sum() for s in states])
+        grad = _bss_logit_grad(probs, ys)
+        for mode in ("residual", "literal"):
+            f_ce, f_bss = batch_factors_arrays(probs, ys, h_l1, mode)
+            assert f_ce.tolist() == [ib_factor_ce(s, y, mode) for s, y in zip(states, ys)]
+        for i, (s, y) in enumerate(zip(states, ys)):
+            d = s.probs - y
+            operands = np.outer(s.probs * (np.abs(d) + np.abs(d * s.probs).sum()), np.abs(s.hidden))
+            assert abs(f_bss[i] - ib_factor_bss(s, y)) <= 1e-12 * 2.0 * operands.sum()
+            assert np.all(np.abs(np.outer(grad[i], s.hidden) - bss_grad_w(s, y)) <= 1e-12 * 2.0 * operands)

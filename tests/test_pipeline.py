@@ -275,6 +275,14 @@ class TestCsvFormats:
         with pytest.raises(DataFileError, match="header"):
             read_labels(path)
 
+    def test_header_compared_stripped_and_lowercased(self, tmp_path):
+        labels = tmp_path / "labels.csv"
+        labels.write_text(" ID , Label\na,X\n")
+        assert read_labels(labels) == [("a", FlareClass.X)]
+        samples = tmp_path / "samples.csv"
+        samples.write_text("Id,TIMESTAMP, Mask ,F0\na,2020-01-01T00:00:00Z,1111111111,0.5\n")
+        assert read_samples(samples).ids.tolist() == ["a"]
+
     def test_bad_mask_names_line(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("id,timestamp,mask,f0\na,2020-01-01T00:00:00Z,1111,0.5\n")

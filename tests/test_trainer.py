@@ -7,9 +7,10 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from flarecast import SplitSpec, TrainConfig, adamw_step, forward, gen_synthetic, train
+from flarecast import SplitSpec, TrainConfig, adamw_step, gen_synthetic, train
 from flarecast.pipeline import split_timeseries
 from flarecast.trainer import (
+    Checkpoint,
     config_hash,
     evaluate_fold,
     init_params,
@@ -17,6 +18,8 @@ from flarecast.trainer import (
     save_checkpoint,
     write_history,
 )
+
+from oracles import forward_row
 
 PROBS = [0.4, 0.3, 0.2, 0.1]
 
@@ -45,7 +48,7 @@ class TestForward:
         params = init_params(4, cfg, np.random.default_rng(0))
         for name in params:
             params[name] = np.zeros_like(params[name])
-        state = forward(samples, 0, params, cfg)
+        state = forward_row(samples, 0, params, cfg)
         assert np.allclose(state.probs, 0.25)
 
     def test_embedding_adds_exactly_one_input_channel(self):
@@ -58,8 +61,8 @@ class TestForward:
         params_on = {k: v.copy() for k, v in params_off.items()}
         params_on["head"] = np.hstack([params_off["head"], np.zeros((4, 1))])
         for row in range(len(samples)):
-            a = forward(samples, row, params_off, cfg_off)
-            b = forward(samples, row, params_on, cfg_on)
+            a = forward_row(samples, row, params_off, cfg_off)
+            b = forward_row(samples, row, params_on, cfg_on)
             assert b.hidden.size == a.hidden.size + 1
             assert np.array_equal(b.hidden[:-1], a.hidden)
             stamp = datetime.fromtimestamp(int(samples.times[row]), timezone.utc)
@@ -70,8 +73,8 @@ class TestForward:
         cfg = small_config()
         samples = small_dataset(2)
         params = init_params(4, cfg, np.random.default_rng(3))
-        a = forward(samples, 0, params, cfg)
-        b = forward(samples, 0, params, cfg)
+        a = forward_row(samples, 0, params, cfg)
+        b = forward_row(samples, 0, params, cfg)
         assert np.array_equal(a.probs, b.probs) and np.array_equal(a.logits, b.logits)
 
     def test_dimension_mismatch_rejected(self):
@@ -79,7 +82,7 @@ class TestForward:
         samples = small_dataset(1, feature_dim=6)
         params = init_params(4, cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            forward(samples, 0, params, cfg)
+            forward_row(samples, 0, params, cfg)
 
 
 class TestAdamwStep:
@@ -242,6 +245,30 @@ class TestArtifacts:
         assert meta["epoch"] == str(result.best.epoch)
         for k in result.best.params:
             assert np.array_equal(params[k], result.best.params[k])
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: lines[:-1], r"checkpoint\.txt:8: truncated file: array b has no values line"),
+            (
+                lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0]],
+                r"checkpoint\.txt:8: array b has 1 values, its shape 2 needs 2",
+            ),
+            (
+                lambda lines: lines[:4] + ["array a 3x3"] + lines[5:],
+                r"checkpoint\.txt:6: array a has 6 values, its shape 3x3 needs 9",
+            ),
+            (lambda lines: lines[:6] + ["array b"], r"checkpoint\.txt:7: expected 'array <name> <shape>'"),
+        ],
+        ids=["values-line-missing", "values-line-cut", "shape-mismatch", "header-line-cut"],
+    )
+    def test_damaged_checkpoint_names_path_and_line(self, tmp_path, edit, message):
+        params = {"a": np.arange(6.0).reshape(2, 3), "b": np.array([0.5, -1.0])}
+        path = tmp_path / "checkpoint.txt"
+        save_checkpoint(path, Checkpoint(epoch=0, params=params, val_gmgs=0.0, val_report=None), small_config())
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
 
     def test_config_hash_sensitive_to_values(self):
         assert config_hash(small_config()) != config_hash(small_config(seed=2))
