@@ -145,8 +145,11 @@ def gradient_error(f: Callable[[], float], x: np.ndarray, analytic: np.ndarray) 
     ``f`` evaluates the scalar function at the current contents of the
     contiguous array ``x``; each entry of ``x`` is moved by ``FD_STEP`` in
     place on both sides and then restored exactly. The error is
-    ``max |analytic - fd| / max(1, max |analytic|)``.
+    ``max |analytic - fd| / max(1, max |analytic|)``. A non-contiguous ``x``
+    raises ValueError: its ``ravel`` is a copy, which the moves would miss.
     """
+    if not x.flags.c_contiguous:
+        raise ValueError("gradient_error needs a C-contiguous x: its ravel() would be a copy that f never reads")
     flat = x.ravel()
     fd = np.empty(flat.size)
     for i in range(flat.size):

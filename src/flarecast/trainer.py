@@ -5,6 +5,10 @@ appended to the last hidden representation, and a bias-free linear head whose
 softmax output feeds the loss family. Optimization is AdamW with decoupled
 weight decay, implemented here so gradients stay fully inspectable.
 
+The parameters, their gradient and both AdamW moments are each one flat
+float64 vector; the named ``Params`` arrays are reshaped views into them, so
+an optimizer step is a few whole-vector operations done in place.
+
 Checkpoint selection follows validation GMGS: the checkpoint with the highest
 validation score wins, earliest epoch on ties.
 """
@@ -46,7 +50,6 @@ HISTORY_HEADER = "epoch,wce,ib_ce,wbss,ib_bss,total,val_gmgs,val_tss,val_bss"
 CHECKPOINT_MAGIC = "flarecast-checkpoint v1"
 
 Params = Dict[str, np.ndarray]
-Moments = Dict[str, Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -140,49 +143,52 @@ def _phis(times: np.ndarray, cfg: TrainConfig) -> Optional[np.ndarray]:
     return cycle_phases(times * 1_000_000, cfg.cycle) if cfg.use_cycle_embedding else None
 
 
-def _backprop(x, a0, a1, head_in, d_logits, params: Params, has_phi: bool) -> Params:
-    grads = {"head": d_logits.T @ head_in}
-    d_head_in = d_logits @ params["head"]
-    d_a1 = d_head_in[:, :-1] if has_phi else d_head_in
+def _views(flat: np.ndarray, like: Params) -> Params:
+    """Reshaped views into consecutive slices of ``flat``, with the names,
+    order and shapes of ``like``."""
+    views: Params = {}
+    lo = 0
+    for name, p in like.items():
+        views[name] = flat[lo : lo + p.size].reshape(p.shape)
+        lo += p.size
+    return views
+
+
+def _backprop(x, a0, a1, head_in, d_logits, params: Params, grads: Params) -> None:
+    """Write the parameter gradients of one batch into the arrays of ``grads``."""
+    np.matmul(d_logits.T, head_in, out=grads["head"])
+    d_a1 = (d_logits @ params["head"])[:, : a1.shape[1]]  # drop the cycle-phase column
     d_pre1 = d_a1 * (1.0 - a1 * a1)
-    grads["w1"] = d_pre1.T @ a0
-    grads["b1"] = d_pre1.sum(axis=0)
+    np.matmul(d_pre1.T, a0, out=grads["w1"])
+    d_pre1.sum(axis=0, out=grads["b1"])
     d_pre0 = (d_pre1 @ params["w1"]) * (1.0 - a0 * a0)
-    grads["w0"] = d_pre0.T @ x
-    grads["b0"] = d_pre0.sum(axis=0)
-    return grads
+    np.matmul(d_pre0.T, x, out=grads["w0"])
+    d_pre0.sum(axis=0, out=grads["b0"])
 
 
 def adamw_step(
-    params: Params, grads: Params, moments: Moments, cfg: TrainConfig, step_index: int
-) -> Tuple[Params, Moments]:
-    """One decoupled-weight-decay Adam update with bias correction.
+    theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, cfg: TrainConfig, step_index: int
+) -> None:
+    """One decoupled-weight-decay Adam update with bias correction, in place.
 
+    ``theta``, ``grad`` and the moments ``m`` and ``v`` are float64 vectors of
+    one length. A non-finite gradient raises before anything is written.
     Weight decay multiplies every parameter by ``(1 - lr * wd)`` before the
     moment-based update, so a zero-gradient step shrinks parameters by exactly
     that factor.
     """
     if step_index < 1:
         raise ValueError("step_index starts at 1")
-    new_params: Params = {}
-    new_moments: Moments = {}
+    if not np.isfinite(grad).all():
+        raise RuntimeError("diverged: non-finite gradient")
     bc1 = 1.0 - cfg.beta1 ** step_index
     bc2 = 1.0 - cfg.beta2 ** step_index
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise RuntimeError("diverged: non-finite gradient")
-        if name in moments:
-            m, v = moments[name]
-        else:
-            m, v = np.zeros_like(p), np.zeros_like(p)
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        p = p * (1.0 - cfg.learning_rate * cfg.weight_decay)
-        p = p - cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
-        new_params[name] = p
-        new_moments[name] = (m, v)
-    return new_params, new_moments
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grad
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * grad * grad
+    theta *= 1.0 - cfg.learning_rate * cfg.weight_decay
+    theta -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
 
 
 @dataclass(frozen=True)
@@ -214,7 +220,7 @@ def _one_hot_rows(labels: np.ndarray) -> np.ndarray:
     return np.eye(N_CLASSES)[labels]
 
 
-def _verify_first_batch(x, phis, params, cfg, y_rows, sample_w, ib_active) -> None:
+def _verify_first_batch(x, phis, params, grads, cfg, y_rows, sample_w, ib_active) -> None:
     """Central-difference check of parameter gradients on one batch.
 
     Influence factors are frozen at their base-point values, matching the
@@ -233,7 +239,7 @@ def _verify_first_batch(x, phis, params, cfg, y_rows, sample_w, ib_active) -> No
     _, d_logits = flare_loss_arrays(
         probs, y_rows, h_l1, sample_w, cfg.lambda_bss, ib_active, cfg.ib_ce_mode, frozen
     )
-    grads = _backprop(x, a0, a1, head_in, d_logits, params, phis is not None)
+    _backprop(x, a0, a1, head_in, d_logits, params, grads)
     worst = max(gradient_error(loss_at, params[name], grads[name]) for name in params)
     if worst > 1e-5:
         raise RuntimeError(f"diverged: gradient verification failed (relative error {worst:.3e})")
@@ -274,8 +280,10 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
     gamma_by_class = weights.weights
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(x_all.shape[1], cfg, rng)
-    moments: Moments = {}
+    initial = init_params(x_all.shape[1], cfg, rng)
+    theta = np.concatenate([p.ravel() for p in initial.values()])
+    grad, m, v = np.zeros_like(theta), np.zeros_like(theta), np.zeros_like(theta)
+    params, grads = _views(theta, initial), _views(grad, initial)
     step_index = 0
 
     best: Optional[Checkpoint] = None
@@ -292,15 +300,15 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
             y_rows = _one_hot_rows(labels[idx])
             sample_w = gamma_by_class[labels[idx]]
             if cfg.verify_gradients and epoch == 0 and lo == 0:
-                _verify_first_batch(x, phis, params, cfg, y_rows, sample_w, ib_active)
+                _verify_first_batch(x, phis, params, grads, cfg, y_rows, sample_w, ib_active)
             a0, a1, head_in, _, probs = forward(x, phis, params)
             h_l1 = np.abs(head_in).sum(axis=1)
             breakdown, d_logits = flare_loss_arrays(
                 probs, y_rows, h_l1, sample_w, cfg.lambda_bss, ib_active, cfg.ib_ce_mode
             )
-            grads = _backprop(x, a0, a1, head_in, d_logits, params, phis is not None)
+            _backprop(x, a0, a1, head_in, d_logits, params, grads)
             step_index += 1
-            params, moments = adamw_step(params, grads, moments, cfg, step_index)
+            adamw_step(theta, grad, m, v, cfg, step_index)
             b = len(idx)
             sums += b * np.array([breakdown.wce, breakdown.ib_ce, breakdown.wbss, breakdown.ib_bss])
             seen += b
@@ -324,7 +332,7 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
         )
         history.append(record)
         if best is None or report.gmgs > best.val_gmgs:
-            snapshot = {k: v.copy() for k, v in params.items()}
+            snapshot = {k: p.copy() for k, p in params.items()}
             best = Checkpoint(epoch=epoch, params=snapshot, val_gmgs=report.gmgs, val_report=report)
     assert best is not None
     return TrainResult(best=best, history=history)

@@ -3,8 +3,9 @@
 These deliberately reimplement the checked quantities by other means: the
 scoring matrix in arbitrary precision via mpmath, gradients via central
 finite differences, window labeling by brute-force scan, confusion counts,
-the Brier skill score and the channel policy by per-row loops, and the loss
-family one sample at a time. None of them import the code paths they verify
+the Brier skill score and the channel policy by per-row loops, the loss
+family one sample at a time, and AdamW and backprop in an allocating,
+per-name dict form. None of them import the code paths they verify
 beyond plain data containers and the softmax, with two exceptions: the list forms
 ``flare_loss``/``flare_loss_grad`` adapt ``(HeadState, y)`` pairs to the
 array kernel ``flarecast.losses.flare_loss_arrays``, and ``forward_row``
@@ -351,3 +352,47 @@ def forward_row(table, row, params, cfg):
     """Head state of one row of the table under the current parameters."""
     _, _, head_in, logits, probs = forward(table.features[[row]], _phis(table.times[[row]], cfg), params)
     return HeadState(head_in[0], params["head"], logits[0], probs[0])
+
+
+def backprop_allocating(x, a0, a1, head_in, d_logits, params, has_phi):
+    """Parameter gradients of one batch as freshly allocated arrays."""
+    grads = {"head": d_logits.T @ head_in}
+    d_head_in = d_logits @ params["head"]
+    d_a1 = d_head_in[:, :-1] if has_phi else d_head_in
+    d_pre1 = d_a1 * (1.0 - a1 * a1)
+    grads["w1"] = d_pre1.T @ a0
+    grads["b1"] = d_pre1.sum(axis=0)
+    d_pre0 = (d_pre1 @ params["w1"]) * (1.0 - a0 * a0)
+    grads["w0"] = d_pre0.T @ x
+    grads["b0"] = d_pre0.sum(axis=0)
+    return grads
+
+
+def adamw_step_dicts(params, grads, moments, cfg, step_index):
+    """One decoupled-weight-decay Adam update with bias correction.
+
+    Weight decay multiplies every parameter by ``(1 - lr * wd)`` before the
+    moment-based update, so a zero-gradient step shrinks parameters by exactly
+    that factor.
+    """
+    if step_index < 1:
+        raise ValueError("step_index starts at 1")
+    new_params = {}
+    new_moments = {}
+    bc1 = 1.0 - cfg.beta1 ** step_index
+    bc2 = 1.0 - cfg.beta2 ** step_index
+    for name, p in params.items():
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise RuntimeError("diverged: non-finite gradient")
+        if name in moments:
+            m, v = moments[name]
+        else:
+            m, v = np.zeros_like(p), np.zeros_like(p)
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+        p = p * (1.0 - cfg.learning_rate * cfg.weight_decay)
+        p = p - cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+        new_params[name] = p
+        new_moments[name] = (m, v)
+    return new_params, new_moments

@@ -15,6 +15,7 @@ from flarecast.losses import (
     _bss_logit_grad,
     batch_factors_arrays,
     flare_loss_arrays,
+    gradient_error,
 )
 
 from oracles import (
@@ -381,3 +382,21 @@ class TestKernelMatchesPerSampleOracles:
             operands = np.outer(s.probs * (np.abs(d) + np.abs(d * s.probs).sum()), np.abs(s.hidden))
             assert abs(f_bss[i] - ib_factor_bss(s, y)) <= 1e-12 * 2.0 * operands.sum()
             assert np.all(np.abs(np.outer(grad[i], s.hidden) - bss_grad_w(s, y)) <= 1e-12 * 2.0 * operands)
+
+
+class TestGradientError:
+    def test_contiguous_view_is_moved_in_place_and_restored(self):
+        buf = np.arange(12.0)
+        x = buf[4:8].reshape(2, 2)  # a contiguous view, as the trainer's parameters are
+        before = buf.copy()
+        err = gradient_error(lambda: float((buf**2).sum()), x, 2.0 * x)
+        assert err < 1e-8
+        assert np.array_equal(buf, before)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: np.zeros((3, 4))[:, :2], lambda: np.zeros(8)[::2], lambda: np.zeros((3, 4)).T]
+    )
+    def test_non_contiguous_array_rejected(self, make):
+        x = make()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            gradient_error(lambda: 0.0, x, np.zeros(x.shape))

@@ -7,10 +7,14 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from flarecast import SplitSpec, TrainConfig, adamw_step, gen_synthetic, train
+from hypothesis import given, settings, strategies as st
+
+from flarecast import SplitSpec, TrainConfig, adamw_step, forward, gen_synthetic, train
 from flarecast.pipeline import split_timeseries
 from flarecast.trainer import (
     Checkpoint,
+    _backprop,
+    _views,
     config_hash,
     evaluate_fold,
     init_params,
@@ -19,7 +23,7 @@ from flarecast.trainer import (
     write_history,
 )
 
-from oracles import forward_row
+from oracles import adamw_step_dicts, backprop_allocating, forward_row
 
 PROBS = [0.4, 0.3, 0.2, 0.1]
 
@@ -85,22 +89,27 @@ class TestForward:
             forward_row(samples, 0, params, cfg)
 
 
+def fresh_moments(n):
+    return np.zeros(n), np.zeros(n)
+
+
 class TestAdamwStep:
     def test_decay_only_step_shrinks_exactly(self):
         cfg = small_config(learning_rate=0.1, weight_decay=0.05)
-        params = {"w": np.array([2.0, -3.0])}
-        grads = {"w": np.zeros(2)}
-        new, moments = adamw_step(params, grads, {}, cfg, step_index=1)
-        assert np.array_equal(new["w"], params["w"] * (1 - 0.1 * 0.05))
-        assert np.array_equal(moments["w"][0], np.zeros(2))
+        theta = np.array([2.0, -3.0])
+        start = theta.copy()
+        m, v = fresh_moments(2)
+        adamw_step(theta, np.zeros(2), m, v, cfg, step_index=1)
+        assert np.array_equal(theta, start * (1 - 0.1 * 0.05))
+        assert np.array_equal(m, np.zeros(2))
 
     def test_first_step_is_sign_normalized(self):
         cfg = small_config(learning_rate=0.1, weight_decay=0.0)
         g = np.array([0.5, -2.0, 1e-3])
-        params = {"w": np.zeros(3)}
-        new, _ = adamw_step(params, {"w": g}, {}, cfg, step_index=1)
+        theta = np.zeros(3)
+        adamw_step(theta, g, *fresh_moments(3), cfg, step_index=1)
         expected = -0.1 * g / (np.abs(g) + cfg.adam_eps)
-        assert np.allclose(new["w"], expected, rtol=1e-12)
+        assert np.allclose(theta, expected, rtol=1e-12)
 
     def test_two_identical_steps_match_scalar_trace(self):
         cfg = small_config(learning_rate=0.1, weight_decay=0.0, beta1=0.9, beta2=0.95)
@@ -112,16 +121,86 @@ class TestAdamwStep:
             m = 0.9 * m + 0.1 * g
             v = 0.95 * v + 0.05 * g * g
             p_ref -= 0.1 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.95**t)) + cfg.adam_eps)
-        params = {"w": np.array([1.0])}
-        moments = {}
+        theta = np.array([1.0])
+        moments = fresh_moments(1)
         for t in (1, 2):
-            params, moments = adamw_step(params, {"w": np.array([g])}, moments, cfg, step_index=t)
-        assert params["w"][0] == pytest.approx(p_ref, rel=1e-15)
+            adamw_step(theta, np.array([g]), *moments, cfg, step_index=t)
+        assert theta[0] == pytest.approx(p_ref, rel=1e-15)
 
     def test_nonfinite_gradient_raises_diverged(self):
         cfg = small_config()
         with pytest.raises(RuntimeError, match="diverged"):
-            adamw_step({"w": np.ones(2)}, {"w": np.array([1.0, np.nan])}, {}, cfg, step_index=1)
+            adamw_step(np.ones(2), np.array([1.0, np.nan]), *fresh_moments(2), cfg, step_index=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("view", ["w0", "w1", "head"])
+    def test_divergence_leaves_state_untouched(self, bad, view):
+        cfg = small_config(weight_decay=0.05)
+        rng = np.random.default_rng(4)
+        like = init_params(3, cfg, rng)
+        assert list(like)[-1] == "head"
+        size = sum(p.size for p in like.values())
+        theta, grad, m, v = (rng.standard_normal(size) for _ in range(4))
+        v = np.abs(v)
+        _views(grad, like)[view].flat[-1] = bad  # for "head", the last element of grad
+        before = [a.copy() for a in (theta, m, v)]
+        with pytest.raises(RuntimeError, match="^diverged: "):
+            adamw_step(theta, grad, m, v, cfg, step_index=3)
+        for a, b in zip((theta, m, v), before):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple), min_size=1, max_size=5
+        ),
+        start=st.integers(1, 50),
+        steps=st.integers(1, 3),
+        lr=st.floats(1e-6, 1.0),
+        wd=st.floats(0.0, 0.5),
+        beta1=st.floats(0.0, 0.999),
+        beta2=st.floats(0.0, 0.9999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_step_equals_dict_oracle_bit_for_bit(self, shapes, start, steps, lr, wd, beta1, beta2, seed):
+        cfg = small_config(learning_rate=lr, weight_decay=wd, beta1=beta1, beta2=beta2)
+        rng = np.random.default_rng(seed)
+        like = {f"p{i}": np.empty(shape) for i, shape in enumerate(shapes)}
+        size = sum(p.size for p in like.values())
+        theta, m, v = rng.standard_normal(size), rng.standard_normal(size), rng.random(size)
+        params = {k: a.copy() for k, a in _views(theta, like).items()}
+        moments = {k: (a.copy(), b.copy()) for (k, a), b in zip(_views(m, like).items(), _views(v, like).values())}
+        grad = np.empty(size)
+        for t in range(start, start + steps):
+            grad[:] = rng.standard_normal(size) * rng.choice([1e-8, 1.0, 1e3])
+            params, moments = adamw_step_dicts(params, _views(grad, like), moments, cfg, t)
+            adamw_step(theta, grad, m, v, cfg, t)
+        flat = lambda arrays: np.concatenate([a.ravel() for a in arrays])
+        assert flat(params.values()).tobytes() == theta.tobytes()
+        assert flat(mv[0] for mv in moments.values()).tobytes() == m.tobytes()
+        assert flat(mv[1] for mv in moments.values()).tobytes() == v.tobytes()
+
+
+class TestBackprop:
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize("embed", [False, True])
+    def test_views_filled_bit_equal_to_allocating_form(self, batch, embed):
+        cfg = small_config(hidden_sizes=(8, 5), use_cycle_embedding=embed)
+        rng = np.random.default_rng(batch)
+        params = init_params(6, cfg, rng)
+        x = rng.standard_normal((batch, 6))
+        phis = rng.uniform(0.0, 1.0, batch) if embed else None
+        a0, a1, head_in, _, probs = forward(x, phis, params)
+        d_logits = probs - np.eye(4)[rng.integers(0, 4, batch)]
+        expected = backprop_allocating(x, a0, a1, head_in, d_logits, params, embed)
+        grad = np.full(sum(p.size for p in params.values()), np.nan)
+        grads = _views(grad, params)
+        _backprop(x, a0, a1, head_in, d_logits, params, grads)
+        assert sorted(grads) == sorted(expected)
+        for name, g in grads.items():
+            assert g.shape == expected[name].shape
+            assert g.tobytes() == expected[name].tobytes(), name
+        assert np.isfinite(grad).all()  # every element of the flat buffer was written
 
 
 @pytest.fixture(scope="module")
@@ -191,10 +270,9 @@ class TestTrainLoop:
 
         real = trainer_mod._backprop
 
-        def corrupted(*args, **kwargs):
-            grads = real(*args, **kwargs)
-            grads["head"] = grads["head"] * 1.01
-            return grads
+        def corrupted(x, a0, a1, head_in, d_logits, params, grads):
+            real(x, a0, a1, head_in, d_logits, params, grads)
+            grads["head"] *= 1.01
 
         monkeypatch.setattr(trainer_mod, "_backprop", corrupted)
         samples = small_dataset(80, feature_dim=3)
@@ -202,6 +280,29 @@ class TestTrainLoop:
         cfg = small_config(epochs=1, warmup_epochs=0, batch_size=16, hidden_sizes=(4, 4), verify_gradients=True)
         with pytest.raises(RuntimeError, match="gradient verification failed"):
             train(samples, fold, cfg)
+
+    def test_best_checkpoint_is_a_snapshot(self, monkeypatch):
+        import flarecast.trainer as trainer_mod
+
+        live = []
+        real = trainer_mod.adamw_step
+
+        def spy(theta, grad, m, v, cfg, step_index):
+            if not live:
+                live.extend((theta, grad, m, v))
+            real(theta, grad, m, v, cfg, step_index)
+
+        monkeypatch.setattr(trainer_mod, "adamw_step", spy)
+        samples = small_dataset()
+        fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
+        cfg = small_config()
+        result = train(samples, fold, cfg)
+        assert result.best.epoch < cfg.epochs - 1
+        assert result.history[-1].val_gmgs != result.best.val_gmgs
+        assert evaluate_fold(samples, fold.validation, result.best.params, cfg).gmgs == result.best.val_gmgs
+        assert len(live) == 4
+        for p in result.best.params.values():
+            assert not any(np.shares_memory(p, buf) for buf in live)
 
     def test_evaluate_fold_report(self, run):
         samples, fold, cfg, result = run
