@@ -9,9 +9,6 @@ from .core import (
     ScoringMatrix,
     build_confusion,
     class_weights,
-    one_hot,
-    one_hot_to_class,
-    prob_dist,
 )
 from .cycle import CycleConfig, cycle_phase
 from .losses import LossBreakdown, flare_loss_arrays, softmax

@@ -20,10 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import FlareClass, N_CLASSES, SampleTable
+from .core import N_CLASSES
 from .cycle import CycleConfig
 from .losses import _bss_logit_grad, batch_factors_arrays, flare_loss_arrays, gradient_error, softmax
-from .metrics import build_report
+from .metrics import build_report, gerrity_matrix
 from .pipeline import (
     DataFileError,
     SplitSpec,
@@ -31,6 +31,7 @@ from .pipeline import (
     events_for_samples,
     gen_synthetic,
     label_samples,
+    match_ids,
     read_events,
     read_labels,
     read_predictions,
@@ -169,6 +170,12 @@ def _config_echo_lines(cfg: TrainConfig, split: SplitSpec, fold_index: int) -> L
     return sorted(f"{key}={_format_value(value)}" for key, value in items if key not in NOT_KEYS)
 
 
+def _args_echo_lines(args) -> List[str]:
+    """Sorted ``key=value`` lines of a command's parsed flags: the whole
+    configuration of the commands without a config file."""
+    return sorted(f"{key}={value}" for key, value in vars(args).items() if key not in ("command", "func"))
+
+
 def _write_config_echo(out_dir: Path, lines: Sequence[str]) -> None:
     (out_dir / "config.txt").write_text("\n".join(lines) + "\n")
 
@@ -190,33 +197,15 @@ def _ensure_out_dir(path_str: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    if args.n <= 0:
-        raise UsageError("--n must be positive")
-    if args.feature_dim <= 0:
-        raise UsageError("--feature-dim must be positive")
-    if args.spacing_steps <= 0:
-        raise UsageError("--spacing-steps must be positive")
     try:
         probs = [float(v) for v in args.class_probs.split(",")]
-        if len(probs) != N_CLASSES or any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
-            raise ValueError
-    except ValueError:
-        raise UsageError("--class-probs must be 4 comma-separated probabilities summing to 1") from None
+        table = gen_synthetic(args.n, probs, args.seed, args.feature_dim, spacing_steps=args.spacing_steps)
+    except ValueError as exc:
+        raise UsageError(f"invalid arguments: {exc}") from None
     out_dir = _ensure_out_dir(args.out_dir)
-    table = gen_synthetic(args.n, probs, args.seed, args.feature_dim, spacing_steps=args.spacing_steps)
     write_samples(out_dir / "samples.csv", table)
     write_events(out_dir / "events.csv", events_for_samples(table))
-    echo = sorted(
-        [
-            f"n={args.n}",
-            f"class_probs={args.class_probs}",
-            f"seed={args.seed}",
-            f"feature_dim={args.feature_dim}",
-            f"spacing_steps={args.spacing_steps}",
-            f"out_dir={args.out_dir}",
-        ]
-    )
-    _write_config_echo(out_dir, echo)
+    _write_config_echo(out_dir, _args_echo_lines(args))
     print(f"wrote {len(table)} samples and events to {out_dir}")
     return 0
 
@@ -232,27 +221,18 @@ def cmd_label(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    label_rows = read_labels(args.labels)
-    pred_ids, predicted, pred_probs = read_predictions(args.preds)
-    row_of = {pid: i for i, pid in enumerate(pred_ids)}
-    order = []
-    for sid, _ in label_rows:
-        if sid not in row_of:
-            raise ValueError(f"id mismatch between files: {sid!r} has no prediction")
-        order.append(row_of[sid])
-    if len(pred_ids) > len(label_rows):
-        extra = sorted(set(pred_ids) - {sid for sid, _ in label_rows})[0]
-        raise ValueError(f"id mismatch between files: prediction {extra!r} has no label")
-    observed = np.array([int(c) for _, c in label_rows], dtype=np.int64)
-
     climatology = None
     if args.climatology != "rows":
         try:
             climatology = [float(v) for v in args.climatology.split(",")]
-            if len(climatology) != N_CLASSES:
-                raise ValueError
-        except ValueError:
-            raise UsageError("--climatology must be 'rows' or 4 comma-separated probabilities") from None
+            gerrity_matrix(climatology)
+        except ValueError as exc:
+            raise UsageError(f"--climatology must be 'rows' or 4 probabilities: {exc}") from None
+    label_ids, observed = read_labels(args.labels)
+    pred_ids, predicted, pred_probs = read_predictions(args.preds)
+    order = match_ids(pred_ids, label_ids, args.preds, args.labels)
+    if len(pred_ids) != len(label_ids):
+        match_ids(label_ids, pred_ids, args.labels, args.preds)
     probs = pred_probs[order] if pred_probs is not None else None
     report = build_report(observed, predicted[order], probs, climatology)
 
@@ -260,34 +240,18 @@ def cmd_eval(args) -> int:
     text = report.to_text()
     (out_dir / "report.txt").write_text(text)
     (out_dir / "report.csv").write_text(report.to_csv())
-    echo = sorted(
-        [
-            f"preds={args.preds}",
-            f"labels={args.labels}",
-            f"climatology={args.climatology}",
-            f"out_dir={args.out_dir}",
-        ]
-    )
-    _write_config_echo(out_dir, echo)
+    _write_config_echo(out_dir, _args_echo_lines(args))
     sys.stdout.write(text)
     return 0
-
-
-def _attach_labels(table: SampleTable, label_rows: Sequence[Tuple[str, FlareClass]]) -> SampleTable:
-    """``table`` with every row's label looked up by id; raises ValueError naming the first unlabeled id."""
-    ids = np.array([sid for sid, _ in label_rows], dtype=str)
-    ranks = np.array([int(c) for _, c in label_rows], dtype=np.int8)
-    unlabeled = table.ids[~np.isin(table.ids, ids)]
-    if len(unlabeled):
-        raise ValueError(f"sample {unlabeled[0]!r} has no label in labels.csv")
-    order = np.argsort(ids)
-    return replace(table, labels=ranks[order[np.searchsorted(ids, table.ids, sorter=order)]])
 
 
 def cmd_train(args) -> int:
     cfg, split_spec, fold_index = resolve_run_config(args.config, args.set or [])
     data_dir = Path(args.data_dir)
-    table = _attach_labels(read_samples(data_dir / "samples.csv"), read_labels(data_dir / "labels.csv"))
+    samples_path, labels_path = data_dir / "samples.csv", data_dir / "labels.csv"
+    table = read_samples(samples_path)
+    label_ids, ranks = read_labels(labels_path)
+    table = replace(table, labels=ranks[match_ids(label_ids, table.ids, labels_path, samples_path)])
     table, excluded = apply_channel_policy(table.take(np.argsort(table.times, kind="stable")))
 
     fold = split_timeseries(table, split_spec)[fold_index]

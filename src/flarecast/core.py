@@ -1,10 +1,10 @@
 """Domain types shared by every flarecast module.
 
 Four ordinal flare classes (O < C < M < X), the columnar sample table,
-probability vectors over the classes, confusion matrices, inverse-frequency
-class weights, and the scoring matrix container used by the Gerrity-based
-skill score. Everything here is immutable after construction; arrays are
-frozen so instances can be shared freely across threads.
+confusion matrices, inverse-frequency class weights, and the scoring matrix
+container used by the Gerrity-based skill score. Everything here is immutable
+after construction; arrays are frozen so instances can be shared freely
+across threads.
 """
 
 from __future__ import annotations
@@ -12,16 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 N_CLASSES = 4
-
-# GOES peak soft X-ray flux thresholds, W/m^2 (domain convention).
-FLUX_THRESHOLD_X = 1e-4
-FLUX_THRESHOLD_M = 1e-5
-FLUX_THRESHOLD_C = 1e-6
 
 SAMPLE_CADENCE_HOURS = 2.0
 GRID_SECONDS = int(SAMPLE_CADENCE_HOURS * 3600)
@@ -46,17 +41,6 @@ class FlareClass(IntEnum):
         except KeyError:
             raise ValueError(f"unknown flare class {name!r}") from None
 
-    @classmethod
-    def from_flux(cls, flux_wm2: float) -> "FlareClass":
-        """Classify a peak X-ray flux value by the GOES thresholds."""
-        if flux_wm2 >= FLUX_THRESHOLD_X:
-            return cls.X
-        if flux_wm2 >= FLUX_THRESHOLD_M:
-            return cls.M
-        if flux_wm2 >= FLUX_THRESHOLD_C:
-            return cls.C
-        return cls.O
-
     def __str__(self) -> str:
         return self.name
 
@@ -66,35 +50,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def prob_dist(values: Iterable[float]) -> np.ndarray:
-    """Validate a length-4 probability vector indexed by flare-class rank.
-
-    Components must lie in [0, 1] and sum to 1 within 1e-9. Returns a frozen
-    float64 array.
-    """
-    p = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
+def _climatology(values) -> np.ndarray:
+    """``values`` as a frozen float64 climatology: one probability per class
+    rank, each positive, summing to 1 within 1e-9."""
+    p = np.array(values, dtype=float)
     if p.shape != (N_CLASSES,):
-        raise ValueError(f"probability vector must have {N_CLASSES} components, got shape {p.shape}")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("probability components must lie in [0, 1]")
+        raise ValueError(f"climatology must have {N_CLASSES} probabilities, got shape {p.shape}")
+    if not np.all(p > 0.0):
+        raise ValueError(f"degenerate climatology: every class probability must be positive, got {p.tolist()}")
     if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1 (got {p.sum()!r})")
-    return _frozen(p.copy())
-
-
-def one_hot(label: FlareClass) -> np.ndarray:
-    """One-hot indicator vector for a flare class."""
-    y = np.zeros(N_CLASSES)
-    y[int(label)] = 1.0
-    return _frozen(y)
-
-
-def one_hot_to_class(y: np.ndarray) -> FlareClass:
-    """Inverse of :func:`one_hot`; rejects vectors that are not exactly one-hot."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (N_CLASSES,) or not np.all((y == 0.0) | (y == 1.0)) or y.sum() != 1.0:
-        raise ValueError("not a one-hot label vector")
-    return FlareClass(int(np.argmax(y)))
+        raise ValueError(f"climatology must sum to 1 (got {float(p.sum())!r})")
+    return _frozen(p)
 
 
 def grid_seconds(t: datetime) -> int:
@@ -249,7 +215,8 @@ def class_weights(counts: Sequence[int]) -> ClassWeights:
 class ScoringMatrix:
     """Symmetric, equitable 4x4 reward matrix built from climatology.
 
-    Invariants checked at construction: symmetry (1e-12), column equitability
+    Invariants checked at construction: a climatology of 4 positive
+    probabilities summing to 1 (1e-9), symmetry (1e-12), column equitability
     ``sum_i p_i s_ij = 0`` (1e-10), perfect-forecast normalization
     ``sum_i p_i s_ii = 1`` (1e-10), and per-row diagonal dominance.
     """
@@ -259,10 +226,9 @@ class ScoringMatrix:
 
     def __post_init__(self) -> None:
         s = np.asarray(self.scores, dtype=float)
-        p = np.asarray(self.climatology, dtype=float)
         if s.shape != (N_CLASSES, N_CLASSES):
             raise ValueError("scoring matrix must be 4x4")
-        p = prob_dist(p)
+        p = _climatology(self.climatology)
         if np.max(np.abs(s - s.T)) > 1e-12:
             raise ValueError("scoring matrix must be symmetric")
         col = p @ s

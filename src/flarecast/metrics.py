@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import N_CLASSES, ConfusionMatrix, FlareClass, ScoringMatrix, build_confusion
+from .core import N_CLASSES, ConfusionMatrix, FlareClass, ScoringMatrix, _climatology, build_confusion
 
 __all__ = [
     "gerrity_matrix",
@@ -33,17 +33,6 @@ __all__ = [
 
 # Classes at or above this rank count as the binary "event" for TSS/BSS.
 EVENT_THRESHOLD = FlareClass.M
-
-
-def _validated_climatology(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.shape != (N_CLASSES,):
-        raise ValueError(f"climatology must have {N_CLASSES} probabilities")
-    if np.any(p <= 0.0):
-        raise ValueError("degenerate climatology")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"climatology must sum to 1 (got {p.sum()!r})")
-    return p
 
 
 def gerrity_matrix(climatology) -> ScoringMatrix:
@@ -69,10 +58,11 @@ def gerrity_matrix(climatology) -> ScoringMatrix:
     Raises
     ------
     ValueError
-        If any probability is non-positive, or the cumulative probability
-        reaches 1 before the last class.
+        If the climatology is not 4 positive probabilities summing to 1
+        within 1e-9, or its cumulative probability reaches 1 before the last
+        class.
     """
-    p = _validated_climatology(climatology)
+    p = _climatology(climatology)
     cum = np.cumsum(p)[:-1]
     if np.any(cum >= 1.0):
         raise ValueError("degenerate climatology: cumulative probability reaches 1 before last class")

@@ -6,7 +6,7 @@ File formats (all comma-separated with a header row):
 * events:  ``peak_time,class`` with ISO-8601 UTC timestamps and class O/C/M/X.
 * samples: ``id,timestamp,mask,f0..f{D-1}`` with the 10-channel presence mask
   as a string of ten 0/1 characters, held as a :class:`~flarecast.core.SampleTable`.
-* labels:  ``id,label``.
+* labels:  ``id,label``, read as an id column and an int8 class-rank column.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "read_samples",
     "write_samples",
     "read_labels",
+    "match_ids",
     "read_predictions",
     "write_labels",
 ]
@@ -231,10 +232,12 @@ def gen_synthetic(
     """
     if n <= 0:
         raise ValueError("n must be positive")
+    if feature_dim < 1:
+        raise ValueError("feature_dim must be positive")
     if spacing_steps < 1:
         raise ValueError("spacing_steps must be at least 1")
     probs = np.asarray(class_probs, dtype=float)
-    if probs.shape != (N_CLASSES,) or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+    if probs.shape != (N_CLASSES,) or not np.all(probs >= 0) or abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("class_probs must be 4 non-negative values summing to 1")
     rng = np.random.default_rng(seed)
     counts = _stratified_counts(n, probs)
@@ -286,8 +289,11 @@ def _parse_time(text: str) -> datetime:
 
 
 def _new_id(raw: str, line_no: int, seen: Dict[str, int]) -> str:
-    """Stripped row id, recorded in ``seen`` with its line; a repeat raises ValueError."""
+    """Stripped row id, recorded in ``seen`` with its line; a repeat, or a NUL
+    character (numpy str arrays drop trailing NULs), raises ValueError."""
     sid = raw.strip()
+    if "\x00" in sid:
+        raise ValueError(f"id {sid!r} contains a NUL character")
     if sid in seen:
         raise ValueError(f"duplicate id {sid!r} (first on line {seen[sid]})")
     seen[sid] = line_no
@@ -299,15 +305,12 @@ def _csv_rows(path, *headers: List[str], more: str = ""):
     """Open a CSV file whose header, stripped and lowercased, is one of
     ``headers``, followed by one or more columns where ``more`` names them, and
     yield ``(header, rows)``: ``rows`` iterates ``(line_no, row)`` over the
-    non-blank rows, each as wide as the header. A ValueError raised while the
-    rows are read or used becomes a DataFileError naming the file and line.
+    non-blank rows, each as wide as the header. A ValueError or csv.Error
+    raised while the header or the rows are read or used becomes a
+    DataFileError naming the file and line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = [h.strip().lower() for h in next(reader, [])]
-        if not any(header[: len(f)] == f and (len(header) > len(f)) == bool(more) for f in headers):
-            expected = " or ".join(repr(",".join(f + [more] if more else f)) for f in headers)
-            raise DataFileError(path, 1, f"expected header {expected}")
 
         def rows() -> Iterator[Tuple[int, List[str]]]:
             for row in reader:
@@ -317,9 +320,13 @@ def _csv_rows(path, *headers: List[str], more: str = ""):
                     yield reader.line_num, row
 
         try:
+            header = [h.strip().lower() for h in next(reader, [])]
+            if not any(header[: len(f)] == f and (len(header) > len(f)) == bool(more) for f in headers):
+                expected = " or ".join(repr(",".join(f + [more] if more else f)) for f in headers)
+                raise ValueError(f"expected header {expected}")
             yield header, rows()
-        except ValueError as exc:
-            raise DataFileError(path, reader.line_num, str(exc)) from None
+        except (ValueError, csv.Error) as exc:
+            raise DataFileError(path, max(reader.line_num, 1), str(exc)) from None
 
 
 def write_events(path, events: Sequence[FlareEvent]) -> None:
@@ -379,15 +386,36 @@ def write_labels(path, ids: Sequence[str], labels) -> None:
         w.writerows(zip(ids, names.tolist()))
 
 
-def read_labels(path) -> List[Tuple[str, FlareClass]]:
+def read_labels(path) -> Tuple[np.ndarray, np.ndarray]:
+    """``labels.csv`` as columns: the ids (str) and their class ranks (int8)."""
+    ids: List[str] = []
     seen: Dict[str, int] = {}
+    ranks = array("b")
     with _csv_rows(path, ["id", "label"]) as (_, rows):
-        return [(_new_id(row[0], line_no, seen), FlareClass.from_name(row[1])) for line_no, row in rows]
+        for line_no, row in rows:
+            ids.append(_new_id(row[0], line_no, seen))
+            ranks.append(FlareClass.from_name(row[1]))
+    return np.array(ids, dtype=str), np.frombuffer(ranks, dtype=np.int8)
 
 
-def read_predictions(path) -> Tuple[List[str], np.ndarray, Optional[np.ndarray]]:
+def match_ids(keys: np.ndarray, wanted: np.ndarray, keys_path, wanted_path) -> np.ndarray:
+    """Positions ``pos`` (np.intp) with ``keys[pos] == wanted``, for unique ``keys``.
+
+    ValueError names the first id of ``wanted``, in its order, that ``keys``
+    lacks, and the files the two sides came from.
+    """
+    order = np.argsort(keys)
+    slot = np.searchsorted(keys, wanted, sorter=order)
+    found = slot < len(keys)
+    found[found] = keys[order[slot[found]]] == wanted[found]
+    if not found.all():
+        raise ValueError(f"id {str(wanted[~found][0])!r} in {wanted_path} has no row in {keys_path}")
+    return order[slot]
+
+
+def read_predictions(path) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Prediction file: either hard classes (`id,label`) or distributions
-    (`id,p_o,p_c,p_m,p_x`). Returns the ids, the predicted class ranks, and
+    (`id,p_o,p_c,p_m,p_x`). Returns the ids (str), the predicted class ranks, and
     the distributions, each row scaled to sum to 1 (None for hard classes)."""
     ids: List[str] = []
     seen: Dict[str, int] = {}
@@ -403,6 +431,7 @@ def read_predictions(path) -> Tuple[List[str], np.ndarray, Optional[np.ndarray]]
             if not (min(vec) >= 0 and abs(sum(vec) - 1.0) <= 1e-6):
                 raise ValueError(f"probabilities must be non-negative and sum to 1, got {row[1:]}")
             probs.extend(vec)
+    ids = np.array(ids, dtype=str)
     if len(header) == 2:
         return ids, np.frombuffer(ranks, dtype=np.int64), None
     dists = np.frombuffer(probs).reshape(-1, N_CLASSES)

@@ -3,7 +3,7 @@
 These deliberately reimplement the checked quantities by other means: the
 scoring matrix in arbitrary precision via mpmath, gradients via central
 finite differences, window labeling by brute-force scan, confusion counts,
-the Brier skill score and the channel policy by per-row loops, the loss
+the Brier skill score, the channel policy and the id join by per-row loops, the loss
 family one sample at a time, and AdamW and backprop in an allocating,
 per-name dict form. None of them import the code paths they verify
 beyond plain data containers and the softmax, with two exceptions: the list forms
@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import mpmath as mp
 import numpy as np
 
-from flarecast.core import N_CLASSES, ClassWeights, _frozen
+from flarecast.core import N_CLASSES, ClassWeights, FlareClass, _frozen
 from flarecast.losses import FACTOR_FLOOR, IB_CE_MODES, PROB_FLOOR, LossBreakdown, flare_loss_arrays, softmax
 from flarecast.trainer import _phis, forward
 
@@ -114,8 +114,6 @@ def max_rel_err(analytic, reference):
 
 def pairs_from_matrix(counts):
     """Expand a confusion matrix into the multiset of (observed, predicted) pairs."""
-    from flarecast import FlareClass
-
     pairs = []
     for i in range(4):
         for j in range(4):
@@ -159,8 +157,6 @@ def bss_loop(forecasts):
 
 def label_max_class(t, events, horizon_hours=72.0):
     """Largest flare class among events peaking in ``(t, t + horizon]``, by scanning every event."""
-    from flarecast import FlareClass
-
     end = t + timedelta(hours=horizon_hours)
     best = FlareClass.O
     for ev in events:
@@ -189,9 +185,28 @@ def channel_policy_loop(masks, features, labels):
     return kept, np.array(rows).reshape(len(kept), np.shape(features)[1]), excluded
 
 
+def match_ids_loop(keys, wanted):
+    """Positions in ``keys`` of every ``wanted`` id, one dict lookup per row;
+    raises KeyError with the first ``wanted`` id that ``keys`` lacks."""
+    row_of = {key: i for i, key in enumerate(keys)}
+    order = []
+    for sid in wanted:
+        if sid not in row_of:
+            raise KeyError(sid)
+        order.append(row_of[sid])
+    return order
+
+
 # ---------------------------------------------------------------------------
 # The loss family one sample at a time, and the per-row forward pass
 # ---------------------------------------------------------------------------
+
+def one_hot(label: FlareClass) -> np.ndarray:
+    """One-hot indicator vector for a flare class."""
+    y = np.zeros(N_CLASSES)
+    y[int(label)] = 1.0
+    return _frozen(y)
+
 
 @dataclass(frozen=True)
 class HeadState:

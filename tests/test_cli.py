@@ -48,8 +48,8 @@ class TestGenData:
             "label", "--events", tmp_path / "events.csv",
             "--samples", tmp_path / "samples.csv", "--out", tmp_path / "labels.csv",
         ) == 0
-        labels = read_labels(tmp_path / "labels.csv")
-        freq = np.bincount([int(c) for _, c in labels], minlength=4) / len(labels)
+        _, ranks = read_labels(tmp_path / "labels.csv")
+        freq = np.bincount(ranks, minlength=4) / len(ranks)
         assert np.all(np.abs(freq - [0.38, 0.35, 0.23, 0.04]) <= 0.05)
 
     def test_zero_n_is_usage_error(self, tmp_path, capsys):
@@ -73,7 +73,7 @@ class TestLabel:
             "label", "--events", tmp_path / "none.csv",
             "--samples", tmp_path / "samples.csv", "--out", tmp_path / "labels.csv",
         )
-        assert all(c is FlareClass.O for _, c in read_labels(tmp_path / "labels.csv"))
+        assert np.all(read_labels(tmp_path / "labels.csv")[1] == FlareClass.O)
 
     def test_single_event_inside_window(self, tmp_path):
         run_cli("gen-data", "--n", 3, "--seed", 1, "--out-dir", tmp_path)
@@ -87,9 +87,9 @@ class TestLabel:
             "label", "--events", tmp_path / "one.csv",
             "--samples", tmp_path / "samples.csv", "--out", tmp_path / "labels.csv",
         )
-        labels = dict(read_labels(tmp_path / "labels.csv"))
+        ids, ranks = read_labels(tmp_path / "labels.csv")
         first_id = samples[1].split(",")[0]
-        assert labels[first_id] is FlareClass.X
+        assert ranks[ids.tolist().index(first_id)] == FlareClass.X
 
     def test_malformed_row_exits_2_naming_line(self, tmp_path, capsys):
         (tmp_path / "events.csv").write_text("peak_time,class\n2020-01-01T00:00:00Z,Q\n")
@@ -218,6 +218,49 @@ class TestEval:
         assert code == 2
         assert "'b'" in capsys.readouterr().err
 
+    def test_extra_prediction_named_in_file_order(self, tmp_path, capsys):
+        write_labels(tmp_path / "labels.csv", ["a", "b"], [FlareClass.O, FlareClass.C])
+        write_labels(tmp_path / "preds.csv", ["a", "zz", "b", "c"], [FlareClass.O] * 4)
+        code = run_cli(
+            "eval", "--preds", tmp_path / "preds.csv", "--labels", tmp_path / "labels.csv",
+            "--out-dir", tmp_path / "out",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"id 'zz' in {tmp_path / 'preds.csv'} has no row in {tmp_path / 'labels.csv'}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_oversized_id_exits_2_naming_line(self, tmp_path, capsys):
+        write_labels(tmp_path / "labels.csv", ["a"], [FlareClass.O])
+        (tmp_path / "preds.csv").write_text("id,label\n" + "x" * 200_000 + ",O\n")
+        code = run_cli(
+            "eval", "--preds", tmp_path / "preds.csv", "--labels", tmp_path / "labels.csv",
+            "--out-dir", tmp_path / "out",
+        )
+        assert code == 2
+        assert "preds.csv:2: field larger than field limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "climatology, reason",
+        [
+            ("0.5,0.5", "4 probabilities"),
+            ("0.5,0.5,0.5,0.5", "sum to 1 (got 2.0)"),
+            ("-0.1,0.4,0.4,0.3", "degenerate climatology"),
+            ("0,0.5,0.25,0.25", "degenerate climatology"),
+        ],
+        ids=["count", "sum", "negative", "zero"],
+    )
+    def test_bad_climatology_is_usage_error_before_reading(self, tmp_path, capsys, climatology, reason):
+        (tmp_path / "labels.csv").write_text("not,a,labels,file\n")
+        code = run_cli(
+            "eval", "--preds", tmp_path / "missing.csv", "--labels", tmp_path / "labels.csv",
+            f"--climatology={climatology}", "--out-dir", tmp_path / "out",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage error: --climatology" in err and reason in err and "np.float64" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_prediction_id_exits_2_naming_line(self, tmp_path, capsys):
         write_labels(tmp_path / "labels.csv", list("abcd"), list(FlareClass))
         write_labels(tmp_path / "preds.csv", list("abcda"), list(FlareClass) + [FlareClass.O])
@@ -296,6 +339,26 @@ class TestTrain:
         assert code == 2
         assert f"labels.csv:{len(lines) + 1}: duplicate id" in capsys.readouterr().err
 
+    def test_unlabeled_sample_exits_2_naming_both_files(self, tmp_path, capsys):
+        make_training_data(tmp_path)
+        lines = (tmp_path / "labels.csv").read_text().splitlines()
+        sid = lines[5].split(",")[0]
+        (tmp_path / "labels.csv").write_text("\n".join(lines[:5] + lines[6:]) + "\n")
+        code = run_cli("train", "--data-dir", tmp_path, "--out-dir", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"id '{sid}' in {tmp_path / 'samples.csv'} has no row in {tmp_path / 'labels.csv'}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_extra_label_ids_allowed(self, tmp_path, capsys):
+        make_training_data(tmp_path)
+        with open(tmp_path / "labels.csv", "a") as fh:
+            fh.write("not-a-sample,X\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CONFIG)
+        assert run_cli("train", "--config", cfg, "--data-dir", tmp_path, "--out-dir", tmp_path / "out") == 0
+        assert "0 samples excluded by channel policy" in capsys.readouterr().out
+
     def test_header_only_samples_exit_2(self, tmp_path, capsys):
         (tmp_path / "samples.csv").write_text("id,timestamp,mask,f0\n")
         (tmp_path / "labels.csv").write_text("id,label\n")
@@ -320,10 +383,10 @@ class TestTrain:
 
     def test_degenerate_test_range_rejected_before_training(self, tmp_path, capsys):
         make_training_data(tmp_path)
-        rows = read_labels(tmp_path / "labels.csv")
-        cut = len(rows) * 4 // 5  # the test range of fold_count=1
-        calmed = [c if i < cut else min(c, FlareClass.C) for i, (_, c) in enumerate(rows)]
-        write_labels(tmp_path / "labels.csv", [sid for sid, _ in rows], calmed)
+        ids, ranks = read_labels(tmp_path / "labels.csv")
+        cut = len(ids) * 4 // 5  # the test range of fold_count=1
+        calmed = np.where(np.arange(len(ids)) < cut, ranks, np.minimum(ranks, FlareClass.C))
+        write_labels(tmp_path / "labels.csv", ids, calmed)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BASE_CONFIG)
         code = run_cli("train", "--config", cfg, "--data-dir", tmp_path, "--out-dir", tmp_path / "out")

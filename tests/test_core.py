@@ -1,5 +1,5 @@
-"""Core domain types: flare classes, probability vectors, confusion counting,
-class weights."""
+"""Core domain types: flare classes, the scoring-matrix climatology, confusion
+counting, class weights."""
 
 from datetime import datetime, timezone
 
@@ -12,9 +12,7 @@ from flarecast import (
     SampleTable,
     build_confusion,
     class_weights,
-    one_hot,
-    one_hot_to_class,
-    prob_dist,
+    gerrity_matrix,
 )
 from flarecast.core import grid_seconds
 
@@ -39,37 +37,22 @@ class TestFlareClass:
         with pytest.raises(ValueError, match="unknown flare class"):
             FlareClass.from_name("B")
 
-    def test_flux_thresholds(self):
-        assert FlareClass.from_flux(2e-4) is FlareClass.X
-        assert FlareClass.from_flux(1e-4) is FlareClass.X
-        assert FlareClass.from_flux(9.9e-5) is FlareClass.M
-        assert FlareClass.from_flux(1e-6) is FlareClass.C
-        assert FlareClass.from_flux(9e-7) is FlareClass.O
-
 
 class TestProbDist:
+    """The climatology a scoring matrix is built from: one probability per class."""
+
     def test_valid(self):
-        p = prob_dist([0.1, 0.2, 0.6, 0.1])
+        p = gerrity_matrix([0.1, 0.2, 0.6, 0.1]).climatology
         assert p.sum() == pytest.approx(1.0)
         assert not p.flags.writeable
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            prob_dist([0.5, 0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match=r"sum to 1 \(got 2\.0\)"):
+            gerrity_matrix([0.5, 0.5, 0.5, 0.5])
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            prob_dist([-0.1, 0.4, 0.4, 0.3])
-
-    def test_one_hot_round_trip(self):
-        for c in FlareClass:
-            y = one_hot(c)
-            assert y.sum() == 1.0
-            assert one_hot_to_class(y) is c
-
-    def test_one_hot_rejects_soft_vector(self):
-        with pytest.raises(ValueError, match="one-hot"):
-            one_hot_to_class(np.array([0.5, 0.5, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="degenerate climatology"):
+            gerrity_matrix([-0.1, 0.4, 0.4, 0.3])
 
 
 def table_at(*stamps, mask_width=10, features=None, labels=None):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flarecast import ClassWeights, FlareClass, one_hot, softmax
+from flarecast import ClassWeights, FlareClass, softmax
 from flarecast.losses import (
     FACTOR_FLOOR,
     LossBreakdown,
@@ -28,6 +28,7 @@ from oracles import (
     ib_factor_bss,
     ib_factor_ce,
     max_rel_err,
+    one_hot,
     residual,
 )
 

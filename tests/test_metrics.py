@@ -14,7 +14,6 @@ from flarecast import (
     gmgs,
     gmgs_influence,
     harmonic_mean,
-    prob_dist,
     tss_ge_m,
 )
 from flarecast.metrics import MetricReport
@@ -159,30 +158,30 @@ class TestTss:
 class TestBss:
     def test_perfect_forecasts(self):
         forecasts = [
-            (prob_dist([0.0, 0.0, 0.5, 0.5]), FlareClass.M),
-            (prob_dist([0.5, 0.5, 0.0, 0.0]), FlareClass.O),
+            (np.array([0.0, 0.0, 0.5, 0.5]), FlareClass.M),
+            (np.array([0.5, 0.5, 0.0, 0.0]), FlareClass.O),
         ]
         assert bss_ge_m(*arrays_from_forecasts(forecasts)) == pytest.approx(1.0)
 
     def test_base_rate_forecast_scores_zero(self):
         # event frequency 0.5; every forecast assigns q = 0.5
         forecasts = [
-            (prob_dist([0.25, 0.25, 0.25, 0.25]), FlareClass.X),
-            (prob_dist([0.25, 0.25, 0.25, 0.25]), FlareClass.C),
+            (np.array([0.25, 0.25, 0.25, 0.25]), FlareClass.X),
+            (np.array([0.25, 0.25, 0.25, 0.25]), FlareClass.C),
         ]
         assert bss_ge_m(*arrays_from_forecasts(forecasts)) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_sample_arithmetic(self):
         # events (1, 0), q = (0.8, 0.4): BS = 0.10, BS_clim = 0.25, skill = 0.6
         forecasts = [
-            (prob_dist([0.1, 0.1, 0.4, 0.4]), FlareClass.X),
-            (prob_dist([0.3, 0.3, 0.2, 0.2]), FlareClass.O),
+            (np.array([0.1, 0.1, 0.4, 0.4]), FlareClass.X),
+            (np.array([0.3, 0.3, 0.2, 0.2]), FlareClass.O),
         ]
         assert bss_ge_m(*arrays_from_forecasts(forecasts)) == pytest.approx(0.6)
 
     def test_degenerate_base_rate_rejected(self):
         with pytest.raises(ValueError, match="degenerate climatology for BSS"):
-            bss_ge_m([prob_dist([0.25, 0.25, 0.25, 0.25])], [FlareClass.X])
+            bss_ge_m([np.array([0.25, 0.25, 0.25, 0.25])], [FlareClass.X])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -190,7 +189,7 @@ class TestBss:
 
     def test_misaligned_probabilities_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            bss_ge_m([prob_dist([0.25, 0.25, 0.25, 0.25])], [FlareClass.X, FlareClass.O])
+            bss_ge_m([np.array([0.25, 0.25, 0.25, 0.25])], [FlareClass.X, FlareClass.O])
 
 
 class TestInfluence:
@@ -255,10 +254,10 @@ class TestMetricReport:
 
     def test_build_report_with_probabilities(self):
         forecasts = [
-            (prob_dist([0.1, 0.1, 0.4, 0.4]), FlareClass.X),
-            (prob_dist([0.3, 0.3, 0.2, 0.2]), FlareClass.O),
-            (prob_dist([0.2, 0.2, 0.3, 0.3]), FlareClass.M),
-            (prob_dist([0.4, 0.3, 0.2, 0.1]), FlareClass.C),
+            (np.array([0.1, 0.1, 0.4, 0.4]), FlareClass.X),
+            (np.array([0.3, 0.3, 0.2, 0.2]), FlareClass.O),
+            (np.array([0.2, 0.2, 0.3, 0.3]), FlareClass.M),
+            (np.array([0.4, 0.3, 0.2, 0.1]), FlareClass.C),
         ]
         probs, observed = arrays_from_forecasts(forecasts)
         report = build_report(observed, probs.argmax(axis=1), probs)

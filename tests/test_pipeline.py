@@ -23,6 +23,7 @@ from flarecast.pipeline import (
     DataFileError,
     REFERENCE_SPLIT_SIZES,
     events_for_samples,
+    match_ids,
     read_events,
     read_labels,
     read_samples,
@@ -31,7 +32,7 @@ from flarecast.pipeline import (
     write_samples,
 )
 
-from oracles import channel_policy_loop, label_max_class
+from oracles import channel_policy_loop, label_max_class, match_ids_loop
 
 UTC = timezone.utc
 T0 = datetime(2021, 10, 26, 0, 0, tzinfo=UTC)
@@ -223,6 +224,22 @@ class TestGenSynthetic:
         for k in range(3):  # adjacent classes overlap within ~2 sd
             assert means[k + 1] - means[k] < 2 * (stds[k] + stds[k + 1])
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"n": 0}, "n must"),
+            ({"feature_dim": 0}, "feature_dim"),
+            ({"spacing_steps": 0}, "spacing_steps"),
+            ({"class_probs": [0.5, 0.5]}, "class_probs"),
+            ({"class_probs": [np.nan, 0.5, 0.25, 0.25]}, "class_probs"),
+        ],
+        ids=["n", "feature_dim", "spacing_steps", "probs-count", "probs-nan"],
+    )
+    def test_bad_arguments_rejected(self, kwargs, name):
+        args = {"n": 10, "class_probs": [0.25] * 4, "seed": 0, "feature_dim": 3, "spacing_steps": 1, **kwargs}
+        with pytest.raises(ValueError, match=name):
+            gen_synthetic(**args)
+
 
 class TestEventsForSamples:
     def test_round_trip_with_disjoint_windows(self):
@@ -261,7 +278,9 @@ class TestCsvFormats:
     def test_labels_round_trip(self, tmp_path):
         path = tmp_path / "labels.csv"
         write_labels(path, ["a", "b"], [FlareClass.X, FlareClass.O])
-        assert read_labels(path) == [("a", FlareClass.X), ("b", FlareClass.O)]
+        ids, ranks = read_labels(path)
+        assert ids.dtype.kind == "U" and ids.tolist() == ["a", "b"]
+        assert ranks.dtype == np.int8 and ranks.tolist() == [FlareClass.X, FlareClass.O]
 
     def test_malformed_event_row_names_line(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -278,7 +297,8 @@ class TestCsvFormats:
     def test_header_compared_stripped_and_lowercased(self, tmp_path):
         labels = tmp_path / "labels.csv"
         labels.write_text(" ID , Label\na,X\n")
-        assert read_labels(labels) == [("a", FlareClass.X)]
+        ids, ranks = read_labels(labels)
+        assert ids.tolist() == ["a"] and ranks.tolist() == [FlareClass.X]
         samples = tmp_path / "samples.csv"
         samples.write_text("Id,TIMESTAMP, Mask ,F0\na,2020-01-01T00:00:00Z,1111111111,0.5\n")
         assert read_samples(samples).ids.tolist() == ["a"]
@@ -294,6 +314,23 @@ class TestCsvFormats:
         path.write_text("id,label\na,X\nb,C\na,O\n")
         with pytest.raises(DataFileError, match=r"labels\.csv:4: duplicate id 'a' \(first on line 2\)"):
             read_labels(path)
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_oversized_field_names_line(self, tmp_path, line):
+        rows = ["id,label", "a,X", "b,O"]
+        rows[line - 1] = "x" * 200_000 + "," + rows[line - 1]
+        path = tmp_path / "labels.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DataFileError, match=rf"labels\.csv:{line}: field larger than field limit"):
+            read_labels(path)
+
+    def test_nul_in_id_names_line(self, tmp_path):
+        # numpy str arrays drop trailing NULs, so 'a' and 'a\x00' would become one id
+        path = tmp_path / "samples.csv"
+        row = "2020-01-01T00:00:00Z,1111111111,0.5"
+        path.write_text(f"id,timestamp,mask,f0\na,{row}\na\x00,{row}\n")
+        with pytest.raises(DataFileError, match=r"samples\.csv:3: id 'a\\x00' contains a NUL character"):
+            read_samples(path)
 
     def test_duplicate_sample_id_names_second_line(self, tmp_path):
         path = tmp_path / "samples.csv"
@@ -368,3 +405,35 @@ class TestArrayFormsMatchOracles:
         assert np.array_equal(back.mask, masks)
         assert np.array_equal(back.features.view(np.int64), table.features.view(np.int64))
         assert np.all(back.labels == -1)
+
+
+class TestMatchIds:
+    """The one id join, against a per-row dict lookup."""
+
+    ids = st.text(st.sampled_from(["a", "b", "é", "字", " "]) | st.characters(exclude_characters="\x00"), max_size=5)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_equals_dict_loop(self, data):
+        keys = data.draw(st.lists(self.ids, unique=True, max_size=25))
+        wanted = data.draw(st.permutations(keys))[: data.draw(st.integers(0, len(keys)))]
+        for stray in data.draw(st.lists(self.ids.filter(lambda s: s not in keys), unique=True, max_size=2)):
+            wanted.insert(data.draw(st.integers(0, len(wanted))), stray)
+        key_arr, wanted_arr = np.array(keys, dtype=str), np.array(wanted, dtype=str)
+        try:
+            want = match_ids_loop(keys, wanted)
+        except KeyError as exc:
+            with pytest.raises(ValueError) as info:
+                match_ids(key_arr, wanted_arr, "keys.csv", "wanted.csv")
+            assert str(info.value) == f"id {exc.args[0]!r} in wanted.csv has no row in keys.csv"
+        else:
+            got = match_ids(key_arr, wanted_arr, "keys.csv", "wanted.csv")
+            assert got.dtype == np.intp and got.tolist() == want
+
+    def test_empty_sides(self):
+        empty, one = np.array([], dtype=str), np.array(["a"])
+        for keys, wanted in ((empty, empty), (one, empty)):
+            got = match_ids(keys, wanted, "k", "w")
+            assert got.dtype == np.intp and got.shape == (0,)
+        with pytest.raises(ValueError, match="id 'a' in w has no row in k"):
+            match_ids(empty, one, "k", "w")
