@@ -24,7 +24,6 @@ from .metrics import (
     tss_ge_m,
 )
 from .pipeline import (
-    FlareEvent,
     Fold,
     SplitSpec,
     apply_channel_policy,

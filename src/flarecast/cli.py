@@ -27,6 +27,7 @@ from .metrics import build_report, gerrity_matrix
 from .pipeline import (
     DataFileError,
     SplitSpec,
+    _horizon_us,
     apply_channel_policy,
     events_for_samples,
     gen_synthetic,
@@ -204,18 +205,20 @@ def cmd_gen_data(args) -> int:
         raise UsageError(f"invalid arguments: {exc}") from None
     out_dir = _ensure_out_dir(args.out_dir)
     write_samples(out_dir / "samples.csv", table)
-    write_events(out_dir / "events.csv", events_for_samples(table))
+    write_events(out_dir / "events.csv", *events_for_samples(table))
     _write_config_echo(out_dir, _args_echo_lines(args))
     print(f"wrote {len(table)} samples and events to {out_dir}")
     return 0
 
 
 def cmd_label(args) -> int:
-    if args.horizon_hours <= 0:
-        raise UsageError("--horizon-hours must be positive")
+    try:
+        _horizon_us(args.horizon_hours)
+    except ValueError as exc:
+        raise UsageError(f"invalid --horizon-hours: {exc}") from None
     events = read_events(args.events)
     table = read_samples(args.samples)
-    write_labels(args.out, table.ids, label_samples(table, events, horizon_hours=args.horizon_hours))
+    write_labels(args.out, table.ids, label_samples(table, *events, horizon_hours=args.horizon_hours))
     print(f"labeled {len(table)} samples -> {args.out}")
     return 0
 

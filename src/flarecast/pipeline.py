@@ -3,9 +3,11 @@ synthetic data generation, and the CSV formats tying them together.
 
 File formats (all comma-separated with a header row):
 
-* events:  ``peak_time,class`` with ISO-8601 UTC timestamps and class O/C/M/X.
+* events:  ``peak_time,class`` with ISO-8601 timestamps (any UTC offset and
+  fraction) and class O/C/M/X, read as int64 UTC epoch microseconds and int8
+  class ranks; written in UTC, with a 6-digit fraction only when needed.
 * samples: ``id,timestamp,mask,f0..f{D-1}`` with the 10-channel presence mask
-  as a string of ten 0/1 characters, held as a :class:`~flarecast.core.SampleTable`.
+  as ten 0/1 characters and finite features, held as a :class:`~flarecast.core.SampleTable`.
 * labels:  ``id,label``, read as an id column and an int8 class-rank column.
 """
 
@@ -32,7 +34,6 @@ from .core import (
 )
 
 __all__ = [
-    "FlareEvent",
     "SplitSpec",
     "Fold",
     "DataFileError",
@@ -72,38 +73,30 @@ class DataFileError(Exception):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class FlareEvent:
-    """A single flare occurrence, identified by its peak time and class."""
-
-    peak_time: datetime
-    flare_class: FlareClass
-
-    def __post_init__(self) -> None:
-        if self.peak_time.tzinfo is None:
-            raise ValueError("event peak_time must be timezone-aware UTC")
+def _horizon_us(horizon_hours: float) -> int:
+    """The horizon in whole microseconds; ValueError unless positive and within the datetime range."""
+    if not 0.0 < horizon_hours <= (datetime.max - datetime.min) / timedelta(hours=1):
+        raise ValueError(f"horizon must be positive and within the datetime range, got {horizon_hours!r} hours")
+    return timedelta(hours=horizon_hours) // MICROSECOND
 
 
-def label_samples(
-    table: SampleTable,
-    events: Sequence[FlareEvent],
-    horizon_hours: float = DEFAULT_HORIZON_HOURS,
-) -> np.ndarray:
-    """Largest flare class peaking inside ``(t, t + horizon]`` for every row.
+def label_samples(table: SampleTable, peak_us, ranks, horizon_hours: float = DEFAULT_HORIZON_HOURS) -> np.ndarray:
+    """Largest class of the events peaking inside ``(t, t + horizon]``, for every row.
 
-    The window is half-open on the left: an event peaking exactly at ``t`` is
-    excluded, one peaking exactly at ``t + horizon`` is included. Returns int8
-    class ranks, 0 (O) where no event of class C or above peaks in the window.
-    Times are compared in integer microseconds, so fractional seconds in event
-    times and in the horizon keep their place relative to the boundaries.
+    Events are aligned peak times (int64 UTC epoch microseconds) and class ranks,
+    in any order. An event peaking exactly at ``t`` is excluded, one peaking
+    exactly at ``t + horizon`` is included. Returns int8 class ranks, 0 (O)
+    where no event of class C or above peaks in the window. Times are compared
+    in integer microseconds, so fractional seconds in event times and in the
+    horizon keep their place relative to the boundaries.
     """
-    ev_us = np.array([(e.peak_time - EPOCH) // MICROSECOND for e in events], dtype=np.int64)
-    ev_cls = np.array([int(e.flare_class) for e in events], dtype=np.int8)
+    window = _horizon_us(horizon_hours)
+    ev_us, ev_cls = np.asarray(peak_us, dtype=np.int64), np.asarray(ranks, dtype=np.int8)
     order = np.argsort(ev_us, kind="stable")
     ev_us, ev_cls = ev_us[order], ev_cls[order]
     t_us = table.times * 1_000_000
     lo = np.searchsorted(ev_us, t_us, side="right")
-    hi = np.searchsorted(ev_us, t_us + timedelta(hours=horizon_hours) // MICROSECOND, side="right")
+    hi = np.searchsorted(ev_us, t_us + window, side="right")
     # The window max is the number of thresholds (>= C, >= M, >= X) with an event inside.
     labels = np.zeros(len(table), dtype=np.int8)
     for c in range(1, N_CLASSES):
@@ -255,27 +248,28 @@ def gen_synthetic(
     )
 
 
-def events_for_samples(table: SampleTable, offset_hours: float = 36.0) -> List[FlareEvent]:
-    """One event per labeled row of class C or above, peaking inside its window.
+def events_for_samples(table: SampleTable, offset_hours: float = 36.0) -> Tuple[np.ndarray, np.ndarray]:
+    """One event per row of class C or above, peaking ``offset_hours`` after
+    it, as ``(peak_us, ranks)`` columns in table order.
 
     With samples spaced more than the labeling horizon apart the windows do
     not overlap, so :func:`label_samples` on the result reproduces the
     table's own labels exactly.
     """
-    offset = timedelta(hours=offset_hours)
     flaring = table.labels > FlareClass.O
-    return [
-        FlareEvent(EPOCH + timedelta(seconds=t) + offset, FlareClass(c))
-        for t, c in zip(table.times[flaring].tolist(), table.labels[flaring].tolist())
-    ]
+    return table.times[flaring] * 1_000_000 + timedelta(hours=offset_hours) // MICROSECOND, table.labels[flaring]
 
 
 # ---------------------------------------------------------------------------
 # CSV formats
 # ---------------------------------------------------------------------------
 
-def _format_time(t: datetime) -> str:
-    return t.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def _class_names(ranks) -> List[str]:
+    """The class name of every rank; ValueError for a rank outside 0..3."""
+    r = np.asarray(ranks, dtype=np.int64)
+    if r.size and not (0 <= r.min() and r.max() < N_CLASSES):
+        raise ValueError(f"class rank outside 0..{N_CLASSES - 1}")
+    return np.array([c.name for c in FlareClass])[r].tolist()
 
 
 def _parse_time(text: str) -> datetime:
@@ -305,9 +299,9 @@ def _csv_rows(path, *headers: List[str], more: str = ""):
     """Open a CSV file whose header, stripped and lowercased, is one of
     ``headers``, followed by one or more columns where ``more`` names them, and
     yield ``(header, rows)``: ``rows`` iterates ``(line_no, row)`` over the
-    non-blank rows, each as wide as the header. A ValueError or csv.Error
-    raised while the header or the rows are read or used becomes a
-    DataFileError naming the file and line.
+    non-blank rows, each as wide as the header. A ValueError, csv.Error or
+    OverflowError (a time outside the datetime range) from reading or using the
+    header or rows becomes a DataFileError naming the file and line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -325,21 +319,27 @@ def _csv_rows(path, *headers: List[str], more: str = ""):
                 expected = " or ".join(repr(",".join(f + [more] if more else f)) for f in headers)
                 raise ValueError(f"expected header {expected}")
             yield header, rows()
-        except (ValueError, csv.Error) as exc:
+        except (ValueError, OverflowError, csv.Error) as exc:
             raise DataFileError(path, max(reader.line_num, 1), str(exc)) from None
 
 
-def write_events(path, events: Sequence[FlareEvent]) -> None:
+def write_events(path, peak_us, ranks) -> None:
+    """Write ``peak_time,class`` rows in UTC, with a 6-digit fraction only where a time is not a whole second."""
+    stamps = np.datetime_as_string(np.asarray(peak_us, dtype=np.int64).astype("datetime64[us]")).tolist()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["peak_time", "class"])
-        for ev in events:
-            w.writerow([_format_time(ev.peak_time), ev.flare_class.name])
+        w.writerows(zip((t.removesuffix(".000000") + "Z" for t in stamps), _class_names(ranks)))
 
 
-def read_events(path) -> List[FlareEvent]:
+def read_events(path) -> Tuple[np.ndarray, np.ndarray]:
+    """``events.csv`` as columns: peak times (int64 UTC epoch microseconds) and class ranks (int8)."""
+    peak_us, ranks = array("q"), array("b")
     with _csv_rows(path, ["peak_time", "class"]) as (_, rows):
-        return [FlareEvent(_parse_time(row[0]), FlareClass.from_name(row[1])) for _, row in rows]
+        for _, row in rows:
+            peak_us.append((_parse_time(row[0]) - EPOCH) // MICROSECOND)
+            ranks.append(FlareClass.from_name(row[1]))
+    return np.frombuffer(peak_us, dtype=np.int64), np.frombuffer(ranks, dtype=np.int8)
 
 
 def write_samples(path, table: SampleTable) -> None:
@@ -369,21 +369,24 @@ def read_samples(path) -> SampleTable:
             feats.extend([float(v) for v in row[3:]])
             masks += mask.encode()
     n = len(ids)
+    features = np.frombuffer(feats, dtype=np.float64).reshape(n, len(header) - 3)
+    if not np.isfinite(features).all():
+        sid = ids[int(np.isfinite(features).all(axis=1).argmin())]
+        raise DataFileError(path, seen[sid], f"features of id {sid!r} must be finite")
     return SampleTable(
         ids,
         np.frombuffer(times, dtype=np.int64),
         np.frombuffer(masks, dtype=np.uint8).reshape(n, N_CHANNELS) == ord("1"),
-        np.frombuffer(feats, dtype=np.float64).reshape(n, len(header) - 3),
+        features,
     )
 
 
 def write_labels(path, ids: Sequence[str], labels) -> None:
     """Write ``id,label`` rows; ``labels`` are class ranks or :class:`FlareClass` members."""
-    names = np.array([c.name for c in FlareClass])[np.asarray(labels, dtype=np.int64)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "label"])
-        w.writerows(zip(ids, names.tolist()))
+        w.writerows(zip(ids, _class_names(labels)))
 
 
 def read_labels(path) -> Tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,6 @@ __all__ = [
     "adamw_step",
     "require_all_classes",
     "train",
-    "predict_probs",
     "evaluate_fold",
     "config_hash",
     "write_history",
@@ -338,16 +337,11 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
     return TrainResult(best=best, history=history)
 
 
-def predict_probs(table: SampleTable, params: Params, cfg: TrainConfig) -> np.ndarray:
-    """Predicted class distributions, one row per row of the table."""
-    return forward(table.features, _phis(table.times, cfg), params)[-1]
-
-
 def evaluate_fold(table: SampleTable, idx: Sequence[int], params: Params, cfg: TrainConfig) -> MetricReport:
     """Metric report of the parameters on one index range of the table."""
-    subset = table.take(np.asarray(idx, dtype=np.intp))
-    probs = predict_probs(subset, params, cfg)
-    return build_report(subset.labels, probs.argmax(axis=1), probs)
+    rows = np.asarray(idx, dtype=np.intp)
+    probs = forward(table.features[rows], _phis(table.times[rows], cfg), params)[-1]
+    return build_report(table.labels[rows], probs.argmax(axis=1), probs)
 
 
 # ---------------------------------------------------------------------------

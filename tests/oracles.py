@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import mpmath as mp
 import numpy as np
 
-from flarecast.core import N_CLASSES, ClassWeights, FlareClass, _frozen
+from flarecast.core import EPOCH, N_CLASSES, ClassWeights, FlareClass, _frozen
 from flarecast.losses import FACTOR_FLOOR, IB_CE_MODES, PROB_FLOOR, LossBreakdown, flare_loss_arrays, softmax
 from flarecast.trainer import _phis, forward
 
@@ -155,13 +155,15 @@ def bss_loop(forecasts):
     return 1.0 - float(((q - o) ** 2).mean()) / (rate * (1.0 - rate))
 
 
-def label_max_class(t, events, horizon_hours=72.0):
-    """Largest flare class among events peaking in ``(t, t + horizon]``, by scanning every event."""
+def label_max_class(t, peak_us, ranks, horizon_hours=72.0):
+    """Largest flare class among events peaking in ``(t, t + horizon]``, by
+    scanning every event as a datetime; events are peak times in UTC epoch
+    microseconds and class ranks."""
     end = t + timedelta(hours=horizon_hours)
     best = FlareClass.O
-    for ev in events:
-        if t < ev.peak_time <= end and ev.flare_class > best:
-            best = ev.flare_class
+    for us, rank in zip(peak_us, ranks):
+        if t < EPOCH + timedelta(microseconds=int(us)) <= end and rank > best:
+            best = FlareClass(int(rank))
     return best
 
 

@@ -9,7 +9,7 @@ see the fallback test, which pins the documented behaviour instead).
 """
 
 import time
-from datetime import datetime, timedelta, timezone
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from flarecast import (
     ClassWeights,
     ConfusionMatrix,
     FlareClass,
-    FlareEvent,
     SampleTable,
     SplitSpec,
     TrainConfig,
@@ -281,8 +280,8 @@ def test_criterion_9_pipeline_policies():
     assert np.array_equal(kept.features[1], [0, 0] + [1] * 8)
 
     first = base.take([0])
-    t0 = datetime.fromtimestamp(int(first.times[0]), timezone.utc)
-    assert label_samples(first, [FlareEvent(t0 + timedelta(hours=63), FlareClass.X)])[0] == FlareClass.X
-    assert label_samples(first, [FlareEvent(t0, FlareClass.X)])[0] == FlareClass.O
-    assert label_samples(first, [FlareEvent(t0 + timedelta(hours=72), FlareClass.X)])[0] == FlareClass.X
+    t0, hour = int(first.times[0]) * 10**6, 3600 * 10**6  # UTC epoch microseconds
+    assert label_samples(first, [t0 + 63 * hour], [FlareClass.X])[0] == FlareClass.X
+    assert label_samples(first, [t0], [FlareClass.X])[0] == FlareClass.O
+    assert label_samples(first, [t0 + 72 * hour], [FlareClass.X])[0] == FlareClass.X
     ok(9, "channel keep/zero-fill/exclude fixtures and half-open labeling window hold")

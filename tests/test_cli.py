@@ -122,6 +122,30 @@ class TestLabel:
         err = capsys.readouterr().err
         assert "samples.csv:3" in err and reason in err
 
+    @pytest.mark.parametrize("hours", ["0", "nan", "inf", "1e10", "1e15"])
+    def test_unusable_horizon_is_usage_error_before_reading(self, tmp_path, capsys, hours):
+        code = run_cli(
+            "label", "--events", tmp_path / "missing.csv", "--samples", tmp_path / "missing.csv",
+            "--horizon-hours", hours, "--out", tmp_path / "labels.csv",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage error: invalid --horizon-hours: horizon must be positive" in err and "Traceback" not in err
+        assert not (tmp_path / "labels.csv").exists()
+
+    def test_non_finite_feature_exits_2_naming_line(self, tmp_path, capsys):
+        (tmp_path / "events.csv").write_text("peak_time,class\n")
+        (tmp_path / "samples.csv").write_text(
+            "id,timestamp,mask,f0\na,2020-01-01T00:00:00Z,1111111111,0.5\nb,2020-01-01T02:00:00Z,1111111111,nan\n"
+        )
+        code = run_cli(
+            "label", "--events", tmp_path / "events.csv",
+            "--samples", tmp_path / "samples.csv", "--out", tmp_path / "labels.csv",
+        )
+        assert code == 2
+        assert "samples.csv:3: features of id 'b' must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "labels.csv").exists()
+
     def test_header_only_samples_give_header_only_labels(self, tmp_path):
         (tmp_path / "events.csv").write_text("peak_time,class\n2020-01-01T05:00:00Z,X\n")
         (tmp_path / "samples.csv").write_text("id,timestamp,mask,f0,f1\n")
@@ -358,6 +382,19 @@ class TestTrain:
         cfg.write_text(BASE_CONFIG)
         assert run_cli("train", "--config", cfg, "--data-dir", tmp_path, "--out-dir", tmp_path / "out") == 0
         assert "0 samples excluded by channel policy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line", [2, 241], ids=["training-range", "test-range"])
+    def test_non_finite_feature_exits_2_naming_line(self, tmp_path, capsys, line):
+        make_training_data(tmp_path)
+        lines = (tmp_path / "samples.csv").read_text().splitlines()
+        lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + ",nan"
+        (tmp_path / "samples.csv").write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CONFIG)
+        code = run_cli("train", "--config", cfg, "--data-dir", tmp_path, "--out-dir", tmp_path / "out")
+        assert code == 2
+        assert f"samples.csv:{line}: features of id" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_header_only_samples_exit_2(self, tmp_path, capsys):
         (tmp_path / "samples.csv").write_text("id,timestamp,mask,f0\n")

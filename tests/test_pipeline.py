@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from flarecast import (
     FlareClass,
-    FlareEvent,
     SampleTable,
     SplitSpec,
     apply_channel_policy,
@@ -17,7 +16,7 @@ from flarecast import (
     label_samples,
     split_timeseries,
 )
-from flarecast.core import grid_seconds
+from flarecast.core import EPOCH, MICROSECOND, grid_seconds
 from flarecast.pipeline import (
     DEFAULT_START_TIME,
     DataFileError,
@@ -38,17 +37,23 @@ UTC = timezone.utc
 T0 = datetime(2021, 10, 26, 0, 0, tzinfo=UTC)
 
 
-def event(hours_after: float, cls: FlareClass) -> FlareEvent:
-    return FlareEvent(T0 + timedelta(hours=hours_after), cls)
+def event(hours_after: float, cls: FlareClass):
+    return T0 + timedelta(hours=hours_after), cls
 
 
-def make_table(rows, labels=None, mask=(True,) * 10, features=None, step_hours=2) -> SampleTable:
-    """Rows ``i`` in ``rows``: id ``s{i:03d}``, time ``T0 + step_hours * i``, features ``arange(10) + i``."""
+def columns(events):
+    """``(peak_us, ranks)`` columns of ``(peak_time, class)`` pairs."""
+    peak_us = [(t - EPOCH) // MICROSECOND for t, _ in events]
+    return np.array(peak_us, dtype=np.int64), np.array([c for _, c in events], dtype=np.int8)
+
+
+def make_table(rows, labels=None, mask=(True,) * 10, features=None, step_hours=2, start=T0) -> SampleTable:
+    """Rows ``i`` in ``rows``: id ``s{i:03d}``, time ``start + step_hours * i``, features ``arange(10) + i``."""
     rows = np.asarray(rows)
     feats = np.arange(10, dtype=float) + rows[:, None] if features is None else features
     return SampleTable(
         [f"s{i:03d}" for i in rows],
-        grid_seconds(T0) + 3600 * step_hours * rows,
+        grid_seconds(start) + 3600 * step_hours * rows,
         np.tile(mask, (len(rows), 1)),
         feats,
         labels,
@@ -57,7 +62,7 @@ def make_table(rows, labels=None, mask=(True,) * 10, features=None, step_hours=2
 
 def window_label(events) -> FlareClass:
     """Label of a one-row table at ``T0``."""
-    labels = label_samples(make_table([0]), events)
+    labels = label_samples(make_table([0]), *columns(events))
     assert labels.dtype == np.int8 and labels.shape == (1,)
     return FlareClass(int(labels[0]))
 
@@ -75,7 +80,7 @@ class TestLabelMaxClass:
         events = [event(10, FlareClass.C), event(70, FlareClass.M)]
         # brute-force oracle: max class among events with 0 < t <= 72
         expected = max(
-            (e.flare_class for e in events if 0 < (e.peak_time - T0).total_seconds() / 3600 <= 72),
+            (c for t, c in events if 0 < (t - T0).total_seconds() / 3600 <= 72),
             default=FlareClass.O,
         )
         assert window_label(events) is expected is FlareClass.M
@@ -102,9 +107,14 @@ class TestLabelMaxClass:
     def test_label_samples_matches_scalar_op(self):
         rng = np.random.default_rng(1)
         events = [event(float(rng.uniform(-50, 250)), FlareClass(int(rng.integers(4)))) for _ in range(60)]
-        batch = label_samples(make_table(range(40)), events)
+        batch = label_samples(make_table(range(40)), *columns(events))
         for i, got in enumerate(batch):
-            assert got == label_max_class(T0 + timedelta(hours=2 * i), events)
+            assert got == label_max_class(T0 + timedelta(hours=2 * i), *columns(events))
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf"), 1e10, 1e15])
+    def test_unusable_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive and within the datetime range"):
+            label_samples(make_table([0]), *columns([event(1, FlareClass.X)]), horizon_hours=horizon)
 
 
 class TestChannelPolicy:
@@ -242,25 +252,30 @@ class TestGenSynthetic:
 
 
 class TestEventsForSamples:
-    def test_round_trip_with_disjoint_windows(self):
+    def test_round_trip_with_disjoint_windows(self, tmp_path):
         table = gen_synthetic(300, [0.38, 0.35, 0.23, 0.04], seed=9, feature_dim=4, spacing_steps=37)
-        events = events_for_samples(table)
-        relabeled = label_samples(table, events)
+        peak_us, ranks = events_for_samples(table)
+        assert peak_us.dtype == np.int64 and ranks.dtype == np.int8
+        relabeled = label_samples(table, peak_us, ranks)
         assert np.array_equal(table.labels, relabeled)
+        write_events(tmp_path / "events.csv", peak_us, ranks)
+        assert np.array_equal(table.labels, label_samples(table, *read_events(tmp_path / "events.csv")))
 
     def test_quiet_samples_produce_no_events(self):
         table = gen_synthetic(50, [1.0, 0.0, 0.0, 0.0], seed=2, feature_dim=3)
-        assert events_for_samples(table) == []
+        peak_us, ranks = events_for_samples(table)
+        assert peak_us.shape == ranks.shape == (0,)
 
 
 class TestCsvFormats:
     def test_events_round_trip(self, tmp_path):
-        events = [event(10, FlareClass.X), event(30.0, FlareClass.C)]
+        peak_us, ranks = columns([event(10, FlareClass.X), event(30.0, FlareClass.C)])
         path = tmp_path / "events.csv"
-        write_events(path, events)
-        assert path.read_text().splitlines()[0] == "peak_time,class"
-        back = read_events(path)
-        assert back == events
+        write_events(path, peak_us, ranks)
+        assert path.read_text().splitlines() == ["peak_time,class", "2021-10-26T10:00:00Z,X", "2021-10-27T06:00:00Z,C"]
+        back_us, back_ranks = read_events(path)
+        assert back_us.dtype == np.int64 and back_ranks.dtype == np.int8
+        assert back_us.tolist() == peak_us.tolist() and back_ranks.tolist() == ranks.tolist()
 
     def test_samples_round_trip(self, tmp_path):
         table = gen_synthetic(20, [0.25] * 4, seed=1, feature_dim=3)
@@ -282,10 +297,24 @@ class TestCsvFormats:
         assert ids.dtype.kind == "U" and ids.tolist() == ["a", "b"]
         assert ranks.dtype == np.int8 and ranks.tolist() == [FlareClass.X, FlareClass.O]
 
+    def test_rank_outside_classes_rejected(self, tmp_path):
+        # an unlabeled row's -1 would otherwise index the last name, X
+        with pytest.raises(ValueError, match=r"class rank outside 0\.\.3"):
+            write_labels(tmp_path / "labels.csv", ["a", "b"], [FlareClass.C, -1])
+        with pytest.raises(ValueError, match=r"class rank outside 0\.\.3"):
+            write_events(tmp_path / "events.csv", [0], [4])
+
     def test_malformed_event_row_names_line(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("peak_time,class\n2020-01-01T00:00:00Z,X\nnot-a-time,C\n")
         with pytest.raises(DataFileError, match=r"events\.csv:3"):
+            read_events(path)
+
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:00:00-01:00"])
+    def test_event_time_outside_datetime_range_names_line(self, tmp_path, stamp):
+        path = tmp_path / "events.csv"
+        path.write_text(f"peak_time,class\n2020-01-01T00:00:00Z,X\n{stamp},C\n")
+        with pytest.raises(DataFileError, match=r"events\.csv:3: date value out of range"):
             read_events(path)
 
     def test_bad_header_rejected(self, tmp_path):
@@ -302,6 +331,18 @@ class TestCsvFormats:
         samples = tmp_path / "samples.csv"
         samples.write_text("Id,TIMESTAMP, Mask ,F0\na,2020-01-01T00:00:00Z,1111111111,0.5\n")
         assert read_samples(samples).ids.tolist() == ["a"]
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_feature_names_line(self, tmp_path, value):
+        path = tmp_path / "samples.csv"
+        path.write_text(
+            "id,timestamp,mask,f0,f1\n"
+            "a,2020-01-01T00:00:00Z,1111111111,0.5,1.0\n"
+            f"b,2020-01-01T02:00:00Z,1111111111,0.5,{value}\n"
+            f"c,2020-01-01T04:00:00Z,1111111111,{value},1.0\n"
+        )
+        with pytest.raises(DataFileError, match=r"samples\.csv:3: features of id 'b' must be finite"):
+            read_samples(path)
 
     def test_bad_mask_names_line(self, tmp_path):
         path = tmp_path / "samples.csv"
@@ -362,13 +403,44 @@ class TestArrayFormsMatchOracles:
     )
     def test_label_samples_equals_brute_force(self, n, spacing_steps, horizon_hours, events):
         step = timedelta(hours=2 * spacing_steps)
-        evs = [
-            FlareEvent(T0 + (row % n) * step + timedelta(microseconds=us), FlareClass(c))
-            for row, us, c in events
-        ]
-        got = label_samples(make_table(range(n), step_hours=2 * spacing_steps), evs, horizon_hours)
-        want = [int(label_max_class(T0 + i * step, evs, horizon_hours)) for i in range(n)]
+        evs = columns([(T0 + (row % n) * step + timedelta(microseconds=us), c) for row, us, c in events])
+        got = label_samples(make_table(range(n), step_hours=2 * spacing_steps), *evs, horizon_hours)
+        want = [int(label_max_class(T0 + i * step, *evs, horizon_hours)) for i in range(n)]
         assert got.tolist() == want
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        start=st.sampled_from([datetime(1901, 3, 4, tzinfo=UTC), datetime(1969, 12, 31, 20, tzinfo=UTC), T0]),
+        events=st.lists(
+            st.tuples(
+                st.integers(0, 9),
+                event_offsets | event_offsets.map(lambda us: us - us % 10**6),  # whole seconds too
+                st.integers(0, 3),
+                st.integers(-23 * 60 - 59, 23 * 60 + 59),  # the UTC offset, in minutes, a file may carry
+            ),
+            max_size=30,
+        ),
+    )
+    def test_events_csv_round_trip(self, tmp_path_factory, start, events):
+        table = make_table(range(10), start=start)
+        peaks = [start + row * timedelta(hours=2) + timedelta(microseconds=us) for row, us, _, _ in events]
+        peak_us, ranks = columns([(t, c) for t, (_, _, c, _) in zip(peaks, events)])
+        labels = label_samples(table, peak_us, ranks)
+
+        path = tmp_path_factory.mktemp("csv") / "events.csv"
+        write_events(path, peak_us, ranks)
+        stamps = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+        assert [len(s) for s in stamps] == [20 if us % 10**6 == 0 else 27 for us in peak_us.tolist()]
+        # A file written elsewhere, in local offsets, reads back to the same columns.
+        offsets = path.with_name("offsets.csv")
+        offsets.write_text("peak_time,class\n" + "".join(
+            f"{t.astimezone(timezone(timedelta(minutes=m))).isoformat()},{FlareClass(c).name}\n"
+            for t, (_, _, c, m) in zip(peaks, events)
+        ))
+        for back_us, back_ranks in (read_events(path), read_events(offsets)):
+            assert back_us.dtype == np.int64 and back_ranks.dtype == np.int8
+            assert back_us.tolist() == peak_us.tolist() and back_ranks.tolist() == ranks.tolist()
+            assert np.array_equal(label_samples(table, back_us, back_ranks), labels)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(n=st.integers(0, 30), dim=st.integers(1, 25), seed=st.integers(0, 2**32 - 1))
@@ -391,7 +463,7 @@ class TestArrayFormsMatchOracles:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(data=st.data(), n=st.integers(1, 15), dim=st.integers(1, 6))
     def test_samples_csv_round_trip(self, tmp_path_factory, data, n, dim):
-        values = st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False)
+        values = st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, allow_infinity=False)
         feats = np.array(data.draw(st.lists(values, min_size=n * dim, max_size=n * dim)))
         masks = np.array(data.draw(st.lists(st.booleans(), min_size=10 * n, max_size=10 * n))).reshape(n, 10)
         steps = data.draw(st.lists(st.integers(-300_000, 300_000), min_size=n, max_size=n))
