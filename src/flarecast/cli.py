@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 I/O or data error, 3 numerical
 failure. Every command that owns an output directory writes the resolved
 configuration there as ``config.txt``. Training configuration is read from a
 ``key=value`` file (``#`` comments allowed), overridable by ``FLARE_``-prefixed
-environment variables and ``--set key=value`` flags, in that order.
+environment variables and ``--set key=value`` flags, in that order. A ``train``
+run's ``config.txt`` can be passed back as ``--config`` to repeat the run, and
+its checkpoint's ``config_hash`` is the first 16 hex digits of that file's sha256.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .cycle import CycleConfig
 from .losses import _bss_logit_grad, batch_factors_arrays, flare_loss_arrays, gradient_error, softmax
 from .metrics import build_report, gerrity_matrix
 from .pipeline import (
+    DEFAULT_HORIZON_HOURS,
     DataFileError,
     SplitSpec,
     _horizon_us,
@@ -68,11 +71,13 @@ class _Parser(argparse.ArgumentParser):
 NOT_KEYS = ("cycle", "sizes")
 
 
-def _config_keys() -> List[str]:
-    """Every key accepted in config files, environment and --set: the fields of
-    TrainConfig, its CycleConfig and SplitSpec, plus the fold index."""
-    names = [f.name for cls in (TrainConfig, CycleConfig, SplitSpec) for f in fields(cls)]
-    return [name for name in names if name not in NOT_KEYS] + ["fold"]
+def _config_items(cfg: TrainConfig, split: SplitSpec, fold_index: int) -> List[Tuple[str, object]]:
+    """Every configuration key with its value: the fields of TrainConfig, its
+    CycleConfig and SplitSpec, plus the fold index. The keys are the ones config
+    files, environment and --set accept; the items are ``train``'s ``config.txt``,
+    which fed back through --config or --set rebuilds the same configuration."""
+    items = [(f.name, getattr(obj, f.name)) for obj in (cfg, cfg.cycle, split) for f in fields(obj)]
+    return [(key, value) for key, value in items if key not in NOT_KEYS] + [("fold", fold_index)]
 
 
 def parse_config_file(path) -> Dict[str, str]:
@@ -136,7 +141,7 @@ def resolve_run_config(
     config_path: Optional[str], set_overrides: Sequence[str]
 ) -> Tuple[TrainConfig, SplitSpec, int]:
     """Merge defaults, config file, environment, and --set into typed configs."""
-    known = _config_keys()
+    known = [key for key, _ in _config_items(TrainConfig(), SplitSpec(), 0)]
     raw: Dict[str, str] = {}
     if config_path is not None:
         raw.update(parse_config_file(config_path))
@@ -163,22 +168,14 @@ def resolve_run_config(
     return cfg, split, fold_index
 
 
-def _config_echo_lines(cfg: TrainConfig, split: SplitSpec, fold_index: int) -> List[str]:
-    """Sorted ``key=value`` lines of every configuration key; fed back through
-    ``--set`` they rebuild the same configuration."""
-    items = [(f.name, getattr(obj, f.name)) for obj in (cfg, cfg.cycle, split) for f in fields(obj)]
-    items.append(("fold", fold_index))
-    return sorted(f"{key}={_format_value(value)}" for key, value in items if key not in NOT_KEYS)
-
-
-def _args_echo_lines(args) -> List[str]:
-    """Sorted ``key=value`` lines of a command's parsed flags: the whole
-    configuration of the commands without a config file."""
-    return sorted(f"{key}={value}" for key, value in vars(args).items() if key not in ("command", "func"))
-
-
-def _write_config_echo(out_dir: Path, lines: Sequence[str]) -> None:
-    (out_dir / "config.txt").write_text("\n".join(lines) + "\n")
+def _write_config(out_dir: Path, items: Iterable[Tuple[str, object]]) -> str:
+    """Write ``config.txt`` into ``out_dir`` and return its text: one sorted
+    ``key=value`` line per item, formatted by :func:`_format_value`, leaving
+    out the ``command`` and ``func`` entries of parsed flags."""
+    lines = sorted(f"{key}={_format_value(value)}" for key, value in items if key not in ("command", "func"))
+    text = "\n".join(lines) + "\n"
+    (out_dir / "config.txt").write_text(text)
+    return text
 
 
 def _ensure_out_dir(path_str: str) -> Path:
@@ -206,7 +203,7 @@ def cmd_gen_data(args) -> int:
     out_dir = _ensure_out_dir(args.out_dir)
     write_samples(out_dir / "samples.csv", table)
     write_events(out_dir / "events.csv", *events_for_samples(table))
-    _write_config_echo(out_dir, _args_echo_lines(args))
+    _write_config(out_dir, vars(args).items())
     print(f"wrote {len(table)} samples and events to {out_dir}")
     return 0
 
@@ -243,7 +240,7 @@ def cmd_eval(args) -> int:
     text = report.to_text()
     (out_dir / "report.txt").write_text(text)
     (out_dir / "report.csv").write_text(report.to_csv())
-    _write_config_echo(out_dir, _args_echo_lines(args))
+    _write_config(out_dir, vars(args).items())
     sys.stdout.write(text)
     return 0
 
@@ -262,12 +259,12 @@ def cmd_train(args) -> int:
     result = train(table, fold, cfg)
 
     out_dir = _ensure_out_dir(args.out_dir)
+    config_text = _write_config(out_dir, _config_items(cfg, split_spec, fold_index))
     write_history(out_dir / "history.csv", result.history)
-    save_checkpoint(out_dir / "checkpoint.txt", result.best, cfg)
+    save_checkpoint(out_dir / "checkpoint.txt", result.best, config_text)
     test_report = evaluate_fold(table, fold.test, result.best.params, cfg)
     (out_dir / "test_report.txt").write_text(test_report.to_text())
     (out_dir / "test_report.csv").write_text(test_report.to_csv())
-    _write_config_echo(out_dir, _config_echo_lines(cfg, split_spec, fold_index))
     print(
         f"best epoch {result.best.epoch}: validation gmgs {result.best.val_gmgs:.4f}; "
         f"test gmgs {test_report.gmgs:.4f}, tss {test_report.tss_ge_m:.4f}; "
@@ -352,7 +349,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("label", help="label samples with the largest event class in the next horizon")
     p.add_argument("--events", required=True)
     p.add_argument("--samples", required=True)
-    p.add_argument("--horizon-hours", type=float, default=72.0)
+    p.add_argument("--horizon-hours", type=float, default=DEFAULT_HORIZON_HOURS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_label)
 
@@ -386,10 +383,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataFileError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (DataFileError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -325,11 +325,12 @@ def _csv_rows(path, *headers: List[str], more: str = ""):
 
 def write_events(path, peak_us, ranks) -> None:
     """Write ``peak_time,class`` rows in UTC, with a 6-digit fraction only where a time is not a whole second."""
+    names = _class_names(ranks)
     stamps = np.datetime_as_string(np.asarray(peak_us, dtype=np.int64).astype("datetime64[us]")).tolist()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["peak_time", "class"])
-        w.writerows(zip((t.removesuffix(".000000") + "Z" for t in stamps), _class_names(ranks)))
+        w.writerows(zip((t.removesuffix(".000000") + "Z" for t in stamps), names))
 
 
 def read_events(path) -> Tuple[np.ndarray, np.ndarray]:
@@ -383,22 +384,41 @@ def read_samples(path) -> SampleTable:
 
 def write_labels(path, ids: Sequence[str], labels) -> None:
     """Write ``id,label`` rows; ``labels`` are class ranks or :class:`FlareClass` members."""
+    names = _class_names(labels)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "label"])
-        w.writerows(zip(ids, _class_names(labels)))
+        w.writerows(zip(ids, names))
+
+
+def _read_id_classes(path, *headers: List[str]) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """An id-keyed class file whose header is one of ``headers``, as columns:
+    the ids (str) and either the class ranks (int8) of an ``id,label`` file or
+    the unscaled rows (float64) of an ``id,p_o,p_c,p_m,p_x`` file, the other None."""
+    ids: List[str] = []
+    seen: Dict[str, int] = {}
+    ranks = array("b")
+    probs = array("d")
+    with _csv_rows(path, *headers) as (header, rows):
+        hard = len(header) == 2
+        for line_no, row in rows:
+            ids.append(_new_id(row[0], line_no, seen))
+            if hard:
+                ranks.append(FlareClass.from_name(row[1]))
+                continue
+            vec = [float(v) for v in row[1:]]
+            if not (min(vec) >= 0 and abs(sum(vec) - 1.0) <= 1e-6):
+                raise ValueError(f"probabilities must be non-negative and sum to 1, got {row[1:]}")
+            probs.extend(vec)
+    ids = np.array(ids, dtype=str)
+    if hard:
+        return ids, np.frombuffer(ranks, dtype=np.int8), None
+    return ids, None, np.frombuffer(probs).reshape(-1, N_CLASSES)
 
 
 def read_labels(path) -> Tuple[np.ndarray, np.ndarray]:
     """``labels.csv`` as columns: the ids (str) and their class ranks (int8)."""
-    ids: List[str] = []
-    seen: Dict[str, int] = {}
-    ranks = array("b")
-    with _csv_rows(path, ["id", "label"]) as (_, rows):
-        for line_no, row in rows:
-            ids.append(_new_id(row[0], line_no, seen))
-            ranks.append(FlareClass.from_name(row[1]))
-    return np.array(ids, dtype=str), np.frombuffer(ranks, dtype=np.int8)
+    return _read_id_classes(path, ["id", "label"])[:2]
 
 
 def match_ids(keys: np.ndarray, wanted: np.ndarray, keys_path, wanted_path) -> np.ndarray:
@@ -418,25 +438,11 @@ def match_ids(keys: np.ndarray, wanted: np.ndarray, keys_path, wanted_path) -> n
 
 def read_predictions(path) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Prediction file: either hard classes (`id,label`) or distributions
-    (`id,p_o,p_c,p_m,p_x`). Returns the ids (str), the predicted class ranks, and
-    the distributions, each row scaled to sum to 1 (None for hard classes)."""
-    ids: List[str] = []
-    seen: Dict[str, int] = {}
-    ranks = array("q")
-    probs = array("d")
-    with _csv_rows(path, ["id", "label"], ["id", "p_o", "p_c", "p_m", "p_x"]) as (header, rows):
-        for line_no, row in rows:
-            ids.append(_new_id(row[0], line_no, seen))
-            if len(header) == 2:
-                ranks.append(FlareClass.from_name(row[1]))
-                continue
-            vec = [float(v) for v in row[1:]]
-            if not (min(vec) >= 0 and abs(sum(vec) - 1.0) <= 1e-6):
-                raise ValueError(f"probabilities must be non-negative and sum to 1, got {row[1:]}")
-            probs.extend(vec)
-    ids = np.array(ids, dtype=str)
-    if len(header) == 2:
-        return ids, np.frombuffer(ranks, dtype=np.int64), None
-    dists = np.frombuffer(probs).reshape(-1, N_CLASSES)
+    (`id,p_o,p_c,p_m,p_x`). Returns the ids (str), the predicted class ranks
+    (int8 for hard classes), and the distributions, each row scaled to sum to
+    1 (None for hard classes)."""
+    ids, ranks, dists = _read_id_classes(path, ["id", "label"], ["id", "p_o", "p_c", "p_m", "p_x"])
+    if dists is None:
+        return ids, ranks, None
     dists = dists / dists.sum(axis=1, keepdims=True)
     return ids, dists.argmax(axis=1), dists

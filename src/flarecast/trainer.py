@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "require_all_classes",
     "train",
     "evaluate_fold",
-    "config_hash",
     "write_history",
     "save_checkpoint",
     "load_checkpoint",
@@ -88,17 +87,6 @@ class TrainConfig:
             raise ValueError("hidden_sizes must be two positive widths")
         if self.ib_ce_mode not in IB_CE_MODES:
             raise ValueError(f"unknown influence-factor mode {self.ib_ce_mode!r}")
-
-
-def config_hash(cfg: TrainConfig) -> str:
-    """Stable hash of the full configuration, embedded in checkpoints."""
-    items = []
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if isinstance(v, CycleConfig):
-            v = f"{v.base_time.isoformat()}|{v.period_hours!r}"
-        items.append(f"{f.name}={v!r}")
-    return hashlib.sha256("\n".join(sorted(items)).encode()).hexdigest()[:16]
 
 
 def head_width(cfg: TrainConfig) -> int:
@@ -360,11 +348,12 @@ def write_history(path, history: Sequence[EpochRecord]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def save_checkpoint(path, checkpoint: Checkpoint, cfg: TrainConfig) -> None:
-    """Plain-text parameter dump: versioned header, config hash, named arrays."""
+def save_checkpoint(path, checkpoint: Checkpoint, config_text: str) -> None:
+    """Plain-text parameter dump: versioned header, config hash (the first 16
+    hex digits of the sha256 of ``config_text``, the run's ``config.txt``), named arrays."""
     lines = [
         CHECKPOINT_MAGIC,
-        f"config_hash={config_hash(cfg)}",
+        f"config_hash={hashlib.sha256(config_text.encode()).hexdigest()[:16]}",
         f"epoch={checkpoint.epoch}",
         f"val_gmgs={checkpoint.val_gmgs!r}",
     ]

@@ -2,6 +2,7 @@
 config resolution."""
 
 import csv
+import hashlib
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
@@ -13,7 +14,7 @@ import flarecast.cli as cli
 from flarecast import FlareClass
 from flarecast.cli import main
 from flarecast.pipeline import read_labels, write_labels
-from flarecast.trainer import config_hash
+from flarecast.trainer import Checkpoint, load_checkpoint, save_checkpoint
 
 from oracles import REFERENCE_CONFUSION, pairs_from_matrix
 
@@ -507,13 +508,47 @@ class TestTrain:
         ],
         ids=["defaults", "overridden"],
     )
-    def test_config_echo_round_trips_through_set(self, overrides):
+    def test_config_echo_round_trips_through_set(self, tmp_path, overrides):
         cfg, split, fold = cli.resolve_run_config(None, overrides)
-        echo = cli._config_echo_lines(cfg, split, fold)
-        again = cli.resolve_run_config(None, echo)
-        assert config_hash(again[0]) == config_hash(cfg)
-        assert again == (cfg, split, fold)
-        assert cli._config_echo_lines(*again) == echo
+        text = cli._write_config(tmp_path, cli._config_items(cfg, split, fold))
+        assert (tmp_path / "config.txt").read_text() == text
+        (tmp_path / "again").mkdir()
+        for source in (None, tmp_path / "config.txt"):  # the lines as --set flags, then the file as --config
+            again = cli.resolve_run_config(source, text.splitlines() if source is None else [])
+            assert again == (cfg, split, fold)
+            assert cli._write_config(tmp_path / "again", cli._config_items(*again)) == text
+
+    @pytest.mark.parametrize(
+        "changed",
+        [["seed=1"], ["fold=1"], ["train_frac=0.7", "test_frac=0.1"], ["base_time=2009-01-01T00:00:00Z"]],
+        ids=["seed", "fold", "train_frac", "base_time"],
+    )
+    def test_config_hash_follows_every_key(self, tmp_path, changed):
+        # fold and the split fractions choose the training range, so they count as much as seed
+        checkpoint = Checkpoint(epoch=0, params={"a": np.zeros(2)}, val_gmgs=0.0, val_report=None)
+        hashes = []
+        for name, overrides in (("default", []), ("changed", changed)):
+            out = tmp_path / name
+            out.mkdir()
+            text = cli._write_config(out, cli._config_items(*cli.resolve_run_config(None, overrides)))
+            save_checkpoint(out / "checkpoint.txt", checkpoint, text)
+            hashes.append(load_checkpoint(out / "checkpoint.txt")[1]["config_hash"])
+        assert hashes[0] != hashes[1]
+
+    def test_checkpoint_hash_is_digest_of_config_txt(self, tmp_path):
+        make_training_data(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CONFIG)
+        assert run_cli("train", "--config", cfg, "--data-dir", tmp_path, "--out-dir", tmp_path / "out") == 0
+        digest = hashlib.sha256((tmp_path / "out" / "config.txt").read_bytes()).hexdigest()[:16]
+        assert (tmp_path / "out" / "checkpoint.txt").read_text().splitlines()[1] == f"config_hash={digest}"
+
+        # the run's config.txt, passed back as --config, reproduces the run
+        again = tmp_path / "again"
+        code = run_cli("train", "--config", tmp_path / "out" / "config.txt", "--data-dir", tmp_path, "--out-dir", again)
+        assert code == 0
+        for name in ("config.txt", "checkpoint.txt"):
+            assert (again / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
     def test_missing_data_dir_exits_2(self, tmp_path):
         assert run_cli("train", "--data-dir", tmp_path / "nope", "--out-dir", tmp_path / "o") == 2

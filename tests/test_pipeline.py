@@ -25,6 +25,7 @@ from flarecast.pipeline import (
     match_ids,
     read_events,
     read_labels,
+    read_predictions,
     read_samples,
     write_events,
     write_labels,
@@ -303,6 +304,25 @@ class TestCsvFormats:
             write_labels(tmp_path / "labels.csv", ["a", "b"], [FlareClass.C, -1])
         with pytest.raises(ValueError, match=r"class rank outside 0\.\.3"):
             write_events(tmp_path / "events.csv", [0], [4])
+
+    @pytest.mark.parametrize(
+        "write",
+        [lambda path: write_labels(path, ["a"], [-1]), lambda path: write_events(path, [0], [4])],
+        ids=["labels", "events"],
+    )
+    def test_rank_outside_classes_leaves_no_file(self, tmp_path, write):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=r"class rank outside 0\.\.3"):
+            write(path)
+        assert not path.exists()
+
+    def test_hard_predictions_read_like_labels(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        write_labels(path, ["a", "b", "c"], [FlareClass.X, FlareClass.O, FlareClass.M])
+        ids, ranks, probs = read_predictions(path)
+        assert probs is None and ids.tolist() == ["a", "b", "c"]
+        assert ranks.dtype == np.int8 and ranks.tolist() == [FlareClass.X, FlareClass.O, FlareClass.M]
+        assert np.array_equal(ranks, read_labels(path)[1])
 
     def test_malformed_event_row_names_line(self, tmp_path):
         path = tmp_path / "events.csv"
