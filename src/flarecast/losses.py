@@ -16,11 +16,12 @@ per-sample constants when differentiating.
 
 The batch math has one kernel, :func:`flare_loss_arrays`, which returns the
 loss breakdown and its logit gradient together; it takes per-row arrays
-(probabilities, one-hot targets, head-input L1 norms, sample weights), and the
-trainer's hot path calls it directly. The Brier logit gradient exists once,
-shared by the kernel and :func:`batch_factors_arrays`. :func:`gradient_error`
-is the one central-difference check, shared by the trainer's first-batch
-verification and ``gradcheck``.
+(probabilities, target distributions, head-input L1 norms, sample weights),
+and the trainer's hot path calls it directly. The Brier logit gradient exists
+once; the kernel computes it and the residual ``probs - ys`` once per batch
+and shares both with the influence factors, which :func:`batch_factors_arrays`
+also exposes. :func:`gradient_error` is the one central-difference check,
+shared by the trainer's first-batch verification and ``gradcheck``.
 """
 
 from __future__ import annotations
@@ -49,16 +50,19 @@ IB_CE_MODES = ("residual", "literal")
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis."""
     z = np.asarray(logits, dtype=float)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _bss_logit_grad(probs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Gradient of each row's squared error ``sum_k (p_k - y_k)^2`` w.r.t. its
     logits: ``2 p_k (delta_k - delta . p)`` with ``delta = probs - ys``."""
-    delta = probs - ys
-    return 2.0 * probs * (delta - (delta * probs).sum(axis=1, keepdims=True))
+    return _bss_grad_of_delta(probs, probs - ys)
+
+
+def _bss_grad_of_delta(probs: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    return 2.0 * probs * (delta - np.add.reduce(delta * probs, axis=1, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -82,14 +86,18 @@ def batch_factors_arrays(
     probs: np.ndarray, ys: np.ndarray, hidden_l1: np.ndarray, ib_ce_mode: str = "residual"
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized influence factors (CE factor, quadratic factor) per sample."""
+    delta = probs - ys
+    return _factors(probs, delta, _bss_grad_of_delta(probs, delta), hidden_l1, ib_ce_mode)
+
+
+def _factors(
+    probs: np.ndarray, delta: np.ndarray, bss_grad: np.ndarray, hidden_l1: np.ndarray, ib_ce_mode: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Influence factors from a batch's residual ``delta`` and Brier logit gradient."""
     if ib_ce_mode not in IB_CE_MODES:
         raise ValueError(f"unknown influence-factor mode {ib_ce_mode!r}")
-    delta = probs - ys
-    if ib_ce_mode == "residual":
-        f_ce = np.abs(delta).sum(axis=1) * hidden_l1
-    else:
-        f_ce = np.abs(probs).sum(axis=1) * hidden_l1
-    f_bss = np.abs(_bss_logit_grad(probs, ys)).sum(axis=1) * hidden_l1
+    f_ce = np.add.reduce(np.abs(delta if ib_ce_mode == "residual" else probs), axis=1) * hidden_l1
+    f_bss = np.add.reduce(np.abs(bss_grad), axis=1) * hidden_l1
     return np.maximum(f_ce, FACTOR_FLOOR), np.maximum(f_bss, FACTOR_FLOOR)
 
 
@@ -106,37 +114,39 @@ def flare_loss_arrays(
     """Vectorized composite loss over a batch and its gradient w.r.t. every
     sample's logits (B x 4).
 
-    The influence factors are computed once per batch (or taken from
-    ``frozen_factors``) and detached: each acts as a fixed per-sample scale
-    and is not differentiated through.
+    Each row of ``ys`` is a target distribution: one-hot in training, and
+    soft targets are accepted. The influence factors are computed once per
+    batch (or taken from ``frozen_factors``) and detached: each acts as a
+    fixed per-sample scale and is not differentiated through.
     """
     b = probs.shape[0]
     if b == 0:
         raise ValueError("empty batch")
-    ce = -(ys * np.log(np.maximum(probs, PROB_FLOOR))).sum(axis=1)
+    ce = -np.add.reduce(ys * np.log(np.maximum(probs, PROB_FLOOR)), axis=1)
     delta = probs - ys
-    bss = (delta * delta).sum(axis=1)
-    wce = float((sample_weights * ce).sum() / b)
-    wbss = float((sample_weights * bss).sum() / b)
-    ce_scale = np.ones(b)
-    bss_scale = np.full(b, lambda_bss)
+    bss = np.add.reduce(delta * delta, axis=1)
+    bss_grad = _bss_grad_of_delta(probs, delta)
+    w_ce = sample_weights * ce
+    w_bss = sample_weights * bss
+    wce = float(np.add.reduce(w_ce)) / b
+    wbss = float(np.add.reduce(w_bss)) / b
+    w = sample_weights / b
     if ib_active:
-        f_ce, f_bss = (
-            frozen_factors
-            if frozen_factors is not None
-            else batch_factors_arrays(probs, ys, hidden_l1, ib_ce_mode)
-        )
-        ib_ce = float((sample_weights * ce / f_ce).sum() / b)
-        ib_bss = float((sample_weights * bss / f_bss).sum() / b)
-        ce_scale = ce_scale + 1.0 / f_ce
-        bss_scale = bss_scale + lambda_bss / f_bss
+        if frozen_factors is None:
+            frozen_factors = _factors(probs, delta, bss_grad, hidden_l1, ib_ce_mode)
+        f_ce, f_bss = frozen_factors
+        ib_ce = float(np.add.reduce(w_ce / f_ce)) / b
+        ib_bss = float(np.add.reduce(w_bss / f_bss)) / b
+        ce_w = w * (1.0 + 1.0 / f_ce)
+        bss_w = w * (lambda_bss + lambda_bss / f_bss)
     else:
         ib_ce = 0.0
         ib_bss = 0.0
+        ce_w = w  # w * 1.0, exactly
+        bss_w = w * lambda_bss
     total = (wce + ib_ce) + lambda_bss * (wbss + ib_bss)
     breakdown = LossBreakdown(wce=wce, ib_ce=ib_ce, wbss=wbss, ib_bss=ib_bss, total=total, ib_active=ib_active)
-    w = sample_weights / b
-    return breakdown, (w * ce_scale)[:, None] * delta + (w * bss_scale)[:, None] * _bss_logit_grad(probs, ys)
+    return breakdown, ce_w[:, None] * delta + bss_w[:, None] * bss_grad
 
 
 def gradient_error(f: Callable[[], float], x: np.ndarray, analytic: np.ndarray) -> float:

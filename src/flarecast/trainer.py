@@ -7,7 +7,8 @@ weight decay, implemented here so gradients stay fully inspectable.
 
 The parameters, their gradient and both AdamW moments are each one flat
 float64 vector; the named ``Params`` arrays are reshaped views into them, so
-an optimizer step is a few whole-vector operations done in place.
+an optimizer step is a few whole-vector operations done in place. Each epoch
+gathers its shuffled rows once, and every batch is a slice of them.
 
 Checkpoint selection follows validation GMGS: the checkpoint with the highest
 validation score wins, earliest epoch on ties.
@@ -121,7 +122,7 @@ def forward(x: np.ndarray, phis: Optional[np.ndarray], params: Params):
         )
     a0 = np.tanh(x @ params["w0"].T + params["b0"])
     a1 = np.tanh(a0 @ params["w1"].T + params["b1"])
-    head_in = a1 if phis is None else np.hstack([a1, phis[:, None]])
+    head_in = a1 if phis is None else np.concatenate((a1, phis[:, None]), axis=1)
     logits = head_in @ params["head"].T
     return a0, a1, head_in, logits, softmax(logits)
 
@@ -147,10 +148,10 @@ def _backprop(x, a0, a1, head_in, d_logits, params: Params, grads: Params) -> No
     d_a1 = (d_logits @ params["head"])[:, : a1.shape[1]]  # drop the cycle-phase column
     d_pre1 = d_a1 * (1.0 - a1 * a1)
     np.matmul(d_pre1.T, a0, out=grads["w1"])
-    d_pre1.sum(axis=0, out=grads["b1"])
+    np.add.reduce(d_pre1, axis=0, out=grads["b1"])
     d_pre0 = (d_pre1 @ params["w1"]) * (1.0 - a0 * a0)
     np.matmul(d_pre0.T, x, out=grads["w0"])
-    d_pre0.sum(axis=0, out=grads["b0"])
+    np.add.reduce(d_pre0, axis=0, out=grads["b0"])
 
 
 def adamw_step(
@@ -159,23 +160,31 @@ def adamw_step(
     """One decoupled-weight-decay Adam update with bias correction, in place.
 
     ``theta``, ``grad`` and the moments ``m`` and ``v`` are float64 vectors of
-    one length. A non-finite gradient raises before anything is written.
-    Weight decay multiplies every parameter by ``(1 - lr * wd)`` before the
-    moment-based update, so a zero-gradient step shrinks parameters by exactly
-    that factor.
+    one length; the temporaries go into two scratch vectors of that length.
+    A non-finite gradient raises before anything is written. Weight decay
+    multiplies every parameter by ``(1 - lr * wd)`` before the moment-based
+    update, so a zero-gradient step shrinks parameters by exactly that factor.
     """
     if step_index < 1:
         raise ValueError("step_index starts at 1")
     if not np.isfinite(grad).all():
         raise RuntimeError("diverged: non-finite gradient")
+    s, t = np.empty_like(theta), np.empty_like(theta)
+    lr = cfg.learning_rate
     bc1 = 1.0 - cfg.beta1 ** step_index
     bc2 = 1.0 - cfg.beta2 ** step_index
+    # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
     m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * grad
+    m += np.multiply(1.0 - cfg.beta1, grad, out=s)
     v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * grad * grad
-    theta *= 1.0 - cfg.learning_rate * cfg.weight_decay
-    theta -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+    np.multiply(1.0 - cfg.beta2, grad, out=s)
+    v += np.multiply(s, grad, out=s)
+    theta *= 1.0 - lr * cfg.weight_decay
+    # theta -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+    np.multiply(lr, np.divide(m, bc1, out=s), out=s)
+    np.sqrt(np.divide(v, bc2, out=t), out=t)
+    t += cfg.adam_eps
+    theta -= np.divide(s, t, out=s)
 
 
 @dataclass(frozen=True)
@@ -203,8 +212,13 @@ class TrainResult:
     history: List[EpochRecord]
 
 
-def _one_hot_rows(labels: np.ndarray) -> np.ndarray:
-    return np.eye(N_CLASSES)[labels]
+def _batch_loss(probs, y_rows, h_l1, sample_w, cfg: TrainConfig, ib_active: bool, frozen=None):
+    """``flare_loss_arrays`` on a training batch, where a non-finite loss is
+    divergence (RuntimeError), not bad input."""
+    try:
+        return flare_loss_arrays(probs, y_rows, h_l1, sample_w, cfg.lambda_bss, ib_active, cfg.ib_ce_mode, frozen)
+    except ValueError as exc:  # a training batch is never empty, so the loss is not finite
+        raise RuntimeError("diverged: non-finite loss") from exc
 
 
 def _verify_first_batch(x, phis, params, grads, cfg, y_rows, sample_w, ib_active) -> None:
@@ -215,17 +229,13 @@ def _verify_first_batch(x, phis, params, grads, cfg, y_rows, sample_w, ib_active
     """
     def loss_at() -> float:
         _, _, head_in, _, probs = forward(x, phis, params)
-        h_l1 = np.abs(head_in).sum(axis=1)
-        return flare_loss_arrays(
-            probs, y_rows, h_l1, sample_w, cfg.lambda_bss, ib_active, cfg.ib_ce_mode, frozen
-        )[0].total
+        h_l1 = np.add.reduce(np.abs(head_in), axis=1)
+        return _batch_loss(probs, y_rows, h_l1, sample_w, cfg, ib_active, frozen)[0].total
 
     a0, a1, head_in, _, probs = forward(x, phis, params)
-    h_l1 = np.abs(head_in).sum(axis=1)
+    h_l1 = np.add.reduce(np.abs(head_in), axis=1)
     frozen = batch_factors_arrays(probs, y_rows, h_l1, cfg.ib_ce_mode) if ib_active else None
-    _, d_logits = flare_loss_arrays(
-        probs, y_rows, h_l1, sample_w, cfg.lambda_bss, ib_active, cfg.ib_ce_mode, frozen
-    )
+    _, d_logits = _batch_loss(probs, y_rows, h_l1, sample_w, cfg, ib_active, frozen)
     _backprop(x, a0, a1, head_in, d_logits, params, grads)
     worst = max(gradient_error(loss_at, params[name], grads[name]) for name in params)
     if worst > 1e-5:
@@ -277,29 +287,36 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
     history: List[EpochRecord] = []
     for epoch in range(cfg.epochs):
         ib_active = epoch >= cfg.warmup_epochs
+        # The epoch's rows in shuffle order, gathered once; each batch is a slice.
         order = rng.permutation(train_idx)
-        sums = np.zeros(4)
-        seen = 0
+        order_labels = labels[order]
+        x_epoch = x_all[order]
+        phis_epoch = None if phis_all is None else phis_all[order]
+        y_epoch = np.eye(N_CLASSES)[order_labels]
+        w_epoch = gamma_by_class[order_labels]
+        wce_sum = ib_ce_sum = wbss_sum = ib_bss_sum = 0.0
         for lo in range(0, len(order), cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            x = x_all[idx]
-            phis = None if phis_all is None else phis_all[idx]
-            y_rows = _one_hot_rows(labels[idx])
-            sample_w = gamma_by_class[labels[idx]]
+            hi = lo + cfg.batch_size
+            x, y_rows, sample_w = x_epoch[lo:hi], y_epoch[lo:hi], w_epoch[lo:hi]
+            phis = None if phis_epoch is None else phis_epoch[lo:hi]
             if cfg.verify_gradients and epoch == 0 and lo == 0:
                 _verify_first_batch(x, phis, params, grads, cfg, y_rows, sample_w, ib_active)
             a0, a1, head_in, _, probs = forward(x, phis, params)
-            h_l1 = np.abs(head_in).sum(axis=1)
-            breakdown, d_logits = flare_loss_arrays(
-                probs, y_rows, h_l1, sample_w, cfg.lambda_bss, ib_active, cfg.ib_ce_mode
+            breakdown, d_logits = _batch_loss(
+                probs, y_rows, np.add.reduce(np.abs(head_in), axis=1), sample_w, cfg, ib_active
             )
             _backprop(x, a0, a1, head_in, d_logits, params, grads)
             step_index += 1
             adamw_step(theta, grad, m, v, cfg, step_index)
-            b = len(idx)
-            sums += b * np.array([breakdown.wce, breakdown.ib_ce, breakdown.wbss, breakdown.ib_bss])
-            seen += b
-        wce, ib_ce, wbss, ib_bss = (float(v) for v in sums / seen)
+            b = probs.shape[0]
+            wce_sum += b * breakdown.wce
+            ib_ce_sum += b * breakdown.ib_ce
+            wbss_sum += b * breakdown.wbss
+            ib_bss_sum += b * breakdown.ib_bss
+        # Free the epoch's rows (the batch slices are views of them) before validation allocates.
+        del x_epoch, phis_epoch, y_epoch, w_epoch, x, phis, y_rows, sample_w
+        seen = len(order)
+        wce, ib_ce, wbss, ib_bss = wce_sum / seen, ib_ce_sum / seen, wbss_sum / seen, ib_bss_sum / seen
         epoch_losses = LossBreakdown(
             wce=wce,
             ib_ce=ib_ce,

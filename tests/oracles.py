@@ -3,14 +3,17 @@
 These deliberately reimplement the checked quantities by other means: the
 scoring matrix in arbitrary precision via mpmath, gradients via central
 finite differences, window labeling by brute-force scan, confusion counts,
-the Brier skill score, the channel policy and the id join by per-row loops, the loss
-family one sample at a time, and AdamW and backprop in an allocating,
-per-name dict form. None of them import the code paths they verify
-beyond plain data containers and the softmax, with two exceptions: the list forms
+the Brier skill score, the channel policy and the id join by per-row loops,
+the loss family one sample at a time, AdamW and backprop in an allocating,
+per-name dict form, and the training loop one freshly gathered batch at a
+time. None of them import the code paths they verify beyond plain data
+containers and the softmax, with three exceptions: the list forms
 ``flare_loss``/``flare_loss_grad`` adapt ``(HeadState, y)`` pairs to the
-array kernel ``flarecast.losses.flare_loss_arrays``, and ``forward_row``
-reads one row through ``flarecast.trainer.forward`` with the phases of
-``flarecast.trainer._phis``, so the tests that use it check both.
+array kernel ``flarecast.losses.flare_loss_arrays``; ``forward_row`` reads
+one row through ``flarecast.trainer.forward`` with the phases of
+``flarecast.trainer._phis``, so the tests that use it check both; and
+``train_reference`` takes its initial parameters, phases and validation
+scores from ``init_params``, ``_phis`` and ``metrics.build_report``.
 """
 
 from dataclasses import dataclass
@@ -20,9 +23,10 @@ from typing import List, Optional, Sequence, Tuple
 import mpmath as mp
 import numpy as np
 
-from flarecast.core import EPOCH, N_CLASSES, ClassWeights, FlareClass, _frozen
+from flarecast.core import EPOCH, N_CLASSES, ClassWeights, FlareClass, _frozen, class_weights
 from flarecast.losses import FACTOR_FLOOR, IB_CE_MODES, PROB_FLOOR, LossBreakdown, flare_loss_arrays, softmax
-from flarecast.trainer import _phis, forward
+from flarecast.metrics import build_report
+from flarecast.trainer import EpochRecord, _phis, forward, init_params
 
 mp.mp.dps = 50
 
@@ -413,3 +417,91 @@ def adamw_step_dicts(params, grads, moments, cfg, step_index):
         new_params[name] = p
         new_moments[name] = (m, v)
     return new_params, new_moments
+
+
+# ---------------------------------------------------------------------------
+# The training loop one batch at a time, every temporary allocated
+# ---------------------------------------------------------------------------
+
+def forward_allocating(x, phis, params):
+    """Forward pass with ``np.hstack`` for the head input and a two-pass softmax."""
+    a0 = np.tanh(x @ params["w0"].T + params["b0"])
+    a1 = np.tanh(a0 @ params["w1"].T + params["b1"])
+    head_in = a1 if phis is None else np.hstack([a1, phis[:, None]])
+    z = head_in @ params["head"].T
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return a0, a1, head_in, e / e.sum(axis=-1, keepdims=True)
+
+
+def flare_loss_allocating(probs, ys, h_l1, sample_w, lambda_bss, ib_active, ib_ce_mode):
+    """Batch loss sums ``(wce, ib_ce, wbss, ib_bss)`` and logit gradient, with
+    full-length scale vectors and the Brier logit gradient computed for the
+    influence factor and again for the gradient."""
+    b = probs.shape[0]
+    ce = -(ys * np.log(np.maximum(probs, PROB_FLOOR))).sum(axis=1)
+    delta = probs - ys
+    bss = (delta * delta).sum(axis=1)
+    wce = float((sample_w * ce).sum() / b)
+    wbss = float((sample_w * bss).sum() / b)
+    ce_scale = np.ones(b)
+    bss_scale = np.full(b, lambda_bss)
+    ib_ce = ib_bss = 0.0
+    if ib_active:
+        f_ce = np.abs(delta if ib_ce_mode == "residual" else probs).sum(axis=1) * h_l1
+        g = 2.0 * probs * (delta - (delta * probs).sum(axis=1, keepdims=True))
+        f_bss = np.abs(g).sum(axis=1) * h_l1
+        f_ce, f_bss = np.maximum(f_ce, FACTOR_FLOOR), np.maximum(f_bss, FACTOR_FLOOR)
+        ib_ce = float((sample_w * ce / f_ce).sum() / b)
+        ib_bss = float((sample_w * bss / f_bss).sum() / b)
+        ce_scale = ce_scale + 1.0 / f_ce
+        bss_scale = bss_scale + lambda_bss / f_bss
+    g = 2.0 * probs * (delta - (delta * probs).sum(axis=1, keepdims=True))
+    w = sample_w / b
+    return (wce, ib_ce, wbss, ib_bss), (w * ce_scale)[:, None] * delta + (w * bss_scale)[:, None] * g
+
+
+def train_reference(table, fold, cfg):
+    """The training loop with a fancy-index gather, an ``np.eye`` one-hot and
+    freshly allocated arrays on every batch, and no gradient verification
+    (which must leave the parameters as it found them).
+
+    Returns the epoch records, the best epoch and its parameters.
+    """
+    labels = table.labels.astype(np.intp)
+    phis_all = _phis(table.times, cfg)
+    train_idx = np.array(fold.train)
+    counts = np.bincount(labels[train_idx], minlength=N_CLASSES)
+    gamma = (class_weights(counts) if cfg.use_class_weights else ClassWeights.uniform()).weights
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(table.features.shape[1], cfg, rng)
+    moments = {}
+    step_index = 0
+    val = np.asarray(fold.validation, dtype=np.intp)
+    history, best = [], None
+    for epoch in range(cfg.epochs):
+        ib_active = epoch >= cfg.warmup_epochs
+        order = rng.permutation(train_idx)
+        sums = np.zeros(4)
+        for lo in range(0, len(order), cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            x = table.features[idx]
+            phis = None if phis_all is None else phis_all[idx]
+            a0, a1, head_in, probs = forward_allocating(x, phis, params)
+            parts, d_logits = flare_loss_allocating(
+                probs, np.eye(N_CLASSES)[labels[idx]], np.abs(head_in).sum(axis=1), gamma[labels[idx]],
+                cfg.lambda_bss, ib_active, cfg.ib_ce_mode,
+            )
+            grads = backprop_allocating(x, a0, a1, head_in, d_logits, params, phis is not None)
+            step_index += 1
+            params, moments = adamw_step_dicts(params, grads, moments, cfg, step_index)
+            sums += len(idx) * np.array(parts)
+        wce, ib_ce, wbss, ib_bss = (float(s) for s in sums / len(order))
+        losses = LossBreakdown(wce, ib_ce, wbss, ib_bss, (wce + ib_ce) + cfg.lambda_bss * (wbss + ib_bss), ib_active)
+        probs = forward_allocating(table.features[val], _phis(table.times[val], cfg), params)[-1]
+        report = build_report(table.labels[val], probs.argmax(axis=1), probs)
+        bss = report.bss_ge_m if report.bss_ge_m is not None else float("nan")
+        history.append(EpochRecord(epoch, losses, report.gmgs, report.tss_ge_m, bss))
+        if best is None or report.gmgs > best[1]:
+            best = (epoch, report.gmgs, params)
+    return history, best[0], best[2]

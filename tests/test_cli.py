@@ -575,6 +575,29 @@ class TestTrain:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verify", ["false", "true"])  # the third call is a step, or inside verification
+    def test_non_finite_loss_exits_3_leaving_no_output(self, tmp_path, monkeypatch, capsys, verify):
+        import flarecast.trainer as trainer_mod
+
+        make_training_data(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CONFIG + f"verify_gradients={verify}\n")
+        real, calls = trainer_mod.forward, []
+
+        def nan_on_third_call(x, phis, params):
+            out = real(x, phis, params)
+            calls.append(x.shape[0])
+            if len(calls) == 3:
+                out[-1][0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(trainer_mod, "forward", nan_on_third_call)
+        code = run_cli("train", "--config", cfg, "--data-dir", tmp_path, "--out-dir", tmp_path / "o")
+        assert code == 3
+        assert "numerical failure: diverged: non-finite loss" in capsys.readouterr().err
+        assert len(calls) == 3  # raised on the batch that produced the NaN
+        assert not (tmp_path / "o").exists()
+
     def test_paired_loss_configs_run_end_to_end(self, tmp_path):
         make_training_data(tmp_path, n=300, seed=6)
         flare_cfg = tmp_path / "flare.cfg"

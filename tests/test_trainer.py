@@ -23,7 +23,7 @@ from flarecast.trainer import (
     write_history,
 )
 
-from oracles import adamw_step_dicts, backprop_allocating, forward_row
+from oracles import adamw_step_dicts, backprop_allocating, forward_row, train_reference
 
 PROBS = [0.4, 0.3, 0.2, 0.1]
 
@@ -280,6 +280,32 @@ class TestTrainLoop:
         cfg = small_config(epochs=1, warmup_epochs=0, batch_size=16, hidden_sizes=(4, 4), verify_gradients=True)
         with pytest.raises(RuntimeError, match="gradient verification failed"):
             train(samples, fold, cfg)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(batch_size=26),  # 235 training rows: the last batch holds 1 row
+            dict(use_cycle_embedding=False),
+            dict(ib_ce_mode="literal"),
+            dict(use_class_weights=False),
+            dict(warmup_epochs=0, lambda_bss=0.5),
+            dict(verify_gradients=True, hidden_sizes=(4, 4)),
+        ],
+        ids=["last-batch-1-row", "no-embedding", "literal", "uniform-weights", "no-warmup", "verify-gradients"],
+    )
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_loop_bit_equal_to_per_batch_reference(self, overrides, seed):
+        samples = small_dataset(n=392, seed=seed)
+        fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
+        cfg = small_config(**{"epochs": 3, "warmup_epochs": 1, "seed": seed, **overrides})
+        result = train(samples, fold, cfg)
+        history, best_epoch, best_params = train_reference(samples, fold, cfg)
+        assert len(fold.train) == 235
+        assert [repr(r) for r in result.history] == [repr(r) for r in history]
+        assert result.best.epoch == best_epoch
+        assert sorted(result.best.params) == sorted(best_params)
+        for name, p in best_params.items():
+            assert result.best.params[name].tobytes() == p.tobytes(), name
 
     def test_best_checkpoint_is_a_snapshot(self, monkeypatch):
         import flarecast.trainer as trainer_mod
