@@ -63,6 +63,16 @@ REFERENCE_SPLIT_SIZES = (31_085, 4_107, 8_386)
 
 DEFAULT_START_TIME = datetime(2011, 6, 1, 0, 0, tzinfo=timezone.utc)
 
+# Rows per string that write_samples builds and writes at once.
+_WRITE_BLOCK_ROWS = 4096
+
+# The sample stamp read_samples converts in bulk: digits where the form has 0.
+_STAMP_FORM = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
+_MIN_SECONDS = (datetime.min.replace(tzinfo=timezone.utc) - EPOCH) // timedelta(seconds=1)
+
+# Class ranks by exact name; other spellings go through FlareClass.from_name.
+_RANKS = {c.name: int(c) for c in FlareClass}
+
 
 class DataFileError(Exception):
     """A data file failed to parse; carries the offending path and line number."""
@@ -299,27 +309,36 @@ def _csv_rows(path, *headers: List[str], more: str = ""):
     """Open a CSV file whose header, stripped and lowercased, is one of
     ``headers``, followed by one or more columns where ``more`` names them, and
     yield ``(header, rows)``: ``rows`` iterates ``(line_no, row)`` over the
-    non-blank rows, each as wide as the header. A ValueError, csv.Error or
-    OverflowError (a time outside the datetime range) from reading or using the
-    header or rows becomes a DataFileError naming the file and line.
+    non-blank rows, each as wide as the header. A ValueError or OverflowError
+    (a time outside the datetime range) from reading or using the header or
+    rows becomes a DataFileError naming the file and line. Quoting is strict:
+    a csv.Error, such as an unbalanced quote, names the line its row starts on.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
+        end = 0  # the last line of the last row read
 
         def rows() -> Iterator[Tuple[int, List[str]]]:
+            nonlocal end
+            width = len(header)
             for row in reader:
-                if row and len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                if row:
-                    yield reader.line_num, row
+                end = reader.line_num
+                if len(row) != width:
+                    if row:
+                        raise ValueError(f"expected {width} fields, got {len(row)}")
+                    continue
+                yield end, row
 
         try:
             header = [h.strip().lower() for h in next(reader, [])]
+            end = reader.line_num
             if not any(header[: len(f)] == f and (len(header) > len(f)) == bool(more) for f in headers):
                 expected = " or ".join(repr(",".join(f + [more] if more else f)) for f in headers)
                 raise ValueError(f"expected header {expected}")
             yield header, rows()
-        except (ValueError, OverflowError, csv.Error) as exc:
+        except csv.Error as exc:
+            raise DataFileError(path, end + 1, str(exc)) from None
+        except (ValueError, OverflowError) as exc:
             raise DataFileError(path, max(reader.line_num, 1), str(exc)) from None
 
 
@@ -343,40 +362,92 @@ def read_events(path) -> Tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(peak_us, dtype=np.int64), np.frombuffer(ranks, dtype=np.int8)
 
 
+def _csv_fields(texts: List[str]) -> List[str]:
+    """``texts`` as csv.writer's minimal quoting writes them: a text holding a
+    comma, a quote, CR or LF is quoted, its quotes doubled."""
+    joined = "".join(texts)
+    if not any(c in joined for c in ',"\r\n'):
+        return texts
+    return ['"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n') else t for t in texts]
+
+
 def write_samples(path, table: SampleTable) -> None:
-    stamps = np.datetime_as_string(table.times.astype("datetime64[s]"))
-    masks = (table.mask.astype(np.uint8) + ord("0")).view(f"S{N_CHANNELS}").ravel().astype(str)
+    """Write ``id,timestamp,mask,f0..`` rows as csv.writer would (CRLF line
+    ends, minimal quoting of ids), each feature as its ``repr``; one string
+    and one write per block of rows."""
+    dim = table.features.shape[1]
+    sep = "," if dim else ""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "timestamp", "mask"] + [f"f{i}" for i in range(table.features.shape[1])])
-        rows = zip(table.ids.tolist(), stamps.tolist(), masks.tolist(), table.features)
-        w.writerows([sid, stamp + "Z", mask] + [repr(v) for v in feats.tolist()] for sid, stamp, mask, feats in rows)
+        fh.write(",".join(["id", "timestamp", "mask"] + [f"f{i}" for i in range(dim)]) + "\r\n")
+        for lo in range(0, len(table), _WRITE_BLOCK_ROWS):
+            block = slice(lo, lo + _WRITE_BLOCK_ROWS)
+            stamps = np.datetime_as_string(table.times[block].astype("datetime64[s]")).tolist()
+            masks = (table.mask[block].astype(np.uint8) + ord("0")).view(f"S{N_CHANNELS}").ravel().astype(str).tolist()
+            rows = zip(_csv_fields(table.ids[block].tolist()), stamps, masks, table.features[block].tolist())
+            fh.write("".join(f"{sid},{stamp}Z,{mask}{sep}{','.join(map(repr, feats))}\r\n" for sid, stamp, mask, feats in rows))
+
+
+def _canonical_seconds(stamps: bytes) -> Tuple[np.ndarray, np.ndarray]:
+    """UTC epoch seconds of timestamps packed 20 bytes each, and where each is
+    a ``YYYY-MM-DDTHH:MM:SSZ`` stamp, within the datetime range and on the
+    grid, whose text its seconds print back to (elsewhere the seconds are 0)."""
+    packed = np.frombuffer(stamps, dtype=np.uint8).reshape(-1, 20)
+    ok = np.where(_STAMP_FORM == ord("0"), packed - np.uint8(ord("0")) < 10, packed == _STAMP_FORM).all(axis=1)
+    text = np.frombuffer(stamps, dtype="S20").astype("S19")
+    seconds = np.zeros(len(text), dtype=np.int64)
+    try:
+        seconds[ok] = text[ok].astype("datetime64[s]").astype(np.int64)
+    except ValueError:  # a field out of range, such as month 13: every stamp takes the slow path
+        ok[:] = False
+    # Printing back to the text also rejects whatever else the cast might accept and move.
+    ok &= seconds.astype("datetime64[s]").astype("S19") == text
+    ok &= (seconds >= _MIN_SECONDS) & (seconds % GRID_SECONDS == 0)
+    return seconds, ok
 
 
 def read_samples(path) -> SampleTable:
-    """Stream ``samples.csv`` into an unlabeled table, row by row into flat buffers."""
+    """Stream ``samples.csv`` into an unlabeled table, row by row into flat buffers.
+
+    ``YYYY-MM-DDTHH:MM:SSZ`` stamps are kept as text and converted in one cast
+    after the last row; any other stamp, and any such stamp that does not
+    convert back to its text or lies off the grid, goes through
+    :func:`_parse_time` and :func:`~flarecast.core.grid_seconds` and is
+    rejected with their message and its line.
+    """
     ids: List[str] = []
     seen: Dict[str, int] = {}
-    times = array("q")
+    stamps = bytearray()
     masks = bytearray()
     feats = array("d")
     with _csv_rows(path, ["id", "timestamp", "mask"], more="f0..") as (header, rows):
         for line_no, row in rows:
             mask = row[2].strip()
-            if len(mask) != N_CHANNELS or set(mask) - {"0", "1"}:
+            if len(mask) != N_CHANNELS or mask.strip("01"):
                 raise ValueError(f"mask must be {N_CHANNELS} characters of 0/1, got {mask!r}")
             ids.append(_new_id(row[0], line_no, seen))
-            times.append(grid_seconds(_parse_time(row[1])))
-            feats.extend([float(v) for v in row[3:]])
+            stamp = row[1].encode()
+            if len(stamp) != 20:  # checked now, and packed in the canonical form
+                t = _parse_time(row[1])
+                grid_seconds(t)
+                stamp = t.isoformat()[:19].encode() + b"Z"
+            stamps += stamp
+            feats.extend(map(float, row[3:]))
             masks += mask.encode()
     n = len(ids)
+    times, canonical = _canonical_seconds(stamps)
+    for i in np.flatnonzero(~canonical).tolist():
+        try:
+            times[i] = grid_seconds(_parse_time(stamps[20 * i : 20 * i + 20].decode()))
+        except (ValueError, OverflowError) as exc:
+            raise DataFileError(path, seen[ids[i]], str(exc)) from None
+    del stamps  # before the table copies the columns, so that peak memory does not grow
     features = np.frombuffer(feats, dtype=np.float64).reshape(n, len(header) - 3)
     if not np.isfinite(features).all():
         sid = ids[int(np.isfinite(features).all(axis=1).argmin())]
         raise DataFileError(path, seen[sid], f"features of id {sid!r} must be finite")
     return SampleTable(
         ids,
-        np.frombuffer(times, dtype=np.int64),
+        times,
         np.frombuffer(masks, dtype=np.uint8).reshape(n, N_CHANNELS) == ord("1"),
         features,
     )
@@ -404,9 +475,10 @@ def _read_id_classes(path, *headers: List[str]) -> Tuple[np.ndarray, Optional[np
         for line_no, row in rows:
             ids.append(_new_id(row[0], line_no, seen))
             if hard:
-                ranks.append(FlareClass.from_name(row[1]))
+                name = row[1]
+                ranks.append(_RANKS[name] if name in _RANKS else FlareClass.from_name(name))
                 continue
-            vec = [float(v) for v in row[1:]]
+            vec = list(map(float, row[1:]))
             if not (min(vec) >= 0 and abs(sum(vec) - 1.0) <= 1e-6):
                 raise ValueError(f"probabilities must be non-negative and sum to 1, got {row[1:]}")
             probs.extend(vec)

@@ -5,9 +5,12 @@ scoring matrix in arbitrary precision via mpmath, gradients via central
 finite differences, window labeling by brute-force scan, confusion counts,
 the Brier skill score, the channel policy and the id join by per-row loops,
 the loss family one sample at a time, AdamW and backprop in an allocating,
-per-name dict form, and the training loop one freshly gathered batch at a
-time. None of them import the code paths they verify beyond plain data
-containers and the softmax, with three exceptions: the list forms
+per-name dict form, the training loop one freshly gathered batch at a
+time, and the sample and id-class CSV files through ``csv.writer`` and
+per-row reader loops. None of them import the code paths they verify beyond
+plain data containers (``DataFileError`` among them) and the softmax, with
+four exceptions: the CSV reader loops check the 2-hour grid with
+``core.grid_seconds``, whose message the readers share; the list forms
 ``flare_loss``/``flare_loss_grad`` adapt ``(HeadState, y)`` pairs to the
 array kernel ``flarecast.losses.flare_loss_arrays``; ``forward_row`` reads
 one row through ``flarecast.trainer.forward`` with the phases of
@@ -16,16 +19,19 @@ one row through ``flarecast.trainer.forward`` with the phases of
 scores from ``init_params``, ``_phis`` and ``metrics.build_report``.
 """
 
+import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import timedelta
-from typing import List, Optional, Sequence, Tuple
+from datetime import datetime, timedelta, timezone
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath as mp
 import numpy as np
 
-from flarecast.core import EPOCH, N_CLASSES, ClassWeights, FlareClass, _frozen, class_weights
+from flarecast.core import EPOCH, N_CLASSES, ClassWeights, FlareClass, SampleTable, _frozen, class_weights, grid_seconds
 from flarecast.losses import FACTOR_FLOOR, IB_CE_MODES, PROB_FLOOR, LossBreakdown, flare_loss_arrays, softmax
 from flarecast.metrics import build_report
+from flarecast.pipeline import DataFileError
 from flarecast.trainer import EpochRecord, _phis, forward, init_params
 
 mp.mp.dps = 50
@@ -201,6 +207,107 @@ def match_ids_loop(keys, wanted):
             raise KeyError(sid)
         order.append(row_of[sid])
     return order
+
+
+# ---------------------------------------------------------------------------
+# The sample and id-class CSV files through csv.writer and per-row reader loops
+# ---------------------------------------------------------------------------
+
+def write_samples_rows(path, table):
+    """``samples.csv`` through ``csv.writer``, one list of strings per row:
+    the stamp rendered by datetime, the mask one character per channel and
+    every feature as its ``repr``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "timestamp", "mask"] + [f"f{i}" for i in range(table.features.shape[1])])
+        for sid, t, mask, feats in zip(table.ids.tolist(), table.times.tolist(), table.mask.tolist(), table.features.tolist()):
+            stamp = (EPOCH + timedelta(seconds=t)).isoformat().replace("+00:00", "Z")
+            w.writerow([sid, stamp, "".join("1" if b else "0" for b in mask)] + [repr(v) for v in feats])
+
+
+def _parse_time_row(text: str) -> datetime:
+    raw = text.strip()
+    if raw.endswith("Z"):
+        raw = raw[:-1] + "+00:00"
+    t = datetime.fromisoformat(raw)
+    if t.tzinfo is None:
+        raise ValueError(f"timestamp {text!r} lacks a UTC offset")
+    return t.astimezone(timezone.utc)
+
+
+def _new_id_row(raw: str, line_no: int, seen: Dict[str, int]) -> str:
+    sid = raw.strip()
+    if "\x00" in sid:
+        raise ValueError(f"id {sid!r} contains a NUL character")
+    if sid in seen:
+        raise ValueError(f"duplicate id {sid!r} (first on line {seen[sid]})")
+    seen[sid] = line_no
+    return sid
+
+
+@contextmanager
+def _csv_rows_loop(path, *headers: List[str], more: str = ""):
+    """A CSV file's checked header and its non-blank ``(line_no, row)`` pairs;
+    a ValueError, OverflowError or csv.Error becomes a DataFileError naming
+    the line the reader is on."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+
+        def rows():
+            for row in reader:
+                if row and len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                if row:
+                    yield reader.line_num, row
+
+        try:
+            header = [h.strip().lower() for h in next(reader, [])]
+            if not any(header[: len(f)] == f and (len(header) > len(f)) == bool(more) for f in headers):
+                expected = " or ".join(repr(",".join(f + [more] if more else f)) for f in headers)
+                raise ValueError(f"expected header {expected}")
+            yield header, rows()
+        except (ValueError, OverflowError, csv.Error) as exc:
+            raise DataFileError(path, max(reader.line_num, 1), str(exc)) from None
+
+
+def read_samples_rows(path) -> SampleTable:
+    """``samples.csv`` one row at a time, every field checked and converted on
+    its row: the mask, the id, the stamp through ``datetime`` and the
+    features one ``float`` at a time."""
+    ids, seen, times, masks, feats = [], {}, [], [], []
+    with _csv_rows_loop(path, ["id", "timestamp", "mask"], more="f0..") as (header, rows):
+        for line_no, row in rows:
+            mask = row[2].strip()
+            if len(mask) != 10 or set(mask) - {"0", "1"}:
+                raise ValueError(f"mask must be 10 characters of 0/1, got {mask!r}")
+            ids.append(_new_id_row(row[0], line_no, seen))
+            times.append(grid_seconds(_parse_time_row(row[1])))
+            feats.append([float(v) for v in row[3:]])
+            masks.append([c == "1" for c in mask])
+    features = np.array(feats, dtype=float).reshape(len(ids), len(header) - 3)
+    for sid, row in zip(ids, features):
+        if not np.isfinite(row).all():
+            raise DataFileError(path, seen[sid], f"features of id {sid!r} must be finite")
+    return SampleTable(ids, np.array(times, dtype=np.int64), np.array(masks, dtype=bool).reshape(-1, 10), features)
+
+
+def read_id_classes_rows(path, *headers: List[str]):
+    """An ``id,label`` or ``id,p_o,p_c,p_m,p_x`` file one row at a time: the
+    ids, and the class ranks or the probability rows (the other None)."""
+    ids, seen, ranks, probs = [], {}, [], []
+    with _csv_rows_loop(path, *headers) as (header, rows):
+        for line_no, row in rows:
+            ids.append(_new_id_row(row[0], line_no, seen))
+            if len(header) == 2:
+                ranks.append(FlareClass.from_name(row[1]))
+                continue
+            vec = [float(v) for v in row[1:]]
+            if not (min(vec) >= 0 and abs(sum(vec) - 1.0) <= 1e-6):
+                raise ValueError(f"probabilities must be non-negative and sum to 1, got {row[1:]}")
+            probs.append(vec)
+    if len(header) == 2:
+        return ids, np.array(ranks, dtype=np.int8), None
+    return ids, None, np.array(probs, dtype=float).reshape(-1, N_CLASSES)
 
 
 # ---------------------------------------------------------------------------

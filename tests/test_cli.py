@@ -158,6 +158,52 @@ class TestLabel:
         assert (tmp_path / "labels.csv").read_text().splitlines() == ["id,label"]
 
 
+def quote_lines(path, *line_nos):
+    """Put a ``"`` at the start of each of the file's ``line_nos`` (1-based)."""
+    lines = path.read_text().splitlines()
+    for i in line_nos:
+        lines[i - 1] = '"' + lines[i - 1]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestStrayQuote:
+    """A ``"`` opening lines 6 and 10 would merge rows 6-10 into one quoted
+    id under lenient quoting; every command rejects it, naming line 6."""
+
+    def test_label(self, tmp_path, capsys):
+        assert run_cli("gen-data", "--n", 300, "--out-dir", tmp_path) == 0
+        quote_lines(tmp_path / "samples.csv", 6, 10)
+        code = run_cli(
+            "label", "--events", tmp_path / "events.csv",
+            "--samples", tmp_path / "samples.csv", "--out", tmp_path / "labels.csv",
+        )
+        assert code == 2
+        assert f"{tmp_path / 'samples.csv'}:6: ',' expected after '\"'" in capsys.readouterr().err
+        assert not (tmp_path / "labels.csv").exists()
+
+    @pytest.mark.parametrize("name", ["samples.csv", "labels.csv"])
+    def test_train(self, tmp_path, capsys, name):
+        make_training_data(tmp_path, n=300)
+        quote_lines(tmp_path / name, 6, 10)
+        assert run_cli("train", "--data-dir", tmp_path, "--out-dir", tmp_path / "out") == 2
+        assert f"{tmp_path / name}:6: ',' expected after '\"'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["preds.csv", "labels.csv"])
+    def test_eval(self, tmp_path, capsys, name):
+        ids = [f"s{i}" for i in range(300)]
+        write_labels(tmp_path / "labels.csv", ids, [i % 4 for i in range(300)])
+        write_labels(tmp_path / "preds.csv", ids, [i % 4 for i in range(300)])
+        quote_lines(tmp_path / name, 6, 10)
+        code = run_cli(
+            "eval", "--preds", tmp_path / "preds.csv", "--labels", tmp_path / "labels.csv",
+            "--out-dir", tmp_path / "out",
+        )
+        assert code == 2
+        assert f"{tmp_path / name}:6: ',' expected after '\"'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestEval:
     def write_pairs(self, tmp_path, pairs):
         ids = [f"s{i}" for i in range(len(pairs))]
@@ -609,6 +655,47 @@ class TestTrain:
         flare_metrics = read_metric_csv(tmp_path / "flare" / "test_report.csv")
         ce_metrics = read_metric_csv(tmp_path / "ce" / "test_report.csv")
         assert np.isfinite(float(flare_metrics["gmgs"])) and np.isfinite(float(ce_metrics["gmgs"]))
+
+
+class TestPinnedBytes:
+    """The sha256 of what gen-data, label and a probabilistic eval write, at a
+    dense and at the default sparse spacing: the CSV writers and readers may
+    get faster, never different."""
+
+    DIGESTS = {
+        1: {
+            "samples.csv": "09da54f2987c97d0fce07995fb8874f192fe883c73f64169bf89ec6519974d36",
+            "events.csv": "57365920d729b944e4d6448592b2ef14d03b711f5daef999d1e58bbb119b9a57",
+            "labels.csv": "a958c1f2ceaf66a31fe707739ef7ff422e0582554f0d27876f292845c830b4df",
+            "report.csv": "cd73f506a5a4e2965340ef2bafad8c4eb44d160b9297cd7174307fbeb544c231",
+        },
+        37: {
+            "samples.csv": "e14237d197d5298256bf7293d240caabac80395cf392a2da0b196499b0a7743f",
+            "events.csv": "fc54d7ff2a06045d03e444f3c35958cb86ee3bb3fbce5b7cec53580398faa4be",
+            "labels.csv": "2c517f31e877aeb1a3342cd9af41665f5ae13c0976685b1e8a7da00b3d4701d7",
+            "report.csv": "2e06ec57a22b80a8bbaa3c855bc7d26a50bdba5dd9186959535e3fde71fa0626",
+        },
+    }
+
+    @pytest.mark.parametrize("spacing", [1, 37])
+    def test_chain_outputs_pinned(self, tmp_path, spacing):
+        data = tmp_path / "data"
+        assert run_cli(
+            "gen-data", "--n", 3000, "--seed", 1, "--feature-dim", 12,
+            "--spacing-steps", spacing, "--class-probs", "0.9735,0.0178,0.0076,0.0011", "--out-dir", data,
+        ) == 0
+        assert run_cli(
+            "label", "--events", data / "events.csv", "--samples", data / "samples.csv", "--out", data / "labels.csv",
+        ) == 0
+        ids, _ = read_labels(data / "labels.csv")
+        raw = np.random.default_rng(spacing).random((len(ids), 4))
+        probs = (raw / raw.sum(axis=1, keepdims=True)).tolist()
+        preds = tmp_path / "preds.csv"
+        preds.write_text("id,p_o,p_c,p_m,p_x\n" + "".join(f"{i},{','.join(map(repr, p))}\n" for i, p in zip(ids, probs)))
+        assert run_cli("eval", "--preds", preds, "--labels", data / "labels.csv", "--out-dir", tmp_path / "eval") == 0
+        paths = [data / "samples.csv", data / "events.csv", data / "labels.csv", tmp_path / "eval" / "report.csv"]
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+        assert got == self.DIGESTS[spacing]
 
 
 class TestGradcheck:

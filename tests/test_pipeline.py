@@ -1,7 +1,9 @@
 """Labeling windows, channel policy, chronological splits, synthetic data,
 and the CSV round trips."""
 
+import warnings
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from flarecast import (
     label_samples,
     split_timeseries,
 )
+from flarecast import pipeline
 from flarecast.core import EPOCH, MICROSECOND, grid_seconds
 from flarecast.pipeline import (
     DEFAULT_START_TIME,
@@ -32,7 +35,14 @@ from flarecast.pipeline import (
     write_samples,
 )
 
-from oracles import channel_policy_loop, label_max_class, match_ids_loop
+from oracles import (
+    channel_policy_loop,
+    label_max_class,
+    match_ids_loop,
+    read_id_classes_rows,
+    read_samples_rows,
+    write_samples_rows,
+)
 
 UTC = timezone.utc
 T0 = datetime(2021, 10, 26, 0, 0, tzinfo=UTC)
@@ -393,6 +403,29 @@ class TestCsvFormats:
         with pytest.raises(DataFileError, match=r"samples\.csv:3: id 'a\\x00' contains a NUL character"):
             read_samples(path)
 
+    @pytest.mark.parametrize(
+        "quoted, line, message",
+        [((5,), 5, "unexpected end of data"), ((5, 8), 5, "',' expected after '\"'"), ((2, 8), 2, "',' expected after '\"'")],
+        ids=["unclosed", "closed-later", "first-row"],
+    )
+    def test_unbalanced_quote_names_line_where_row_starts(self, tmp_path, quoted, line, message):
+        table = gen_synthetic(10, [0.25] * 4, seed=1, feature_dim=2)
+        path = tmp_path / "samples.csv"
+        write_samples(path, table)
+        lines = path.read_text().splitlines()
+        for i in quoted:
+            lines[i - 1] = '"' + lines[i - 1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFileError) as info:
+            read_samples(path)
+        assert str(info.value) == f"{path}:{line}: {message}"
+
+    def test_utf8_bom_rejected_at_line_1(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,label\na,X\n")
+        with pytest.raises(DataFileError, match=r"labels\.csv:1: expected header 'id,label'"):
+            read_labels(path)
+
     def test_duplicate_sample_id_names_second_line(self, tmp_path):
         path = tmp_path / "samples.csv"
         row = "1111111111,0.5"
@@ -497,6 +530,165 @@ class TestArrayFormsMatchOracles:
         assert np.array_equal(back.mask, masks)
         assert np.array_equal(back.features.view(np.int64), table.features.view(np.int64))
         assert np.all(back.labels == -1)
+
+
+def read_or_error(read, path, *args):
+    """What ``read`` gives for ``path``: its result, or its DataFileError's
+    message; a warning on the way is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return read(path, *args)
+        except DataFileError as exc:
+            return str(exc)
+
+
+def assert_same_samples(got, want):
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    assert got.ids.tolist() == want.ids.tolist() and np.array_equal(got.times, want.times)
+    assert np.array_equal(got.mask, want.mask) and got.features.shape == want.features.shape
+    assert np.array_equal(got.features.view(np.int64), want.features.view(np.int64))
+
+
+class TestCsvMatchesRowOracles:
+    """write_samples, read_samples and the id-class reader against csv.writer
+    and the per-row reader loops of ``tests/oracles.py``: the same bytes, the
+    same columns, and for a file with one fault the same line and message."""
+
+    ids = st.text(
+        st.sampled_from([",", '"', "\r", "\n", " ", "a", "é"])
+        | st.characters(exclude_characters="\x00", exclude_categories=("Cs",)),
+        max_size=4,
+    )
+    # -0.0, subnormals, and both sides of where repr switches to an exponent
+    edge_floats = st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+        1e16, -1e16, 9999999999999998.0, 1.0000000000000002e16,
+        1e-05, -1e-05, 1.0000000000000001e-05, 9.999999999999999e-06, 0.0001, 1.7976931348623157e308,
+    ])
+    floats = edge_floats | st.floats(allow_nan=False, allow_infinity=False)
+    # Grid steps: 1901, around the epoch, around 2038-01-19, 2100, and the ends of the datetime range.
+    steps = st.sampled_from([-302_424, -2, -1, 0, 298_261, 298_262, 569_784, -8_629_944, 35_194_763])
+    steps |= st.integers(-330_000, 600_000)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 12), dim=st.integers(0, 4), block=st.sampled_from([1, 2, 3, 4096]))
+    def test_write_samples_bytes_and_read_columns(self, tmp_path_factory, data, n, dim, block):
+        ids = data.draw(st.lists(self.ids, min_size=n, max_size=n))
+        steps = data.draw(st.lists(self.steps, min_size=n, max_size=n))
+        feats = data.draw(st.lists(self.floats, min_size=n * dim, max_size=n * dim))
+        masks = data.draw(st.lists(st.booleans(), min_size=10 * n, max_size=10 * n))
+        table = SampleTable(
+            ids, 7200 * np.array(steps, dtype=np.int64), np.reshape(masks, (n, 10)), np.reshape(feats, (n, dim))
+        )
+        d = tmp_path_factory.mktemp("csv")
+        with mock.patch.object(pipeline, "_WRITE_BLOCK_ROWS", block):
+            write_samples(d / "samples.csv", table)
+        write_samples_rows(d / "rows.csv", table)
+        assert (d / "samples.csv").read_bytes() == (d / "rows.csv").read_bytes()
+        assert_same_samples(read_or_error(read_samples, d / "samples.csv"), read_or_error(read_samples_rows, d / "samples.csv"))
+
+    # Stamp renderings of one UTC instant that the readers accept.
+    stamp_forms = [
+        lambda t: t.isoformat().replace("+00:00", "Z"),
+        lambda t: t.isoformat(),
+        lambda t: t.astimezone(timezone(timedelta(hours=5, minutes=30))).isoformat(),
+        lambda t: t.astimezone(timezone(timedelta(hours=-11))).isoformat(),
+        lambda t: t.isoformat(timespec="microseconds").replace("+00:00", "Z"),
+        lambda t: f" {t.isoformat().replace('+00:00', 'Z')} ",
+        lambda t: t.isoformat(sep=" ").replace("+00:00", "Z"),
+    ]
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(-330_000, 600_000), st.integers(0, 6)), min_size=1, max_size=12))
+    def test_mixed_stamp_forms_read_like_row_loop(self, tmp_path_factory, rows):
+        lines = ["id,timestamp,mask,f0"]
+        for i, (step, form) in enumerate(rows):
+            lines.append(f"r{i},{self.stamp_forms[form](EPOCH + timedelta(hours=2 * step))},1111111111,{i}.5")
+        path = tmp_path_factory.mktemp("csv") / "samples.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got = read_or_error(read_samples, path)
+        assert_same_samples(got, read_samples_rows(path))
+        assert got.times.tolist() == [7200 * step for step, _ in rows]
+
+    sample_faults = {
+        "mask": (2, ["111111111", "11111111x1", "", "1111111111 1"]),
+        "stamp": (1, [
+            "2020-13-01T00:00:00Z", "2020-02-30T00:00:00Z", "2020-01-01T24:00:00Z", "2016-12-31T23:59:60Z",
+            "0000-01-01T00:00:00Z", "-001-01-01T00:00:00Z", "2020-01-01T00:00+01Z", "not-a-time", "",
+            "2020-01-01T00:00:00", "0001-01-01T00:00:00+01:00", "9999-12-31T23:00:00-01:00", "２020-01-01T00:00:00Z",
+        ]),
+        "off-grid": (1, [
+            "2020-01-01T01:00:00Z", "2020-01-01T00:00:01Z", "2020-01-01T00:00:00.5Z", "2020-01-01T02:00:00+01:00",
+        ]),
+        "float": (3, ["abc", "", "1.0.0", "nan", "inf", "-inf", "0x1p3"]),
+    }
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        data=st.data(),
+        kind=st.sampled_from(["mask", "stamp", "off-grid", "float", "duplicate id", "width"]),
+    )
+    def test_single_fault_samples_name_same_line_and_message(self, tmp_path_factory, n, data, kind):
+        table = make_table(range(n), features=np.arange(2.0 * n).reshape(n, 2))
+        d = tmp_path_factory.mktemp("csv")
+        write_samples_rows(d / "good.csv", table)
+        lines = (d / "good.csv").read_text().splitlines()
+        row = data.draw(st.integers(1, n - 1))
+        fields = lines[row + 1].split(",")
+        if kind == "duplicate id":
+            fields[0] = f" s{data.draw(st.integers(0, row - 1)):03d}"
+        elif kind == "width":
+            fields = fields[:-1]
+        else:
+            column, values = self.sample_faults[kind]
+            fields[column] = data.draw(st.sampled_from(values))
+        lines[row + 1] = ",".join(fields)
+        path = d / "samples.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got = read_or_error(read_samples, path)
+        assert isinstance(got, str) and got.startswith(f"{path}:{row + 2}: ")
+        assert got == read_or_error(read_samples_rows, path)
+
+    headers = (["id", "label"], ["id", "p_o", "p_c", "p_m", "p_x"])
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(
+        hard=st.booleans(),
+        names=st.lists(st.sampled_from(["O", "C", "M", "X", " x", "m ", "c"]), min_size=1, max_size=8),
+        fault=st.sampled_from([None, "class", "probability", "duplicate id", "width"]),
+        data=st.data(),
+    )
+    def test_id_class_files_read_like_row_loop(self, tmp_path_factory, hard, names, fault, data):
+        n = len(names)
+        probs = np.random.default_rng(n).dirichlet(np.ones(4), n).tolist()
+        rows = [[f"s{i}", name] if hard else [f"s{i}"] + [repr(v) for v in p] for i, (name, p) in enumerate(zip(names, probs))]
+        row = data.draw(st.integers(0, n - 1))
+        if fault == "class" and hard:
+            rows[row][1] = data.draw(st.sampled_from(["Q", "", "XX", "0"]))
+        elif fault == "probability" and not hard:
+            rows[row][1 + data.draw(st.integers(0, 3))] = data.draw(st.sampled_from(["-0.1", "0.9", "nan", "inf", "abc", ""]))
+        elif fault == "duplicate id" and row > 0:
+            rows[row][0] = f"s{data.draw(st.integers(0, row - 1))} "
+        elif fault == "width":
+            rows[row].append("1")
+        else:
+            fault = None
+        path = tmp_path_factory.mktemp("csv") / "preds.csv"
+        path.write_text(",".join(self.headers[not hard]) + "\n" + "".join(",".join(r) + "\n" for r in rows))
+        got = read_or_error(pipeline._read_id_classes, path, *self.headers)
+        want = read_or_error(read_id_classes_rows, path, *self.headers)
+        if fault is not None:
+            assert isinstance(got, str) and got.startswith(f"{path}:{row + 2}: ") and got == want
+            return
+        assert got[0].tolist() == want[0] and (got[1] is None) == (want[1] is None) == (not hard)
+        if hard:
+            assert got[1].dtype == np.int8 and got[1].tolist() == want[1].tolist()
+        else:
+            assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
 
 
 class TestMatchIds:
