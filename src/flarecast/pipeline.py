@@ -14,10 +14,15 @@ File formats (all comma-separated with a header row):
 from __future__ import annotations
 
 import csv
+import io
+import multiprocessing
+import os
+import threading
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,6 +70,9 @@ DEFAULT_START_TIME = datetime(2011, 6, 1, 0, 0, tzinfo=timezone.utc)
 
 # Rows per string that write_samples builds and writes at once.
 _WRITE_BLOCK_ROWS = 4096
+
+# Bytes of CSV text worth a forked worker process (see _processes).
+_SPLIT_BYTES = 1 << 20
 
 # The sample stamp read_samples converts in bulk: digits where the form has 0.
 _STAMP_FORM = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
@@ -304,42 +312,126 @@ def _new_id(raw: str, line_no: int, seen: Dict[str, int]) -> str:
     return sid
 
 
+def _processes(size: int) -> int:
+    """Processes for ``size`` bytes of CSV text: one per usable CPU and _SPLIT_BYTES,
+    or 1 without fork or while another thread runs (a child gets only the forking one)."""
+    forkable = hasattr(os, "sched_getaffinity") and "fork" in multiprocessing.get_all_start_methods()
+    if not forkable or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), size // _SPLIT_BYTES))
+
+
+def _send_all(func, items: Sequence, conn) -> None:
+    for item in items:
+        conn.send(func(item))
+
+
 @contextmanager
-def _csv_rows(path, *headers: List[str], more: str = ""):
-    """Open a CSV file whose header, stripped and lowercased, is one of
-    ``headers``, followed by one or more columns where ``more`` names them, and
-    yield ``(header, rows)``: ``rows`` iterates ``(line_no, row)`` over the
-    non-blank rows, each as wide as the header. A ValueError or OverflowError
-    (a time outside the datetime range) from reading or using the header or
-    rows becomes a DataFileError naming the file and line. Quoting is strict:
-    a csv.Error, such as an unbalanced quote, names the line its row starts on.
+def _in_order(func, items: Sequence, processes: int):
+    """Yield ``map(func, items)``, computed here or by ``processes`` forked workers,
+    which inherit ``func``; worker k pipes back items k, k + processes, ... one at a
+    time to this thread. Leaving the block, also on an error, ends and joins them."""
+    processes = min(processes, len(items))
+    if processes < 2:
+        yield map(func, items)
+        return
+    fork = multiprocessing.get_context("fork")
+    workers, pipes = [], []
+    try:
+        for k in range(processes):
+            receive, send = fork.Pipe(duplex=False)
+            pipes.append(receive)
+            with send:  # closed before the next fork, so that this worker's exit ends its pipe
+                worker = fork.Process(target=_send_all, args=(func, items[k::processes], send), daemon=True)
+                worker.start()
+            workers.append(worker)
+        yield (pipes[i % processes].recv() for i in range(len(items)))
+    except EOFError:
+        raise ChildProcessError("a CSV worker process ended early") from None
+    finally:
+        for receive, worker in zip(pipes, workers):
+            worker.terminate()
+            worker.join()
+            receive.close()
+
+
+@contextmanager
+def _csv_rows(path, *headers: List[str], more: str = "", lines=None):
+    """Open a CSV file (or read ``lines``) whose header, stripped and lowercased,
+    is one of ``headers``, followed by one or more columns where ``more`` names
+    them, and yield ``(header, rows)``: ``rows`` iterates ``(line_no, row)`` over
+    the non-blank rows, each as wide as the header. A ValueError, OverflowError
+    (a time outside the datetime range) or csv.Error (quoting is strict) from
+    reading or using the header or a row becomes a DataFileError naming the file
+    and the line its row starts on, the same ``line_no``.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="") if lines is None else nullcontext(lines) as fh:
         reader = csv.reader(fh, strict=True)
-        end = 0  # the last line of the last row read
+        start = 1  # the line the row being read or used starts on
 
         def rows() -> Iterator[Tuple[int, List[str]]]:
-            nonlocal end
+            nonlocal start
             width = len(header)
+            start = reader.line_num + 1
             for row in reader:
-                end = reader.line_num
-                if len(row) != width:
-                    if row:
-                        raise ValueError(f"expected {width} fields, got {len(row)}")
-                    continue
-                yield end, row
+                if len(row) == width:
+                    yield start, row
+                elif row:
+                    raise ValueError(f"expected {width} fields, got {len(row)}")
+                start = reader.line_num + 1
 
         try:
             header = [h.strip().lower() for h in next(reader, [])]
-            end = reader.line_num
             if not any(header[: len(f)] == f and (len(header) > len(f)) == bool(more) for f in headers):
                 expected = " or ".join(repr(",".join(f + [more] if more else f)) for f in headers)
                 raise ValueError(f"expected header {expected}")
             yield header, rows()
-        except csv.Error as exc:
-            raise DataFileError(path, end + 1, str(exc)) from None
-        except (ValueError, OverflowError) as exc:
-            raise DataFileError(path, max(reader.line_num, 1), str(exc)) from None
+        except (csv.Error, ValueError, OverflowError) as exc:
+            raise DataFileError(path, start, str(exc)) from None
+
+
+def _read_csv(path, columns, *headers: List[str], more: str = "") -> tuple:
+    """``columns(path, header, rows)`` over a file's :func:`_csv_rows`: arrays, ids first.
+
+    A range per process, cut after LF bytes, is read under the header by forked
+    workers. If one fails or holds a quote (a quoted field may hold an LF), or an
+    id repeats across ranges, the file is read whole here for the exact error.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        processes = _processes(size)
+        cuts = [len(fh.readline()) if processes > 1 else size]
+        for k in range(1, processes):
+            fh.seek(max(size * k // processes, cuts[-1]))
+            fh.readline()
+            cuts.append(fh.tell())
+        cuts.append(size)
+
+    def read_range(span: Tuple[int, int]):
+        with open(path, "rb") as fh:
+            head = fh.read(cuts[0])
+            fh.seek(span[0])
+            body = fh.read(span[1] - span[0])
+        if b'"' in head or b'"' in body:
+            return None
+        text = chain(io.TextIOWrapper(io.BytesIO(head), newline=""), io.TextIOWrapper(io.BytesIO(body), newline=""))
+        try:
+            with _csv_rows(path, *headers, more=more, lines=text) as (header, rows):
+                return columns(path, header, rows)
+        except DataFileError:  # its line counts from the range; the whole-file read names the file's
+            return None
+
+    spans = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    if len(spans) > 1:
+        with _in_order(read_range, spans, processes) as parts:
+            parts = list(parts)
+        if all(part is not None for part in parts):
+            cols = tuple(map(np.concatenate, zip(*parts)))
+            sorted_ids = np.sort(cols[0])
+            if not (sorted_ids[1:] == sorted_ids[:-1]).any():
+                return cols
+    with _csv_rows(path, *headers, more=more) as (header, rows):
+        return columns(path, header, rows)
 
 
 def write_events(path, peak_us, ranks) -> None:
@@ -374,17 +466,22 @@ def _csv_fields(texts: List[str]) -> List[str]:
 def write_samples(path, table: SampleTable) -> None:
     """Write ``id,timestamp,mask,f0..`` rows as csv.writer would (CRLF line
     ends, minimal quoting of ids), each feature as its ``repr``; one string
-    and one write per block of rows."""
+    and one write per block of rows, built by forked workers if worthwhile."""
     dim = table.features.shape[1]
     sep = "," if dim else ""
+
+    def block_text(lo: int) -> str:
+        block = slice(lo, lo + _WRITE_BLOCK_ROWS)
+        stamps = np.datetime_as_string(table.times[block].astype("datetime64[s]")).tolist()
+        masks = (table.mask[block].astype(np.uint8) + ord("0")).view(f"S{N_CHANNELS}").ravel().astype(str).tolist()
+        rows = zip(_csv_fields(table.ids[block].tolist()), stamps, masks, table.features[block].tolist())
+        return "".join(f"{sid},{stamp}Z,{mask}{sep}{','.join(map(repr, feats))}\r\n" for sid, stamp, mask, feats in rows)
+
+    processes = _processes(20 * table.features.size)  # a feature's repr and comma take about 20 bytes
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["id", "timestamp", "mask"] + [f"f{i}" for i in range(dim)]) + "\r\n")
-        for lo in range(0, len(table), _WRITE_BLOCK_ROWS):
-            block = slice(lo, lo + _WRITE_BLOCK_ROWS)
-            stamps = np.datetime_as_string(table.times[block].astype("datetime64[s]")).tolist()
-            masks = (table.mask[block].astype(np.uint8) + ord("0")).view(f"S{N_CHANNELS}").ravel().astype(str).tolist()
-            rows = zip(_csv_fields(table.ids[block].tolist()), stamps, masks, table.features[block].tolist())
-            fh.write("".join(f"{sid},{stamp}Z,{mask}{sep}{','.join(map(repr, feats))}\r\n" for sid, stamp, mask, feats in rows))
+        with _in_order(block_text, range(0, len(table), _WRITE_BLOCK_ROWS), processes) as texts:
+            fh.writelines(texts)
 
 
 def _canonical_seconds(stamps: bytes) -> Tuple[np.ndarray, np.ndarray]:
@@ -405,6 +502,40 @@ def _canonical_seconds(stamps: bytes) -> Tuple[np.ndarray, np.ndarray]:
     return seconds, ok
 
 
+def _sample_columns(path, header: List[str], rows) -> tuple:
+    """The ids, UTC epoch seconds, masks and features of ``samples.csv`` rows."""
+    ids: List[str] = []
+    seen: Dict[str, int] = {}
+    stamps = bytearray()
+    masks = bytearray()
+    feats = array("d")
+    for line_no, row in rows:
+        mask = row[2].strip()
+        if len(mask) != N_CHANNELS or mask.strip("01"):
+            raise ValueError(f"mask must be {N_CHANNELS} characters of 0/1, got {mask!r}")
+        ids.append(_new_id(row[0], line_no, seen))
+        stamp = row[1].encode()
+        if len(stamp) != 20:  # checked now, and packed in the canonical form
+            t = _parse_time(row[1])
+            grid_seconds(t)
+            stamp = t.isoformat()[:19].encode() + b"Z"
+        stamps += stamp
+        feats.extend(map(float, row[3:]))
+        masks += mask.encode()
+    n = len(ids)
+    times, canonical = _canonical_seconds(stamps)
+    for i in np.flatnonzero(~canonical).tolist():
+        try:
+            times[i] = grid_seconds(_parse_time(stamps[20 * i : 20 * i + 20].decode()))
+        except (ValueError, OverflowError) as exc:
+            raise DataFileError(path, seen[ids[i]], str(exc)) from None
+    features = np.frombuffer(feats, dtype=np.float64).reshape(n, len(header) - 3)
+    if not np.isfinite(features).all():
+        sid = ids[int(np.isfinite(features).all(axis=1).argmin())]
+        raise DataFileError(path, seen[sid], f"features of id {sid!r} must be finite")
+    return np.array(ids, dtype=str), times, np.frombuffer(masks, dtype=np.uint8).reshape(n, N_CHANNELS) == ord("1"), features
+
+
 def read_samples(path) -> SampleTable:
     """Stream ``samples.csv`` into an unlabeled table, row by row into flat buffers.
 
@@ -414,43 +545,7 @@ def read_samples(path) -> SampleTable:
     :func:`_parse_time` and :func:`~flarecast.core.grid_seconds` and is
     rejected with their message and its line.
     """
-    ids: List[str] = []
-    seen: Dict[str, int] = {}
-    stamps = bytearray()
-    masks = bytearray()
-    feats = array("d")
-    with _csv_rows(path, ["id", "timestamp", "mask"], more="f0..") as (header, rows):
-        for line_no, row in rows:
-            mask = row[2].strip()
-            if len(mask) != N_CHANNELS or mask.strip("01"):
-                raise ValueError(f"mask must be {N_CHANNELS} characters of 0/1, got {mask!r}")
-            ids.append(_new_id(row[0], line_no, seen))
-            stamp = row[1].encode()
-            if len(stamp) != 20:  # checked now, and packed in the canonical form
-                t = _parse_time(row[1])
-                grid_seconds(t)
-                stamp = t.isoformat()[:19].encode() + b"Z"
-            stamps += stamp
-            feats.extend(map(float, row[3:]))
-            masks += mask.encode()
-    n = len(ids)
-    times, canonical = _canonical_seconds(stamps)
-    for i in np.flatnonzero(~canonical).tolist():
-        try:
-            times[i] = grid_seconds(_parse_time(stamps[20 * i : 20 * i + 20].decode()))
-        except (ValueError, OverflowError) as exc:
-            raise DataFileError(path, seen[ids[i]], str(exc)) from None
-    del stamps  # before the table copies the columns, so that peak memory does not grow
-    features = np.frombuffer(feats, dtype=np.float64).reshape(n, len(header) - 3)
-    if not np.isfinite(features).all():
-        sid = ids[int(np.isfinite(features).all(axis=1).argmin())]
-        raise DataFileError(path, seen[sid], f"features of id {sid!r} must be finite")
-    return SampleTable(
-        ids,
-        times,
-        np.frombuffer(masks, dtype=np.uint8).reshape(n, N_CHANNELS) == ord("1"),
-        features,
-    )
+    return SampleTable(*_read_csv(path, _sample_columns, ["id", "timestamp", "mask"], more="f0.."))
 
 
 def write_labels(path, ids: Sequence[str], labels) -> None:
@@ -462,30 +557,34 @@ def write_labels(path, ids: Sequence[str], labels) -> None:
         w.writerows(zip(ids, names))
 
 
-def _read_id_classes(path, *headers: List[str]) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """An id-keyed class file whose header is one of ``headers``, as columns:
-    the ids (str) and either the class ranks (int8) of an ``id,label`` file or
-    the unscaled rows (float64) of an ``id,p_o,p_c,p_m,p_x`` file, the other None."""
+def _id_class_columns(path, header: List[str], rows) -> tuple:
+    """The ids (str) of an ``id,label`` file's rows and their class ranks (int8),
+    or of an ``id,p_o,p_c,p_m,p_x`` file's rows and their unscaled rows (float64)."""
     ids: List[str] = []
     seen: Dict[str, int] = {}
     ranks = array("b")
     probs = array("d")
-    with _csv_rows(path, *headers) as (header, rows):
-        hard = len(header) == 2
-        for line_no, row in rows:
-            ids.append(_new_id(row[0], line_no, seen))
-            if hard:
-                name = row[1]
-                ranks.append(_RANKS[name] if name in _RANKS else FlareClass.from_name(name))
-                continue
-            vec = list(map(float, row[1:]))
-            if not (min(vec) >= 0 and abs(sum(vec) - 1.0) <= 1e-6):
-                raise ValueError(f"probabilities must be non-negative and sum to 1, got {row[1:]}")
-            probs.extend(vec)
-    ids = np.array(ids, dtype=str)
-    if hard:
-        return ids, np.frombuffer(ranks, dtype=np.int8), None
-    return ids, None, np.frombuffer(probs).reshape(-1, N_CLASSES)
+    hard = len(header) == 2
+    for line_no, row in rows:
+        ids.append(_new_id(row[0], line_no, seen))
+        if hard:
+            name = row[1]
+            ranks.append(_RANKS[name] if name in _RANKS else FlareClass.from_name(name))
+            continue
+        vec = list(map(float, row[1:]))
+        if not (min(vec) >= 0 and abs(sum(vec) - 1.0) <= 1e-6):
+            raise ValueError(f"probabilities must be non-negative and sum to 1, got {row[1:]}")
+        probs.extend(vec)
+    values = np.frombuffer(ranks, dtype=np.int8) if hard else np.frombuffer(probs).reshape(-1, N_CLASSES)
+    return np.array(ids, dtype=str), values
+
+
+def _read_id_classes(path, *headers: List[str]) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """An id-keyed class file whose header is one of ``headers``, as columns:
+    the ids (str) and either the class ranks (int8) of an ``id,label`` file or
+    the unscaled rows (float64) of an ``id,p_o,p_c,p_m,p_x`` file, the other None."""
+    ids, values = _read_csv(path, _id_class_columns, *headers)
+    return (ids, values, None) if values.ndim == 1 else (ids, None, values)
 
 
 def read_labels(path) -> Tuple[np.ndarray, np.ndarray]:

@@ -247,18 +247,24 @@ def _new_id_row(raw: str, line_no: int, seen: Dict[str, int]) -> str:
 
 @contextmanager
 def _csv_rows_loop(path, *headers: List[str], more: str = ""):
-    """A CSV file's checked header and its non-blank ``(line_no, row)`` pairs;
-    a ValueError, OverflowError or csv.Error becomes a DataFileError naming
-    the line the reader is on."""
+    """A CSV file's checked header and its non-blank ``(line_no, row)`` pairs,
+    ``line_no`` being the line the row starts on; a ValueError, OverflowError
+    or csv.Error becomes a DataFileError naming the line where the row being
+    read or used starts."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
+        at = {"start": 1}
 
         def rows():
-            for row in reader:
+            while True:
+                at["start"] = reader.line_num + 1
+                row = next(reader, None)
+                if row is None:
+                    return
                 if row and len(row) != len(header):
                     raise ValueError(f"expected {len(header)} fields, got {len(row)}")
                 if row:
-                    yield reader.line_num, row
+                    yield at["start"], row
 
         try:
             header = [h.strip().lower() for h in next(reader, [])]
@@ -267,7 +273,7 @@ def _csv_rows_loop(path, *headers: List[str], more: str = ""):
                 raise ValueError(f"expected header {expected}")
             yield header, rows()
         except (ValueError, OverflowError, csv.Error) as exc:
-            raise DataFileError(path, max(reader.line_num, 1), str(exc)) from None
+            raise DataFileError(path, at["start"], str(exc)) from None
 
 
 def read_samples_rows(path) -> SampleTable:

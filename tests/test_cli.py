@@ -3,6 +3,7 @@ config resolution."""
 
 import csv
 import hashlib
+import multiprocessing
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
@@ -659,29 +660,36 @@ class TestTrain:
 
 class TestPinnedBytes:
     """The sha256 of what gen-data, label and a probabilistic eval write, at a
-    dense and at the default sparse spacing: the CSV writers and readers may
-    get faster, never different."""
+    dense and at the default sparse spacing, and at a size whose samples and
+    prediction files are read and written by forked workers: the CSV writers
+    and readers may get faster, never different."""
 
     DIGESTS = {
-        1: {
+        "1": {
             "samples.csv": "09da54f2987c97d0fce07995fb8874f192fe883c73f64169bf89ec6519974d36",
             "events.csv": "57365920d729b944e4d6448592b2ef14d03b711f5daef999d1e58bbb119b9a57",
             "labels.csv": "a958c1f2ceaf66a31fe707739ef7ff422e0582554f0d27876f292845c830b4df",
             "report.csv": "cd73f506a5a4e2965340ef2bafad8c4eb44d160b9297cd7174307fbeb544c231",
         },
-        37: {
+        "37": {
             "samples.csv": "e14237d197d5298256bf7293d240caabac80395cf392a2da0b196499b0a7743f",
             "events.csv": "fc54d7ff2a06045d03e444f3c35958cb86ee3bb3fbce5b7cec53580398faa4be",
             "labels.csv": "2c517f31e877aeb1a3342cd9af41665f5ae13c0976685b1e8a7da00b3d4701d7",
             "report.csv": "2e06ec57a22b80a8bbaa3c855bc7d26a50bdba5dd9186959535e3fde71fa0626",
         },
+        "1-split": {
+            "samples.csv": "952dcea12101b8c5140ca79bda157980161918a7731707b8f3f697c6a178a467",
+            "events.csv": "251c625f0b51218629cb903fad510d378c865aa74948349f930262b472841d81",
+            "labels.csv": "45c936455038c70443278e76de71d62a02e0802cd62c83ffc3a5e41fc54a6533",
+            "report.csv": "b6ff6d36406657d7f858c89dd996068e9a7b65ce8bc3b23b5093f32a3e79718e",
+        },
     }
 
-    @pytest.mark.parametrize("spacing", [1, 37])
-    def test_chain_outputs_pinned(self, tmp_path, spacing):
+    @pytest.mark.parametrize("spacing, n", [(1, 3000), (37, 3000), (1, 30_000)], ids=["1", "37", "1-split"])
+    def test_chain_outputs_pinned(self, request, tmp_path, spacing, n):
         data = tmp_path / "data"
         assert run_cli(
-            "gen-data", "--n", 3000, "--seed", 1, "--feature-dim", 12,
+            "gen-data", "--n", n, "--seed", 1, "--feature-dim", 12,
             "--spacing-steps", spacing, "--class-probs", "0.9735,0.0178,0.0076,0.0011", "--out-dir", data,
         ) == 0
         assert run_cli(
@@ -695,7 +703,8 @@ class TestPinnedBytes:
         assert run_cli("eval", "--preds", preds, "--labels", data / "labels.csv", "--out-dir", tmp_path / "eval") == 0
         paths = [data / "samples.csv", data / "events.csv", data / "labels.csv", tmp_path / "eval" / "report.csv"]
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
-        assert got == self.DIGESTS[spacing]
+        assert got == self.DIGESTS[request.node.callspec.id]
+        assert multiprocessing.active_children() == []
 
 
 class TestGradcheck:

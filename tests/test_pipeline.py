@@ -1,13 +1,18 @@
 """Labeling windows, channel policy, chronological splits, synthetic data,
 and the CSV round trips."""
 
+import multiprocessing
+import os
+import signal
+import threading
 import warnings
+from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flarecast import (
     FlareClass,
@@ -420,6 +425,16 @@ class TestCsvFormats:
             read_samples(path)
         assert str(info.value) == f"{path}:{line}: {message}"
 
+    def test_faults_in_multiline_rows_name_start_lines(self, tmp_path):
+        # A quoted id holding LF spans two lines; a duplicate and its first
+        # occurrence are both named by the line their row starts on.
+        path = tmp_path / "labels.csv"
+        path.write_text('id,label\n"a\nb",X\n"a\nb",O\n')
+        with pytest.raises(DataFileError) as info:
+            read_labels(path)
+        assert str(info.value) == f"{path}:4: duplicate id 'a\\nb' (first on line 2)"
+        assert read_or_error(read_id_classes_rows, path, ["id", "label"]) == str(info.value)
+
     def test_utf8_bom_rejected_at_line_1(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_bytes(b"\xef\xbb\xbfid,label\na,X\n")
@@ -552,6 +567,11 @@ def assert_same_samples(got, want):
     assert np.array_equal(got.features.view(np.int64), want.features.view(np.int64))
 
 
+# TestCsvMatchesRowOracles' cases also run from TestCsvMatchesRowOraclesSplit;
+# derandomized, they replay nothing from the example database.
+SPLIT_TOO = [HealthCheck.differing_executors]
+
+
 class TestCsvMatchesRowOracles:
     """write_samples, read_samples and the id-class reader against csv.writer
     and the per-row reader loops of ``tests/oracles.py``: the same bytes, the
@@ -573,7 +593,7 @@ class TestCsvMatchesRowOracles:
     steps = st.sampled_from([-302_424, -2, -1, 0, 298_261, 298_262, 569_784, -8_629_944, 35_194_763])
     steps |= st.integers(-330_000, 600_000)
 
-    @settings(max_examples=80, derandomize=True, deadline=None)
+    @settings(max_examples=80, derandomize=True, deadline=None, suppress_health_check=SPLIT_TOO)
     @given(data=st.data(), n=st.integers(0, 12), dim=st.integers(0, 4), block=st.sampled_from([1, 2, 3, 4096]))
     def test_write_samples_bytes_and_read_columns(self, tmp_path_factory, data, n, dim, block):
         ids = data.draw(st.lists(self.ids, min_size=n, max_size=n))
@@ -601,7 +621,7 @@ class TestCsvMatchesRowOracles:
         lambda t: t.isoformat(sep=" ").replace("+00:00", "Z"),
     ]
 
-    @settings(max_examples=80, derandomize=True, deadline=None)
+    @settings(max_examples=80, derandomize=True, deadline=None, suppress_health_check=SPLIT_TOO)
     @given(rows=st.lists(st.tuples(st.integers(-330_000, 600_000), st.integers(0, 6)), min_size=1, max_size=12))
     def test_mixed_stamp_forms_read_like_row_loop(self, tmp_path_factory, rows):
         lines = ["id,timestamp,mask,f0"]
@@ -626,7 +646,7 @@ class TestCsvMatchesRowOracles:
         "float": (3, ["abc", "", "1.0.0", "nan", "inf", "-inf", "0x1p3"]),
     }
 
-    @settings(max_examples=120, derandomize=True, deadline=None)
+    @settings(max_examples=120, derandomize=True, deadline=None, suppress_health_check=SPLIT_TOO)
     @given(
         n=st.integers(2, 8),
         data=st.data(),
@@ -655,7 +675,7 @@ class TestCsvMatchesRowOracles:
 
     headers = (["id", "label"], ["id", "p_o", "p_c", "p_m", "p_x"])
 
-    @settings(max_examples=120, derandomize=True, deadline=None)
+    @settings(max_examples=120, derandomize=True, deadline=None, suppress_health_check=SPLIT_TOO)
     @given(
         hard=st.booleans(),
         names=st.lists(st.sampled_from(["O", "C", "M", "X", " x", "m ", "c"]), min_size=1, max_size=8),
@@ -689,6 +709,164 @@ class TestCsvMatchesRowOracles:
             assert got[1].dtype == np.int8 and got[1].tolist() == want[1].tolist()
         else:
             assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
+
+
+def split_everything(monkeypatch, cpus=2):
+    """Make every CSV file worth ``cpus`` processes, whatever the host has."""
+    monkeypatch.setattr(pipeline, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after ``seconds``, so that a worker
+    that is never joined fails the test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestCsvMatchesRowOraclesSplit(TestCsvMatchesRowOracles):
+    """The same cases with every file written and read by three forked
+    workers: the same bytes, the same columns or the same DataFileError."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def split(self):
+        with pytest.MonkeyPatch.context() as monkeypatch, deadline(600):
+            split_everything(monkeypatch, cpus=3)
+            yield
+
+
+class TestSplitCsv:
+    """Reading a file in byte ranges cut after LF: either the ranges' columns,
+    or one whole-file read that gives its exact result or error."""
+
+    @pytest.fixture(autouse=True)
+    def within_a_minute(self):
+        with deadline(60):
+            yield
+
+    @pytest.fixture
+    def whole_reads(self, monkeypatch):
+        """Split every file in two and record the whole-file reads of this process."""
+        split_everything(monkeypatch)
+        real, calls = pipeline._csv_rows, []
+
+        def spy(path, *headers, lines=None, **kwargs):
+            if lines is None:
+                calls.append(path)
+            return real(path, *headers, lines=lines, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_csv_rows", spy)
+        return calls
+
+    headers = (["id", "label"], ["id", "p_o", "p_c", "p_m", "p_x"])
+
+    def read_both(self, path):
+        """The split read and the row oracle's, as columns or a message."""
+        got = read_or_error(pipeline._read_id_classes, path, *self.headers)
+        want = read_or_error(read_id_classes_rows, path, *self.headers)
+        if isinstance(got, str) or isinstance(want, str):
+            assert got == want
+        else:
+            assert got[0].tolist() == want[0] and got[1].tolist() == want[1].tolist()
+        return got
+
+    @pytest.mark.parametrize("pad", range(12))
+    def test_boundary_anywhere_in_crlf_line(self, tmp_path, whole_reads, pad):
+        # Padding the first id moves the file's midpoint back across a line:
+        # onto its start (just after the CRLF before it), its LF, its CR and
+        # into its fields.
+        rows = [f"{' ' * pad}s00000,X"] + [f"s{i:05d},{'OCMX'[i % 4]}" for i in range(1, 9)]
+        path = tmp_path / "labels.csv"
+        path.write_bytes(("id,label\r\n" + "".join(r + "\r\n" for r in rows)).encode())
+        assert self.read_both(path)[0].tolist() == [f"s{i:05d}" for i in range(9)]
+        assert whole_reads == []
+
+    @pytest.mark.parametrize("pad", range(6))
+    def test_blank_lines_at_boundary(self, tmp_path, whole_reads, pad):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(f"id,label\r\n{' ' * pad}a,X\r\nb,O\r\n\r\n\r\n\n\r\nc,M\r\nd,C\r\n".encode())
+        assert self.read_both(path)[0].tolist() == ["a", "b", "c", "d"]
+        assert whole_reads == []
+
+    def test_duplicate_across_ranges_names_lines(self, tmp_path, whole_reads):
+        path = tmp_path / "labels.csv"
+        path.write_text("id,label\na,X\nb,O\nc,M\nd,C\n b ,X\nf,O\n")
+        assert self.read_both(path) == f"{path}:6: duplicate id 'b' (first on line 3)"
+        assert whole_reads == [path]
+
+    @pytest.mark.parametrize("fault", ["a,Q", "a,1", "a,X,1", "\x00,X"], ids=["class", "probability", "width", "nul"])
+    def test_fault_in_last_range(self, tmp_path, whole_reads, fault):
+        path = tmp_path / "labels.csv"
+        path.write_text("id,label\n" + "".join(f"s{i},X\n" for i in range(8)) + fault + "\n")
+        assert self.read_both(path).startswith(f"{path}:10: ")
+        assert whole_reads == [path]
+
+    @pytest.mark.parametrize("line", [0, 1, 4, 8])
+    def test_quote_anywhere_reads_whole_file(self, tmp_path, whole_reads, line):
+        lines = ["id,label"] + [f"s{i},X" for i in range(8)]
+        lines[line] = '"' + lines[line].replace(",", '",', 1)
+        path = tmp_path / "labels.csv"
+        path.write_text("\n".join(lines) + "\n")
+        self.read_both(path)
+        assert whole_reads == [path]
+
+    @pytest.mark.parametrize("ends", ["\r", "\r|\n", "\n|\r"], ids=["cr", "cr-header", "cr-after-header"])
+    def test_cr_only_line_ends(self, tmp_path, whole_reads, ends):
+        # The header's line end, then every other one; a CR-only header brings
+        # a row into the bytes before the first LF.
+        first, rest = (ends.split("|") * 2)[:2]
+        path = tmp_path / "labels.csv"
+        path.write_bytes(("id,label" + first + "".join(f"s{i},M" + rest for i in range(8))).encode())
+        assert self.read_both(path)[0].tolist() == [f"s{i}" for i in range(8)]
+        assert len(whole_reads) == 1
+
+    def test_samples_split_equal_whole_read(self, tmp_path, whole_reads):
+        table = gen_synthetic(500, [0.25] * 4, seed=3, feature_dim=3)
+        path = tmp_path / "samples.csv"
+        write_samples(path, table)
+        write_samples_rows(tmp_path / "rows.csv", table)
+        assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert_same_samples(read_samples(path), read_samples_rows(path))
+        assert whole_reads == []
+
+    def test_no_worker_left_behind(self, tmp_path, whole_reads):
+        threads = threading.active_count()
+        table = gen_synthetic(300, [0.25] * 4, seed=4, feature_dim=2)
+        write_samples(tmp_path / "samples.csv", table)
+        read_samples(tmp_path / "samples.csv")
+        lines = (tmp_path / "samples.csv").read_text().splitlines()
+        lines[-1] = lines[-1].replace("Z,", "Q,")
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFileError, match=r"bad\.csv:301: "):
+            read_samples(tmp_path / "bad.csv")
+        with pytest.raises(OSError):
+            write_samples(tmp_path / "missing" / "samples.csv", table)
+        assert whole_reads == [tmp_path / "bad.csv"]
+        assert multiprocessing.active_children() == [] and threading.active_count() == threads
+
+    def test_workers_joined_when_reader_stops_early(self):
+        threads = threading.active_count()
+        with pytest.raises(KeyError):
+            with pipeline._in_order(abs, list(range(-50, 0)), 2) as results:
+                assert next(results) == 50
+                raise KeyError("stop")
+        assert multiprocessing.active_children() == [] and threading.active_count() == threads
+
+    def test_worker_that_dies_is_an_error(self):
+        threads = threading.active_count()
+        with pytest.raises(ChildProcessError, match="a CSV worker process ended early"):
+            with pipeline._in_order(lambda item: os._exit(1) if item == 3 else item, list(range(6)), 2) as results:
+                list(results)
+        assert multiprocessing.active_children() == [] and threading.active_count() == threads
 
 
 class TestMatchIds:
