@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import csv
 import io
-import multiprocessing
 import os
 import threading
+import warnings
 from array import array
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,13 +72,6 @@ _WRITE_BLOCK_ROWS = 4096
 
 # Bytes of CSV text worth a forked worker process (see _processes).
 _SPLIT_BYTES = 1 << 20
-
-# The sample stamp read_samples converts in bulk: digits where the form has 0.
-_STAMP_FORM = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
-_MIN_SECONDS = (datetime.min.replace(tzinfo=timezone.utc) - EPOCH) // timedelta(seconds=1)
-
-# Class ranks by exact name; other spellings go through FlareClass.from_name.
-_RANKS = {c.name: int(c) for c in FlareClass}
 
 
 class DataFileError(Exception):
@@ -315,8 +307,7 @@ def _new_id(raw: str, line_no: int, seen: Dict[str, int]) -> str:
 def _processes(size: int) -> int:
     """Processes for ``size`` bytes of CSV text: one per usable CPU and _SPLIT_BYTES,
     or 1 without fork or while another thread runs (a child gets only the forking one)."""
-    forkable = hasattr(os, "sched_getaffinity") and "fork" in multiprocessing.get_all_start_methods()
-    if not forkable or threading.active_count() > 1:
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), size // _SPLIT_BYTES))
 
@@ -335,6 +326,7 @@ def _in_order(func, items: Sequence, processes: int):
     if processes < 2:
         yield map(func, items)
         return
+    import multiprocessing  # here, so that a command that never forks does not load it
     fork = multiprocessing.get_context("fork")
     workers, pipes = [], []
     try:
@@ -355,17 +347,21 @@ def _in_order(func, items: Sequence, processes: int):
             receive.close()
 
 
+def _header_ok(header: List[str], headers: Sequence[List[str]], more: str) -> bool:
+    return any(header[: len(f)] == f and (len(header) > len(f)) == bool(more) for f in headers)
+
+
 @contextmanager
-def _csv_rows(path, *headers: List[str], more: str = "", lines=None):
-    """Open a CSV file (or read ``lines``) whose header, stripped and lowercased,
-    is one of ``headers``, followed by one or more columns where ``more`` names
-    them, and yield ``(header, rows)``: ``rows`` iterates ``(line_no, row)`` over
-    the non-blank rows, each as wide as the header. A ValueError, OverflowError
-    (a time outside the datetime range) or csv.Error (quoting is strict) from
+def _csv_rows(path, *headers: List[str], more: str = ""):
+    """Open a CSV file whose header, stripped and lowercased, is one of
+    ``headers``, followed by one or more columns where ``more`` names them, and
+    yield ``(header, rows)``: ``rows`` iterates ``(line_no, row)`` over the
+    non-blank rows, each as wide as the header. A ValueError, OverflowError (a
+    time outside the datetime range) or csv.Error (quoting is strict) from
     reading or using the header or a row becomes a DataFileError naming the file
     and the line its row starts on, the same ``line_no``.
     """
-    with open(path, newline="") if lines is None else nullcontext(lines) as fh:
+    with open(path, newline="") as fh:
         reader = csv.reader(fh, strict=True)
         start = 1  # the line the row being read or used starts on
 
@@ -382,7 +378,7 @@ def _csv_rows(path, *headers: List[str], more: str = "", lines=None):
 
         try:
             header = [h.strip().lower() for h in next(reader, [])]
-            if not any(header[: len(f)] == f and (len(header) > len(f)) == bool(more) for f in headers):
+            if not _header_ok(header, headers, more):
                 expected = " or ".join(repr(",".join(f + [more] if more else f)) for f in headers)
                 raise ValueError(f"expected header {expected}")
             yield header, rows()
@@ -390,17 +386,42 @@ def _csv_rows(path, *headers: List[str], more: str = "", lines=None):
             raise DataFileError(path, start, str(exc)) from None
 
 
-def _read_csv(path, columns, *headers: List[str], more: str = "") -> tuple:
-    """``columns(path, header, rows)`` over a file's :func:`_csv_rows`: arrays, ids first.
+def _plain(data: bytes) -> bool:
+    """Whether csv.reader and np.loadtxt split ``data`` alike, and float() reads what loadtxt reads: no quote, NUL,
+    line over csv's field limit or \\x1c-\\x1f (loadtxt strips those around a number, float() does not)."""
+    if any(b in data for b in (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+        return False
+    limit, start = csv.field_size_limit(), 0
+    while len(data) - start > limit:  # each limit + 1 bytes from a line start hold an LF
+        start = data.rfind(b"\n", start, start + limit + 1) + 1
+        if not start:
+            return False
+    return True
 
-    A range per process, cut after LF bytes, is read under the header by forked
-    workers. If one fails or holds a quote (a quoted field may hold an LF), or an
-    id repeats across ranges, the file is read whole here for the exact error.
-    """
+
+def _loadtxt(text: io.TextIOWrapper, texts: int, width: int) -> list:
+    """np.loadtxt's columns of ``width``-field rows: ``texts`` of str objects, then one float64 block."""
+    dtype = [(f"t{i}", object) for i in range(texts)] + [("v", np.float64, (width - texts,))] * (width > texts)
+    rows = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    return [rows[name] for name in rows.dtype.names]
+
+
+def _rank_column(names: np.ndarray) -> np.ndarray:
+    """The int8 rank of every class name; ValueError for an unknown one."""
+    distinct, at = np.unique(names.astype(str), return_inverse=True)
+    return np.array([FlareClass.from_name(n) for n in distinct.tolist()], dtype=np.int8)[at]
+
+
+def _read_csv(path, columns, bulk, *headers: List[str], more: str = "", keyed: bool = True) -> tuple:
+    """The arrays of a CSV file whose header is one of ``headers``, stripped ids first where ``keyed``.
+
+    Forked workers parse a range each, cut after LF bytes, by ``bulk(text, header)``. If one is not
+    :func:`_plain`, fails, warns or gives None (a row a check of ``columns`` fails), or an id repeats, the
+    file is read whole by ``columns(path, header, rows)`` over :func:`_csv_rows`, which names the line."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         processes = _processes(size)
-        cuts = [len(fh.readline()) if processes > 1 else size]
+        cuts = [len(fh.readline())]
         for k in range(1, processes):
             fh.seek(max(size * k // processes, cuts[-1]))
             fh.readline()
@@ -412,24 +433,29 @@ def _read_csv(path, columns, *headers: List[str], more: str = "") -> tuple:
             head = fh.read(cuts[0])
             fh.seek(span[0])
             body = fh.read(span[1] - span[0])
-        if b'"' in head or b'"' in body:
-            return None
-        text = chain(io.TextIOWrapper(io.BytesIO(head), newline=""), io.TextIOWrapper(io.BytesIO(body), newline=""))
-        try:
-            with _csv_rows(path, *headers, more=more, lines=text) as (header, rows):
-                return columns(path, header, rows)
-        except DataFileError:  # its line counts from the range; the whole-file read names the file's
-            return None
+        line, text = (io.TextIOWrapper(io.BytesIO(b), newline="\n") for b in (head, body))  # decoded as open() does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # such as loadtxt's on a range of blank lines
+            try:
+                line = line.read().removesuffix("\n").removesuffix("\r")
+                header = [h.strip().lower() for h in line.split(",")]
+                if _plain(head) and _plain(body) and "\r" not in line and _header_ok(header, headers, more):
+                    cols = bulk(text, header)
+                    if keyed and cols is not None:  # as _new_id keeps them; a str array, not an object per id
+                        cols = (np.array([t.strip() for t in cols[0].tolist()], dtype=str),) + cols[1:]
+                    return cols
+            except (ValueError, OverflowError, Warning):  # UnicodeDecodeError among them
+                pass
+        return None
 
     spans = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    if len(spans) > 1:
-        with _in_order(read_range, spans, processes) as parts:
-            parts = list(parts)
-        if all(part is not None for part in parts):
-            cols = tuple(map(np.concatenate, zip(*parts)))
-            sorted_ids = np.sort(cols[0])
-            if not (sorted_ids[1:] == sorted_ids[:-1]).any():
-                return cols
+    with _in_order(read_range, spans, processes) as parts:
+        parts = list(parts)
+    if parts and all(part is not None for part in parts):
+        cols = tuple(map(np.concatenate, zip(*parts)))
+        ids = np.sort(cols[0]) if keyed else np.array([])
+        if not (ids[1:] == ids[:-1]).any():
+            return cols
     with _csv_rows(path, *headers, more=more) as (header, rows):
         return columns(path, header, rows)
 
@@ -444,14 +470,29 @@ def write_events(path, peak_us, ranks) -> None:
         w.writerows(zip((t.removesuffix(".000000") + "Z" for t in stamps), names))
 
 
+def _event_columns(path, header: List[str], rows) -> Tuple[np.ndarray, np.ndarray]:
+    """The peak times (int64 UTC epoch microseconds) and class ranks (int8) of ``events.csv`` rows."""
+    peak_us, ranks = array("q"), array("b")
+    for _, row in rows:
+        peak_us.append((_parse_time(row[0]) - EPOCH) // MICROSECOND)
+        ranks.append(FlareClass.from_name(row[1]))
+    return np.frombuffer(peak_us, dtype=np.int64), np.frombuffer(ranks, dtype=np.int8)
+
+
+def _event_bulk(text: io.TextIOWrapper, header: List[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """_event_columns of loadtxt's rows, canonical stamps in one cast per form, any other through _parse_time."""
+    stamps, names = _loadtxt(text, 2, 2)
+    stamps = stamps.astype(str)
+    (seconds, whole), (peak_us, fraction) = _canonical_stamps(stamps, 20), _canonical_stamps(stamps, 27)
+    peak_us[whole] = seconds[whole] * 1_000_000
+    for i in np.flatnonzero(~(whole | fraction)).tolist():
+        peak_us[i] = (_parse_time(stamps[i]) - EPOCH) // MICROSECOND
+    return peak_us, _rank_column(names)
+
+
 def read_events(path) -> Tuple[np.ndarray, np.ndarray]:
     """``events.csv`` as columns: peak times (int64 UTC epoch microseconds) and class ranks (int8)."""
-    peak_us, ranks = array("q"), array("b")
-    with _csv_rows(path, ["peak_time", "class"]) as (_, rows):
-        for _, row in rows:
-            peak_us.append((_parse_time(row[0]) - EPOCH) // MICROSECOND)
-            ranks.append(FlareClass.from_name(row[1]))
-    return np.frombuffer(peak_us, dtype=np.int64), np.frombuffer(ranks, dtype=np.int8)
+    return _read_csv(path, _event_columns, _event_bulk, ["peak_time", "class"], keyed=False)
 
 
 def _csv_fields(texts: List[str]) -> List[str]:
@@ -484,29 +525,32 @@ def write_samples(path, table: SampleTable) -> None:
             fh.writelines(texts)
 
 
-def _canonical_seconds(stamps: bytes) -> Tuple[np.ndarray, np.ndarray]:
-    """UTC epoch seconds of timestamps packed 20 bytes each, and where each is
-    a ``YYYY-MM-DDTHH:MM:SSZ`` stamp, within the datetime range and on the
-    grid, whose text its seconds print back to (elsewhere the seconds are 0)."""
-    packed = np.frombuffer(stamps, dtype=np.uint8).reshape(-1, 20)
-    ok = np.where(_STAMP_FORM == ord("0"), packed - np.uint8(ord("0")) < 10, packed == _STAMP_FORM).all(axis=1)
-    text = np.frombuffer(stamps, dtype="S20").astype("S19")
-    seconds = np.zeros(len(text), dtype=np.int64)
+def _canonical_stamps(stamps: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """UTC epoch seconds (``width`` 20) or microseconds (27) of timestamp texts, and
+    where each is a ``YYYY-MM-DDTHH:MM:SSZ`` or ``YYYY-MM-DDTHH:MM:SS.ffffffZ`` stamp of
+    that width within the datetime range whose text its value prints back to (else 0)."""
+    stamps = np.asarray(stamps, dtype=str)
+    codes = stamps.astype(f"U{width}").view(np.uint32).reshape(-1, width)
+    form = np.frombuffer(b"0000-00-00T00:00:00.000000"[: width - 1] + b"Z", dtype=np.uint8)
+    ok = np.where(form == ord("0"), codes - np.uint32(ord("0")) < 10, codes == form).all(axis=1)
+    ok &= (np.char.str_len(stamps) == width) & (codes[:, :4] != ord("0")).any(axis=1)  # year 0 is out of range
+    text = codes[:, :-1].astype(np.uint8, order="C").view(f"S{width - 1}").ravel()  # bytes cast faster than str
+    unit = "datetime64[s]" if width == 20 else "datetime64[us]"
+    values = np.zeros(len(text), dtype=np.int64)
     try:
-        seconds[ok] = text[ok].astype("datetime64[s]").astype(np.int64)
+        values[ok] = text[ok].astype(unit).astype(np.int64)
     except ValueError:  # a field out of range, such as month 13: every stamp takes the slow path
         ok[:] = False
     # Printing back to the text also rejects whatever else the cast might accept and move.
-    ok &= seconds.astype("datetime64[s]").astype("S19") == text
-    ok &= (seconds >= _MIN_SECONDS) & (seconds % GRID_SECONDS == 0)
-    return seconds, ok
+    ok[ok] = values[ok].astype(unit).astype(text.dtype) == text[ok]
+    return values, ok
 
 
 def _sample_columns(path, header: List[str], rows) -> tuple:
     """The ids, UTC epoch seconds, masks and features of ``samples.csv`` rows."""
     ids: List[str] = []
     seen: Dict[str, int] = {}
-    stamps = bytearray()
+    stamps: List[str] = []
     masks = bytearray()
     feats = array("d")
     for line_no, row in rows:
@@ -514,19 +558,19 @@ def _sample_columns(path, header: List[str], rows) -> tuple:
         if len(mask) != N_CHANNELS or mask.strip("01"):
             raise ValueError(f"mask must be {N_CHANNELS} characters of 0/1, got {mask!r}")
         ids.append(_new_id(row[0], line_no, seen))
-        stamp = row[1].encode()
-        if len(stamp) != 20:  # checked now, and packed in the canonical form
-            t = _parse_time(row[1])
+        stamp = row[1]
+        if len(stamp.encode()) != 20:  # checked now, and kept in the canonical form
+            t = _parse_time(stamp)
             grid_seconds(t)
-            stamp = t.isoformat()[:19].encode() + b"Z"
-        stamps += stamp
+            stamp = t.isoformat()[:19] + "Z"
+        stamps.append(stamp)
         feats.extend(map(float, row[3:]))
         masks += mask.encode()
     n = len(ids)
-    times, canonical = _canonical_seconds(stamps)
-    for i in np.flatnonzero(~canonical).tolist():
+    times, canonical = _canonical_stamps(stamps, 20)
+    for i in np.flatnonzero(~canonical | (times % GRID_SECONDS != 0)).tolist():
         try:
-            times[i] = grid_seconds(_parse_time(stamps[20 * i : 20 * i + 20].decode()))
+            times[i] = grid_seconds(_parse_time(stamps[i]))
         except (ValueError, OverflowError) as exc:
             raise DataFileError(path, seen[ids[i]], str(exc)) from None
     features = np.frombuffer(feats, dtype=np.float64).reshape(n, len(header) - 3)
@@ -536,25 +580,31 @@ def _sample_columns(path, header: List[str], rows) -> tuple:
     return np.array(ids, dtype=str), times, np.frombuffer(masks, dtype=np.uint8).reshape(n, N_CHANNELS) == ord("1"), features
 
 
-def read_samples(path) -> SampleTable:
-    """Stream ``samples.csv`` into an unlabeled table, row by row into flat buffers.
+def _sample_bulk(text: io.TextIOWrapper, header: List[str]) -> Optional[tuple]:
+    """_sample_columns of loadtxt's rows, or None where one fails its checks."""
+    ids, stamps, masks, features = _loadtxt(text, 3, len(header))
+    times, canonical = _canonical_stamps(stamps, 20)
+    for i in np.flatnonzero(~canonical | (times % GRID_SECONDS != 0)).tolist():
+        times[i] = grid_seconds(_parse_time(stamps[i]))
+    masks = np.char.strip(masks.astype(str))
+    codes = masks.astype(f"U{N_CHANNELS}").view(np.uint32).reshape(-1, N_CHANNELS)
+    ok = (np.char.str_len(masks) == N_CHANNELS).all() and (codes - np.uint32(ord("0")) <= 1).all()
+    return (ids, times, codes == ord("1"), features) if ok and np.isfinite(features).all() else None
 
-    ``YYYY-MM-DDTHH:MM:SSZ`` stamps are kept as text and converted in one cast
-    after the last row; any other stamp, and any such stamp that does not
+
+def read_samples(path) -> SampleTable:
+    """``samples.csv`` as an unlabeled table. ``YYYY-MM-DDTHH:MM:SSZ`` stamps are
+    converted in one cast; any other stamp, and any such stamp that does not
     convert back to its text or lies off the grid, goes through
-    :func:`_parse_time` and :func:`~flarecast.core.grid_seconds` and is
-    rejected with their message and its line.
-    """
-    return SampleTable(*_read_csv(path, _sample_columns, ["id", "timestamp", "mask"], more="f0.."))
+    :func:`_parse_time` and :func:`~flarecast.core.grid_seconds`."""
+    return SampleTable(*_read_csv(path, _sample_columns, _sample_bulk, ["id", "timestamp", "mask"], more="f0.."))
 
 
 def write_labels(path, ids: Sequence[str], labels) -> None:
-    """Write ``id,label`` rows; ``labels`` are class ranks or :class:`FlareClass` members."""
-    names = _class_names(labels)
+    """Write ``id,label`` rows as csv.writer would; ``labels`` are class ranks or :class:`FlareClass` members."""
+    rows = zip(_csv_fields(np.asarray(ids, dtype=str).tolist()), _class_names(labels))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "label"])
-        w.writerows(zip(ids, names))
+        fh.write("id,label\r\n" + "".join(f"{sid},{name}\r\n" for sid, name in rows))
 
 
 def _id_class_columns(path, header: List[str], rows) -> tuple:
@@ -568,8 +618,7 @@ def _id_class_columns(path, header: List[str], rows) -> tuple:
     for line_no, row in rows:
         ids.append(_new_id(row[0], line_no, seen))
         if hard:
-            name = row[1]
-            ranks.append(_RANKS[name] if name in _RANKS else FlareClass.from_name(name))
+            ranks.append(FlareClass.from_name(row[1]))
             continue
         vec = list(map(float, row[1:]))
         if not (min(vec) >= 0 and abs(sum(vec) - 1.0) <= 1e-6):
@@ -579,11 +628,22 @@ def _id_class_columns(path, header: List[str], rows) -> tuple:
     return np.array(ids, dtype=str), values
 
 
+def _id_class_bulk(text: io.TextIOWrapper, header: List[str]) -> Optional[tuple]:
+    """_id_class_columns of loadtxt's rows, or None where one fails its checks."""
+    hard = len(header) == 2
+    ids, values = _loadtxt(text, 1 + hard, len(header))
+    if hard:
+        return ids, _rank_column(values)
+    sums = ((values[:, 0] + values[:, 1]) + values[:, 2]) + values[:, 3]
+    # sum()'s order, a hair inside its bound, which Python 3.12's compensated sum() may round across
+    return (ids, values) if (values.min(axis=1) >= 0).all() and (np.abs(sums - 1.0) <= 1e-6 - 1e-15).all() else None
+
+
 def _read_id_classes(path, *headers: List[str]) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """An id-keyed class file whose header is one of ``headers``, as columns:
     the ids (str) and either the class ranks (int8) of an ``id,label`` file or
     the unscaled rows (float64) of an ``id,p_o,p_c,p_m,p_x`` file, the other None."""
-    ids, values = _read_csv(path, _id_class_columns, *headers)
+    ids, values = _read_csv(path, _id_class_columns, _id_class_bulk, *headers)
     return (ids, values, None) if values.ndim == 1 else (ids, None, values)
 
 

@@ -6,8 +6,8 @@ finite differences, window labeling by brute-force scan, confusion counts,
 the Brier skill score, the channel policy and the id join by per-row loops,
 the loss family one sample at a time, AdamW and backprop in an allocating,
 per-name dict form, the training loop one freshly gathered batch at a
-time, and the sample and id-class CSV files through ``csv.writer`` and
-per-row reader loops. None of them import the code paths they verify beyond
+time, and the sample, event and id-class CSV files through ``csv.writer``
+and per-row reader loops. None of them import the code paths they verify beyond
 plain data containers (``DataFileError`` among them) and the softmax, with
 four exceptions: the CSV reader loops check the 2-hour grid with
 ``core.grid_seconds``, whose message the readers share; the list forms
@@ -210,7 +210,7 @@ def match_ids_loop(keys, wanted):
 
 
 # ---------------------------------------------------------------------------
-# The sample and id-class CSV files through csv.writer and per-row reader loops
+# The sample, event and id-class CSV files through csv.writer and per-row reader loops
 # ---------------------------------------------------------------------------
 
 def write_samples_rows(path, table):
@@ -295,6 +295,17 @@ def read_samples_rows(path) -> SampleTable:
         if not np.isfinite(row).all():
             raise DataFileError(path, seen[sid], f"features of id {sid!r} must be finite")
     return SampleTable(ids, np.array(times, dtype=np.int64), np.array(masks, dtype=bool).reshape(-1, 10), features)
+
+
+def read_events_rows(path):
+    """``events.csv`` one row at a time: each stamp through ``datetime`` and
+    each class name through ``FlareClass.from_name``."""
+    peak_us, ranks = [], []
+    with _csv_rows_loop(path, ["peak_time", "class"]) as (_, rows):
+        for _, row in rows:
+            peak_us.append((_parse_time_row(row[0]) - EPOCH) // timedelta(microseconds=1))
+            ranks.append(FlareClass.from_name(row[1]))
+    return np.array(peak_us, dtype=np.int64), np.array(ranks, dtype=np.int8)
 
 
 def read_id_classes_rows(path, *headers: List[str]):

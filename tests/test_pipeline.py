@@ -1,6 +1,7 @@
 """Labeling windows, channel policy, chronological splits, synthetic data,
 and the CSV round trips."""
 
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -44,6 +45,7 @@ from oracles import (
     channel_policy_loop,
     label_max_class,
     match_ids_loop,
+    read_events_rows,
     read_id_classes_rows,
     read_samples_rows,
     write_samples_rows,
@@ -558,6 +560,18 @@ def read_or_error(read, path, *args):
             return str(exc)
 
 
+def assert_same_id_classes(path, headers):
+    """The id-class reader and its row oracle give ``path`` the same columns or the same message."""
+    got = read_or_error(pipeline._read_id_classes, path, *headers)
+    want = read_or_error(read_id_classes_rows, path, *headers)
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    assert got[0].tolist() == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert g is w is None or (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
 def assert_same_samples(got, want):
     if isinstance(got, str) or isinstance(want, str):
         assert got == want
@@ -710,6 +724,121 @@ class TestCsvMatchesRowOracles:
         else:
             assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
 
+    # Where np.loadtxt, csv.reader and float() may part ways: each file is read
+    # in bulk or by the row loop, and must give what the row oracle gives.
+    sample_rows = ["s0,2020-01-01T00:00:00Z,1111111111,0.5,1.0", "s1,2020-01-01T02:00:00Z,0101010101,0.25,2.0",
+                   "s2,2020-01-01T04:00:00Z,1111111111,-3.5,4.0"]
+    number_texts = ["1_0", "１", "١.5", "\xa01.5\xa0", "　1.5", " 1.5\t", "Infinity", "-Infinity", "nan",
+                    "+nan", "iNf", "\x1c1.5", "1.5\x1f", "1e500", "1e-400", "0x1p3", "+1.5", "1.", ".5", "1e5"]
+    samples_divergences = {
+        **{f"number {t!r}": (1, 3, t) for t in number_texts},
+        **{f"stamp {t!r}": (1, 1, t) for t in [
+            "2020-01-01T03:00:00+01:00", "2020-01-01T00:00:00-02:00", "2020-01-01T02:00:00.000000Z",
+            " 2020-01-01T02:00:00Z ", "2020-01-01 02:00:00Z", "2020-01-01T02:00:00+00:00",
+        ]},
+        **{f"id {t[:12]!r}..{len(t)}": (1, 0, t) for t in ["x" * 65, "y" * 300, " s9 ", "\ts9　", "s9" + " " * 70]},
+        "id over the field limit": (1, 0, "z" * 200_000),
+        "number over the field limit": (1, 4, " " * 200_000 + "2.0"),
+        "mask padded": (2, 2, " 1111111111\t"),
+    }
+    line_divergences = {
+        "whitespace-only line": "{0}\n \n{1}\n{2}\n",
+        "tab-only line": "{0}\n{1}\n\t\n{2}\n",
+        "nbsp-only line": "{0}\n\xa0\n{1}\n{2}\n",
+        "trailing comma": "{0}\n{1},\n{2}\n",
+        "lone CR inside a row": "{0}\n{1}\r{2}\n",
+        "lone CR row ends": "{0}\r{1}\r{2}\r",
+        "CR CR LF": "{0}\r\r\n{1}\r\n{2}\r\n",
+        "blank CRLF lines": "\r\n{0}\r\n\r\n{1}\r\n\n{2}",
+        "header only": "",
+        "header only, blank lines": "\n\r\n\n",
+        "one row": "{1}\n",
+        "one row, no line end": "{1}",
+    }
+
+    @pytest.mark.parametrize("case", sorted(samples_divergences) + sorted(line_divergences))
+    def test_samples_divergences_read_like_row_loop(self, tmp_path, case):
+        rows = [r.split(",") for r in self.sample_rows]
+        if case in self.samples_divergences:
+            row, column, text = self.samples_divergences[case]
+            rows[row][column] = text
+            body = "".join(",".join(r) + "\n" for r in rows)
+        else:
+            body = self.line_divergences[case].format(*(",".join(r) for r in rows))
+        path = tmp_path / "samples.csv"
+        path.write_text("id,timestamp,mask,f0,f1\n" + body, newline="")
+        assert_same_samples(read_or_error(read_samples, path), read_or_error(read_samples_rows, path))
+
+    @pytest.mark.parametrize("case", sorted(line_divergences))
+    @pytest.mark.parametrize("hard", [True, False], ids=["labels", "probabilities"])
+    def test_id_class_divergences_read_like_row_loop(self, tmp_path, case, hard):
+        rows = ["a,X", " b ,m", "c,O"] if hard else ["a,0.25,0.25,0.25,0.25", " b ,1,0,0,0", "c,0.5,0.5,0,\xa00"]
+        path = tmp_path / "preds.csv"
+        path.write_text(",".join(self.headers[not hard]) + "\n" + self.line_divergences[case].format(*rows), newline="")
+        assert_same_id_classes(path, self.headers)
+
+    # Rows whose sum is near the bound of 1e-6, on either side.
+    near_bound = [
+        "0.2500009", "0.2500011", "0.250001", "0.2500009999999999", "0.2500010000000001", "0.24999900000000002",
+    ]
+
+    @pytest.mark.parametrize(
+        "row", [f"b,0,0,0,{t}" for t in number_texts] + [f"b,0.25,0.25,0.25,{t}" for t in near_bound]
+    )
+    def test_probability_numbers_read_like_row_loop(self, tmp_path, row):
+        path = tmp_path / "preds.csv"
+        path.write_text(f"id,p_o,p_c,p_m,p_x\na,0.25,0.25,0.25,0.25\n{row}\nc,1,0,0,0\n")
+        assert_same_id_classes(path, self.headers)
+
+    @pytest.mark.parametrize("header", ["id\r,label", "id,label\r\r", "id,la\rbel", " ID , Label "])
+    def test_header_line_ends_read_like_row_loop(self, tmp_path, header):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"{header}\na,X\nb,O\n", newline="")
+        assert_same_id_classes(path, self.headers)
+
+    @pytest.mark.parametrize(
+        "data", [b"id,label\na,X\nb\xff,O\n", b"id,lab\xe9l\na,X\n", b"id,label\na,X\nb\xc3\xa9,O\n"]
+    )
+    def test_undecodable_bytes_read_like_row_loop(self, tmp_path, data):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(data)
+        assert_same_id_classes(path, self.headers)
+
+    # Event stamps the readers accept, and stamps and class names they reject.
+    bad_event_stamps = [
+        "2020-13-01T00:00:00Z", "2020-02-30T00:00:00.000000Z", "0000-01-01T00:00:00Z", "0000-01-01T00:00:00.000000Z",
+        "2020-01-01T00:00:00.00000xZ", "2020-01-01T24:00:00.000000Z", "2020-01-01T00:00:00", "not-a-time", "",
+        "0001-01-01T00:00:00+01:00", "２020-01-01T00:00:00Z", "2020-01-01T00:00:00.０００000Z",
+    ]
+
+    @settings(max_examples=120, derandomize=True, deadline=None, suppress_health_check=SPLIT_TOO)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(-60 * 10**15, 250 * 10**15) | st.integers(-10**7, 10**7),
+                st.integers(0, len(stamp_forms) - 1),
+                st.sampled_from(["O", "C", "M", "X", " x", "m ", "c"]),
+            ),
+            min_size=1, max_size=10,
+        ),
+        fault=st.none() | st.tuples(
+            st.integers(0, 9), st.sampled_from([(0, t) for t in bad_event_stamps] + [(1, "Q"), (1, ""), (1, "XX")])
+        ),
+    )
+    def test_events_read_like_row_loop(self, tmp_path_factory, rows, fault):
+        lines = [[self.stamp_forms[form](EPOCH + timedelta(microseconds=us)), name] for us, form, name in rows]
+        if fault is not None:
+            row, (column, text) = fault
+            lines[row % len(lines)][column] = text
+        path = tmp_path_factory.mktemp("csv") / "events.csv"
+        path.write_text("peak_time,class\n" + "".join(",".join(r) + "\n" for r in lines))
+        got, want = read_or_error(read_events, path), read_or_error(read_events_rows, path)
+        if isinstance(got, str) or isinstance(want, str):
+            assert got == want
+            return
+        assert got[0].dtype == np.int64 and got[1].dtype == np.int8
+        assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+
 
 def split_everything(monkeypatch, cpus=2):
     """Make every CSV file worth ``cpus`` processes, whatever the host has."""
@@ -759,10 +888,9 @@ class TestSplitCsv:
         split_everything(monkeypatch)
         real, calls = pipeline._csv_rows, []
 
-        def spy(path, *headers, lines=None, **kwargs):
-            if lines is None:
-                calls.append(path)
-            return real(path, *headers, lines=lines, **kwargs)
+        def spy(path, *headers, **kwargs):
+            calls.append(path)
+            return real(path, *headers, **kwargs)
 
         monkeypatch.setattr(pipeline, "_csv_rows", spy)
         return calls
@@ -867,6 +995,115 @@ class TestSplitCsv:
             with pipeline._in_order(lambda item: os._exit(1) if item == 3 else item, list(range(6)), 2) as results:
                 list(results)
         assert multiprocessing.active_children() == [] and threading.active_count() == threads
+
+
+class TestBulkReads:
+    """Clean files from the writers are parsed by np.loadtxt in 1, 2 or 3 byte
+    ranges and never reach the row loop; a file with one fault always does,
+    and fails with the row loop's message and line."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("clean")
+        table = gen_synthetic(240, [0.4, 0.3, 0.2, 0.1], seed=5, feature_dim=3)
+        write_samples(d / "samples.csv", table)
+        peak_us, ranks = events_for_samples(table)
+        write_events(d / "events.csv", peak_us + np.arange(len(peak_us)) % 3 * 250_000, ranks)  # both stamp forms
+        write_labels(d / "labels.csv", table.ids, table.labels)
+        probs = np.random.default_rng(5).dirichlet(np.ones(4), len(table)).tolist()
+        (d / "preds.csv").write_text("id,p_o,p_c,p_m,p_x\n" + "".join(
+            f"{sid}," + ",".join(map(repr, p)) + "\n" for sid, p in zip(table.ids.tolist(), probs)
+        ))
+        return d
+
+    # Each file's reader, and its row loop: a column function over the whole file's _csv_rows.
+    readers = {
+        "samples.csv": (
+            lambda path: dataclasses.astuple(read_samples(path))[:4],
+            pipeline._sample_columns, [["id", "timestamp", "mask"]], "f0..",
+        ),
+        "events.csv": (read_events, pipeline._event_columns, [["peak_time", "class"]], ""),
+        "labels.csv": (read_labels, pipeline._id_class_columns, [["id", "label"]], ""),
+        "preds.csv": (
+            lambda path: pipeline._read_id_classes(path, *TestCsvMatchesRowOracles.headers)[::2],
+            pipeline._id_class_columns, TestCsvMatchesRowOracles.headers, "",
+        ),
+    }
+
+    @pytest.fixture(params=[1, 2, 3], ids=["1-range", "2-ranges", "3-ranges"])
+    def row_loop_calls(self, request, monkeypatch):
+        """Split every file into ``param`` ranges (one: these files are far below the split size)
+        and record the whole-file reads of this process."""
+        if request.param > 1:
+            split_everything(monkeypatch, cpus=request.param)
+        real, calls = pipeline._csv_rows, []
+
+        def spy(path, *headers, **kwargs):
+            calls.append(path)
+            return real(path, *headers, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_csv_rows", spy)
+        with deadline(60):
+            yield calls
+
+    def read_both(self, path, calls):
+        """The reader's columns or message and the row loop's; ``calls`` keeps the reader's whole-file reads."""
+        read, columns, headers, more = self.readers[path.name]
+
+        def row_loop(path):
+            with pipeline._csv_rows(path, *headers, more=more) as (header, rows):
+                return columns(path, header, rows)
+
+        want = read_or_error(row_loop, path)
+        calls.clear()
+        return read_or_error(read, path), want
+
+    @pytest.mark.parametrize("name", sorted(readers))
+    def test_clean_files_never_reach_row_loop(self, clean, row_loop_calls, name):
+        got, want = self.read_both(clean / name, row_loop_calls)
+        assert row_loop_calls == [] and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    # Faults by file: the field in a column becomes a text (a column of None adds
+    # a field; a duplicate id is the first row's id with the text added).
+    faults = {
+        "samples.csv": {
+            "mask": (2, "11111x1111"), "short mask": (2, "111111111"), "month 13": (1, "2020-13-01T00:00:00Z"),
+            "off grid": (1, "2020-01-01T01:00:00Z"), "naive stamp": (1, "2020-01-01T00:00:00"), "nan": (3, "nan"),
+            "not a number": (4, "abc"), "separator in a number": (3, "\x1c1.5"), "duplicate id": (0, ""),
+            "nul": (0, "s\x00"), "width": (None, "1"), "quote": (0, '"s"x'),
+        },
+        "events.csv": {
+            "stamp": (0, "2020-02-30T00:00:00.000000Z"), "year 0": (0, "0000-01-01T00:00:00Z"),
+            "class": (1, "Q"), "width": (None, "X"),
+        },
+        "labels.csv": {"class": (1, "XX"), "duplicate id": (0, " "), "width": (None, "X"), "nul": (0, "\x00")},
+        "preds.csv": {
+            "negative": (1, "-0.1"), "sum": (4, "0.9"), "nan": (2, "nan"), "duplicate id": (0, "\t"),
+            "width": (None, "0"),
+        },
+    }
+
+    @pytest.mark.parametrize("name, fault", [(n, f) for n, fs in sorted(faults.items()) for f in sorted(fs)])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_single_fault_reaches_row_loop(self, clean, tmp_path, row_loop_calls, name, fault, where):
+        lines = (clean / name).read_text().splitlines()
+        row = {"first": 1, "middle": len(lines) // 2, "last": len(lines) - 1}[where]
+        column, text = self.faults[name][fault]
+        if fault == "duplicate id":
+            row, text = max(row, 2), lines[1].split(",")[0] + text
+        fields = lines[row].split(",")
+        if column is None:
+            fields.append(text)
+        else:
+            fields[column] = text
+        lines[row] = ",".join(fields)
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n")
+        got, want = self.read_both(path, row_loop_calls)
+        assert row_loop_calls == [path]
+        assert isinstance(got, str) and got == want and got.startswith(f"{path}:{row + 1}: ")
 
 
 class TestMatchIds:
