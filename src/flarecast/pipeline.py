@@ -9,6 +9,9 @@ File formats (all comma-separated with a header row):
 * samples: ``id,timestamp,mask,f0..f{D-1}`` with the 10-channel presence mask
   as ten 0/1 characters and finite features, held as a :class:`~flarecast.core.SampleTable`.
 * labels:  ``id,label``, read as an id column and an int8 class-rank column.
+
+Each format has one check over whole columns (``_check_*``), fed by two tokenizers: np.loadtxt
+over forked byte ranges, or csv.reader over the whole file, which names a fault's line.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -284,6 +288,8 @@ def _class_names(ranks) -> List[str]:
 
 def _parse_time(text: str) -> datetime:
     raw = text.strip()
+    if "\x00" in raw:  # which fromisoformat skips
+        raise ValueError(f"timestamp {text!r} contains a NUL character")
     if raw.endswith("Z"):
         raw = raw[:-1] + "+00:00"
     t = datetime.fromisoformat(raw)
@@ -292,16 +298,50 @@ def _parse_time(text: str) -> datetime:
     return t.astimezone(timezone.utc)
 
 
-def _new_id(raw: str, line_no: int, seen: Dict[str, int]) -> str:
-    """Stripped row id, recorded in ``seen`` with its line; a repeat, or a NUL
-    character (numpy str arrays drop trailing NULs), raises ValueError."""
-    sid = raw.strip()
-    if "\x00" in sid:
-        raise ValueError(f"id {sid!r} contains a NUL character")
-    if sid in seen:
-        raise ValueError(f"duplicate id {sid!r} (first on line {seen[sid]})")
-    seen[sid] = line_no
-    return sid
+class _RowFault(ValueError):
+    """A check's fault at index ``row`` of its rows. The whole-file read names that row's line and adds
+    the line of row ``first`` (where a repeated id first appears) or, if ``fields``, its number fields."""
+
+    def __init__(self, row: int, message: str, first: Optional[int] = None, fields: bool = False):
+        super().__init__(message)
+        self.row, self.first, self.fields = row, first, fields
+
+
+def _fill(values: np.ndarray, func, texts: List[str], rows: np.ndarray) -> None:
+    """Set ``values[i] = func(texts[i])`` for each index ``i`` of ``rows`` in turn; a ValueError
+    or OverflowError (a time outside the datetime range) becomes a _RowFault at ``i``."""
+    for i in rows.tolist():
+        try:
+            values[i] = func(texts[i])
+        except (ValueError, OverflowError) as exc:
+            raise _RowFault(i, str(exc)) from None
+
+
+def _id_column(texts: List[str]) -> np.ndarray:
+    """The stripped ids as a str array; _RowFault at the first holding a NUL (which such an
+    array drops from the end), else at the first repeat."""
+    ids = [t.strip() for t in texts]
+    if "\x00" in "".join(ids):
+        i = next(i for i, sid in enumerate(ids) if "\x00" in sid)
+        raise _RowFault(i, f"id {ids[i]!r} contains a NUL character")
+    ids = np.array(ids, dtype=str)
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    if repeats.size:
+        i = int(repeats.min())
+        raise _RowFault(i, f"duplicate id {str(ids[i])!r}", first=int(np.argmax(ids == ids[i])))
+    return ids
+
+
+def _rank_column(names: List[str]) -> np.ndarray:
+    """The int8 rank of every class name; _RowFault on the first row of the first unknown one."""
+    ranks = {}
+    for name in dict.fromkeys(names):  # each distinct text, NULs kept, in the order they first appear
+        try:
+            ranks[name] = FlareClass.from_name(name)
+        except ValueError as exc:
+            raise _RowFault(names.index(name), str(exc)) from None
+    return np.fromiter(map(ranks.__getitem__, names), np.int8, len(names))
 
 
 def _processes(size: int) -> int:
@@ -347,20 +387,22 @@ def _in_order(func, items: Sequence, processes: int):
             receive.close()
 
 
-def _header_ok(header: List[str], headers: Sequence[List[str]], more: str) -> bool:
-    return any(header[: len(f)] == f and (len(header) > len(f)) == bool(more) for f in headers)
+def _text_fields(header: List[str], headers: Sequence[List[str]], more: str) -> Optional[int]:
+    """How many leading fields of ``header`` are text, if it is one of ``headers`` followed by one or
+    more fields where ``more`` names them: those before its first ``p_*`` or ``more`` field. Else None."""
+    for f in headers:
+        if header[: len(f)] == f and (len(header) > len(f)) == bool(more):
+            return next((i for i, name in enumerate(f) if name.startswith("p_")), len(f))
+    return None
 
 
 @contextmanager
 def _csv_rows(path, *headers: List[str], more: str = ""):
-    """Open a CSV file whose header, stripped and lowercased, is one of
-    ``headers``, followed by one or more columns where ``more`` names them, and
-    yield ``(header, rows)``: ``rows`` iterates ``(line_no, row)`` over the
-    non-blank rows, each as wide as the header. A ValueError, OverflowError (a
-    time outside the datetime range) or csv.Error (quoting is strict) from
-    reading or using the header or a row becomes a DataFileError naming the file
-    and the line its row starts on, the same ``line_no``.
-    """
+    """Open a CSV file whose header, stripped and lowercased, is one of ``headers`` (see
+    :func:`_text_fields`), and yield ``(header, texts, rows)``: its count of text fields, and
+    ``(line_no, row)`` for each non-blank row, as wide as the header. A ValueError, OverflowError
+    or csv.Error (quoting is strict) from reading or using the header or a row becomes a
+    DataFileError naming the file and the line its row starts on, the same ``line_no``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh, strict=True)
         start = 1  # the line the row being read or used starts on
@@ -378,10 +420,11 @@ def _csv_rows(path, *headers: List[str], more: str = ""):
 
         try:
             header = [h.strip().lower() for h in next(reader, [])]
-            if not _header_ok(header, headers, more):
+            texts = _text_fields(header, headers, more)
+            if texts is None:
                 expected = " or ".join(repr(",".join(f + [more] if more else f)) for f in headers)
                 raise ValueError(f"expected header {expected}")
-            yield header, rows()
+            yield header, texts, rows()
         except (csv.Error, ValueError, OverflowError) as exc:
             raise DataFileError(path, start, str(exc)) from None
 
@@ -399,25 +442,42 @@ def _plain(data: bytes) -> bool:
     return True
 
 
-def _loadtxt(text: io.TextIOWrapper, texts: int, width: int) -> list:
-    """np.loadtxt's columns of ``width``-field rows: ``texts`` of str objects, then one float64 block."""
+def _loadtxt(text: io.TextIOWrapper, texts: int, width: int) -> Tuple[List[List[str]], np.ndarray]:
+    """np.loadtxt's ``width``-field rows: the first ``texts`` fields as lists of str, the rest as a float64 block."""
     dtype = [(f"t{i}", object) for i in range(texts)] + [("v", np.float64, (width - texts,))] * (width > texts)
     rows = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    return [rows[name] for name in rows.dtype.names]
+    return [rows[f"t{i}"].tolist() for i in range(texts)], rows["v"] if width > texts else np.zeros((len(rows), 0))
 
 
-def _rank_column(names: np.ndarray) -> np.ndarray:
-    """The int8 rank of every class name; ValueError for an unknown one."""
-    distinct, at = np.unique(names.astype(str), return_inverse=True)
-    return np.array([FlareClass.from_name(n) for n in distinct.tolist()], dtype=np.int8)[at]
+def _read_whole(path, check, headers: Sequence[List[str]], more: str) -> tuple:
+    """``check`` of a whole CSV file tokenized by csv.reader through :func:`_csv_rows`, numbers by
+    float(); its fault becomes a DataFileError naming the file and the line its row starts on."""
+    with _csv_rows(path, *headers, more=more) as (header, texts, rows):
+        lines, columns, numbers = [], [[] for _ in range(texts)], array("d")
+        for line_no, row in rows:
+            lines.append(line_no)
+            for column, text in zip(columns, row):
+                column.append(text)
+            numbers.extend(map(float, row[texts:]))
+    try:
+        return check(columns, np.frombuffer(numbers).reshape(len(lines), len(header) - texts))
+    except _RowFault as fault:
+        message = str(fault)
+        if fault.first is not None:
+            message += f" (first on line {lines[fault.first]})"
+        if fault.fields:  # read again up to that row, for the texts float() read
+            with _csv_rows(path, *headers, more=more) as (_, _, rows):
+                message += f", got {next(islice(rows, fault.row, None))[1][texts:]}"
+        raise DataFileError(path, lines[fault.row], message) from None
 
 
-def _read_csv(path, columns, bulk, *headers: List[str], more: str = "", keyed: bool = True) -> tuple:
-    """The arrays of a CSV file whose header is one of ``headers``, stripped ids first where ``keyed``.
+def _read_csv(path, check, *headers: List[str], more: str = "", keyed: bool = True) -> tuple:
+    """The columns ``check(texts, numbers)`` gives for a CSV file whose header is one of ``headers``
+    (see :func:`_text_fields`): its text fields as lists of str, its number fields as a float64 block.
 
-    Forked workers parse a range each, cut after LF bytes, by ``bulk(text, header)``. If one is not
-    :func:`_plain`, fails, warns or gives None (a row a check of ``columns`` fails), or an id repeats, the
-    file is read whole by ``columns(path, header, rows)`` over :func:`_csv_rows`, which names the line."""
+    Forked workers each tokenize a range, cut after LF bytes, with np.loadtxt and check it. If one is
+    not :func:`_plain`, loadtxt fails or warns, or the check fails, or an id repeats across ranges
+    (``keyed``: ids first), the file is tokenized whole by :func:`_read_whole`, which names the line."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         processes = _processes(size)
@@ -439,12 +499,10 @@ def _read_csv(path, columns, bulk, *headers: List[str], more: str = "", keyed: b
             try:
                 line = line.read().removesuffix("\n").removesuffix("\r")
                 header = [h.strip().lower() for h in line.split(",")]
-                if _plain(head) and _plain(body) and "\r" not in line and _header_ok(header, headers, more):
-                    cols = bulk(text, header)
-                    if keyed and cols is not None:  # as _new_id keeps them; a str array, not an object per id
-                        cols = (np.array([t.strip() for t in cols[0].tolist()], dtype=str),) + cols[1:]
-                    return cols
-            except (ValueError, OverflowError, Warning):  # UnicodeDecodeError among them
+                texts = _text_fields(header, headers, more)
+                if _plain(head) and _plain(body) and "\r" not in line and texts is not None:
+                    return check(*_loadtxt(text, texts, len(header)))
+            except (ValueError, OverflowError, Warning):  # a _RowFault and UnicodeDecodeError among them
                 pass
         return None
 
@@ -453,46 +511,33 @@ def _read_csv(path, columns, bulk, *headers: List[str], more: str = "", keyed: b
         parts = list(parts)
     if parts and all(part is not None for part in parts):
         cols = tuple(map(np.concatenate, zip(*parts)))
-        ids = np.sort(cols[0]) if keyed else np.array([])
+        ids = np.sort(cols[0]) if keyed and len(parts) > 1 else np.array([])  # one range checked its own
         if not (ids[1:] == ids[:-1]).any():
             return cols
-    with _csv_rows(path, *headers, more=more) as (header, rows):
-        return columns(path, header, rows)
+    return _read_whole(path, check, headers, more)
 
 
 def write_events(path, peak_us, ranks) -> None:
-    """Write ``peak_time,class`` rows in UTC, with a 6-digit fraction only where a time is not a whole second."""
-    names = _class_names(ranks)
-    stamps = np.datetime_as_string(np.asarray(peak_us, dtype=np.int64).astype("datetime64[us]")).tolist()
+    """Write ``peak_time,class`` rows in UTC as csv.writer would, with a 6-digit fraction only where
+    a time is not a whole second; no field needs quoting."""
+    rows = zip(np.datetime_as_string(np.asarray(peak_us, dtype="datetime64[us]")).tolist(), _class_names(ranks))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["peak_time", "class"])
-        w.writerows(zip((t.removesuffix(".000000") + "Z" for t in stamps), names))
+        fh.write("peak_time,class\r\n" + "".join(f"{t.removesuffix('.000000')}Z,{name}\r\n" for t, name in rows))
 
 
-def _event_columns(path, header: List[str], rows) -> Tuple[np.ndarray, np.ndarray]:
-    """The peak times (int64 UTC epoch microseconds) and class ranks (int8) of ``events.csv`` rows."""
-    peak_us, ranks = array("q"), array("b")
-    for _, row in rows:
-        peak_us.append((_parse_time(row[0]) - EPOCH) // MICROSECOND)
-        ranks.append(FlareClass.from_name(row[1]))
-    return np.frombuffer(peak_us, dtype=np.int64), np.frombuffer(ranks, dtype=np.int8)
-
-
-def _event_bulk(text: io.TextIOWrapper, header: List[str]) -> Tuple[np.ndarray, np.ndarray]:
-    """_event_columns of loadtxt's rows, canonical stamps in one cast per form, any other through _parse_time."""
-    stamps, names = _loadtxt(text, 2, 2)
-    stamps = stamps.astype(str)
+def _check_events(texts: List[List[str]], numbers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The peak times (int64 UTC epoch microseconds) and class ranks (int8) of ``events.csv`` rows:
+    canonical stamps in one cast per form, any other through :func:`_parse_time`."""
+    stamps, names = texts
     (seconds, whole), (peak_us, fraction) = _canonical_stamps(stamps, 20), _canonical_stamps(stamps, 27)
     peak_us[whole] = seconds[whole] * 1_000_000
-    for i in np.flatnonzero(~(whole | fraction)).tolist():
-        peak_us[i] = (_parse_time(stamps[i]) - EPOCH) // MICROSECOND
+    _fill(peak_us, lambda s: (_parse_time(s) - EPOCH) // MICROSECOND, stamps, np.flatnonzero(~(whole | fraction)))
     return peak_us, _rank_column(names)
 
 
 def read_events(path) -> Tuple[np.ndarray, np.ndarray]:
     """``events.csv`` as columns: peak times (int64 UTC epoch microseconds) and class ranks (int8)."""
-    return _read_csv(path, _event_columns, _event_bulk, ["peak_time", "class"], keyed=False)
+    return _read_csv(path, _check_events, ["peak_time", "class"], keyed=False)
 
 
 def _csv_fields(texts: List[str]) -> List[str]:
@@ -525,15 +570,15 @@ def write_samples(path, table: SampleTable) -> None:
             fh.writelines(texts)
 
 
-def _canonical_stamps(stamps: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
+def _canonical_stamps(stamps: List[str], width: int) -> Tuple[np.ndarray, np.ndarray]:
     """UTC epoch seconds (``width`` 20) or microseconds (27) of timestamp texts, and
     where each is a ``YYYY-MM-DDTHH:MM:SSZ`` or ``YYYY-MM-DDTHH:MM:SS.ffffffZ`` stamp of
     that width within the datetime range whose text its value prints back to (else 0)."""
-    stamps = np.asarray(stamps, dtype=str)
-    codes = stamps.astype(f"U{width}").view(np.uint32).reshape(-1, width)
+    codes = np.array(stamps, dtype=f"U{width}").view(np.uint32).reshape(-1, width)
     form = np.frombuffer(b"0000-00-00T00:00:00.000000"[: width - 1] + b"Z", dtype=np.uint8)
     ok = np.where(form == ord("0"), codes - np.uint32(ord("0")) < 10, codes == form).all(axis=1)
-    ok &= (np.char.str_len(stamps) == width) & (codes[:, :4] != ord("0")).any(axis=1)  # year 0 is out of range
+    ok &= np.fromiter(map(len, stamps), np.intp, len(stamps)) == width  # the texts' own: a str array drops end NULs
+    ok &= (codes[:, :4] != ord("0")).any(axis=1)  # year 0 is out of range
     text = codes[:, :-1].astype(np.uint8, order="C").view(f"S{width - 1}").ravel()  # bytes cast faster than str
     unit = "datetime64[s]" if width == 20 else "datetime64[us]"
     values = np.zeros(len(text), dtype=np.int64)
@@ -546,58 +591,30 @@ def _canonical_stamps(stamps: np.ndarray, width: int) -> Tuple[np.ndarray, np.nd
     return values, ok
 
 
-def _sample_columns(path, header: List[str], rows) -> tuple:
-    """The ids, UTC epoch seconds, masks and features of ``samples.csv`` rows."""
-    ids: List[str] = []
-    seen: Dict[str, int] = {}
-    stamps: List[str] = []
-    masks = bytearray()
-    feats = array("d")
-    for line_no, row in rows:
-        mask = row[2].strip()
-        if len(mask) != N_CHANNELS or mask.strip("01"):
-            raise ValueError(f"mask must be {N_CHANNELS} characters of 0/1, got {mask!r}")
-        ids.append(_new_id(row[0], line_no, seen))
-        stamp = row[1]
-        if len(stamp.encode()) != 20:  # checked now, and kept in the canonical form
-            t = _parse_time(stamp)
-            grid_seconds(t)
-            stamp = t.isoformat()[:19] + "Z"
-        stamps.append(stamp)
-        feats.extend(map(float, row[3:]))
-        masks += mask.encode()
-    n = len(ids)
+def _check_samples(texts: List[List[str]], features: np.ndarray) -> tuple:
+    """The ids, UTC epoch seconds, masks and finite features of ``samples.csv`` rows. ``YYYY-MM-DDTHH:MM:SSZ``
+    stamps are converted in one cast; any other, and any such stamp that does not convert back to its
+    text or lies off the grid, goes through :func:`_parse_time` and :func:`~flarecast.core.grid_seconds`."""
+    ids, stamps, masks = texts
+    masks = [m.strip() for m in masks]
+    codes = np.array(masks, dtype=f"U{N_CHANNELS}").view(np.uint32).reshape(-1, N_CHANNELS)
+    bad = (codes - np.uint32(ord("0")) > 1).any(axis=1) | (np.fromiter(map(len, masks), np.intp, len(masks)) != N_CHANNELS)
+    if bad.any():
+        i = int(bad.argmax())
+        raise _RowFault(i, f"mask must be {N_CHANNELS} characters of 0/1, got {masks[i]!r}")
+    ids = _id_column(ids)
     times, canonical = _canonical_stamps(stamps, 20)
-    for i in np.flatnonzero(~canonical | (times % GRID_SECONDS != 0)).tolist():
-        try:
-            times[i] = grid_seconds(_parse_time(stamps[i]))
-        except (ValueError, OverflowError) as exc:
-            raise DataFileError(path, seen[ids[i]], str(exc)) from None
-    features = np.frombuffer(feats, dtype=np.float64).reshape(n, len(header) - 3)
-    if not np.isfinite(features).all():
-        sid = ids[int(np.isfinite(features).all(axis=1).argmin())]
-        raise DataFileError(path, seen[sid], f"features of id {sid!r} must be finite")
-    return np.array(ids, dtype=str), times, np.frombuffer(masks, dtype=np.uint8).reshape(n, N_CHANNELS) == ord("1"), features
-
-
-def _sample_bulk(text: io.TextIOWrapper, header: List[str]) -> Optional[tuple]:
-    """_sample_columns of loadtxt's rows, or None where one fails its checks."""
-    ids, stamps, masks, features = _loadtxt(text, 3, len(header))
-    times, canonical = _canonical_stamps(stamps, 20)
-    for i in np.flatnonzero(~canonical | (times % GRID_SECONDS != 0)).tolist():
-        times[i] = grid_seconds(_parse_time(stamps[i]))
-    masks = np.char.strip(masks.astype(str))
-    codes = masks.astype(f"U{N_CHANNELS}").view(np.uint32).reshape(-1, N_CHANNELS)
-    ok = (np.char.str_len(masks) == N_CHANNELS).all() and (codes - np.uint32(ord("0")) <= 1).all()
-    return (ids, times, codes == ord("1"), features) if ok and np.isfinite(features).all() else None
+    _fill(times, lambda s: grid_seconds(_parse_time(s)), stamps, np.flatnonzero(~canonical | (times % GRID_SECONDS != 0)))
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise _RowFault(i, f"features of id {str(ids[i])!r} must be finite")
+    return ids, times, codes == ord("1"), features
 
 
 def read_samples(path) -> SampleTable:
-    """``samples.csv`` as an unlabeled table. ``YYYY-MM-DDTHH:MM:SSZ`` stamps are
-    converted in one cast; any other stamp, and any such stamp that does not
-    convert back to its text or lies off the grid, goes through
-    :func:`_parse_time` and :func:`~flarecast.core.grid_seconds`."""
-    return SampleTable(*_read_csv(path, _sample_columns, _sample_bulk, ["id", "timestamp", "mask"], more="f0.."))
+    """``samples.csv`` as an unlabeled table (see :func:`_check_samples`)."""
+    return SampleTable(*_read_csv(path, _check_samples, ["id", "timestamp", "mask"], more="f0.."))
 
 
 def write_labels(path, ids: Sequence[str], labels) -> None:
@@ -607,43 +624,25 @@ def write_labels(path, ids: Sequence[str], labels) -> None:
         fh.write("id,label\r\n" + "".join(f"{sid},{name}\r\n" for sid, name in rows))
 
 
-def _id_class_columns(path, header: List[str], rows) -> tuple:
-    """The ids (str) of an ``id,label`` file's rows and their class ranks (int8),
-    or of an ``id,p_o,p_c,p_m,p_x`` file's rows and their unscaled rows (float64)."""
-    ids: List[str] = []
-    seen: Dict[str, int] = {}
-    ranks = array("b")
-    probs = array("d")
-    hard = len(header) == 2
-    for line_no, row in rows:
-        ids.append(_new_id(row[0], line_no, seen))
-        if hard:
-            ranks.append(FlareClass.from_name(row[1]))
-            continue
-        vec = list(map(float, row[1:]))
-        if not (min(vec) >= 0 and abs(sum(vec) - 1.0) <= 1e-6):
-            raise ValueError(f"probabilities must be non-negative and sum to 1, got {row[1:]}")
-        probs.extend(vec)
-    values = np.frombuffer(ranks, dtype=np.int8) if hard else np.frombuffer(probs).reshape(-1, N_CLASSES)
-    return np.array(ids, dtype=str), values
-
-
-def _id_class_bulk(text: io.TextIOWrapper, header: List[str]) -> Optional[tuple]:
-    """_id_class_columns of loadtxt's rows, or None where one fails its checks."""
-    hard = len(header) == 2
-    ids, values = _loadtxt(text, 1 + hard, len(header))
-    if hard:
-        return ids, _rank_column(values)
-    sums = ((values[:, 0] + values[:, 1]) + values[:, 2]) + values[:, 3]
-    # sum()'s order, a hair inside its bound, which Python 3.12's compensated sum() may round across
-    return (ids, values) if (values.min(axis=1) >= 0).all() and (np.abs(sums - 1.0) <= 1e-6 - 1e-15).all() else None
+def _check_id_classes(texts: List[List[str]], numbers: np.ndarray) -> tuple:
+    """The ids (str) of an ``id,label`` file's rows and their class ranks (int8), or of an
+    ``id,p_o,p_c,p_m,p_x`` file's rows and their unscaled rows (float64): each non-negative,
+    with ``((p_o + p_c) + p_m) + p_x`` within 1e-6 of 1."""
+    ids = _id_column(texts[0])
+    if len(texts) == 2:
+        return ids, _rank_column(texts[1])
+    sums = ((numbers[:, 0] + numbers[:, 1]) + numbers[:, 2]) + numbers[:, 3]
+    bad = ~((numbers.min(axis=1) >= 0) & (np.abs(sums - 1.0) <= 1e-6))
+    if bad.any():
+        raise _RowFault(int(bad.argmax()), "probabilities must be non-negative and sum to 1", fields=True)
+    return ids, numbers
 
 
 def _read_id_classes(path, *headers: List[str]) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """An id-keyed class file whose header is one of ``headers``, as columns:
     the ids (str) and either the class ranks (int8) of an ``id,label`` file or
     the unscaled rows (float64) of an ``id,p_o,p_c,p_m,p_x`` file, the other None."""
-    ids, values = _read_csv(path, _id_class_columns, _id_class_bulk, *headers)
+    ids, values = _read_csv(path, _check_id_classes, *headers)
     return (ids, values, None) if values.ndim == 1 else (ids, None, values)
 
 

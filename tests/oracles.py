@@ -227,6 +227,8 @@ def write_samples_rows(path, table):
 
 def _parse_time_row(text: str) -> datetime:
     raw = text.strip()
+    if "\x00" in raw:  # datetime.fromisoformat would skip it
+        raise ValueError(f"timestamp {text!r} contains a NUL character")
     if raw.endswith("Z"):
         raw = raw[:-1] + "+00:00"
     t = datetime.fromisoformat(raw)
@@ -319,7 +321,8 @@ def read_id_classes_rows(path, *headers: List[str]):
                 ranks.append(FlareClass.from_name(row[1]))
                 continue
             vec = [float(v) for v in row[1:]]
-            if not (min(vec) >= 0 and abs(sum(vec) - 1.0) <= 1e-6):
+            total = ((vec[0] + vec[1]) + vec[2]) + vec[3]  # in field order: sum() is compensated from Python 3.12
+            if not (min(vec) >= 0 and abs(total - 1.0) <= 1e-6):
                 raise ValueError(f"probabilities must be non-negative and sum to 1, got {row[1:]}")
             probs.append(vec)
     if len(header) == 2:
