@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -251,8 +251,8 @@ def cmd_train(args) -> int:
     samples_path, labels_path = data_dir / "samples.csv", data_dir / "labels.csv"
     table = read_samples(samples_path)
     label_ids, ranks = read_labels(labels_path)
-    table = replace(table, labels=ranks[match_ids(label_ids, table.ids, labels_path, samples_path)])
-    table, excluded = apply_channel_policy(table.take(np.argsort(table.times, kind="stable")))
+    labels = ranks[match_ids(label_ids, table.ids, labels_path, samples_path)]
+    table, excluded = apply_channel_policy(table, labels, np.argsort(table.times, kind="stable"))
 
     fold = split_timeseries(table, split_spec)[fold_index]
     require_all_classes(table.labels, test=fold.test)

@@ -80,8 +80,9 @@ class SampleTable:
     ``ids`` (str), ``times`` (int64 UTC epoch seconds on the 2-hour grid),
     ``mask`` (bool ``(n, 10)`` channel presence), ``features`` (float64
     ``(n, D)``) and ``labels`` (int8 class rank, -1 for unlabeled; all -1
-    when omitted). Columns are copied and frozen at construction, which also
-    checks that they are aligned and well-formed.
+    when omitted). Construction checks that the columns are aligned and
+    well-formed and freezes them. The constructor freezes copies of its
+    arguments; the tables the library builds adopt the fresh arrays they made.
     """
 
     ids: np.ndarray
@@ -90,17 +91,17 @@ class SampleTable:
     features: np.ndarray
     labels: Optional[np.ndarray] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, convert=np.array) -> None:
         n = len(self.ids)
         labels = np.full(n, -1) if self.labels is None else np.asarray(self.labels)
         if np.any((labels < -1) | (labels >= N_CLASSES)):
             raise ValueError(f"labels must be class ranks in -1..{N_CLASSES - 1}")
         columns = {
-            "ids": np.array(self.ids, dtype=str),
-            "times": np.array(self.times, dtype=np.int64),
-            "mask": np.array(self.mask, dtype=bool),
-            "features": np.array(self.features, dtype=float),
-            "labels": labels.astype(np.int8),
+            "ids": convert(self.ids, dtype=str),
+            "times": convert(self.times, dtype=np.int64),
+            "mask": convert(self.mask, dtype=bool),
+            "features": convert(self.features, dtype=float),
+            "labels": convert(labels, dtype=np.int8),
         }
         if columns["ids"].ndim != 1 or any(c.shape[:1] != (n,) for c in columns.values()):
             raise ValueError("sample columns must be aligned: one entry per id")
@@ -111,12 +112,19 @@ class SampleTable:
         for name, column in columns.items():
             object.__setattr__(self, name, _frozen(column))
 
+    @classmethod
+    def _adopt(cls, ids, times, mask, features, labels=None) -> "SampleTable":
+        table = object.__new__(cls)
+        table.__dict__.update(ids=ids, times=times, mask=mask, features=features, labels=labels)
+        table.__post_init__(np.asarray)  # the same checks; a column of the right dtype is kept, not copied
+        return table
+
     def __len__(self) -> int:
         return len(self.ids)
 
     def take(self, rows) -> "SampleTable":
         """The rows selected by an index array or boolean mask, in that order."""
-        return SampleTable(self.ids[rows], self.times[rows], self.mask[rows], self.features[rows], self.labels[rows])
+        return self._adopt(self.ids[rows], self.times[rows], self.mask[rows], self.features[rows], self.labels[rows])
 
 
 @dataclass(frozen=True)

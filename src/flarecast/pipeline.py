@@ -23,7 +23,7 @@ import threading
 import warnings
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -119,21 +119,22 @@ def label_samples(table: SampleTable, peak_us, ranks, horizon_hours: float = DEF
     return labels
 
 
-def apply_channel_policy(table: SampleTable) -> Tuple[SampleTable, int]:
+def apply_channel_policy(table: SampleTable, labels=None, order=None) -> Tuple[SampleTable, int]:
     """Enforce the channel-completeness and labeled-only policy.
 
     Rows missing 3 or more of the 10 channels (at least 25%) are excluded, as
     are unlabeled rows. Rows missing 1-2 channels are kept with the missing
     channels' ``np.array_split(range(D), 10)`` feature blocks set to +0.0;
-    other features pass through unchanged. Returns the kept rows and the
-    number excluded.
+    other features pass through unchanged. Returns the kept rows, taken in ``order`` (row
+    indices, else table order) with ``labels`` (else the table's own), and the number excluded.
     """
-    missing = N_CHANNELS - table.mask.sum(axis=1)
-    kept = table.take((table.labels >= 0) & (missing <= MAX_MISSING_CHANNELS))
-    dim = kept.features.shape[1]
-    block_sizes = dim // N_CHANNELS + (np.arange(N_CHANNELS) < dim % N_CHANNELS)
-    present = np.repeat(kept.mask, block_sizes, axis=1)
-    return replace(kept, features=np.where(present, kept.features, 0.0)), len(table) - len(kept)
+    labels = table.labels if labels is None else np.asarray(labels)
+    keep = (labels >= 0) & (N_CHANNELS - table.mask.sum(axis=1) <= MAX_MISSING_CHANNELS)
+    rows = np.flatnonzero(keep) if order is None else np.asarray(order)[keep[order]]
+    mask, features = table.mask[rows], table.features[rows]
+    block_sizes = [len(block) for block in np.array_split(range(features.shape[1]), N_CHANNELS)]
+    np.copyto(features, 0.0, where=~np.repeat(mask, block_sizes, axis=1))
+    return SampleTable._adopt(table.ids[rows], table.times[rows], mask, features, labels[rows]), len(table) - len(rows)
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ def gen_synthetic(
     direction = np.ones(feature_dim) / np.sqrt(feature_dim)
     feats = rng.standard_normal((n, feature_dim))
     feats += (ranks[:, None] - 1.5) * separation * direction
-    return SampleTable(
+    return SampleTable._adopt(
         ids=np.char.mod(f"s%0{len(str(n))}d", np.arange(n)),
         times=grid_seconds(start) + np.arange(n, dtype=np.int64) * (GRID_SECONDS * spacing_steps),
         mask=np.ones((n, N_CHANNELS), dtype=bool),
@@ -614,7 +615,7 @@ def _check_samples(texts: List[List[str]], features: np.ndarray) -> tuple:
 
 def read_samples(path) -> SampleTable:
     """``samples.csv`` as an unlabeled table (see :func:`_check_samples`)."""
-    return SampleTable(*_read_csv(path, _check_samples, ["id", "timestamp", "mask"], more="f0.."))
+    return SampleTable._adopt(*_read_csv(path, _check_samples, ["id", "timestamp", "mask"], more="f0.."))
 
 
 def write_labels(path, ids: Sequence[str], labels) -> None:

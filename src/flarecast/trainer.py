@@ -47,6 +47,7 @@ __all__ = [
 
 HISTORY_HEADER = "epoch,wce,ib_ce,wbss,ib_bss,total,val_gmgs,val_tss,val_bss"
 CHECKPOINT_MAGIC = "flarecast-checkpoint v1"
+EVAL_BLOCK_ROWS = 2048  # rows per scoring pass, the remainder joining the last: smaller blocks can change bits
 
 Params = Dict[str, np.ndarray]
 
@@ -120,8 +121,10 @@ def forward(x: np.ndarray, phis: Optional[np.ndarray], params: Params):
         raise ValueError(
             f"feature dimension mismatch: got {x.shape[1]}, parameters expect {params['w0'].shape[1]}"
         )
-    a0 = np.tanh(x @ params["w0"].T + params["b0"])
-    a1 = np.tanh(a0 @ params["w1"].T + params["b1"])
+    a0 = x @ params["w0"].T
+    np.tanh(np.add(a0, params["b0"], out=a0), out=a0)
+    a1 = a0 @ params["w1"].T
+    np.tanh(np.add(a1, params["b1"], out=a1), out=a1)
     head_in = a1 if phis is None else np.concatenate((a1, phis[:, None]), axis=1)
     logits = head_in @ params["head"].T
     return a0, a1, head_in, logits, softmax(logits)
@@ -155,12 +158,12 @@ def _backprop(x, a0, a1, head_in, d_logits, params: Params, grads: Params) -> No
 
 
 def adamw_step(
-    theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, cfg: TrainConfig, step_index: int
+    theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, cfg: TrainConfig, step_index: int, scratch=None
 ) -> None:
     """One decoupled-weight-decay Adam update with bias correction, in place.
 
     ``theta``, ``grad`` and the moments ``m`` and ``v`` are float64 vectors of
-    one length; the temporaries go into two scratch vectors of that length.
+    one length; the temporaries go into ``scratch``, a pair of such vectors (new if None).
     A non-finite gradient raises before anything is written. Weight decay
     multiplies every parameter by ``(1 - lr * wd)`` before the moment-based
     update, so a zero-gradient step shrinks parameters by exactly that factor.
@@ -169,7 +172,7 @@ def adamw_step(
         raise ValueError("step_index starts at 1")
     if not np.isfinite(grad).all():
         raise RuntimeError("diverged: non-finite gradient")
-    s, t = np.empty_like(theta), np.empty_like(theta)
+    s, t = (np.empty_like(theta), np.empty_like(theta)) if scratch is None else scratch
     lr = cfg.learning_rate
     bc1 = 1.0 - cfg.beta1 ** step_index
     bc2 = 1.0 - cfg.beta2 ** step_index
@@ -269,7 +272,7 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
     labels = table.labels.astype(np.intp)
     x_all = table.features
     phis_all = _phis(table.times, cfg)
-    train_idx = np.array(fold.train)
+    train_idx, val = np.array(fold.train), np.array(fold.validation)
     require_all_classes(labels, training=fold.train, validation=fold.validation)
 
     counts = np.bincount(labels[train_idx], minlength=N_CLASSES)
@@ -279,9 +282,10 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(cfg.seed)
     initial = init_params(x_all.shape[1], cfg, rng)
     theta = np.concatenate([p.ravel() for p in initial.values()])
-    grad, m, v = np.zeros_like(theta), np.zeros_like(theta), np.zeros_like(theta)
+    grad, m, v, *scratch = (np.zeros_like(theta) for _ in range(5))
     params, grads = _views(theta, initial), _views(grad, initial)
     step_index = 0
+    validation = x_all[val], None if phis_all is None else phis_all[val], labels[val]  # gathered once
 
     best: Optional[Checkpoint] = None
     history: List[EpochRecord] = []
@@ -307,7 +311,7 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
             )
             _backprop(x, a0, a1, head_in, d_logits, params, grads)
             step_index += 1
-            adamw_step(theta, grad, m, v, cfg, step_index)
+            adamw_step(theta, grad, m, v, cfg, step_index, scratch)
             b = probs.shape[0]
             wce_sum += b * breakdown.wce
             ib_ce_sum += b * breakdown.ib_ce
@@ -326,7 +330,7 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
             ib_active=ib_active,
         )
 
-        report = evaluate_fold(table, fold.validation, params, cfg)
+        report = _score(*validation, params)
         record = EpochRecord(
             epoch=epoch,
             losses=epoch_losses,
@@ -345,8 +349,15 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
 def evaluate_fold(table: SampleTable, idx: Sequence[int], params: Params, cfg: TrainConfig) -> MetricReport:
     """Metric report of the parameters on one index range of the table."""
     rows = np.asarray(idx, dtype=np.intp)
-    probs = forward(table.features[rows], _phis(table.times[rows], cfg), params)[-1]
-    return build_report(table.labels[rows], probs.argmax(axis=1), probs)
+    return _score(table.features[rows], _phis(table.times[rows], cfg), table.labels[rows], params)
+
+
+def _score(x: np.ndarray, phis: Optional[np.ndarray], labels: np.ndarray, params: Params) -> MetricReport:
+    """Metric report of the parameters on the rows of ``x``, scored in blocks of ``EVAL_BLOCK_ROWS`` rows."""
+    cuts = [k * EVAL_BLOCK_ROWS for k in range(max(1, len(x) // EVAL_BLOCK_ROWS))] + [len(x)]
+    blocks = [forward(x[lo:hi], None if phis is None else phis[lo:hi], params)[-1] for lo, hi in zip(cuts, cuts[1:])]
+    probs = np.concatenate(blocks)
+    return build_report(labels, probs.argmax(axis=1), probs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import hashlib
 import multiprocessing
 import subprocess
 import sys
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 import flarecast.cli as cli
 from flarecast import FlareClass
 from flarecast.cli import main
-from flarecast.pipeline import read_labels, write_labels
+from flarecast.pipeline import _SPLIT_BYTES, read_labels, read_samples, write_labels
 from flarecast.trainer import Checkpoint, load_checkpoint, save_checkpoint
 
 from oracles import REFERENCE_CONFUSION, pairs_from_matrix
@@ -656,6 +657,39 @@ class TestTrain:
         flare_metrics = read_metric_csv(tmp_path / "flare" / "test_report.csv")
         ce_metrics = read_metric_csv(tmp_path / "ce" / "test_report.csv")
         assert np.isfinite(float(flare_metrics["gmgs"])) and np.isfinite(float(ce_metrics["gmgs"]))
+
+
+class TestMemory:
+    """``train`` holds one copy of the sample table from the parse on, and scores in row blocks.
+
+    numpy reports its data buffers to tracemalloc, so the traced peak of an in-process run is
+    deterministic. The validation range (80% of 6,000 rows) is long enough to be scored in two
+    blocks. Copying the table at each preparation step and scoring it in one pass peaks at about
+    12 times the table's bytes; one gather and blocks of at most 2,752 rows, at about 8 times."""
+
+    def test_train_peak_within_ten_tables(self, tmp_path):
+        data = tmp_path / "data"
+        assert run_cli("gen-data", "--n", 6000, "--seed", 3, "--feature-dim", 12, "--out-dir", data) == 0
+        assert (data / "samples.csv").stat().st_size < 2 * _SPLIT_BYTES  # read in one process: nothing forks
+        assert run_cli(
+            "label", "--events", data / "events.csv", "--samples", data / "samples.csv", "--out", data / "labels.csv",
+        ) == 0
+        table = read_samples(data / "samples.csv")
+        nbytes = sum(c.nbytes for c in (table.ids, table.times, table.mask, table.features, table.labels))
+        del table
+        args = ["train", "--data-dir", data]
+        for setting in ("epochs=1", "warmup_epochs=0", "learning_rate=0.01", "fold_count=1",
+                        "train_frac=0.1", "val_frac=0.8", "test_frac=0.1"):
+            args += ["--set", setting]
+        assert run_cli(*args, "--out-dir", tmp_path / "warm") == 0  # lazy imports happen outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run_cli(*args, "--out-dir", tmp_path / "run") == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * nbytes, f"traced peak {peak} B is {peak / nbytes:.2f} times the table's {nbytes} B"
 
 
 class TestPinnedBytes:

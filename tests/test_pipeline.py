@@ -65,6 +65,11 @@ def columns(events):
     return np.array(peak_us, dtype=np.int64), np.array([c for _, c in events], dtype=np.int8)
 
 
+def table_columns(table: SampleTable):
+    """The column arrays themselves (``dataclasses.astuple`` would deep-copy them)."""
+    return table.ids, table.times, table.mask, table.features, table.labels
+
+
 def make_table(rows, labels=None, mask=(True,) * 10, features=None, step_hours=2, start=T0) -> SampleTable:
     """Rows ``i`` in ``rows``: id ``s{i:03d}``, time ``start + step_hours * i``, features ``arange(10) + i``."""
     rows = np.asarray(rows)
@@ -169,6 +174,23 @@ class TestChannelPolicy:
         out = kept.features[0]
         assert np.array_equal(out[8:10], [0.0, 0.0])  # channel 4 owns features 8..9
         assert out.sum() == 18.0
+
+
+class TestAdoptedColumns:
+    """Tables the library builds hold the arrays it has just built, frozen like any other."""
+
+    def test_read_samples_and_take_frozen_and_unshared(self, tmp_path):
+        write_samples(tmp_path / "samples.csv", gen_synthetic(50, [0.4, 0.3, 0.2, 0.1], seed=1, feature_dim=3))
+        table = read_samples(tmp_path / "samples.csv")
+        for sub in (table.take(np.array([7, 2, 9])), table.take(table.ids != "s01")):
+            for column, source in zip(table_columns(sub), table_columns(table)):
+                assert not column.flags.writeable and not source.flags.writeable
+                assert not np.shares_memory(column, source)
+
+    def test_gen_synthetic_frozen(self):
+        table = gen_synthetic(20, [0.4, 0.3, 0.2, 0.1], seed=0, feature_dim=2)
+        assert not any(column.flags.writeable for column in table_columns(table))
+        assert table.labels.dtype == np.int8 and table.features.flags.c_contiguous
 
 
 class TestSplitTimeseries:
@@ -540,6 +562,23 @@ class TestArrayFormsMatchOracles:
         assert np.array_equal(kept.features.view(np.int64), want_feats.view(np.int64))  # -0.0 kept, +0.0 filled
         assert np.array_equal(kept.mask, masks[rows]) and np.array_equal(kept.labels, labels[rows])
         assert np.array_equal(kept.times, table.times[rows])
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(n=st.integers(0, 30), dim=st.integers(1, 25), seed=st.integers(0, 2**32 - 1))
+    def test_channel_policy_labels_and_order_equal_take_first(self, n, dim, seed):
+        """The policy given labels and a row order gathers what labeling, then take, then the policy give."""
+        rng = np.random.default_rng(seed)
+        masks = rng.random((n, 10)) >= rng.integers(0, 5, n)[:, None] / 10
+        feats = rng.standard_normal((n, dim))
+        labels, order = rng.integers(-1, 4, n), rng.permutation(n)
+        table = SampleTable([f"s{i}" for i in range(n)], grid_seconds(T0) + 7200 * np.arange(n), masks, feats)
+
+        got, got_excluded = apply_channel_policy(table, labels, order)
+        want, want_excluded = apply_channel_policy(dataclasses.replace(table, labels=labels).take(order))
+        assert got_excluded == want_excluded
+        for g, w in zip(table_columns(got), table_columns(want)):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+            assert not g.flags.writeable and not any(np.shares_memory(g, c) for c in table_columns(table))
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(data=st.data(), n=st.integers(1, 15), dim=st.integers(1, 6))

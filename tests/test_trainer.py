@@ -171,14 +171,69 @@ class TestAdamwStep:
         params = {k: a.copy() for k, a in _views(theta, like).items()}
         moments = {k: (a.copy(), b.copy()) for (k, a), b in zip(_views(m, like).items(), _views(v, like).values())}
         grad = np.empty(size)
+        # The same steps with caller-owned scratch vectors, whose stale contents must not matter.
+        theta2, m2, v2 = theta.copy(), m.copy(), v.copy()
+        scratch = (np.full(size, np.nan), np.full(size, np.inf))
         for t in range(start, start + steps):
             grad[:] = rng.standard_normal(size) * rng.choice([1e-8, 1.0, 1e3])
             params, moments = adamw_step_dicts(params, _views(grad, like), moments, cfg, t)
             adamw_step(theta, grad, m, v, cfg, t)
+            adamw_step(theta2, grad, m2, v2, cfg, t, scratch)
         flat = lambda arrays: np.concatenate([a.ravel() for a in arrays])
-        assert flat(params.values()).tobytes() == theta.tobytes()
-        assert flat(mv[0] for mv in moments.values()).tobytes() == m.tobytes()
-        assert flat(mv[1] for mv in moments.values()).tobytes() == v.tobytes()
+        assert flat(params.values()).tobytes() == theta.tobytes() == theta2.tobytes()
+        assert flat(mv[0] for mv in moments.values()).tobytes() == m.tobytes() == m2.tobytes()
+        assert flat(mv[1] for mv in moments.values()).tobytes() == v.tobytes() == v2.tobytes()
+
+
+class TestBlockScoring:
+    """evaluate_fold scores its rows in blocks of EVAL_BLOCK_ROWS (2,048), the remainder joining
+    the last block; its probabilities equal one forward pass over all rows, bit for bit."""
+
+    OFFSET = 100
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return gen_synthetic(self.OFFSET + 9579, PROBS, seed=5, feature_dim=12)
+
+    @pytest.mark.parametrize(
+        "n, blocks",
+        [
+            (1, [1]),
+            (64, [64]),
+            (65, [65]),
+            (2047, [2047]),
+            (2048, [2048]),
+            (2049, [2049]),
+            (4095, [4095]),
+            (4096, [2048, 2048]),
+            (4097, [2048, 2049]),
+            (9579, [2048, 2048, 2048, 3435]),
+        ],
+    )
+    @pytest.mark.parametrize("embedding", [True, False])
+    def test_blocks_equal_one_forward_pass(self, monkeypatch, table, n, blocks, embedding):
+        import flarecast.trainer as trainer_mod
+
+        assert trainer_mod.EVAL_BLOCK_ROWS == 2048
+        cfg = TrainConfig(hidden_sizes=(64, 64), use_cycle_embedding=embedding)
+        params = init_params(12, cfg, np.random.default_rng(n))
+        rows = range(self.OFFSET, self.OFFSET + n)
+        x, times = table.features[self.OFFSET : self.OFFSET + n], table.times[self.OFFSET : self.OFFSET + n]
+        want = forward(x, trainer_mod._phis(times, cfg), params)[-1]
+
+        sizes = []
+        real_forward = trainer_mod.forward
+
+        def counting_forward(x, phis, params):
+            sizes.append(len(x))
+            return real_forward(x, phis, params)
+
+        monkeypatch.setattr(trainer_mod, "forward", counting_forward)
+        monkeypatch.setattr(trainer_mod, "build_report", lambda observed, predicted, probs: (observed, predicted, probs))
+        observed, predicted, probs = evaluate_fold(table, rows, params, cfg)
+        assert sizes == blocks
+        assert probs.shape == want.shape and probs.tobytes() == want.tobytes()
+        assert np.array_equal(predicted, want.argmax(axis=1)) and np.array_equal(observed, table.labels[rows.start : rows.stop])
 
 
 class TestBackprop:
@@ -313,10 +368,10 @@ class TestTrainLoop:
         live = []
         real = trainer_mod.adamw_step
 
-        def spy(theta, grad, m, v, cfg, step_index):
+        def spy(theta, grad, m, v, *args):
             if not live:
                 live.extend((theta, grad, m, v))
-            real(theta, grad, m, v, cfg, step_index)
+            real(theta, grad, m, v, *args)
 
         monkeypatch.setattr(trainer_mod, "adamw_step", spy)
         samples = small_dataset()
