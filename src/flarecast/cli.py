@@ -252,6 +252,7 @@ def cmd_train(args) -> int:
     table = read_samples(samples_path)
     label_ids, ranks = read_labels(labels_path)
     labels = ranks[match_ids(label_ids, table.ids, labels_path, samples_path)]
+    del label_ids, ranks  # joined: training holds only the table
     table, excluded = apply_channel_policy(table, labels, np.argsort(table.times, kind="stable"))
 
     fold = split_timeseries(table, split_spec)[fold_index]

@@ -511,8 +511,10 @@ def _read_csv(path, check, *headers: List[str], more: str = "", keyed: bool = Tr
     with _in_order(read_range, spans, processes) as parts:
         parts = list(parts)
     if parts and all(part is not None for part in parts):
-        cols = tuple(map(np.concatenate, zip(*parts)))
-        ids = np.sort(cols[0]) if keyed and len(parts) > 1 else np.array([])  # one range checked its own
+        columns = [list(c) for c in zip(*parts)]
+        parts.clear()  # so that each column's parts are freed as soon as it is joined
+        cols = tuple(np.concatenate(columns.pop(0)) for _ in range(len(columns)))
+        ids = np.sort(cols[0]) if keyed and len(spans) > 1 else np.array([])  # one range checked its own
         if not (ids[1:] == ids[:-1]).any():
             return cols
     return _read_whole(path, check, headers, more)
@@ -620,9 +622,12 @@ def read_samples(path) -> SampleTable:
 
 def write_labels(path, ids: Sequence[str], labels) -> None:
     """Write ``id,label`` rows as csv.writer would; ``labels`` are class ranks or :class:`FlareClass` members."""
-    rows = zip(_csv_fields(np.asarray(ids, dtype=str).tolist()), _class_names(labels))
+    ids, names = np.asarray(ids, dtype=str), _class_names(labels)
     with open(path, "w", newline="") as fh:
-        fh.write("id,label\r\n" + "".join(f"{sid},{name}\r\n" for sid, name in rows))
+        fh.write("id,label\r\n")
+        for lo in range(0, len(ids), _WRITE_BLOCK_ROWS):  # one string and one write per block of rows
+            rows = zip(_csv_fields(ids[lo : lo + _WRITE_BLOCK_ROWS].tolist()), names[lo : lo + _WRITE_BLOCK_ROWS])
+            fh.write("".join(f"{sid},{name}\r\n" for sid, name in rows))
 
 
 def _check_id_classes(texts: List[List[str]], numbers: np.ndarray) -> tuple:

@@ -47,7 +47,7 @@ __all__ = [
 
 HISTORY_HEADER = "epoch,wce,ib_ce,wbss,ib_bss,total,val_gmgs,val_tss,val_bss"
 CHECKPOINT_MAGIC = "flarecast-checkpoint v1"
-EVAL_BLOCK_ROWS = 2048  # rows per scoring pass, the remainder joining the last: smaller blocks can change bits
+EVAL_BLOCK_ROWS = 2048  # the fewest rows in a scoring block, unless the range is shorter: smaller blocks can change bits
 
 Params = Dict[str, np.ndarray]
 
@@ -286,6 +286,7 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
     params, grads = _views(theta, initial), _views(grad, initial)
     step_index = 0
     validation = x_all[val], None if phis_all is None else phis_all[val], labels[val]  # gathered once
+    one_hot = np.eye(N_CLASSES)  # each batch takes its targets' rows: no per-epoch target array
 
     best: Optional[Checkpoint] = None
     history: List[EpochRecord] = []
@@ -296,12 +297,11 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
         order_labels = labels[order]
         x_epoch = x_all[order]
         phis_epoch = None if phis_all is None else phis_all[order]
-        y_epoch = np.eye(N_CLASSES)[order_labels]
         w_epoch = gamma_by_class[order_labels]
         wce_sum = ib_ce_sum = wbss_sum = ib_bss_sum = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             hi = lo + cfg.batch_size
-            x, y_rows, sample_w = x_epoch[lo:hi], y_epoch[lo:hi], w_epoch[lo:hi]
+            x, y_rows, sample_w = x_epoch[lo:hi], one_hot[order_labels[lo:hi]], w_epoch[lo:hi]
             phis = None if phis_epoch is None else phis_epoch[lo:hi]
             if cfg.verify_gradients and epoch == 0 and lo == 0:
                 _verify_first_batch(x, phis, params, grads, cfg, y_rows, sample_w, ib_active)
@@ -318,7 +318,7 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
             wbss_sum += b * breakdown.wbss
             ib_bss_sum += b * breakdown.ib_bss
         # Free the epoch's rows (the batch slices are views of them) before validation allocates.
-        del x_epoch, phis_epoch, y_epoch, w_epoch, x, phis, y_rows, sample_w
+        del x_epoch, phis_epoch, w_epoch, x, phis, y_rows, sample_w
         seen = len(order)
         wce, ib_ce, wbss, ib_bss = wce_sum / seen, ib_ce_sum / seen, wbss_sum / seen, ib_bss_sum / seen
         epoch_losses = LossBreakdown(
@@ -353,8 +353,11 @@ def evaluate_fold(table: SampleTable, idx: Sequence[int], params: Params, cfg: T
 
 
 def _score(x: np.ndarray, phis: Optional[np.ndarray], labels: np.ndarray, params: Params) -> MetricReport:
-    """Metric report of the parameters on the rows of ``x``, scored in blocks of ``EVAL_BLOCK_ROWS`` rows."""
-    cuts = [k * EVAL_BLOCK_ROWS for k in range(max(1, len(x) // EVAL_BLOCK_ROWS))] + [len(x)]
+    """Metric report of the parameters on the rows of ``x``, scored in ``len(x) // EVAL_BLOCK_ROWS`` (at least
+    one) near-equal blocks. Each cut lies on a multiple of 64 rows, so that with one BLAS thread every row goes
+    through the kernel it takes in one forward pass over all rows, and the probabilities are the same bytes."""
+    k = max(1, len(x) // EVAL_BLOCK_ROWS)
+    cuts = [(j * len(x) // k + 32) // 64 * 64 for j in range(k)] + [len(x)]
     blocks = [forward(x[lo:hi], None if phis is None else phis[lo:hi], params)[-1] for lo, hi in zip(cuts, cuts[1:])]
     probs = np.concatenate(blocks)
     return build_report(labels, probs.argmax(axis=1), probs)

@@ -1,9 +1,18 @@
 """Trainer: forward contract, optimizer update rule, training loop schedule,
 checkpoint selection, determinism, and file outputs."""
 
+import ctypes
+import functools
+import glob
 import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +35,7 @@ from flarecast.trainer import (
 from oracles import adamw_step_dicts, backprop_allocating, forward_row, train_reference
 
 PROBS = [0.4, 0.3, 0.2, 0.1]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_dataset(n=400, seed=0, feature_dim=4):
@@ -185,55 +195,105 @@ class TestAdamwStep:
         assert flat(mv[1] for mv in moments.values()).tobytes() == v.tobytes() == v2.tobytes()
 
 
+def blas_core():
+    """The name of the kernel numpy's bundled OpenBLAS runs (such as ``SkylakeX``), or None where it is not found."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_get_corename64_"):
+            lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+            return lib.scipy_openblas_get_corename64_().decode()
+    return None
+
+
+def block_scoring_cases(n_max, sizes):
+    """For each row count in ``sizes``, with and without the cycle embedding: the block sizes evaluate_fold
+    scores rows 100.. in, and whether its probabilities, predictions and labels are one forward pass's
+    bytes. Run in a child process, whose OpenBLAS settings are fixed when numpy loads."""
+    import flarecast.trainer as trainer_mod
+
+    table = gen_synthetic(100 + n_max, PROBS, seed=5, feature_dim=12)
+    real_forward, blocks = trainer_mod.forward, []
+    trainer_mod.forward = lambda x, phis, params: blocks.append(len(x)) or real_forward(x, phis, params)
+    trainer_mod.build_report = lambda observed, predicted, probs: (observed, predicted, probs)
+    results = {}
+    for n in sizes:
+        for embedding in (True, False):
+            cfg = TrainConfig(hidden_sizes=(64, 64), use_cycle_embedding=embedding)
+            params = init_params(12, cfg, np.random.default_rng(n))
+            rows = slice(100, 100 + n)
+            want = real_forward(table.features[rows], trainer_mod._phis(table.times[rows], cfg), params)[-1]
+            blocks.clear()
+            observed, predicted, probs = evaluate_fold(table, range(100, 100 + n), params, cfg)
+            results[f"{n}-{embedding}"] = {
+                "blocks": list(blocks),
+                "probs": probs.shape == want.shape and probs.tobytes() == want.tobytes(),
+                "classes": bool(np.array_equal(predicted, want.argmax(axis=1)) and np.array_equal(observed, table.labels[rows])),
+            }
+    return {"core": blas_core(), "cases": results}
+
+
+def core_types():
+    """The OpenBLAS core types to score under: the default, and on an x86_64 CPU with AVX2 and FMA also Haswell
+    and Sandybridge, the kernels OpenBLAS runs on other CPUs (AMD Zen runs Haswell's)."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = set(next((line for line in fh if line.startswith("flags")), "").split())
+    except OSError:
+        flags = set()
+    return ["default"] + (["Haswell", "Sandybridge"] if platform.machine() == "x86_64" and {"avx2", "fma"} <= flags else [])
+
+
 class TestBlockScoring:
-    """evaluate_fold scores its rows in blocks of EVAL_BLOCK_ROWS (2,048), the remainder joining
-    the last block; its probabilities equal one forward pass over all rows, bit for bit."""
+    """evaluate_fold scores its rows in ``n // EVAL_BLOCK_ROWS`` (at least one) near-equal blocks cut on
+    multiples of 64 rows. With one BLAS thread its probabilities equal one forward pass over all rows, bit
+    for bit, under every OpenBLAS kernel tried; with more, OpenBLAS splits a large product's rows across
+    threads, and some kernels then change the last bit. Each kernel's cases run in one child process with
+    ``OPENBLAS_NUM_THREADS=1``."""
 
-    OFFSET = 100
+    CASES = [
+        (1, [1]),
+        (64, [64]),
+        (65, [65]),
+        (2047, [2047]),
+        (2048, [2048]),
+        (2049, [2049]),
+        (4095, [4095]),
+        (4096, [2048, 2048]),
+        (4097, [2048, 2049]),
+        (6143, [3072, 3071]),
+        (6202, [2048, 2112, 2042]),
+        (8193, [2048, 2048, 2048, 2049]),
+        (9579, [2368, 2432, 2368, 2411]),
+        (12287, [2432, 2496, 2432, 2496, 2431]),
+    ]
 
-    @pytest.fixture(scope="class")
-    def table(self):
-        return gen_synthetic(self.OFFSET + 9579, PROBS, seed=5, feature_dim=12)
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def scored(core):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core != "default":
+            env["OPENBLAS_CORETYPE"] = core
+        sizes = [n for n, _ in TestBlockScoring.CASES]
+        code = f"import json, test_trainer; print(json.dumps(test_trainer.block_scoring_cases({max(sizes)}, {sizes})))"
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
 
-    @pytest.mark.parametrize(
-        "n, blocks",
-        [
-            (1, [1]),
-            (64, [64]),
-            (65, [65]),
-            (2047, [2047]),
-            (2048, [2048]),
-            (2049, [2049]),
-            (4095, [4095]),
-            (4096, [2048, 2048]),
-            (4097, [2048, 2049]),
-            (9579, [2048, 2048, 2048, 3435]),
-        ],
-    )
+    @pytest.mark.parametrize("core", core_types())
+    def test_child_runs_its_kernel(self, core):
+        name = self.scored(core)["core"]
+        assert core == "default" or name is None or name == core
+
+    @pytest.mark.parametrize("n, blocks", CASES)
     @pytest.mark.parametrize("embedding", [True, False])
-    def test_blocks_equal_one_forward_pass(self, monkeypatch, table, n, blocks, embedding):
-        import flarecast.trainer as trainer_mod
-
-        assert trainer_mod.EVAL_BLOCK_ROWS == 2048
-        cfg = TrainConfig(hidden_sizes=(64, 64), use_cycle_embedding=embedding)
-        params = init_params(12, cfg, np.random.default_rng(n))
-        rows = range(self.OFFSET, self.OFFSET + n)
-        x, times = table.features[self.OFFSET : self.OFFSET + n], table.times[self.OFFSET : self.OFFSET + n]
-        want = forward(x, trainer_mod._phis(times, cfg), params)[-1]
-
-        sizes = []
-        real_forward = trainer_mod.forward
-
-        def counting_forward(x, phis, params):
-            sizes.append(len(x))
-            return real_forward(x, phis, params)
-
-        monkeypatch.setattr(trainer_mod, "forward", counting_forward)
-        monkeypatch.setattr(trainer_mod, "build_report", lambda observed, predicted, probs: (observed, predicted, probs))
-        observed, predicted, probs = evaluate_fold(table, rows, params, cfg)
-        assert sizes == blocks
-        assert probs.shape == want.shape and probs.tobytes() == want.tobytes()
-        assert np.array_equal(predicted, want.argmax(axis=1)) and np.array_equal(observed, table.labels[rows.start : rows.stop])
+    @pytest.mark.parametrize("core", core_types())
+    def test_blocks_equal_one_forward_pass(self, core, n, blocks, embedding):
+        case = self.scored(core)["cases"][f"{n}-{embedding}"]
+        assert case["blocks"] == blocks
+        assert case["probs"], f"{n} rows under {core}: block probabilities differ from one forward pass"
+        assert case["classes"]
 
 
 class TestBackprop:
