@@ -14,10 +14,11 @@ The influence terms are gated by ``ib_active`` so trainers can disable them
 during a warm-up phase. Influence factors are always treated as detached
 per-sample constants when differentiating.
 
-The batch math has one kernel, :func:`flare_loss_arrays`, which returns the
-loss breakdown and its logit gradient together; it takes per-row arrays
+The batch math has one kernel, :func:`loss_terms`, which returns the four
+loss terms and their logit gradient together; it takes per-row arrays
 (probabilities, target distributions, head-input L1 norms, sample weights),
-and the trainer's hot path calls it directly. The Brier logit gradient exists
+and the trainer's hot path calls it directly. :func:`flare_loss_arrays`
+wraps it with a checked :class:`LossBreakdown`. The Brier logit gradient exists
 once; the kernel computes it and the residual ``probs - ys`` once per batch
 and shares both with the influence factors, which :func:`batch_factors_arrays`
 also exposes. :func:`gradient_error` is the one central-difference check,
@@ -37,6 +38,7 @@ __all__ = [
     "softmax",
     "batch_factors_arrays",
     "flare_loss_arrays",
+    "loss_terms",
     "gradient_error",
 ]
 
@@ -119,6 +121,18 @@ def flare_loss_arrays(
     batch (or taken from ``frozen_factors``) and detached: each acts as a
     fixed per-sample scale and is not differentiated through.
     """
+    (wce, ib_ce, wbss, ib_bss), d_logits = loss_terms(
+        probs, ys, hidden_l1, sample_weights, lambda_bss, ib_active, ib_ce_mode, frozen_factors
+    )
+    total = (wce + ib_ce) + lambda_bss * (wbss + ib_bss)
+    breakdown = LossBreakdown(wce=wce, ib_ce=ib_ce, wbss=wbss, ib_bss=ib_bss, total=total, ib_active=ib_active)
+    return breakdown, d_logits
+
+
+def loss_terms(probs, ys, hidden_l1, sample_weights, lambda_bss, ib_active, ib_ce_mode="residual", frozen_factors=None):
+    """The kernel of :func:`flare_loss_arrays`, which takes the same arguments: the four loss
+    terms ``(wce, ib_ce, wbss, ib_bss)`` as floats, unchecked, and the logit gradient.
+    ``hidden_l1`` is read only to compute influence factors."""
     b = probs.shape[0]
     if b == 0:
         raise ValueError("empty batch")
@@ -144,9 +158,7 @@ def flare_loss_arrays(
         ib_bss = 0.0
         ce_w = w  # w * 1.0, exactly
         bss_w = w * lambda_bss
-    total = (wce + ib_ce) + lambda_bss * (wbss + ib_bss)
-    breakdown = LossBreakdown(wce=wce, ib_ce=ib_ce, wbss=wbss, ib_bss=ib_bss, total=total, ib_active=ib_active)
-    return breakdown, ce_w[:, None] * delta + bss_w[:, None] * bss_grad
+    return (wce, ib_ce, wbss, ib_bss), ce_w[:, None] * delta + bss_w[:, None] * bss_grad
 
 
 def gradient_error(f: Callable[[], float], x: np.ndarray, analytic: np.ndarray) -> float:

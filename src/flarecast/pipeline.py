@@ -127,10 +127,14 @@ def apply_channel_policy(table: SampleTable, labels=None, order=None) -> Tuple[S
     channels' ``np.array_split(range(D), 10)`` feature blocks set to +0.0;
     other features pass through unchanged. Returns the kept rows, taken in ``order`` (row
     indices, else table order) with ``labels`` (else the table's own), and the number excluded.
+    Where every row is kept in table order and none misses a channel, the result shares the
+    table's columns (which are frozen) and holds a copy of the labels.
     """
     labels = table.labels if labels is None else np.asarray(labels)
     keep = (labels >= 0) & (N_CHANNELS - table.mask.sum(axis=1) <= MAX_MISSING_CHANNELS)
     rows = np.flatnonzero(keep) if order is None else np.asarray(order)[keep[order]]
+    if len(rows) == len(table) and (rows[1:] > rows[:-1]).all() and table.mask.all():  # rows 0.., nothing zeroed
+        return SampleTable._adopt(table.ids, table.times, table.mask, table.features, labels.copy()), 0
     mask, features = table.mask[rows], table.features[rows]
     block_sizes = [len(block) for block in np.array_split(range(features.shape[1]), N_CHANNELS)]
     np.copyto(features, 0.0, where=~np.repeat(mask, block_sizes, axis=1))
@@ -255,12 +259,21 @@ def gen_synthetic(
     feats = rng.standard_normal((n, feature_dim))
     feats += (ranks[:, None] - 1.5) * separation * direction
     return SampleTable._adopt(
-        ids=np.char.mod(f"s%0{len(str(n))}d", np.arange(n)),
+        ids=_sample_ids(n),
         times=grid_seconds(start) + np.arange(n, dtype=np.int64) * (GRID_SECONDS * spacing_steps),
         mask=np.ones((n, N_CHANNELS), dtype=bool),
         features=feats,
         labels=ranks,
     )
+
+
+def _sample_ids(n: int) -> np.ndarray:
+    """``s0``.. ``s{n-1}``, zero-padded to the width of ``n``, built as character codes."""
+    width = len(str(n))
+    codes = np.empty((n, width + 1), dtype=np.uint32)
+    codes[:, 0] = ord("s")
+    codes[:, 1:] = np.arange(n)[:, None] // 10 ** np.arange(width - 1, -1, -1) % 10 + ord("0")
+    return codes.view(f"U{width + 1}").ravel()
 
 
 def events_for_samples(table: SampleTable, offset_hours: float = 36.0) -> Tuple[np.ndarray, np.ndarray]:
@@ -476,15 +489,17 @@ def _read_csv(path, check, *headers: List[str], more: str = "", keyed: bool = Tr
     """The columns ``check(texts, numbers)`` gives for a CSV file whose header is one of ``headers``
     (see :func:`_text_fields`): its text fields as lists of str, its number fields as a float64 block.
 
-    Forked workers each tokenize a range, cut after LF bytes, with np.loadtxt and check it. If one is
-    not :func:`_plain`, loadtxt fails or warns, or the check fails, or an id repeats across ranges
+    Forked workers each tokenize a range, cut after LF bytes, with np.loadtxt and check it; one process
+    maps ranges of about _SPLIT_BYTES in turn, so that it holds one range's texts at a time. If a range
+    is not :func:`_plain`, loadtxt fails or warns, or the check fails, or an id repeats across ranges
     (``keyed``: ids first), the file is tokenized whole by :func:`_read_whole`, which names the line."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         processes = _processes(size)
+        ranges = processes if processes > 1 else -(-size // _SPLIT_BYTES)
         cuts = [len(fh.readline())]
-        for k in range(1, processes):
-            fh.seek(max(size * k // processes, cuts[-1]))
+        for k in range(1, ranges):
+            fh.seek(max(size * k // ranges, cuts[-1]))
             fh.readline()
             cuts.append(fh.tell())
         cuts.append(size)
@@ -514,7 +529,7 @@ def _read_csv(path, check, *headers: List[str], more: str = "", keyed: bool = Tr
         columns = [list(c) for c in zip(*parts)]
         parts.clear()  # so that each column's parts are freed as soon as it is joined
         cols = tuple(np.concatenate(columns.pop(0)) for _ in range(len(columns)))
-        ids = np.sort(cols[0]) if keyed and len(spans) > 1 else np.array([])  # one range checked its own
+        ids = np.sort(cols[0], kind="stable") if keyed and len(spans) > 1 else np.array([])  # one range checked its own
         if not (ids[1:] == ids[:-1]).any():
             return cols
     return _read_whole(path, check, headers, more)
@@ -663,7 +678,7 @@ def match_ids(keys: np.ndarray, wanted: np.ndarray, keys_path, wanted_path) -> n
     ValueError names the first id of ``wanted``, in its order, that ``keys``
     lacks, and the files the two sides came from.
     """
-    order = np.argsort(keys)
+    order = np.argsort(keys, kind="stable")  # ids are unique and mostly sorted already
     slot = np.searchsorted(keys, wanted, sorter=order)
     found = slot < len(keys)
     found[found] = keys[order[slot[found]]] == wanted[found]

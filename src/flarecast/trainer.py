@@ -7,8 +7,9 @@ weight decay, implemented here so gradients stay fully inspectable.
 
 The parameters, their gradient and both AdamW moments are each one flat
 float64 vector; the named ``Params`` arrays are reshaped views into them, so
-an optimizer step is a few whole-vector operations done in place. Each epoch
-gathers its shuffled rows once, and every batch is a slice of them.
+an optimizer step is a few whole-vector operations done in place. Each batch
+gathers its rows from the table through its slice of the epoch's permutation,
+and validation is scored on views of its contiguous range.
 
 Checkpoint selection follows validation GMGS: the checkpoint with the highest
 validation score wins, earliest epoch on ties.
@@ -25,7 +26,7 @@ import numpy as np
 
 from .core import ClassWeights, FlareClass, N_CLASSES, SampleTable, class_weights
 from .cycle import DEFAULT_CYCLE, CycleConfig, cycle_phases
-from .losses import IB_CE_MODES, LossBreakdown, batch_factors_arrays, flare_loss_arrays, gradient_error, softmax
+from .losses import IB_CE_MODES, LossBreakdown, batch_factors_arrays, gradient_error, loss_terms, softmax
 from .metrics import MetricReport, build_report
 from .pipeline import Fold
 
@@ -116,16 +117,25 @@ def init_params(feature_dim: int, cfg: TrainConfig, rng: np.random.Generator) ->
 def forward(x: np.ndarray, phis: Optional[np.ndarray], params: Params):
     """Forward pass over the rows of ``x`` (cycle phases ``phis``, or None
     without the embedding). Returns ``(a0, a1, head_in, logits, probs)``: the
-    two hidden activations, the head input, the logits and the softmax."""
+    two hidden activations, the head input, the logits and the softmax. ``a1``
+    is a view of the first columns of ``head_in``, whose last column holds the
+    phases with the embedding."""
     if x.shape[1] != params["w0"].shape[1]:
         raise ValueError(
             f"feature dimension mismatch: got {x.shape[1]}, parameters expect {params['w0'].shape[1]}"
         )
     a0 = x @ params["w0"].T
     np.tanh(np.add(a0, params["b0"], out=a0), out=a0)
-    a1 = a0 @ params["w1"].T
-    np.tanh(np.add(a1, params["b1"], out=a1), out=a1)
-    head_in = a1 if phis is None else np.concatenate((a1, phis[:, None]), axis=1)
+    b1 = params["b1"]
+    head_in = np.zeros((len(x), len(b1) + (phis is not None)))
+    a1 = head_in[:, : len(b1)]
+    np.matmul(a0, params["w1"].T, out=a1)
+    # Bias and tanh as contiguous passes over the whole buffer (a strided pass is slower); the phase
+    # column stays tanh(0 + 0) = 0 until the phases are written.
+    bias = b1 if phis is None else np.concatenate((b1, (0.0,)))
+    np.tanh(np.add(head_in, bias, out=head_in), out=head_in)
+    if phis is not None:
+        head_in[:, -1] = phis
     logits = head_in @ params["head"].T
     return a0, a1, head_in, logits, softmax(logits)
 
@@ -148,8 +158,8 @@ def _views(flat: np.ndarray, like: Params) -> Params:
 def _backprop(x, a0, a1, head_in, d_logits, params: Params, grads: Params) -> None:
     """Write the parameter gradients of one batch into the arrays of ``grads``."""
     np.matmul(d_logits.T, head_in, out=grads["head"])
-    d_a1 = (d_logits @ params["head"])[:, : a1.shape[1]]  # drop the cycle-phase column
-    d_pre1 = d_a1 * (1.0 - a1 * a1)
+    h2 = a1.shape[1]  # a1 is the first h2 columns of head_in: its square is taken as one contiguous pass
+    d_pre1 = (d_logits @ params["head"])[:, :h2] * (1.0 - head_in * head_in)[:, :h2]  # drop the cycle-phase column
     np.matmul(d_pre1.T, a0, out=grads["w1"])
     np.add.reduce(d_pre1, axis=0, out=grads["b1"])
     d_pre0 = (d_pre1 @ params["w1"]) * (1.0 - a0 * a0)
@@ -216,12 +226,15 @@ class TrainResult:
 
 
 def _batch_loss(probs, y_rows, h_l1, sample_w, cfg: TrainConfig, ib_active: bool, frozen=None):
-    """``flare_loss_arrays`` on a training batch, where a non-finite loss is
-    divergence (RuntimeError), not bad input."""
-    try:
-        return flare_loss_arrays(probs, y_rows, h_l1, sample_w, cfg.lambda_bss, ib_active, cfg.ib_ce_mode, frozen)
-    except ValueError as exc:  # a training batch is never empty, so the loss is not finite
-        raise RuntimeError("diverged: non-finite loss") from exc
+    """The loss terms ``(wce, ib_ce, wbss, ib_bss)`` of a training batch, their total and the
+    logit gradient (see :func:`~flarecast.losses.loss_terms`), where a non-finite total is
+    divergence (RuntimeError). The terms are non-negative, so the total is finite only if each is."""
+    terms, d_logits = loss_terms(probs, y_rows, h_l1, sample_w, cfg.lambda_bss, ib_active, cfg.ib_ce_mode, frozen)
+    wce, ib_ce, wbss, ib_bss = terms
+    total = (wce + ib_ce) + cfg.lambda_bss * (wbss + ib_bss)
+    if not math.isfinite(total):
+        raise RuntimeError("diverged: non-finite loss")
+    return terms, total, d_logits
 
 
 def _verify_first_batch(x, phis, params, grads, cfg, y_rows, sample_w, ib_active) -> None:
@@ -233,12 +246,12 @@ def _verify_first_batch(x, phis, params, grads, cfg, y_rows, sample_w, ib_active
     def loss_at() -> float:
         _, _, head_in, _, probs = forward(x, phis, params)
         h_l1 = np.add.reduce(np.abs(head_in), axis=1)
-        return _batch_loss(probs, y_rows, h_l1, sample_w, cfg, ib_active, frozen)[0].total
+        return _batch_loss(probs, y_rows, h_l1, sample_w, cfg, ib_active, frozen)[1]
 
     a0, a1, head_in, _, probs = forward(x, phis, params)
     h_l1 = np.add.reduce(np.abs(head_in), axis=1)
     frozen = batch_factors_arrays(probs, y_rows, h_l1, cfg.ib_ce_mode) if ib_active else None
-    _, d_logits = _batch_loss(probs, y_rows, h_l1, sample_w, cfg, ib_active, frozen)
+    d_logits = _batch_loss(probs, y_rows, h_l1, sample_w, cfg, ib_active, frozen)[2]
     _backprop(x, a0, a1, head_in, d_logits, params, grads)
     worst = max(gradient_error(loss_at, params[name], grads[name]) for name in params)
     if worst > 1e-5:
@@ -272,7 +285,7 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
     labels = table.labels.astype(np.intp)
     x_all = table.features
     phis_all = _phis(table.times, cfg)
-    train_idx, val = np.array(fold.train), np.array(fold.validation)
+    train_idx = np.array(fold.train)
     require_all_classes(labels, training=fold.train, validation=fold.validation)
 
     counts = np.bincount(labels[train_idx], minlength=N_CLASSES)
@@ -285,40 +298,37 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
     grad, m, v, *scratch = (np.zeros_like(theta) for _ in range(5))
     params, grads = _views(theta, initial), _views(grad, initial)
     step_index = 0
-    validation = x_all[val], None if phis_all is None else phis_all[val], labels[val]  # gathered once
+    val = _rows(fold.validation)
+    validation = x_all[val], None if phis_all is None else phis_all[val], labels[val]  # views of the table
     one_hot = np.eye(N_CLASSES)  # each batch takes its targets' rows: no per-epoch target array
 
     best: Optional[Checkpoint] = None
     history: List[EpochRecord] = []
     for epoch in range(cfg.epochs):
         ib_active = epoch >= cfg.warmup_epochs
-        # The epoch's rows in shuffle order, gathered once; each batch is a slice.
+        # Each batch gathers its rows from the table through its slice of the shuffled order.
         order = rng.permutation(train_idx)
         order_labels = labels[order]
-        x_epoch = x_all[order]
-        phis_epoch = None if phis_all is None else phis_all[order]
         w_epoch = gamma_by_class[order_labels]
         wce_sum = ib_ce_sum = wbss_sum = ib_bss_sum = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             hi = lo + cfg.batch_size
-            x, y_rows, sample_w = x_epoch[lo:hi], one_hot[order_labels[lo:hi]], w_epoch[lo:hi]
-            phis = None if phis_epoch is None else phis_epoch[lo:hi]
+            rows = order[lo:hi]
+            x, y_rows, sample_w = x_all[rows], one_hot[order_labels[lo:hi]], w_epoch[lo:hi]
+            phis = None if phis_all is None else phis_all[rows]
             if cfg.verify_gradients and epoch == 0 and lo == 0:
                 _verify_first_batch(x, phis, params, grads, cfg, y_rows, sample_w, ib_active)
             a0, a1, head_in, _, probs = forward(x, phis, params)
-            breakdown, d_logits = _batch_loss(
-                probs, y_rows, np.add.reduce(np.abs(head_in), axis=1), sample_w, cfg, ib_active
-            )
+            h_l1 = np.add.reduce(np.abs(head_in), axis=1) if ib_active else None  # read only by influence factors
+            (wce, ib_ce, wbss, ib_bss), _, d_logits = _batch_loss(probs, y_rows, h_l1, sample_w, cfg, ib_active)
             _backprop(x, a0, a1, head_in, d_logits, params, grads)
             step_index += 1
             adamw_step(theta, grad, m, v, cfg, step_index, scratch)
             b = probs.shape[0]
-            wce_sum += b * breakdown.wce
-            ib_ce_sum += b * breakdown.ib_ce
-            wbss_sum += b * breakdown.wbss
-            ib_bss_sum += b * breakdown.ib_bss
-        # Free the epoch's rows (the batch slices are views of them) before validation allocates.
-        del x_epoch, phis_epoch, w_epoch, x, phis, y_rows, sample_w
+            wce_sum += b * wce
+            ib_ce_sum += b * ib_ce
+            wbss_sum += b * wbss
+            ib_bss_sum += b * ib_bss
         seen = len(order)
         wce, ib_ce, wbss, ib_bss = wce_sum / seen, ib_ce_sum / seen, wbss_sum / seen, ib_bss_sum / seen
         epoch_losses = LossBreakdown(
@@ -348,8 +358,16 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
 
 def evaluate_fold(table: SampleTable, idx: Sequence[int], params: Params, cfg: TrainConfig) -> MetricReport:
     """Metric report of the parameters on one index range of the table."""
-    rows = np.asarray(idx, dtype=np.intp)
+    rows = _rows(idx)
     return _score(table.features[rows], _phis(table.times[rows], cfg), table.labels[rows], params)
+
+
+def _rows(idx):
+    """``idx`` as a slice, which takes views of a table's columns, if it is a range of non-negative
+    indices; else as an index array, which takes copies."""
+    if isinstance(idx, range) and min(idx.start, idx.stop) >= 0:
+        return slice(idx.start, idx.stop, idx.step)
+    return np.asarray(idx, dtype=np.intp)
 
 
 def _score(x: np.ndarray, phis: Optional[np.ndarray], labels: np.ndarray, params: Params) -> MetricReport:

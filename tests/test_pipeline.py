@@ -175,6 +175,35 @@ class TestChannelPolicy:
         assert np.array_equal(out[8:10], [0.0, 0.0])  # channel 4 owns features 8..9
         assert out.sum() == 18.0
 
+    @pytest.mark.parametrize("order", [None, "identity"])
+    def test_unchanged_table_shares_its_columns(self, order):
+        table = gen_synthetic(30, [0.4, 0.3, 0.2, 0.1], seed=2, feature_dim=20)
+        labels = table.labels[::-1].copy()
+        kept, excluded = apply_channel_policy(table, labels, None if order is None else np.arange(30))
+        assert excluded == 0
+        assert all(column is source for column, source in zip(table_columns(kept)[:4], table_columns(table)))
+        assert kept.labels.tolist() == labels.tolist() and not np.shares_memory(kept.labels, labels)
+        assert labels.flags.writeable  # the caller's labels are copied, not frozen
+
+    @pytest.mark.parametrize("change", ["drop", "reorder", "zero"])
+    def test_changed_table_copied_leaving_input_untouched(self, change):
+        base = gen_synthetic(30, [0.4, 0.3, 0.2, 0.1], seed=2, feature_dim=20)
+        mask, labels, order = base.mask.copy(), base.labels.copy(), np.arange(30)
+        if change == "drop":
+            labels[5] = -1
+        elif change == "reorder":
+            order[[3, 4]] = [4, 3]
+        else:
+            mask[7, 2] = False
+        table = SampleTable(base.ids, base.times, mask, base.features, base.labels)
+        before = [column.copy() for column in table_columns(table)]
+        kept, excluded = apply_channel_policy(table, labels, order)
+        assert excluded == (change == "drop")
+        assert not any(np.shares_memory(column, source) for column, source in zip(table_columns(kept), table_columns(table)))
+        assert all(column.tobytes() == b.tobytes() for column, b in zip(table_columns(table), before))
+        if change == "zero":
+            assert (kept.features[7, 4:6] == 0.0).all() and (table.features[7, 4:6] != 0.0).all()
+
 
 class TestAdoptedColumns:
     """Tables the library builds hold the arrays it has just built, frozen like any other."""
@@ -932,6 +961,18 @@ class TestCsvMatchesRowOraclesSplit(TestCsvMatchesRowOracles):
     def split(self):
         with pytest.MonkeyPatch.context() as monkeypatch, deadline(600):
             split_everything(monkeypatch, cpus=3)
+            yield
+
+
+class TestCsvMatchesRowOraclesRanges(TestCsvMatchesRowOracles):
+    """The same cases read in one process in ranges of about one line each (``_SPLIT_BYTES`` of 1):
+    the same bytes, the same columns or the same DataFileError."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def ranges(self):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(pipeline, "_SPLIT_BYTES", 1)
+            monkeypatch.setattr(pipeline, "_processes", lambda size: 1)
             yield
 
 

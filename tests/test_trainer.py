@@ -32,7 +32,7 @@ from flarecast.trainer import (
     write_history,
 )
 
-from oracles import adamw_step_dicts, backprop_allocating, forward_row, train_reference
+from oracles import adamw_step_dicts, backprop_allocating, forward_allocating, forward_row, train_reference
 
 PROBS = [0.4, 0.3, 0.2, 0.1]
 ROOT = Path(__file__).resolve().parent.parent
@@ -230,7 +230,31 @@ def block_scoring_cases(n_max, sizes):
                 "probs": probs.shape == want.shape and probs.tobytes() == want.tobytes(),
                 "classes": bool(np.array_equal(predicted, want.argmax(axis=1)) and np.array_equal(observed, table.labels[rows])),
             }
-    return {"core": blas_core(), "cases": results}
+    return {"core": blas_core(), "cases": results, "forward": forward_cases()}
+
+
+FORWARD_WIDTHS = (6, 7, 13, 64)
+FORWARD_ROWS = (1, 7, 64, 2432)
+
+
+def forward_cases():
+    """For each hidden width, row count and embedding setting: whether forward's first activation, second
+    activation, head input and probabilities are the bytes of ``forward_allocating``'s. Widths 6, 7 and 13
+    leave tails past the SIMD lanes of the bias and tanh passes."""
+    rng = np.random.default_rng(11)
+    results = {}
+    for width in FORWARD_WIDTHS:
+        for n in FORWARD_ROWS:
+            for embedding in (True, False):
+                params = init_params(12, TrainConfig(hidden_sizes=(width, width), use_cycle_embedding=embedding), rng)
+                x = 2.0 * rng.standard_normal((n, 12))
+                phis = rng.uniform(0.0, 1.0, n) if embedding else None
+                a0, a1, head_in, _, probs = forward(x, phis, params)
+                want = forward_allocating(x, phis, params)
+                results[f"{width}-{n}-{embedding}"] = [
+                    got.shape == w.shape and got.tobytes() == w.tobytes() for got, w in zip((a0, a1, head_in, probs), want)
+                ]
+    return results
 
 
 def core_types():
@@ -249,7 +273,8 @@ class TestBlockScoring:
     multiples of 64 rows. With one BLAS thread its probabilities equal one forward pass over all rows, bit
     for bit, under every OpenBLAS kernel tried; with more, OpenBLAS splits a large product's rows across
     threads, and some kernels then change the last bit. Each kernel's cases run in one child process with
-    ``OPENBLAS_NUM_THREADS=1``."""
+    ``OPENBLAS_NUM_THREADS=1``, which also checks that forward, writing its second layer into the head
+    input, gives the bytes of the allocating oracle."""
 
     CASES = [
         (1, [1]),
@@ -294,6 +319,15 @@ class TestBlockScoring:
         assert case["blocks"] == blocks
         assert case["probs"], f"{n} rows under {core}: block probabilities differ from one forward pass"
         assert case["classes"]
+
+    @pytest.mark.parametrize("width", FORWARD_WIDTHS)
+    @pytest.mark.parametrize("embedding", [True, False])
+    @pytest.mark.parametrize("core", core_types())
+    def test_forward_equals_allocating_oracle(self, core, width, embedding):
+        cases = self.scored(core)["forward"]
+        for n in FORWARD_ROWS:
+            same = dict(zip(("a0", "a1", "head_in", "probs"), cases[f"{width}-{n}-{embedding}"]))
+            assert all(same.values()), f"{n} rows of width {width} under {core}: {same}"
 
 
 class TestBackprop:
