@@ -26,8 +26,8 @@ class CycleConfig:
     def __post_init__(self) -> None:
         if self.base_time.tzinfo is None:
             raise ValueError("base_time must be timezone-aware UTC")
-        if not self.period_hours > 0.0:
-            raise ValueError("period_hours must be positive")
+        if not 0.0 < self.period_hours < float("inf"):
+            raise ValueError("period_hours must be positive and finite")
 
 
 DEFAULT_CYCLE = CycleConfig()

@@ -14,15 +14,15 @@ The influence terms are gated by ``ib_active`` so trainers can disable them
 during a warm-up phase. Influence factors are always treated as detached
 per-sample constants when differentiating.
 
-The batch math has one kernel, :func:`loss_terms`, which returns the four
-loss terms and their logit gradient together; it takes per-row arrays
-(probabilities, target distributions, head-input L1 norms, sample weights),
-and the trainer's hot path calls it directly. :func:`flare_loss_arrays`
-wraps it with a checked :class:`LossBreakdown`. The Brier logit gradient exists
-once; the kernel computes it and the residual ``probs - ys`` once per batch
-and shares both with the influence factors, which :func:`batch_factors_arrays`
-also exposes. :func:`gradient_error` is the one central-difference check,
-shared by the trainer's first-batch verification and ``gradcheck``.
+The batch math is one function, :func:`flare_loss_arrays`, which every training
+step, ``gradcheck`` and the tests call: it takes per-row arrays (probabilities,
+target distributions, head-input L1 norms, sample weights) and returns a checked
+:class:`LossBreakdown`, whose total :meth:`LossBreakdown.of` forms for a batch
+or an epoch, with the logit gradient. The Brier logit gradient exists once; the
+loss computes it and the residual ``probs - ys`` once per batch and shares both
+with the influence factors, which :func:`batch_factors_arrays` also exposes.
+:func:`gradient_error` is the one central-difference check, shared by the
+trainer's first-batch verification and ``gradcheck``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "softmax",
     "batch_factors_arrays",
     "flare_loss_arrays",
-    "loss_terms",
     "gradient_error",
 ]
 
@@ -69,7 +68,7 @@ def _bss_grad_of_delta(probs: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-batch loss components. Influence terms are exactly 0 when inactive."""
+    """Loss components of a batch or an epoch's weighted means. Influence terms are exactly 0 when inactive."""
 
     wce: float
     ib_ce: float
@@ -82,6 +81,12 @@ class LossBreakdown:
         parts = (self.wce, self.ib_ce, self.wbss, self.ib_bss, self.total)
         if not all(math.isfinite(v) for v in parts):
             raise ValueError("loss components must be finite")
+
+    @classmethod
+    def of(cls, terms, lambda_bss: float, ib_active: bool) -> "LossBreakdown":
+        """The breakdown of the terms ``(wce, ib_ce, wbss, ib_bss)`` with their composite total."""
+        wce, ib_ce, wbss, ib_bss = terms
+        return cls(wce, ib_ce, wbss, ib_bss, (wce + ib_ce) + lambda_bss * (wbss + ib_bss), ib_active)
 
 
 def batch_factors_arrays(
@@ -119,20 +124,9 @@ def flare_loss_arrays(
     Each row of ``ys`` is a target distribution: one-hot in training, and
     soft targets are accepted. The influence factors are computed once per
     batch (or taken from ``frozen_factors``) and detached: each acts as a
-    fixed per-sample scale and is not differentiated through.
+    fixed per-sample scale and is not differentiated through; ``hidden_l1`` is
+    read only to compute them. A non-finite term or total raises ValueError.
     """
-    (wce, ib_ce, wbss, ib_bss), d_logits = loss_terms(
-        probs, ys, hidden_l1, sample_weights, lambda_bss, ib_active, ib_ce_mode, frozen_factors
-    )
-    total = (wce + ib_ce) + lambda_bss * (wbss + ib_bss)
-    breakdown = LossBreakdown(wce=wce, ib_ce=ib_ce, wbss=wbss, ib_bss=ib_bss, total=total, ib_active=ib_active)
-    return breakdown, d_logits
-
-
-def loss_terms(probs, ys, hidden_l1, sample_weights, lambda_bss, ib_active, ib_ce_mode="residual", frozen_factors=None):
-    """The kernel of :func:`flare_loss_arrays`, which takes the same arguments: the four loss
-    terms ``(wce, ib_ce, wbss, ib_bss)`` as floats, unchecked, and the logit gradient.
-    ``hidden_l1`` is read only to compute influence factors."""
     b = probs.shape[0]
     if b == 0:
         raise ValueError("empty batch")
@@ -158,7 +152,8 @@ def loss_terms(probs, ys, hidden_l1, sample_weights, lambda_bss, ib_active, ib_c
         ib_bss = 0.0
         ce_w = w  # w * 1.0, exactly
         bss_w = w * lambda_bss
-    return (wce, ib_ce, wbss, ib_bss), ce_w[:, None] * delta + bss_w[:, None] * bss_grad
+    breakdown = LossBreakdown.of((wce, ib_ce, wbss, ib_bss), lambda_bss, ib_active)
+    return breakdown, ce_w[:, None] * delta + bss_w[:, None] * bss_grad
 
 
 def gradient_error(f: Callable[[], float], x: np.ndarray, analytic: np.ndarray) -> float:

@@ -172,7 +172,7 @@ class SplitSpec:
             raise ValueError("fold_count must be positive")
         if self.sizes is None:
             fracs = (self.train_frac, self.val_frac, self.test_frac)
-            if any(f <= 0.0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
+            if not all(0.0 < f <= 1.0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:  # NaN fails the first
                 raise ValueError("train/val/test fractions must be positive and sum to 1")
         elif any(v < 1 for v in self.sizes):
             raise ValueError("explicit split sizes must be positive")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import ClassWeights, FlareClass, N_CLASSES, SampleTable, class_weights
 from .cycle import DEFAULT_CYCLE, CycleConfig, cycle_phases
-from .losses import IB_CE_MODES, LossBreakdown, batch_factors_arrays, gradient_error, loss_terms, softmax
+from .losses import IB_CE_MODES, LossBreakdown, batch_factors_arrays, flare_loss_arrays, gradient_error, softmax
 from .metrics import MetricReport, build_report
 from .pipeline import Fold
 
@@ -80,10 +80,10 @@ class TrainConfig:
             raise ValueError("warmup_epochs must lie in [0, epochs]")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0 or self.adam_eps <= 0:
-            raise ValueError("rates must be positive")
-        if self.weight_decay < 0 or self.lambda_bss < 0:
-            raise ValueError("weight_decay and lambda_bss must be non-negative")
+        if not (0 < self.learning_rate < math.inf and 0 < self.adam_eps < math.inf):  # NaN fails every comparison
+            raise ValueError("rates must be positive and finite")
+        if not (0 <= self.weight_decay < math.inf and 0 <= self.lambda_bss < math.inf):
+            raise ValueError("weight_decay and lambda_bss must be non-negative and finite")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
         if len(self.hidden_sizes) != 2 or any(h < 1 for h in self.hidden_sizes):
@@ -225,16 +225,18 @@ class TrainResult:
     history: List[EpochRecord]
 
 
-def _batch_loss(probs, y_rows, h_l1, sample_w, cfg: TrainConfig, ib_active: bool, frozen=None):
-    """The loss terms ``(wce, ib_ce, wbss, ib_bss)`` of a training batch, their total and the
-    logit gradient (see :func:`~flarecast.losses.loss_terms`), where a non-finite total is
-    divergence (RuntimeError). The terms are non-negative, so the total is finite only if each is."""
-    terms, d_logits = loss_terms(probs, y_rows, h_l1, sample_w, cfg.lambda_bss, ib_active, cfg.ib_ce_mode, frozen)
-    wce, ib_ce, wbss, ib_bss = terms
-    total = (wce + ib_ce) + cfg.lambda_bss * (wbss + ib_bss)
-    if not math.isfinite(total):
-        raise RuntimeError("diverged: non-finite loss")
-    return terms, total, d_logits
+def _step(x, phis, ys, sample_w, params, grads: Optional[Params], cfg, ib_active, frozen=None) -> LossBreakdown:
+    """Forward, loss (with the influence factors ``frozen``, if given) and, unless ``grads`` is None, backprop
+    into ``grads`` for one batch. Returns its losses; a non-finite loss is divergence (RuntimeError)."""
+    a0, a1, head_in, _, probs = forward(x, phis, params)
+    h_l1 = np.add.reduce(np.abs(head_in), axis=1) if ib_active else None  # read only by influence factors
+    try:
+        losses, d_logits = flare_loss_arrays(probs, ys, h_l1, sample_w, cfg.lambda_bss, ib_active, cfg.ib_ce_mode, frozen)
+    except ValueError:  # the batch is never empty and the mode is checked: the loss is not finite
+        raise RuntimeError("diverged: non-finite loss") from None
+    if grads is not None:
+        _backprop(x, a0, a1, head_in, d_logits, params, grads)
+    return losses
 
 
 def _verify_first_batch(x, phis, params, grads, cfg, y_rows, sample_w, ib_active) -> None:
@@ -243,16 +245,13 @@ def _verify_first_batch(x, phis, params, grads, cfg, y_rows, sample_w, ib_active
     Influence factors are frozen at their base-point values, matching the
     detached treatment in the analytic gradient.
     """
-    def loss_at() -> float:
-        _, _, head_in, _, probs = forward(x, phis, params)
-        h_l1 = np.add.reduce(np.abs(head_in), axis=1)
-        return _batch_loss(probs, y_rows, h_l1, sample_w, cfg, ib_active, frozen)[1]
+    _, _, head_in, _, probs = forward(x, phis, params)  # the loss reads the factors only while ib_active
+    frozen = batch_factors_arrays(probs, y_rows, np.add.reduce(np.abs(head_in), axis=1), cfg.ib_ce_mode)
+    _step(x, phis, y_rows, sample_w, params, grads, cfg, ib_active, frozen)
 
-    a0, a1, head_in, _, probs = forward(x, phis, params)
-    h_l1 = np.add.reduce(np.abs(head_in), axis=1)
-    frozen = batch_factors_arrays(probs, y_rows, h_l1, cfg.ib_ce_mode) if ib_active else None
-    d_logits = _batch_loss(probs, y_rows, h_l1, sample_w, cfg, ib_active, frozen)[2]
-    _backprop(x, a0, a1, head_in, d_logits, params, grads)
+    def loss_at() -> float:
+        return _step(x, phis, y_rows, sample_w, params, None, cfg, ib_active, frozen).total
+
     worst = max(gradient_error(loss_at, params[name], grads[name]) for name in params)
     if worst > 1e-5:
         raise RuntimeError(f"diverged: gradient verification failed (relative error {worst:.3e})")
@@ -310,7 +309,7 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
         order = rng.permutation(train_idx)
         order_labels = labels[order]
         w_epoch = gamma_by_class[order_labels]
-        wce_sum = ib_ce_sum = wbss_sum = ib_bss_sum = 0.0
+        sums = [0.0] * 4  # the batch-size-weighted sums of (wce, ib_ce, wbss, ib_bss)
         for lo in range(0, len(order), cfg.batch_size):
             hi = lo + cfg.batch_size
             rows = order[lo:hi]
@@ -318,27 +317,13 @@ def train(table: SampleTable, fold: Fold, cfg: TrainConfig) -> TrainResult:
             phis = None if phis_all is None else phis_all[rows]
             if cfg.verify_gradients and epoch == 0 and lo == 0:
                 _verify_first_batch(x, phis, params, grads, cfg, y_rows, sample_w, ib_active)
-            a0, a1, head_in, _, probs = forward(x, phis, params)
-            h_l1 = np.add.reduce(np.abs(head_in), axis=1) if ib_active else None  # read only by influence factors
-            (wce, ib_ce, wbss, ib_bss), _, d_logits = _batch_loss(probs, y_rows, h_l1, sample_w, cfg, ib_active)
-            _backprop(x, a0, a1, head_in, d_logits, params, grads)
+            losses = _step(x, phis, y_rows, sample_w, params, grads, cfg, ib_active)
             step_index += 1
             adamw_step(theta, grad, m, v, cfg, step_index, scratch)
-            b = probs.shape[0]
-            wce_sum += b * wce
-            ib_ce_sum += b * ib_ce
-            wbss_sum += b * wbss
-            ib_bss_sum += b * ib_bss
+            n = len(rows)
+            sums = [s + n * t for s, t in zip(sums, (losses.wce, losses.ib_ce, losses.wbss, losses.ib_bss))]
         seen = len(order)
-        wce, ib_ce, wbss, ib_bss = wce_sum / seen, ib_ce_sum / seen, wbss_sum / seen, ib_bss_sum / seen
-        epoch_losses = LossBreakdown(
-            wce=wce,
-            ib_ce=ib_ce,
-            wbss=wbss,
-            ib_bss=ib_bss,
-            total=(wce + ib_ce) + cfg.lambda_bss * (wbss + ib_bss),
-            ib_active=ib_active,
-        )
+        epoch_losses = LossBreakdown.of([s / seen for s in sums], cfg.lambda_bss, ib_active)
 
         report = _score(*validation, params)
         record = EpochRecord(

@@ -545,6 +545,18 @@ class TestTrain:
         assert "unknown influence-factor mode 'inverse'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key",
+        ["learning_rate", "adam_eps", "weight_decay", "lambda_bss", "train_frac", "val_frac", "test_frac", "period_hours"],
+    )
+    def test_non_finite_value_is_usage_error_before_reading(self, tmp_path, capsys, key, value):
+        # the data directory does not exist: the value is rejected before any file is read
+        code = run_cli("train", "--data-dir", tmp_path / "nope", "--out-dir", tmp_path / "o", "--set", f"{key}={value}")
+        assert code == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -787,6 +799,14 @@ class TestGradcheck:
         first = capsys.readouterr().out
         run_cli("gradcheck", "--trials", 1, "--seed", 0)
         assert capsys.readouterr().out == first
+
+    def test_exact_report(self, capsys):
+        assert run_cli("gradcheck", "--trials", 100, "--seed", 0) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS bss head-weight gradient vs central differences: max relative error 4.755e-10 (tolerance 1e-06)",
+            "PASS influence factor vs absolute gradient sum: max relative error 5.442e-16 (tolerance 1e-10)",
+            "PASS composite loss logit gradient vs central differences: max relative error 1.148e-07 (tolerance 1e-06)",
+        ]
 
     def test_zero_trials_is_usage_error(self):
         assert run_cli("gradcheck", "--trials", 0) == 1

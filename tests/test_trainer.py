@@ -399,6 +399,26 @@ class TestTrainLoop:
         for r in result.history:
             assert r.losses.ib_ce == 0.0 and r.losses.ib_bss == 0.0 and not r.losses.ib_active
 
+    def test_one_loss_call_per_training_step(self, monkeypatch):
+        import flarecast.trainer as trainer_mod
+
+        calls = []
+        real = trainer_mod.flare_loss_arrays
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "flare_loss_arrays", spy)
+        samples = small_dataset()
+        fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
+        cfg = small_config()
+        train(samples, fold, cfg)
+        steps = -(-len(fold.train) // cfg.batch_size)
+        assert len(fold.train) % cfg.batch_size != 0  # a short last batch is one call too
+        assert len(calls) == cfg.epochs * steps
+        assert sum(calls) == cfg.epochs * len(fold.train)
+
     def test_degenerate_split_rejected(self):
         base = small_dataset(60, feature_dim=3)
         # X appears only in the final test range, never during training
