@@ -10,23 +10,22 @@ File formats (all comma-separated with a header row):
   as ten 0/1 characters and finite features, held as a :class:`~flarecast.core.SampleTable`.
 * labels:  ``id,label``, read as an id column and an int8 class-rank column.
 
-Each format has one check over whole columns (``_check_*``), fed by two tokenizers: np.loadtxt
-over forked byte ranges, or csv.reader over the whole file, which names a fault's line.
+All share the writers' dialect (see :func:`_fields`), tokenized by np.loadtxt in byte ranges; each
+format has one check over whole columns (``_check_*``), and a fault names its file and line.
 """
 
 from __future__ import annotations
 
-import csv
 import io
+import locale
 import os
+import re
 import threading
 import warnings
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import islice
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,20 +76,24 @@ _WRITE_BLOCK_ROWS = 4096
 # Bytes of CSV text worth a forked worker process (see _processes).
 _SPLIT_BYTES = 1 << 20
 
+MAX_ID_CHARS = 256  # characters an id may hold at most: the str array ids are read into is as wide as its longest
+
 
 class DataFileError(Exception):
     """A data file failed to parse; carries the offending path and line number."""
 
     def __init__(self, path, line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")
-        self.path = str(path)
-        self.line_no = line_no
+        self.path, self.line_no, self.message = str(path), line_no, message
+
+    def __reduce__(self):  # so that a forked reader can send one back
+        return DataFileError, (self.path, self.line_no, self.message)
 
 
 def _horizon_us(horizon_hours: float) -> int:
-    """The horizon in whole microseconds; ValueError unless positive and within the datetime range."""
-    if not 0.0 < horizon_hours <= (datetime.max - datetime.min) / timedelta(hours=1):
-        raise ValueError(f"horizon must be positive and within the datetime range, got {horizon_hours!r} hours")
+    """The horizon in whole microseconds; ValueError unless at least 1 and within the datetime range."""
+    if not 0.0 < horizon_hours <= (datetime.max - datetime.min) / timedelta(hours=1) or not timedelta(hours=horizon_hours):
+        raise ValueError(f"horizon must be positive and within the datetime range, ≥ 1 µs, got {horizon_hours!r} hours")
     return timedelta(hours=horizon_hours) // MICROSECOND
 
 
@@ -302,8 +305,6 @@ def _class_names(ranks) -> List[str]:
 
 def _parse_time(text: str) -> datetime:
     raw = text.strip()
-    if "\x00" in raw:  # which fromisoformat skips
-        raise ValueError(f"timestamp {text!r} contains a NUL character")
     if raw.endswith("Z"):
         raw = raw[:-1] + "+00:00"
     t = datetime.fromisoformat(raw)
@@ -313,12 +314,11 @@ def _parse_time(text: str) -> datetime:
 
 
 class _RowFault(ValueError):
-    """A check's fault at index ``row`` of its rows. The whole-file read names that row's line and adds
-    the line of row ``first`` (where a repeated id first appears) or, if ``fields``, its number fields."""
+    """A check's fault at index ``row`` of its rows, whose number fields the reader adds if ``fields``."""
 
-    def __init__(self, row: int, message: str, first: Optional[int] = None, fields: bool = False):
+    def __init__(self, row: int, message: str, fields: bool = False):
         super().__init__(message)
-        self.row, self.first, self.fields = row, first, fields
+        self.row, self.fields = row, fields
 
 
 def _fill(values: np.ndarray, func, texts: List[str], rows: np.ndarray) -> None:
@@ -332,25 +332,18 @@ def _fill(values: np.ndarray, func, texts: List[str], rows: np.ndarray) -> None:
 
 
 def _id_column(texts: List[str]) -> np.ndarray:
-    """The stripped ids as a str array; _RowFault at the first holding a NUL (which such an
-    array drops from the end), else at the first repeat."""
+    """The stripped ids as a str array, as wide as the longest: _RowFault at the first over MAX_ID_CHARS."""
     ids = [t.strip() for t in texts]
-    if "\x00" in "".join(ids):
-        i = next(i for i, sid in enumerate(ids) if "\x00" in sid)
-        raise _RowFault(i, f"id {ids[i]!r} contains a NUL character")
-    ids = np.array(ids, dtype=str)
-    order = np.argsort(ids, kind="stable")
-    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
-    if repeats.size:
-        i = int(repeats.min())
-        raise _RowFault(i, f"duplicate id {str(ids[i])!r}", first=int(np.argmax(ids == ids[i])))
-    return ids
+    if max(map(len, ids), default=0) > MAX_ID_CHARS:
+        i = next(i for i, sid in enumerate(ids) if len(sid) > MAX_ID_CHARS)
+        raise _RowFault(i, f"id of {len(ids[i])} characters is longer than {MAX_ID_CHARS}")
+    return np.array(ids, dtype=str)
 
 
 def _rank_column(names: List[str]) -> np.ndarray:
     """The int8 rank of every class name; _RowFault on the first row of the first unknown one."""
     ranks = {}
-    for name in dict.fromkeys(names):  # each distinct text, NULs kept, in the order they first appear
+    for name in dict.fromkeys(names):  # each distinct text, in the order they first appear
         try:
             ranks[name] = FlareClass.from_name(name)
         except ValueError as exc:
@@ -401,138 +394,98 @@ def _in_order(func, items: Sequence, processes: int):
             receive.close()
 
 
-def _text_fields(header: List[str], headers: Sequence[List[str]], more: str) -> Optional[int]:
-    """How many leading fields of ``header`` are text, if it is one of ``headers`` followed by one or
-    more fields where ``more`` names them: those before its first ``p_*`` or ``more`` field. Else None."""
-    for f in headers:
-        if header[: len(f)] == f and (len(header) > len(f)) == bool(more):
-            return next((i for i, name in enumerate(f) if name.startswith("p_")), len(f))
-    return None
+def _fields(line: bytes) -> List[str]:
+    """The fields of one line of CSV text, decoded as open() does, without its line end; ValueError at a byte out of
+    dialect: ``"`` (no field is quoted), NUL, \\x1c-\\x1f (np.loadtxt strips those around a number) or a lone CR."""
+    bad = re.search(rb'["\x00\x1c-\x1f]|\r(?!\n)', line)
+    if bad:
+        raise ValueError(f"{bad.group().decode()!r} is not allowed: CSV files hold no quote, NUL, \\x1c-\\x1f or lone CR")
+    return line.decode(locale.getpreferredencoding(False)).removesuffix("\n").removesuffix("\r").split(",")
 
 
-@contextmanager
-def _csv_rows(path, *headers: List[str], more: str = ""):
-    """Open a CSV file whose header, stripped and lowercased, is one of ``headers`` (see
-    :func:`_text_fields`), and yield ``(header, texts, rows)``: its count of text fields, and
-    ``(line_no, row)`` for each non-blank row, as wide as the header. A ValueError, OverflowError
-    or csv.Error (quoting is strict) from reading or using the header or a row becomes a
-    DataFileError naming the file and the line its row starts on, the same ``line_no``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, strict=True)
-        start = 1  # the line the row being read or used starts on
-
-        def rows() -> Iterator[Tuple[int, List[str]]]:
-            nonlocal start
-            width = len(header)
-            start = reader.line_num + 1
-            for row in reader:
-                if len(row) == width:
-                    yield start, row
-                elif row:
-                    raise ValueError(f"expected {width} fields, got {len(row)}")
-                start = reader.line_num + 1
-
+def _walk(data: bytes, texts: int, width: int, fault: Optional[_RowFault] = None) -> Tuple[int, str]:
+    """The first line (from 0) of CSV text ``data`` that np.loadtxt cannot read, and why (see :func:`_fields`; not
+    ``width`` fields; a number, after ``texts`` fields, that float() or loadtxt does not read); else ``fault``'s row's."""
+    rows = 0
+    for n, line in enumerate(io.BytesIO(data)):
         try:
-            header = [h.strip().lower() for h in next(reader, [])]
-            texts = _text_fields(header, headers, more)
-            if texts is None:
-                expected = " or ".join(repr(",".join(f + [more] if more else f)) for f in headers)
-                raise ValueError(f"expected header {expected}")
-            yield header, texts, rows()
-        except (csv.Error, ValueError, OverflowError) as exc:
-            raise DataFileError(path, start, str(exc)) from None
-
-
-def _plain(data: bytes) -> bool:
-    """Whether csv.reader and np.loadtxt split ``data`` alike, and float() reads what loadtxt reads: no quote, NUL,
-    line over csv's field limit or \\x1c-\\x1f (loadtxt strips those around a number, float() does not)."""
-    if any(b in data for b in (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
-        return False
-    limit, start = csv.field_size_limit(), 0
-    while len(data) - start > limit:  # each limit + 1 bytes from a line start hold an LF
-        start = data.rfind(b"\n", start, start + limit + 1) + 1
-        if not start:
-            return False
-    return True
-
-
-def _loadtxt(text: io.TextIOWrapper, texts: int, width: int) -> Tuple[List[List[str]], np.ndarray]:
-    """np.loadtxt's ``width``-field rows: the first ``texts`` fields as lists of str, the rest as a float64 block."""
-    dtype = [(f"t{i}", object) for i in range(texts)] + [("v", np.float64, (width - texts,))] * (width > texts)
-    rows = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    return [rows[f"t{i}"].tolist() for i in range(texts)], rows["v"] if width > texts else np.zeros((len(rows), 0))
-
-
-def _read_whole(path, check, headers: Sequence[List[str]], more: str) -> tuple:
-    """``check`` of a whole CSV file tokenized by csv.reader through :func:`_csv_rows`, numbers by
-    float(); its fault becomes a DataFileError naming the file and the line its row starts on."""
-    with _csv_rows(path, *headers, more=more) as (header, texts, rows):
-        lines, columns, numbers = [], [[] for _ in range(texts)], array("d")
-        for line_no, row in rows:
-            lines.append(line_no)
-            for column, text in zip(columns, row):
-                column.append(text)
-            numbers.extend(map(float, row[texts:]))
-    try:
-        return check(columns, np.frombuffer(numbers).reshape(len(lines), len(header) - texts))
-    except _RowFault as fault:
-        message = str(fault)
-        if fault.first is not None:
-            message += f" (first on line {lines[fault.first]})"
-        if fault.fields:  # read again up to that row, for the texts float() read
-            with _csv_rows(path, *headers, more=more) as (_, _, rows):
-                message += f", got {next(islice(rows, fault.row, None))[1][texts:]}"
-        raise DataFileError(path, lines[fault.row], message) from None
+            fields = _fields(line)
+            if fields == [""]:  # an empty line, which loadtxt skips
+                continue
+            if len(fields) != width:
+                raise ValueError(f"expected {width} fields, got {len(fields)}")
+            for text in fields[texts:]:
+                if "_" in text or not text.strip().isascii():  # which float() reads and loadtxt does not
+                    raise ValueError(f"could not convert string to float: {text!r}")
+                float(text)
+        except ValueError as exc:
+            return n, str(exc)
+        if fault is not None and rows == fault.row:
+            return n, str(fault) + (f", got {fields[texts:]}" if fault.fields else "")
+        rows += 1
+    raise ValueError("np.loadtxt failed on lines that each read")
 
 
 def _read_csv(path, check, *headers: List[str], more: str = "", keyed: bool = True) -> tuple:
-    """The columns ``check(texts, numbers)`` gives for a CSV file whose header is one of ``headers``
-    (see :func:`_text_fields`): its text fields as lists of str, its number fields as a float64 block.
-
-    Forked workers each tokenize a range, cut after LF bytes, with np.loadtxt and check it; one process
-    maps ranges of about _SPLIT_BYTES in turn, so that it holds one range's texts at a time. If a range
-    is not :func:`_plain`, loadtxt fails or warns, or the check fails, or an id repeats across ranges
-    (``keyed``: ids first), the file is tokenized whole by :func:`_read_whole`, which names the line."""
+    """The columns ``check(texts, numbers)`` gives for a CSV file whose header, stripped and lowercased, is one of
+    ``headers``, then one or more fields where ``more`` names them: its text fields (those before the first ``p_*``
+    or ``more`` one) as lists of str, its number fields as a float64 block, as np.loadtxt reads them. Forked workers
+    each parse a range, cut after LF bytes; one process parses ranges of about _SPLIT_BYTES in turn, holding one
+    range's texts at a time. The first range with a byte out of dialect, that loadtxt cannot read or that fails the
+    check, else a repeated id (``keyed``: ids first), gives a DataFileError naming the line (see :func:`_walk`)."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         processes = _processes(size)
         ranges = processes if processes > 1 else -(-size // _SPLIT_BYTES)
-        cuts = [len(fh.readline())]
+        cuts = [len(head := fh.readline())]
         for k in range(1, ranges):
             fh.seek(max(size * k // ranges, cuts[-1]))
-            fh.readline()
-            cuts.append(fh.tell())
+            cuts.append(fh.tell() + len(fh.readline()))
         cuts.append(size)
+    try:
+        header = [h.strip().lower() for h in _fields(head)]
+        found = [f for f in headers if header[: len(f)] == f and (len(header) > len(f)) == bool(more)]
+        if not found:
+            raise ValueError("expected header " + " or ".join(repr(",".join(f + [more] if more else f)) for f in headers))
+    except ValueError as exc:
+        raise DataFileError(path, 1, str(exc)) from None
+    texts, width = next((i for i, name in enumerate(found[0]) if name.startswith("p_")), len(found[0])), len(header)
+    dtype = [(f"t{i}", object) for i in range(texts)] + [("v", np.float64, (width - texts,))]
 
-    def read_range(span: Tuple[int, int]):
+    def read(lo: int, hi: int) -> bytes:
         with open(path, "rb") as fh:
-            head = fh.read(cuts[0])
-            fh.seek(span[0])
-            body = fh.read(span[1] - span[0])
-        line, text = (io.TextIOWrapper(io.BytesIO(b), newline="\n") for b in (head, body))  # decoded as open() does
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # such as loadtxt's on a range of blank lines
-            try:
-                line = line.read().removesuffix("\n").removesuffix("\r")
-                header = [h.strip().lower() for h in line.split(",")]
-                texts = _text_fields(header, headers, more)
-                if _plain(head) and _plain(body) and "\r" not in line and texts is not None:
-                    return check(*_loadtxt(text, texts, len(header)))
-            except (ValueError, OverflowError, Warning):  # a _RowFault and UnicodeDecodeError among them
-                pass
-        return None
+            fh.seek(lo)
+            return fh.read(hi - lo)
 
-    spans = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    with _in_order(read_range, spans, processes) as parts:
-        parts = list(parts)
-    if parts and all(part is not None for part in parts):
-        columns = [list(c) for c in zip(*parts)]
-        parts.clear()  # so that each column's parts are freed as soon as it is joined
-        cols = tuple(np.concatenate(columns.pop(0)) for _ in range(len(columns)))
-        ids = np.sort(cols[0], kind="stable") if keyed and len(spans) > 1 else np.array([])  # one range checked its own
-        if not (ids[1:] == ids[:-1]).any():
-            return cols
-    return _read_whole(path, check, headers, more)
+    def parse(span: Tuple[int, int]):
+        data, fault = read(*span), None
+        if not (any(map(data.__contains__, b'"\x00\x1c\x1d\x1e\x1f')) or re.search(rb"\r(?!\n)", data)):
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # a range of blank lines
+                    text = io.TextIOWrapper(io.BytesIO(data), newline="\n")  # decoded as open() does
+                    rows = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+                return check([rows[f"t{i}"].tolist() for i in range(texts)], rows["v"])
+            except _RowFault as exc:
+                fault = exc
+            except ValueError:  # from loadtxt, a UnicodeDecodeError among them
+                pass
+        line, message = _walk(data, texts, width, fault)
+        return DataFileError(path, 1 + read(0, span[0]).count(b"\n") + line, message)
+
+    with _in_order(parse, [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi] or [(size, size)], processes) as results:
+        parts = list(results)
+    if faults := [part for part in parts if isinstance(part, DataFileError)]:
+        raise faults[0]
+    columns = [list(c) for c in zip(*parts)]
+    parts.clear()  # so that each column's parts are freed as soon as it is joined
+    cols = tuple(np.concatenate(columns.pop(0)) for _ in range(len(columns)))
+    if keyed and ((ids := np.sort(cols[0]))[1:] == ids[:-1]).any():
+        ids, order, body = cols[0], np.argsort(cols[0], kind="stable"), read(cuts[0], size)
+        i = int(order[1:][ids[order[1:]] == ids[order[:-1]]].min())  # the first row whose id is on an earlier one
+        first, line = (2 + _walk(body, texts, width, _RowFault(row, ""))[0] for row in (np.argmax(ids == ids[i]), i))
+        raise DataFileError(path, line, f"duplicate id {str(ids[i])!r} (first on line {first})")
+    return cols
 
 
 def write_events(path, peak_us, ranks) -> None:
@@ -558,19 +511,20 @@ def read_events(path) -> Tuple[np.ndarray, np.ndarray]:
     return _read_csv(path, _check_events, ["peak_time", "class"], keyed=False)
 
 
-def _csv_fields(texts: List[str]) -> List[str]:
-    """``texts`` as csv.writer's minimal quoting writes them: a text holding a
-    comma, a quote, CR or LF is quoted, its quotes doubled."""
-    joined = "".join(texts)
-    if not any(c in joined for c in ',"\r\n'):
-        return texts
-    return ['"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n') else t for t in texts]
+def _check_ids(ids: np.ndarray) -> None:
+    """ValueError naming the first id that no CSV file holds (see :func:`_fields`)."""
+    for lo in range(0, len(ids), _WRITE_BLOCK_ROWS):
+        block = ids[lo : lo + _WRITE_BLOCK_ROWS].tolist()
+        if re.search('[,"\r\n\x00\x1c-\x1f]', "".join(block)) or max(map(len, block)) > MAX_ID_CHARS:
+            sid = next(s for s in block if len(s) > MAX_ID_CHARS or re.search('[,"\r\n\x00\x1c-\x1f]', s))
+            raise ValueError(f"id {sid!r} cannot be written: it holds , \" CR LF NUL or \\x1c-\\x1f, or is too long")
 
 
 def write_samples(path, table: SampleTable) -> None:
-    """Write ``id,timestamp,mask,f0..`` rows as csv.writer would (CRLF line
-    ends, minimal quoting of ids), each feature as its ``repr``; one string
+    """Write ``id,timestamp,mask,f0..`` rows as csv.writer would, with CRLF line ends and
+    no field quoted (see :func:`_check_ids`), each feature as its ``repr``; one string
     and one write per block of rows, built by forked workers if worthwhile."""
+    _check_ids(table.ids)
     dim = table.features.shape[1]
     sep = "," if dim else ""
 
@@ -578,7 +532,7 @@ def write_samples(path, table: SampleTable) -> None:
         block = slice(lo, lo + _WRITE_BLOCK_ROWS)
         stamps = np.datetime_as_string(table.times[block].astype("datetime64[s]")).tolist()
         masks = (table.mask[block].astype(np.uint8) + ord("0")).view(f"S{N_CHANNELS}").ravel().astype(str).tolist()
-        rows = zip(_csv_fields(table.ids[block].tolist()), stamps, masks, table.features[block].tolist())
+        rows = zip(table.ids[block].tolist(), stamps, masks, table.features[block].tolist())
         return "".join(f"{sid},{stamp}Z,{mask}{sep}{','.join(map(repr, feats))}\r\n" for sid, stamp, mask, feats in rows)
 
     processes = _processes(20 * table.features.size)  # a feature's repr and comma take about 20 bytes
@@ -595,7 +549,7 @@ def _canonical_stamps(stamps: List[str], width: int) -> Tuple[np.ndarray, np.nda
     codes = np.array(stamps, dtype=f"U{width}").view(np.uint32).reshape(-1, width)
     form = np.frombuffer(b"0000-00-00T00:00:00.000000"[: width - 1] + b"Z", dtype=np.uint8)
     ok = np.where(form == ord("0"), codes - np.uint32(ord("0")) < 10, codes == form).all(axis=1)
-    ok &= np.fromiter(map(len, stamps), np.intp, len(stamps)) == width  # the texts' own: a str array drops end NULs
+    ok &= np.fromiter(map(len, stamps), np.intp, len(stamps)) == width  # the texts' own: the array cuts longer ones
     ok &= (codes[:, :4] != ord("0")).any(axis=1)  # year 0 is out of range
     text = codes[:, :-1].astype(np.uint8, order="C").view(f"S{width - 1}").ravel()  # bytes cast faster than str
     unit = "datetime64[s]" if width == 20 else "datetime64[us]"
@@ -636,12 +590,13 @@ def read_samples(path) -> SampleTable:
 
 
 def write_labels(path, ids: Sequence[str], labels) -> None:
-    """Write ``id,label`` rows as csv.writer would; ``labels`` are class ranks or :class:`FlareClass` members."""
+    """Write ``id,label`` rows as csv.writer would, unquoted; ``labels`` are class ranks or :class:`FlareClass` members."""
     ids, names = np.asarray(ids, dtype=str), _class_names(labels)
+    _check_ids(ids)
     with open(path, "w", newline="") as fh:
         fh.write("id,label\r\n")
         for lo in range(0, len(ids), _WRITE_BLOCK_ROWS):  # one string and one write per block of rows
-            rows = zip(_csv_fields(ids[lo : lo + _WRITE_BLOCK_ROWS].tolist()), names[lo : lo + _WRITE_BLOCK_ROWS])
+            rows = zip(ids[lo : lo + _WRITE_BLOCK_ROWS].tolist(), names[lo : lo + _WRITE_BLOCK_ROWS])
             fh.write("".join(f"{sid},{name}\r\n" for sid, name in rows))
 
 

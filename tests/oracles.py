@@ -20,6 +20,8 @@ scores from ``init_params``, ``_phis`` and ``metrics.build_report``.
 """
 
 import csv
+import locale
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -213,6 +215,8 @@ def match_ids_loop(keys, wanted):
 # The sample, event and id-class CSV files through csv.writer and per-row reader loops
 # ---------------------------------------------------------------------------
 
+DIALECT = "CSV files hold no quote, NUL, \\x1c-\\x1f or lone CR"
+
 def write_samples_rows(path, table):
     """``samples.csv`` through ``csv.writer``, one list of strings per row:
     the stamp rendered by datetime, the mask one character per channel and
@@ -227,8 +231,6 @@ def write_samples_rows(path, table):
 
 def _parse_time_row(text: str) -> datetime:
     raw = text.strip()
-    if "\x00" in raw:  # datetime.fromisoformat would skip it
-        raise ValueError(f"timestamp {text!r} contains a NUL character")
     if raw.endswith("Z"):
         raw = raw[:-1] + "+00:00"
     t = datetime.fromisoformat(raw)
@@ -239,43 +241,52 @@ def _parse_time_row(text: str) -> datetime:
 
 def _new_id_row(raw: str, line_no: int, seen: Dict[str, int]) -> str:
     sid = raw.strip()
-    if "\x00" in sid:
-        raise ValueError(f"id {sid!r} contains a NUL character")
+    if len(sid) > 256:
+        raise ValueError(f"id of {len(sid)} characters is longer than 256")
     if sid in seen:
         raise ValueError(f"duplicate id {sid!r} (first on line {seen[sid]})")
     seen[sid] = line_no
     return sid
 
 
+def _float_row(text: str) -> float:
+    """``float(text)`` for a number np.loadtxt reads too: ASCII once stripped, and without ``_``."""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 @contextmanager
 def _csv_rows_loop(path, *headers: List[str], more: str = ""):
-    """A CSV file's checked header and its non-blank ``(line_no, row)`` pairs,
-    ``line_no`` being the line the row starts on; a ValueError, OverflowError
-    or csv.Error becomes a DataFileError naming the line where the row being
-    read or used starts."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        at = {"start": 1}
+    """A CSV file's checked header and its non-blank ``(line_no, row)`` pairs. Each line must hold no
+    ``"``, NUL or \\x1c-\\x1f and no CR but the one before its LF; it is decoded on its own and split at
+    every comma. A ValueError or OverflowError becomes a DataFileError naming the line being read or used."""
+    at = {"line": 1}
 
-        def rows():
-            while True:
-                at["start"] = reader.line_num + 1
-                row = next(reader, None)
-                if row is None:
-                    return
-                if row and len(row) != len(header):
+    def lines():
+        with open(path, "rb") as fh:
+            for at["line"], raw in enumerate(fh, 1):  # a binary file's lines end at LF
+                bad = re.search(rb'["\x00\x1c-\x1f]|\r(?!\n)', raw)
+                if bad:
+                    raise ValueError(f"{bad.group().decode()!r} is not allowed: {DIALECT}")
+                yield raw.removesuffix(b"\n").decode(locale.getpreferredencoding(False)).removesuffix("\r").split(",")
+
+    def rows():
+        for row in texts:
+            if row != [""]:
+                if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                if row:
-                    yield at["start"], row
+                yield at["line"], row
 
-        try:
-            header = [h.strip().lower() for h in next(reader, [])]
-            if not any(header[: len(f)] == f and (len(header) > len(f)) == bool(more) for f in headers):
-                expected = " or ".join(repr(",".join(f + [more] if more else f)) for f in headers)
-                raise ValueError(f"expected header {expected}")
-            yield header, rows()
-        except (ValueError, OverflowError, csv.Error) as exc:
-            raise DataFileError(path, at["start"], str(exc)) from None
+    try:
+        texts = lines()
+        header = [h.strip().lower() for h in next(texts, [])]
+        if not any(header[: len(f)] == f and (len(header) > len(f)) == bool(more) for f in headers):
+            expected = " or ".join(repr(",".join(f + [more] if more else f)) for f in headers)
+            raise ValueError(f"expected header {expected}")
+        yield header, rows()
+    except (ValueError, OverflowError) as exc:
+        raise DataFileError(path, at["line"], str(exc)) from None
 
 
 def read_samples_rows(path) -> SampleTable:
@@ -290,7 +301,7 @@ def read_samples_rows(path) -> SampleTable:
                 raise ValueError(f"mask must be 10 characters of 0/1, got {mask!r}")
             ids.append(_new_id_row(row[0], line_no, seen))
             times.append(grid_seconds(_parse_time_row(row[1])))
-            feats.append([float(v) for v in row[3:]])
+            feats.append([_float_row(v) for v in row[3:]])
             masks.append([c == "1" for c in mask])
     features = np.array(feats, dtype=float).reshape(len(ids), len(header) - 3)
     for sid, row in zip(ids, features):
@@ -320,7 +331,7 @@ def read_id_classes_rows(path, *headers: List[str]):
             if len(header) == 2:
                 ranks.append(FlareClass.from_name(row[1]))
                 continue
-            vec = [float(v) for v in row[1:]]
+            vec = [_float_row(v) for v in row[1:]]
             total = ((vec[0] + vec[1]) + vec[2]) + vec[3]  # in field order: sum() is compensated from Python 3.12
             if not (min(vec) >= 0 and abs(total - 1.0) <= 1e-6):
                 raise ValueError(f"probabilities must be non-negative and sum to 1, got {row[1:]}")

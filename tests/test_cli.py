@@ -126,7 +126,7 @@ class TestLabel:
         err = capsys.readouterr().err
         assert "samples.csv:3" in err and reason in err
 
-    @pytest.mark.parametrize("hours", ["0", "nan", "inf", "1e10", "1e15"])
+    @pytest.mark.parametrize("hours", ["0", "nan", "inf", "1e10", "1e15", "1e-10"])
     def test_unusable_horizon_is_usage_error_before_reading(self, tmp_path, capsys, hours):
         code = run_cli(
             "label", "--events", tmp_path / "missing.csv", "--samples", tmp_path / "missing.csv",
@@ -171,7 +171,10 @@ def quote_lines(path, *line_nos):
 
 class TestStrayQuote:
     """A ``"`` opening lines 6 and 10 would merge rows 6-10 into one quoted
-    id under lenient quoting; every command rejects it, naming line 6."""
+    id under lenient quoting; no field is quoted, and every command rejects
+    it, naming line 6."""
+
+    message = "'\"' is not allowed: CSV files hold no quote"
 
     def test_label(self, tmp_path, capsys):
         assert run_cli("gen-data", "--n", 300, "--out-dir", tmp_path) == 0
@@ -181,7 +184,7 @@ class TestStrayQuote:
             "--samples", tmp_path / "samples.csv", "--out", tmp_path / "labels.csv",
         )
         assert code == 2
-        assert f"{tmp_path / 'samples.csv'}:6: ',' expected after '\"'" in capsys.readouterr().err
+        assert f"{tmp_path / 'samples.csv'}:6: {self.message}" in capsys.readouterr().err
         assert not (tmp_path / "labels.csv").exists()
 
     @pytest.mark.parametrize("name", ["samples.csv", "labels.csv"])
@@ -189,7 +192,7 @@ class TestStrayQuote:
         make_training_data(tmp_path, n=300)
         quote_lines(tmp_path / name, 6, 10)
         assert run_cli("train", "--data-dir", tmp_path, "--out-dir", tmp_path / "out") == 2
-        assert f"{tmp_path / name}:6: ',' expected after '\"'" in capsys.readouterr().err
+        assert f"{tmp_path / name}:6: {self.message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["preds.csv", "labels.csv"])
@@ -203,7 +206,7 @@ class TestStrayQuote:
             "--out-dir", tmp_path / "out",
         )
         assert code == 2
-        assert f"{tmp_path / name}:6: ',' expected after '\"'" in capsys.readouterr().err
+        assert f"{tmp_path / name}:6: {self.message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -312,7 +315,7 @@ class TestEval:
             "--out-dir", tmp_path / "out",
         )
         assert code == 2
-        assert "preds.csv:2: field larger than field limit" in capsys.readouterr().err
+        assert "preds.csv:2: id of 200000 characters is longer than 256" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "climatology, reason",
