@@ -397,15 +397,14 @@ def _in_order(func, items: Sequence, processes: int):
 def _fields(line: bytes) -> List[str]:
     """The fields of one line of CSV text, decoded as open() does, without its line end; ValueError at a byte out of
     dialect: ``"`` (no field is quoted), NUL, \\x1c-\\x1f (np.loadtxt strips those around a number) or a lone CR."""
-    bad = re.search(rb'["\x00\x1c-\x1f]|\r(?!\n)', line)
-    if bad:
+    if bad := re.search(rb'["\x00\x1c-\x1f]|\r(?!\n)', line):
         raise ValueError(f"{bad.group().decode()!r} is not allowed: CSV files hold no quote, NUL, \\x1c-\\x1f or lone CR")
     return line.decode(locale.getpreferredencoding(False)).removesuffix("\n").removesuffix("\r").split(",")
 
 
 def _walk(data: bytes, texts: int, width: int, fault: Optional[_RowFault] = None) -> Tuple[int, str]:
-    """The first line (from 0) of CSV text ``data`` that np.loadtxt cannot read, and why (see :func:`_fields`; not
-    ``width`` fields; a number, after ``texts`` fields, that float() or loadtxt does not read); else ``fault``'s row's."""
+    """The first line (from 0) of CSV text ``data`` that np.loadtxt cannot read and why: see :func:`_fields`, other than
+    ``width`` fields, or a number after ``texts`` fields that float() or loadtxt does not read. Else ``fault``'s line."""
     rows = 0
     for n, line in enumerate(io.BytesIO(data)):
         try:
@@ -468,7 +467,7 @@ def _read_csv(path, check, *headers: List[str], more: str = "", keyed: bool = Tr
                 return check([rows[f"t{i}"].tolist() for i in range(texts)], rows["v"])
             except _RowFault as exc:
                 fault = exc
-            except ValueError:  # from loadtxt, a UnicodeDecodeError among them
+            except ValueError:  # loadtxt's, a UnicodeDecodeError among them (the check raises _RowFault)
                 pass
         line, message = _walk(data, texts, width, fault)
         return DataFileError(path, 1 + read(0, span[0]).count(b"\n") + line, message)
@@ -480,7 +479,7 @@ def _read_csv(path, check, *headers: List[str], more: str = "", keyed: bool = Tr
     columns = [list(c) for c in zip(*parts)]
     parts.clear()  # so that each column's parts are freed as soon as it is joined
     cols = tuple(np.concatenate(columns.pop(0)) for _ in range(len(columns)))
-    if keyed and ((ids := np.sort(cols[0]))[1:] == ids[:-1]).any():
+    if keyed and ((ids := np.sort(cols[0], kind="stable"))[1:] == ids[:-1]).any():  # timsort: ids come nearly sorted
         ids, order, body = cols[0], np.argsort(cols[0], kind="stable"), read(cuts[0], size)
         i = int(order[1:][ids[order[1:]] == ids[order[:-1]]].min())  # the first row whose id is on an earlier one
         first, line = (2 + _walk(body, texts, width, _RowFault(row, ""))[0] for row in (np.argmax(ids == ids[i]), i))
@@ -515,9 +514,10 @@ def _check_ids(ids: np.ndarray) -> None:
     """ValueError naming the first id that no CSV file holds (see :func:`_fields`)."""
     for lo in range(0, len(ids), _WRITE_BLOCK_ROWS):
         block = ids[lo : lo + _WRITE_BLOCK_ROWS].tolist()
-        if re.search('[,"\r\n\x00\x1c-\x1f]', "".join(block)) or max(map(len, block)) > MAX_ID_CHARS:
-            sid = next(s for s in block if len(s) > MAX_ID_CHARS or re.search('[,"\r\n\x00\x1c-\x1f]', s))
-            raise ValueError(f"id {sid!r} cannot be written: it holds , \" CR LF NUL or \\x1c-\\x1f, or is too long")
+        if ids.itemsize > 4 * MAX_ID_CHARS or any(map("".join(block).__contains__, ',"\r\n\x00\x1c\x1d\x1e\x1f')):
+            for sid in block:
+                if len(sid) > MAX_ID_CHARS or any(map(sid.__contains__, ',"\r\n\x00\x1c\x1d\x1e\x1f')):
+                    raise ValueError(f"id {sid!r} cannot be written: too long, or holds , \" CR LF NUL or \\x1c-\\x1f")
 
 
 def write_samples(path, table: SampleTable) -> None:

@@ -2,6 +2,7 @@
 and the CSV round trips."""
 
 import dataclasses
+import io
 import multiprocessing
 import os
 import signal
@@ -456,7 +457,9 @@ class TestCsvFormats:
         with pytest.raises(DataFileError, match=r"labels\.csv:4: duplicate id 'a' \(first on line 2\)"):
             read_labels(path)
 
-    @pytest.mark.parametrize("line, message", [(1, "expected header 'id,label'"), (3, "expected 2 fields, got 3")])
+    @pytest.mark.parametrize(
+        "line, message", [(1, "expected header 'id,label'"), (3, "expected 2 fields, got 3")], ids=["header", "row"]
+    )
     def test_oversized_field_names_line(self, tmp_path, line, message):
         rows = ["id,label", "a,X", "b,O"]
         rows[line - 1] = "x" * 200_000 + "," + rows[line - 1]
@@ -490,7 +493,9 @@ class TestCsvFormats:
             read_samples(path)
         assert str(info.value) == f"{path}:3: '\\x00' is not allowed: {DIALECT}"
 
-    @pytest.mark.parametrize("quoted, line", [((5,), 5), ((5, 8), 5), ((2, 8), 2)], ids=["unclosed", "closed-later", "first-row"])
+    @pytest.mark.parametrize(
+        "quoted, line", [((5,), 5), ((5, 8), 5), ((2, 8), 2)], ids=["unclosed", "closed-later", "first-row"]
+    )
     def test_quote_names_line_of_first(self, tmp_path, quoted, line):
         table = gen_synthetic(10, [0.25] * 4, seed=1, feature_dim=2)
         path = tmp_path / "samples.csv"
@@ -721,7 +726,7 @@ class TestCsvMatchesRowOracles:
             ids, 7200 * np.array(steps, dtype=np.int64), np.reshape(masks, (n, 10)), np.reshape(feats, (n, dim))
         )
         d = tmp_path_factory.mktemp("csv")
-        if any(c in sid for sid in table.ids.tolist() for c in ',"\r\n\x1c\x1d\x1e\x1f'):  # which csv.writer would quote or pass
+        if any(c in sid for sid in table.ids.tolist() for c in ',"\r\n\x1c\x1d\x1e\x1f'):  # out of the one dialect
             with pytest.raises(ValueError, match="cannot be written"):
                 write_samples(d / "samples.csv", table)
             return
@@ -831,8 +836,8 @@ class TestCsvMatchesRowOracles:
         else:
             assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
 
-    # Where np.loadtxt, csv.reader and float() may part ways: each file is read
-    # by np.loadtxt or whole by csv.reader, and must give what the row oracle gives.
+    # Where np.loadtxt and the row oracle's split at commas and float() may part ways:
+    # each file must give what the row oracle gives, its columns or its fault.
     sample_rows = ["s0,2020-01-01T00:00:00Z,1111111111,0.5,1.0", "s1,2020-01-01T02:00:00Z,0101010101,0.25,2.0",
                    "s2,2020-01-01T04:00:00Z,1111111111,-3.5,4.0"]
     number_texts = ["1_0", "１", "١.5", "\xa01.5\xa0", "　1.5", " 1.5\t", "Infinity", "-Infinity", "nan",
@@ -1069,7 +1074,9 @@ class TestSplitCsv:
         path.write_text("\n".join(lines) + "\n")
         assert self.read_both(path) == f"{path}:{line + 1}: '\"' is not allowed: {DIALECT}"
 
-    @pytest.mark.parametrize("ends, line", [("\r", 1), ("\r|\n", 1), ("\n|\r", 2)], ids=["cr", "cr-header", "cr-after-header"])
+    @pytest.mark.parametrize(
+        "ends, line", [("\r", 1), ("\r|\n", 1), ("\n|\r", 2)], ids=["cr", "cr-header", "cr-after-header"]
+    )
     def test_cr_only_line_ends(self, tmp_path, ends, line):
         # The header's line end, then every other one: the first CR not followed by LF names its line.
         first, rest = (ends.split("|") * 2)[:2]
@@ -1211,6 +1218,33 @@ class TestBulkReads:
         path.write_text("\n".join(lines) + "\n")
         got, want = self.read_both(path)
         assert isinstance(got, str) and got == want and got.startswith(f"{path}:{row + 1}: ")
+
+
+class TestFaultWalk:
+    """The line walk that names a range's fault finds a number at fault exactly where np.loadtxt
+    finds one: float() also reads ``1_0`` and non-ASCII digits, which loadtxt does not."""
+
+    numbers = st.lists(
+        st.sampled_from([*"0123456789.eE+-_ x", "nan", "inf", "\t", "\xa0", "\u3000", "\x85", "１", "١", "\u200b"]),
+        max_size=8,
+    ).map("".join)
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(text=numbers)
+    def test_number_at_fault_where_loadtxt_fails(self, text):
+        data = f"a,{text}\n".encode()
+        dtype = [("t0", object), ("v", np.float64, (1,))]
+        try:
+            np.loadtxt(io.StringIO(data.decode()), dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            reads = True
+        except ValueError:
+            reads = False
+        try:
+            fault = pipeline._walk(data, 1, 2)
+        except ValueError:  # no line at fault
+            fault = None
+        assert (fault is None) == reads
+        assert fault is None or fault == (0, f"could not convert string to float: {text!r}")
 
 
 class TestMatchIds:
