@@ -4,16 +4,15 @@ and gradient checking as reproducible seeded runs.
 Exit codes: 0 success, 1 usage error, 2 I/O or data error, 3 numerical
 failure. Every command that owns an output directory writes the resolved
 configuration there as ``config.txt``. Training configuration is read from a
-``key=value`` file (``#`` comments allowed), overridable by ``FLARE_``-prefixed
-environment variables and ``--set key=value`` flags, in that order. A ``train``
-run's ``config.txt`` can be passed back as ``--config`` to repeat the run, and
-its checkpoint's ``config_hash`` is the first 16 hex digits of that file's sha256.
+``key=value`` file (``#`` comments allowed), overridden by ``--set key=value``
+flags; nothing else sets it. A ``train`` run's ``config.txt`` can be passed
+back as ``--config`` to repeat the run, and its checkpoint's ``config_hash`` is
+the first 16 hex digits of that file's sha256.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
@@ -47,8 +46,6 @@ from .pipeline import (
 )
 from .trainer import TrainConfig, evaluate_fold, require_all_classes, save_checkpoint, train, write_history
 
-ENV_PREFIX = "FLARE_"
-
 GRADCHECK_TOL_FD = 1e-6
 GRADCHECK_TOL_IDENTITY = 1e-10
 
@@ -74,8 +71,8 @@ NOT_KEYS = ("cycle", "sizes")
 def _config_items(cfg: TrainConfig, split: SplitSpec, fold_index: int) -> List[Tuple[str, object]]:
     """Every configuration key with its value: the fields of TrainConfig, its
     CycleConfig and SplitSpec, plus the fold index. The keys are the ones config
-    files, environment and --set accept; the items are ``train``'s ``config.txt``,
-    which fed back through --config or --set rebuilds the same configuration."""
+    files and --set accept; the items are ``train``'s ``config.txt``, which fed
+    back through --config or --set rebuilds the same configuration."""
     items = [(f.name, getattr(obj, f.name)) for obj in (cfg, cfg.cycle, split) for f in fields(obj)]
     return [(key, value) for key, value in items if key not in NOT_KEYS] + [("fold", fold_index)]
 
@@ -91,15 +88,6 @@ def parse_config_file(path) -> Dict[str, str]:
                 raise UsageError(f"{path}:{line_no}: expected key=value, got {raw.strip()!r}")
             key, _, value = line.partition("=")
             out[key.strip()] = value.strip()
-    return out
-
-
-def _env_overrides(known: Sequence[str]) -> Dict[str, str]:
-    out = {}
-    for key in known:
-        value = os.environ.get(ENV_PREFIX + key.upper())
-        if value is not None:
-            out[key] = value
     return out
 
 
@@ -140,12 +128,11 @@ def _from_raw(cls, raw: Dict[str, str], **extra):
 def resolve_run_config(
     config_path: Optional[str], set_overrides: Sequence[str]
 ) -> Tuple[TrainConfig, SplitSpec, int]:
-    """Merge defaults, config file, environment, and --set into typed configs."""
+    """Merge defaults, the config file and --set, each overriding the one before, into typed configs."""
     known = [key for key, _ in _config_items(TrainConfig(), SplitSpec(), 0)]
     raw: Dict[str, str] = {}
     if config_path is not None:
         raw.update(parse_config_file(config_path))
-    raw.update(_env_overrides(known))
     for item in set_overrides:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
@@ -275,8 +262,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be at least 1")
+    if args.trials < 1 or args.seed < 0:
+        raise UsageError("--trials must be at least 1 and --seed non-negative")
     rng = np.random.default_rng(args.seed)
     hidden_width = 6
     ones = np.ones(1)

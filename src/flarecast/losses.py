@@ -45,8 +45,6 @@ PROB_FLOOR = 1e-12   # floor inside logarithms; keeps CE finite on saturated sof
 FACTOR_FLOOR = 1e-8  # floor for influence factors, which vanish at perfect predictions
 FD_STEP = 1e-6  # central-difference step of gradient_error
 
-IB_CE_MODES = ("residual", "literal")
-
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis."""
@@ -89,21 +87,16 @@ class LossBreakdown:
         return cls(wce, ib_ce, wbss, ib_bss, (wce + ib_ce) + lambda_bss * (wbss + ib_bss), ib_active)
 
 
-def batch_factors_arrays(
-    probs: np.ndarray, ys: np.ndarray, hidden_l1: np.ndarray, ib_ce_mode: str = "residual"
-) -> Tuple[np.ndarray, np.ndarray]:
+def batch_factors_arrays(probs: np.ndarray, ys: np.ndarray, hidden_l1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized influence factors (CE factor, quadratic factor) per sample."""
     delta = probs - ys
-    return _factors(probs, delta, _bss_grad_of_delta(probs, delta), hidden_l1, ib_ce_mode)
+    return _factors(delta, _bss_grad_of_delta(probs, delta), hidden_l1)
 
 
-def _factors(
-    probs: np.ndarray, delta: np.ndarray, bss_grad: np.ndarray, hidden_l1: np.ndarray, ib_ce_mode: str
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Influence factors from a batch's residual ``delta`` and Brier logit gradient."""
-    if ib_ce_mode not in IB_CE_MODES:
-        raise ValueError(f"unknown influence-factor mode {ib_ce_mode!r}")
-    f_ce = np.add.reduce(np.abs(delta if ib_ce_mode == "residual" else probs), axis=1) * hidden_l1
+def _factors(delta: np.ndarray, bss_grad: np.ndarray, hidden_l1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Influence factors ``||delta||_1 ||h||_1`` and ``||bss_grad||_1 ||h||_1`` from a batch's residual
+    ``delta = probs - ys`` and Brier logit gradient: each is the L1 norm of its term's head-weight gradient."""
+    f_ce = np.add.reduce(np.abs(delta), axis=1) * hidden_l1
     f_bss = np.add.reduce(np.abs(bss_grad), axis=1) * hidden_l1
     return np.maximum(f_ce, FACTOR_FLOOR), np.maximum(f_bss, FACTOR_FLOOR)
 
@@ -115,7 +108,6 @@ def flare_loss_arrays(
     sample_weights: np.ndarray,
     lambda_bss: float,
     ib_active: bool,
-    ib_ce_mode: str = "residual",
     frozen_factors: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[LossBreakdown, np.ndarray]:
     """Vectorized composite loss over a batch and its gradient w.r.t. every
@@ -141,7 +133,7 @@ def flare_loss_arrays(
     w = sample_weights / b
     if ib_active:
         if frozen_factors is None:
-            frozen_factors = _factors(probs, delta, bss_grad, hidden_l1, ib_ce_mode)
+            frozen_factors = _factors(delta, bss_grad, hidden_l1)
         f_ce, f_bss = frozen_factors
         ib_ce = float(np.add.reduce(w_ce / f_ce)) / b
         ib_bss = float(np.add.reduce(w_bss / f_bss)) / b

@@ -511,13 +511,16 @@ def read_events(path) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _check_ids(ids: np.ndarray) -> None:
-    """ValueError naming the first id that no CSV file holds (see :func:`_fields`)."""
+    """ValueError naming the first id that no CSV file holds (see :func:`_fields`) or that a reader's strip changes."""
+    banned = ',"\r\n\x00\x1c\x1d\x1e\x1f'
     for lo in range(0, len(ids), _WRITE_BLOCK_ROWS):
         block = ids[lo : lo + _WRITE_BLOCK_ROWS].tolist()
-        if ids.itemsize > 4 * MAX_ID_CHARS or any(map("".join(block).__contains__, ',"\r\n\x00\x1c\x1d\x1e\x1f')):
+        stripped = list(map(str.strip, block))  # as every reader strips ids
+        if ids.itemsize > 4 * MAX_ID_CHARS or stripped != block or any(map("".join(block).__contains__, banned)):
             for sid in block:
-                if len(sid) > MAX_ID_CHARS or any(map(sid.__contains__, ',"\r\n\x00\x1c\x1d\x1e\x1f')):
-                    raise ValueError(f"id {sid!r} cannot be written: too long, or holds , \" CR LF NUL or \\x1c-\\x1f")
+                if len(sid) > MAX_ID_CHARS or any(map(sid.__contains__, banned)) or sid != sid.strip():
+                    why = "too long, padded with whitespace, or holds , \" CR LF NUL or \\x1c-\\x1f"
+                    raise ValueError(f"id {sid!r} cannot be written: {why}")
 
 
 def write_samples(path, table: SampleTable) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import ClassWeights, FlareClass, N_CLASSES, SampleTable, class_weights
 from .cycle import DEFAULT_CYCLE, CycleConfig, cycle_phases
-from .losses import IB_CE_MODES, LossBreakdown, batch_factors_arrays, flare_loss_arrays, gradient_error, softmax
+from .losses import LossBreakdown, batch_factors_arrays, flare_loss_arrays, gradient_error, softmax
 from .metrics import MetricReport, build_report
 from .pipeline import Fold
 
@@ -70,7 +70,6 @@ class TrainConfig:
     hidden_sizes: Tuple[int, int] = (64, 64)
     use_cycle_embedding: bool = True
     use_class_weights: bool = True
-    ib_ce_mode: str = "residual"
     adam_eps: float = 1e-8
     verify_gradients: bool = False
     cycle: CycleConfig = DEFAULT_CYCLE
@@ -88,8 +87,8 @@ class TrainConfig:
             raise ValueError("betas must lie in [0, 1)")
         if len(self.hidden_sizes) != 2 or any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden_sizes must be two positive widths")
-        if self.ib_ce_mode not in IB_CE_MODES:
-            raise ValueError(f"unknown influence-factor mode {self.ib_ce_mode!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def head_width(cfg: TrainConfig) -> int:
@@ -231,8 +230,8 @@ def _step(x, phis, ys, sample_w, params, grads: Optional[Params], cfg, ib_active
     a0, a1, head_in, _, probs = forward(x, phis, params)
     h_l1 = np.add.reduce(np.abs(head_in), axis=1) if ib_active else None  # read only by influence factors
     try:
-        losses, d_logits = flare_loss_arrays(probs, ys, h_l1, sample_w, cfg.lambda_bss, ib_active, cfg.ib_ce_mode, frozen)
-    except ValueError:  # the batch is never empty and the mode is checked: the loss is not finite
+        losses, d_logits = flare_loss_arrays(probs, ys, h_l1, sample_w, cfg.lambda_bss, ib_active, frozen)
+    except ValueError:  # the batch is never empty: the loss is not finite
         raise RuntimeError("diverged: non-finite loss") from None
     if grads is not None:
         _backprop(x, a0, a1, head_in, d_logits, params, grads)
@@ -246,7 +245,7 @@ def _verify_first_batch(x, phis, params, grads, cfg, y_rows, sample_w, ib_active
     detached treatment in the analytic gradient.
     """
     _, _, head_in, _, probs = forward(x, phis, params)  # the loss reads the factors only while ib_active
-    frozen = batch_factors_arrays(probs, y_rows, np.add.reduce(np.abs(head_in), axis=1), cfg.ib_ce_mode)
+    frozen = batch_factors_arrays(probs, y_rows, np.add.reduce(np.abs(head_in), axis=1))
     _step(x, phis, y_rows, sample_w, params, grads, cfg, ib_active, frozen)
 
     def loss_at() -> float:

@@ -31,7 +31,7 @@ import mpmath as mp
 import numpy as np
 
 from flarecast.core import EPOCH, N_CLASSES, ClassWeights, FlareClass, SampleTable, _frozen, class_weights, grid_seconds
-from flarecast.losses import FACTOR_FLOOR, IB_CE_MODES, PROB_FLOOR, LossBreakdown, flare_loss_arrays, softmax
+from flarecast.losses import FACTOR_FLOOR, PROB_FLOOR, LossBreakdown, flare_loss_arrays, softmax
 from flarecast.metrics import build_report
 from flarecast.pipeline import DataFileError
 from flarecast.trainer import EpochRecord, _phis, forward, init_params
@@ -433,21 +433,13 @@ def ib_factor_bss(state: HeadState, y: np.ndarray) -> float:
     return max(val, FACTOR_FLOOR)
 
 
-def ib_factor_ce(state: HeadState, y: np.ndarray, mode: str = "residual") -> float:
+def ib_factor_ce(state: HeadState, y: np.ndarray) -> float:
     """Influence factor used with the cross-entropy term.
 
-    ``mode="residual"`` (default): ``||p - y||_1 * ||h||_1``, proportional to
-    the absolute head-weight gradient of the cross-entropy. ``mode="literal"``
-    is the degenerate compatibility form ``||p||_1 * ||h||_1``, constant in p
-    for softmax outputs. Both are floored at ``FACTOR_FLOOR``.
+    ``||p - y||_1 * ||h||_1``, proportional to the absolute head-weight
+    gradient of the cross-entropy, floored at ``FACTOR_FLOOR``.
     """
-    if mode not in IB_CE_MODES:
-        raise ValueError(f"unknown influence-factor mode {mode!r}")
-    h_l1 = float(np.abs(state.hidden).sum())
-    if mode == "residual":
-        val = float(np.abs(residual(state.probs, y)).sum()) * h_l1
-    else:
-        val = float(np.abs(state.probs).sum()) * h_l1
+    val = float(np.abs(residual(state.probs, y)).sum()) * float(np.abs(state.hidden).sum())
     return max(val, FACTOR_FLOOR)
 
 
@@ -475,7 +467,6 @@ def flare_loss(
     weights: ClassWeights,
     lambda_bss: float,
     ib_active: bool,
-    ib_ce_mode: str = "residual",
     frozen_factors: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> LossBreakdown:
     """Composite loss of a batch of (head state, one-hot label) pairs.
@@ -488,7 +479,7 @@ def flare_loss(
     if lambda_bss < 0.0:
         raise ValueError("lambda_bss must be non-negative")
     probs, ys, h_l1, sample_w = _batch_arrays(batch, weights)
-    return flare_loss_arrays(probs, ys, h_l1, sample_w, lambda_bss, ib_active, ib_ce_mode, frozen_factors)[0]
+    return flare_loss_arrays(probs, ys, h_l1, sample_w, lambda_bss, ib_active, frozen_factors)[0]
 
 
 def flare_loss_grad(
@@ -496,14 +487,13 @@ def flare_loss_grad(
     weights: ClassWeights,
     lambda_bss: float,
     ib_active: bool,
-    ib_ce_mode: str = "residual",
     frozen_factors: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> List[np.ndarray]:
     """Per-sample gradients of :func:`flare_loss` w.r.t. each sample's logits."""
     if lambda_bss < 0.0:
         raise ValueError("lambda_bss must be non-negative")
     probs, ys, h_l1, sample_w = _batch_arrays(batch, weights)
-    _, g = flare_loss_arrays(probs, ys, h_l1, sample_w, lambda_bss, ib_active, ib_ce_mode, frozen_factors)
+    _, g = flare_loss_arrays(probs, ys, h_l1, sample_w, lambda_bss, ib_active, frozen_factors)
     return list(g)
 
 
@@ -572,7 +562,7 @@ def forward_allocating(x, phis, params):
     return a0, a1, head_in, e / e.sum(axis=-1, keepdims=True)
 
 
-def flare_loss_allocating(probs, ys, h_l1, sample_w, lambda_bss, ib_active, ib_ce_mode):
+def flare_loss_allocating(probs, ys, h_l1, sample_w, lambda_bss, ib_active):
     """Batch loss sums ``(wce, ib_ce, wbss, ib_bss)`` and logit gradient, with
     full-length scale vectors and the Brier logit gradient computed for the
     influence factor and again for the gradient."""
@@ -586,7 +576,7 @@ def flare_loss_allocating(probs, ys, h_l1, sample_w, lambda_bss, ib_active, ib_c
     bss_scale = np.full(b, lambda_bss)
     ib_ce = ib_bss = 0.0
     if ib_active:
-        f_ce = np.abs(delta if ib_ce_mode == "residual" else probs).sum(axis=1) * h_l1
+        f_ce = np.abs(delta).sum(axis=1) * h_l1
         g = 2.0 * probs * (delta - (delta * probs).sum(axis=1, keepdims=True))
         f_bss = np.abs(g).sum(axis=1) * h_l1
         f_ce, f_bss = np.maximum(f_ce, FACTOR_FLOOR), np.maximum(f_bss, FACTOR_FLOOR)
@@ -628,7 +618,7 @@ def train_reference(table, fold, cfg):
             a0, a1, head_in, probs = forward_allocating(x, phis, params)
             parts, d_logits = flare_loss_allocating(
                 probs, np.eye(N_CLASSES)[labels[idx]], np.abs(head_in).sum(axis=1), gamma[labels[idx]],
-                cfg.lambda_bss, ib_active, cfg.ib_ce_mode,
+                cfg.lambda_bss, ib_active,
             )
             grads = backprop_allocating(x, a0, a1, head_in, d_logits, params, phis is not None)
             step_index += 1

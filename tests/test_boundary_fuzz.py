@@ -1,18 +1,24 @@
 """Malformed inputs at the CLI boundary: mutated files of a small valid chain
 run through ``label``, ``train`` and ``eval`` in process. Each run is either
 processed (exit 0) or rejected (exit 2) with a message that names the file and
-line, or the id join's ``id ... in ... has no row in ...``; never a traceback."""
+line, or the id join's ``id ... in ... has no row in ...``; never a traceback.
+What ``label`` and ``eval`` accept, they must compute as the row oracles of
+``oracles.py`` do from the same files."""
 
 import io
 import re
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flarecast.cli import main
+from flarecast.core import EPOCH, FlareClass
+
+from oracles import confusion_loop, label_max_class, read_events_rows, read_id_classes_rows, read_samples_rows
 
 TRAIN_SETTINGS = ["epochs=1", "warmup_epochs=0", "learning_rate=0.01", "batch_size=32", "hidden_sizes=4,4",
                   "fold_count=1"]
@@ -100,6 +106,31 @@ def mutated(draw, data: bytes) -> bytes:
     return data
 
 
+def labels_rows(path):
+    """The ids and class ranks of an ``id,label`` file, read by the row oracle."""
+    ids, ranks, _ = read_id_classes_rows(path, ["id", "label"])
+    return ids, ranks.tolist()
+
+
+def check_label(d):
+    """``label``'s output equals the row oracles' labeling of the same samples and events."""
+    table = read_samples_rows(d / "samples.csv")
+    peak_us, ranks = read_events_rows(d / "events.csv")
+    want = [int(label_max_class(EPOCH + timedelta(seconds=int(t)), peak_us, ranks)) for t in table.times.tolist()]
+    assert labels_rows(d / "out.csv") == (table.ids.tolist(), want)
+
+
+def check_eval(d):
+    """``eval``'s confusion counts equal one count per prediction row, each joined to its label by id and,
+    for a probability row, scaled to sum 1 and argmaxed as ``read_predictions`` does."""
+    observed = dict(zip(*labels_rows(d / "labels.csv")))
+    ids, ranks, probs = read_id_classes_rows(d / "preds.csv", ["id", "label"], ["id", "p_o", "p_c", "p_m", "p_x"])
+    predicted = ranks if probs is None else (probs / probs.sum(axis=1, keepdims=True)).argmax(axis=1)
+    counts = confusion_loop((observed[sid], int(p)) for sid, p in zip(ids, predicted))
+    report = dict(line.split(",") for line in (d / "eval" / "report.csv").read_text().splitlines()[1:])
+    assert [[int(report[f"confusion_{o.name}_{p.name}"]) for p in FlareClass] for o in FlareClass] == counts.tolist()
+
+
 def run(*args):
     """Exit code and stderr of one in-process run; an exception escaping ``main`` fails the test."""
     err = io.StringIO()
@@ -129,4 +160,8 @@ def test_mutated_inputs_exit_0_or_2_naming_line(chain, tmp_path_factory, name, d
         if code == 2:
             assert re.match(rf"data error: ((?:{files}):\d+: |id '.*' in (?:{files}) has no row in (?:{files})$)",
                             err, re.S), (command, err)
+        elif command == "label":
+            check_label(d)
+        elif command == "eval":
+            check_eval(d)
     shutil.rmtree(d)

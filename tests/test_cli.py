@@ -521,16 +521,16 @@ class TestTrain:
         make_training_data(tmp_path)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BASE_CONFIG)
-        monkeypatch.setenv("FLARE_EPOCHS", "2")
-        run_cli(
-            "train", "--config", cfg, "--data-dir", tmp_path,
-            "--out-dir", tmp_path / "out", "--set", "seed=9",
-        )
+        args = ("train", "--config", cfg, "--data-dir", tmp_path, "--set", "seed=9", "--out-dir")
+        assert run_cli(*args, tmp_path / "plain") == 0
+        for key, value in (("EPOCHS", "2"), ("SEED", "5"), ("LEARNING_RATE", "0.5")):
+            monkeypatch.setenv(f"FLARE_{key}", value)  # the environment sets no configuration
+        assert run_cli(*args, tmp_path / "out") == 0
         echo = (tmp_path / "out" / "config.txt").read_text()
-        assert "epochs=2" in echo  # environment beat the file
-        assert "seed=9" in echo    # --set beat the file
-        with open(tmp_path / "out" / "history.csv") as fh:
-            assert len(list(csv.DictReader(fh))) == 2
+        assert "\nepochs=3\n" in echo  # the file's value
+        assert "\nseed=9\n" in echo    # --set beat the file
+        for name in ("config.txt", "history.csv", "checkpoint.txt", "test_report.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         make_training_data(tmp_path)
@@ -540,12 +540,12 @@ class TestTrain:
         assert "learning_rte" in capsys.readouterr().err
 
     def test_unknown_ib_ce_mode_is_usage_error_before_reading(self, tmp_path, capsys):
-        # the data directory does not exist: the mode is rejected before any file is read
+        # the key is gone: a pre-change config.txt's ib_ce_mode=residual line is rejected before any file is read
         code = run_cli(
-            "train", "--data-dir", tmp_path / "nope", "--out-dir", tmp_path / "o", "--set", "ib_ce_mode=inverse",
+            "train", "--data-dir", tmp_path / "nope", "--out-dir", tmp_path / "o", "--set", "ib_ce_mode=residual",
         )
         assert code == 1
-        assert "unknown influence-factor mode 'inverse'" in capsys.readouterr().err
+        assert "unknown configuration key(s): ib_ce_mode" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -561,11 +561,24 @@ class TestTrain:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "args",
+        [("train", "--set", "seed=-1"), ("gradcheck", "--seed", "-1")],
+        ids=["train", "gradcheck"],
+    )
+    def test_negative_seed_is_usage_error_before_reading(self, tmp_path, capsys, args):
+        # train's data directory does not exist: the seed is rejected before any file is read
+        extra = ("--data-dir", tmp_path / "nope", "--out-dir", tmp_path / "o") if args[0] == "train" else ()
+        assert run_cli(*args, *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and "non-negative" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "overrides",
         [
             [],
             [
-                "hidden_sizes=16,8", "use_cycle_embedding=false", "verify_gradients=yes", "ib_ce_mode=literal",
+                "hidden_sizes=16,8", "use_cycle_embedding=false", "verify_gradients=yes",
                 "learning_rate=1e-3", "base_time=2019-12-01T06:00:00Z", "period_hours=1234.5",
                 "fold_count=4", "train_frac=0.7", "val_frac=0.1", "fold=2",
             ],

@@ -183,16 +183,6 @@ class TestIbFactors:
         s = HeadState.from_hidden(np.array([1.0]), np.zeros((4, 1)))
         assert ib_factor_ce(s, one_hot(FlareClass.X)) == pytest.approx(1.5)
 
-    def test_ce_factor_literal_mode(self):
-        h = np.array([1.0, -1.0, 1.0])  # ||h||_1 = 3
-        s = HeadState.from_hidden(h, np.random.default_rng(7).standard_normal((4, 3)))
-        assert ib_factor_ce(s, one_hot(FlareClass.O), mode="literal") == pytest.approx(3.0)
-
-    def test_unknown_mode_rejected(self):
-        s = HeadState.from_hidden(np.ones(2), np.zeros((4, 2)))
-        with pytest.raises(ValueError, match="mode"):
-            ib_factor_ce(s, one_hot(FlareClass.O), mode="inverse")
-
 
 def uniform_prob_state():
     """L = 1, ||h||_1 = 1, uniform probabilities."""
@@ -375,9 +365,8 @@ class TestKernelMatchesPerSampleOracles:
         ys = np.stack(targets)
         h_l1 = np.array([np.abs(s.hidden).sum() for s in states])
         grad = _bss_logit_grad(probs, ys)
-        for mode in ("residual", "literal"):
-            f_ce, f_bss = batch_factors_arrays(probs, ys, h_l1, mode)
-            assert f_ce.tolist() == [ib_factor_ce(s, y, mode) for s, y in zip(states, ys)]
+        f_ce, f_bss = batch_factors_arrays(probs, ys, h_l1)
+        assert f_ce.tolist() == [ib_factor_ce(s, y) for s, y in zip(states, ys)]
         for i, (s, y) in enumerate(zip(states, ys)):
             d = s.probs - y
             operands = np.outer(s.probs * (np.abs(d) + np.abs(d * s.probs).sum()), np.abs(s.hidden))

@@ -517,7 +517,9 @@ class TestCsvFormats:
         assert str(info.value) == f"{path}:2: '\"' is not allowed: {DIALECT}"
         assert read_or_error(read_id_classes_rows, path, ["id", "label"]) == str(info.value)
 
-    @pytest.mark.parametrize("sid", ['r,"0', "a,b", 'q"', "x\ry", "x\ny", "n\x00m", "s\x1c", "s\x1f", "z" * 257])
+    @pytest.mark.parametrize(
+        "sid", ['r,"0', "a,b", 'q"', "x\ry", "x\ny", "n\x00m", "s\x1c", "s\x1f", "z" * 257, "b ", " a", "a\t"]
+    )
     @pytest.mark.parametrize("write", ["samples", "labels"])
     def test_writers_reject_id_out_of_dialect(self, tmp_path, sid, write):
         path = tmp_path / "out.csv"

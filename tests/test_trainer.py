@@ -455,12 +455,11 @@ class TestTrainLoop:
         [
             dict(batch_size=26),  # 235 training rows: the last batch holds 1 row
             dict(use_cycle_embedding=False),
-            dict(ib_ce_mode="literal"),
             dict(use_class_weights=False),
             dict(warmup_epochs=0, lambda_bss=0.5),
             dict(verify_gradients=True, hidden_sizes=(4, 4)),
         ],
-        ids=["last-batch-1-row", "no-embedding", "literal", "uniform-weights", "no-warmup", "verify-gradients"],
+        ids=["last-batch-1-row", "no-embedding", "uniform-weights", "no-warmup", "verify-gradients"],
     )
     @pytest.mark.parametrize("seed", [0, 7])
     def test_loop_bit_equal_to_per_batch_reference(self, overrides, seed):
