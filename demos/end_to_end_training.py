@@ -12,6 +12,7 @@ from flarecast.trainer import evaluate_fold
 # Class mix mirroring real flare statistics: X-class events are ~4% of samples.
 samples = gen_synthetic(6000, [0.38, 0.35, 0.23, 0.04], seed=0, feature_dim=12)
 fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
+columns = samples.features, samples.times, samples.labels  # what train and evaluate_fold read
 print(f"samples: {len(samples)} | train/val/test = "
       f"{len(fold.train)}/{len(fold.validation)}/{len(fold.test)}")
 
@@ -20,7 +21,7 @@ composite = TrainConfig(warmup_epochs=4, **common)
 plain_ce = TrainConfig(lambda_bss=0.0, use_class_weights=False, warmup_epochs=common["epochs"], **common)
 
 for name, cfg in (("composite loss", composite), ("plain cross-entropy", plain_ce)):
-    result = train(samples, fold, cfg)
+    result = train(*columns, fold, cfg)
     print(f"\n=== {name} ===")
     print("epoch  total_loss  val_gmgs  val_tss  val_bss  influence_terms")
     for r in result.history:
@@ -30,7 +31,7 @@ for name, cfg in (("composite loss", composite), ("plain cross-entropy", plain_c
     counts = best.val_report.confusion.counts
     x_recall = counts[3, 3] / counts[3].sum()
     print(f"best checkpoint: epoch {best.epoch}, validation gmgs {best.val_gmgs:.4f}, X recall {x_recall:.3f}")
-    test_report = evaluate_fold(samples, fold.test, best.params, cfg)
+    test_report = evaluate_fold(*columns, fold.test, best.params, cfg)
     print(f"test fold: gmgs {test_report.gmgs:.4f}, tss {test_report.tss_ge_m:.4f}, "
           f"bss {test_report.bss_ge_m:.4f}")
     print("test confusion (rows observed O,C,M,X):")

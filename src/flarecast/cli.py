@@ -239,18 +239,19 @@ def cmd_train(args) -> int:
     table = read_samples(samples_path)
     label_ids, ranks = read_labels(labels_path)
     labels = ranks[match_ids(label_ids, table.ids, labels_path, samples_path)]
-    del label_ids, ranks  # joined: training holds only the table
+    del label_ids, ranks  # joined
     table, excluded = apply_channel_policy(table, labels, np.argsort(table.times, kind="stable"))
-
     fold = split_timeseries(table, split_spec)[fold_index]
-    require_all_classes(table.labels, test=fold.test)
-    result = train(table, fold, cfg)
+    features, times, labels = table.features, table.times, table.labels
+    del table  # with it go the ids and the mask, which nothing below reads
+    require_all_classes(labels, test=fold.test)
+    result = train(features, times, labels, fold, cfg)
 
     out_dir = _ensure_out_dir(args.out_dir)
     config_text = _write_config(out_dir, _config_items(cfg, split_spec, fold_index))
     write_history(out_dir / "history.csv", result.history)
     save_checkpoint(out_dir / "checkpoint.txt", result.best, config_text)
-    test_report = evaluate_fold(table, fold.test, result.best.params, cfg)
+    test_report = evaluate_fold(features, times, labels, fold.test, result.best.params, cfg)
     (out_dir / "test_report.txt").write_text(test_report.to_text())
     (out_dir / "test_report.csv").write_text(test_report.to_csv())
     print(

@@ -73,6 +73,15 @@ def grid_seconds(t: datetime) -> int:
     return us // 1_000_000
 
 
+def _str_ids(ids, convert=np.array) -> np.ndarray:
+    """``ids`` as a str array, through ``convert``; ValueError for an id ending in NUL, which such an array drops."""
+    if not (isinstance(ids, np.ndarray) and ids.dtype.kind == "U"):  # a str array holds no trailing NUL
+        ids = np.asarray(ids, dtype=object)
+        if cut := next((sid for sid in ids.ravel().tolist() if isinstance(sid, str) and sid.endswith("\x00")), None):
+            raise ValueError(f"id {cut!r} cannot be written: it ends in NUL, which a str array drops")
+    return convert(ids, dtype=str)
+
+
 @dataclass(frozen=True)
 class SampleTable:
     """Observation instants as aligned columns, one row per instant.
@@ -97,7 +106,7 @@ class SampleTable:
         if np.any((labels < -1) | (labels >= N_CLASSES)):
             raise ValueError(f"labels must be class ranks in -1..{N_CLASSES - 1}")
         columns = {
-            "ids": convert(self.ids, dtype=str),
+            "ids": _str_ids(self.ids, convert),
             "times": convert(self.times, dtype=np.int64),
             "mask": convert(self.mask, dtype=bool),
             "features": convert(self.features, dtype=float),

@@ -16,6 +16,7 @@ format has one check over whole columns (``_check_*``), and a fault names its fi
 
 from __future__ import annotations
 
+import functools
 import io
 import locale
 import os
@@ -37,6 +38,7 @@ from .core import (
     N_CLASSES,
     FlareClass,
     SampleTable,
+    _str_ids,
     grid_seconds,
 )
 
@@ -73,7 +75,7 @@ DEFAULT_START_TIME = datetime(2011, 6, 1, 0, 0, tzinfo=timezone.utc)
 # Rows per string that write_samples builds and writes at once.
 _WRITE_BLOCK_ROWS = 4096
 
-# Bytes of CSV text worth a forked worker process (see _processes).
+# Bytes of CSV text in a range that a reader parses at once, and worth a forked worker process (see _processes).
 _SPLIT_BYTES = 1 << 20
 
 MAX_ID_CHARS = 256  # characters an id may hold at most: the str array ids are read into is as wide as its longest
@@ -428,19 +430,19 @@ def _walk(data: bytes, texts: int, width: int, fault: Optional[_RowFault] = None
 def _read_csv(path, check, *headers: List[str], more: str = "", keyed: bool = True) -> tuple:
     """The columns ``check(texts, numbers)`` gives for a CSV file whose header, stripped and lowercased, is one of
     ``headers``, then one or more fields where ``more`` names them: its text fields (those before the first ``p_*``
-    or ``more`` one) as lists of str, its number fields as a float64 block, as np.loadtxt reads them. Forked workers
-    each parse a range, cut after LF bytes; one process parses ranges of about _SPLIT_BYTES in turn, holding one
-    range's texts at a time. The first range with a byte out of dialect, that loadtxt cannot read or that fails the
-    check, else a repeated id (``keyed``: ids first), gives a DataFileError naming the line (see :func:`_walk`)."""
+    or ``more`` one) as lists of str, its number fields as a float64 block, as np.loadtxt reads them. The file is
+    cut into ranges of about _SPLIT_BYTES after LF bytes, parsed in turn by this process or by forked workers (see
+    :func:`_in_order`). As each range arrives, its columns are copied into columns as long as the file has lines,
+    but for a str column (the ids), whose width varies by range, joined at the end. The first range with a byte out
+    of dialect, that loadtxt cannot read or that fails the check, else a repeated id (``keyed``: ids first), gives a
+    DataFileError naming the line (see :func:`_walk`)."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        processes = _processes(size)
-        ranges = processes if processes > 1 else -(-size // _SPLIT_BYTES)
-        cuts = [len(head := fh.readline())]
-        for k in range(1, ranges):
-            fh.seek(max(size * k // ranges, cuts[-1]))
-            cuts.append(fh.tell() + len(fh.readline()))
-        cuts.append(size)
+        size, cuts = os.fstat(fh.fileno()).st_size, [len(head := fh.readline())]
+        while cuts[-1] < size:  # just after the first LF at least _SPLIT_BYTES on, or at the end
+            fh.seek(cuts[-1] + _SPLIT_BYTES - 1)
+            cuts.append(min(size, fh.tell() + len(fh.readline())))
+        fh.seek(0)  # the file's lines, at most one row each, counted in small reads: no range is held here
+        lines = 1 + sum(chunk.count(b"\n") for chunk in iter(functools.partial(fh.read, 1 << 16), b""))
     try:
         header = [h.strip().lower() for h in _fields(head)]
         found = [f for f in headers if header[: len(f)] == f and (len(header) > len(f)) == bool(more)]
@@ -472,13 +474,21 @@ def _read_csv(path, check, *headers: List[str], more: str = "", keyed: bool = Tr
         line, message = _walk(data, texts, width, fault)
         return DataFileError(path, 1 + read(0, span[0]).count(b"\n") + line, message)
 
-    with _in_order(parse, [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi] or [(size, size)], processes) as results:
-        parts = list(results)
-    if faults := [part for part in parts if isinstance(part, DataFileError)]:
-        raise faults[0]
-    columns = [list(c) for c in zip(*parts)]
-    parts.clear()  # so that each column's parts are freed as soon as it is joined
-    cols = tuple(np.concatenate(columns.pop(0)) for _ in range(len(columns)))
+    columns, n = [], 0
+    with _in_order(parse, list(zip(cuts, cuts[1:])) or [(size, size)], _processes(size)) as results:
+        for part in results:
+            if isinstance(part, DataFileError):
+                raise part
+            if not columns:  # a str column (the ids), whose width varies by range, is joined at the end
+                columns = [[] if c.dtype.kind == "U" else np.empty((lines,) + c.shape[1:], c.dtype) for c in part]
+            for column, values in zip(columns, part):
+                if isinstance(column, list):
+                    column.append(values)
+                else:
+                    column[n : n + len(values)] = values
+            n += len(values)
+            del part, values  # so that this range's arrays are freed before the next is parsed
+    cols = tuple(np.concatenate(c) if isinstance(c, list) else c[:n] for c in columns)
     if keyed and ((ids := np.sort(cols[0], kind="stable"))[1:] == ids[:-1]).any():  # timsort: ids come nearly sorted
         ids, order, body = cols[0], np.argsort(cols[0], kind="stable"), read(cuts[0], size)
         i = int(order[1:][ids[order[1:]] == ids[order[:-1]]].min())  # the first row whose id is on an earlier one
@@ -594,7 +604,7 @@ def read_samples(path) -> SampleTable:
 
 def write_labels(path, ids: Sequence[str], labels) -> None:
     """Write ``id,label`` rows as csv.writer would, unquoted; ``labels`` are class ranks or :class:`FlareClass` members."""
-    ids, names = np.asarray(ids, dtype=str), _class_names(labels)
+    ids, names = _str_ids(ids, np.asarray), _class_names(labels)
     _check_ids(ids)
     with open(path, "w", newline="") as fh:
         fh.write("id,label\r\n")

@@ -225,7 +225,7 @@ def test_criterion_7_warmup_contract():
         epochs=6, warmup_epochs=warmup, learning_rate=1e-2,
         batch_size=64, hidden_sizes=(16, 16), seed=5,
     )
-    history = train(samples, fold, cfg).history
+    history = train(samples.features, samples.times, samples.labels, fold, cfg).history
     for r in history:
         if r.epoch < warmup:
             assert r.losses.ib_ce == 0.0 and r.losses.ib_bss == 0.0
@@ -253,7 +253,7 @@ def test_criterion_8_end_to_end_synthetic():
             (flare_cfg, flare_gmgs, flare_recall),
             (plain_ce_cfg, ce_gmgs, ce_recall),
         ):
-            result = train(samples, fold, cfg)
+            result = train(samples.features, samples.times, samples.labels, fold, cfg)
             gmgs_acc.append(result.best.val_gmgs)
             c = result.best.val_report.confusion.counts
             recall_acc.append(c[3, 3] / c[3].sum())

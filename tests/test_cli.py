@@ -7,6 +7,7 @@ import multiprocessing
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -715,9 +716,12 @@ class TestMemory:
     preparation step and scoring in one pass peaked at about 12 times the table's bytes, one gather with
     scoring blocks of 2,048 rows and a remainder at about 8.2 times; near-equal blocks, per-batch targets
     and dropping the label columns once joined, at about 7.3 times; the read's own columns, batch gathers,
-    validation views and the second layer written into the head input, at about 5 times. ``label``
-    holding every output line and the forked read's parts beside their join peaked at about 2.2 times; a
-    one-process read holding the whole file's texts, at about 6.3 times."""
+    validation views and the second layer written into the head input, at about 5 times; each range's
+    columns landed in place as it arrives, the ids and the mask dropped once joined and blocks of 384 rows,
+    at about 4.1 times. ``label`` holding every output line and the forked read's parts beside their join
+    peaked at about 2.2 times; it peaks at about 1.76 times now. A one-process read holding the whole
+    file's texts peaked at about 6.3 times, one holding each range's parse until the join at about 3.8
+    times, and one holding one range's parse at a time peaks at about 3.3 times."""
 
     def test_train_peak_within_six_tables(self, tmp_path):
         data = tmp_path / "data"
@@ -733,6 +737,27 @@ class TestMemory:
             args += ["--set", setting]
         peak = traced_peak(*args, "--out-dir", tmp_path / "run")
         assert peak < 6 * nbytes, f"traced peak {peak} B is {peak / nbytes:.2f} times the table's {nbytes} B"
+
+    def test_read_ids_and_mask_dead_while_training(self, tmp_path, monkeypatch):
+        # Once the id join and the channel policy are done, cmd_train keeps only the features, times and labels.
+        make_training_data(tmp_path)
+        refs, read, train = {}, cli.read_samples, cli.train
+
+        def read_spy(path):
+            table = read(path)
+            refs.update(ids=weakref.ref(table.ids), mask=weakref.ref(table.mask))
+            return table
+
+        def train_spy(*args, **kwargs):
+            refs["alive"] = [name for name in ("ids", "mask") if refs[name]() is not None]
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_samples", read_spy)
+        monkeypatch.setattr(cli, "train", train_spy)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CONFIG)
+        assert run_cli("train", "--config", cfg, "--data-dir", tmp_path, "--out-dir", tmp_path / "out") == 0
+        assert refs["alive"] == []
 
     def label_peak(self, tmp_path):
         """The traced peak of ``label`` on a 10,000-row chain, in tables."""

@@ -110,6 +110,13 @@ class TestSample:
         for column in (table.ids, table.times, table.mask, table.features, table.labels):
             assert not column.flags.writeable
 
+    @pytest.mark.parametrize("sid", ["a\x00", "\x00", "a\x00\x00"])
+    def test_id_ending_in_nul_rejected(self, sid):
+        # A str array drops trailing NULs: the table would hold 'a' where it was given 'a\x00'.
+        with pytest.raises(ValueError, match="cannot be written") as info:
+            SampleTable([sid, "b"], [0, 7200], np.ones((2, 10), bool), np.zeros((2, 1)))
+        assert repr(sid) in str(info.value)
+
     def test_take_selects_rows_in_order(self):
         stamps = [datetime(2020, 1, 1, 2 * h, tzinfo=UTC) for h in range(3)]
         table = table_at(*stamps, features=np.arange(12.0).reshape(3, 4), labels=[0, 1, 2])

@@ -518,7 +518,8 @@ class TestCsvFormats:
         assert read_or_error(read_id_classes_rows, path, ["id", "label"]) == str(info.value)
 
     @pytest.mark.parametrize(
-        "sid", ['r,"0', "a,b", 'q"', "x\ry", "x\ny", "n\x00m", "s\x1c", "s\x1f", "z" * 257, "b ", " a", "a\t"]
+        "sid",
+        ['r,"0', "a,b", 'q"', "x\ry", "x\ny", "n\x00m", "s\x1c", "s\x1f", "z" * 257, "b ", " a", "a\t", "a\x00", "\x00"],
     )
     @pytest.mark.parametrize("write", ["samples", "labels"])
     def test_writers_reject_id_out_of_dialect(self, tmp_path, sid, write):
@@ -1012,8 +1013,8 @@ class TestCsvMatchesRowOraclesRanges(TestCsvMatchesRowOracles):
 
 
 class TestSplitCsv:
-    """Reading a file in two byte ranges cut after LF: the row oracle's columns, or its fault, named
-    from the range that holds it."""
+    """Reading a file in byte ranges cut after LF (one line each, unless a test sets the range size) by two
+    forked workers: the row oracle's columns, or its fault, named from the range that holds it."""
 
     @pytest.fixture(autouse=True)
     def split(self, monkeypatch):
@@ -1034,10 +1035,10 @@ class TestSplitCsv:
         return got
 
     @pytest.mark.parametrize("pad", range(12))
-    def test_boundary_anywhere_in_crlf_line(self, tmp_path, pad):
-        # Padding the first id moves the file's midpoint back across a line:
-        # onto its start (just after the CRLF before it), its LF, its CR and
-        # into its fields.
+    def test_boundary_anywhere_in_crlf_line(self, tmp_path, pad, monkeypatch):
+        # A range runs from 19 bytes into the body to the next LF. Padding the first id moves that byte back
+        # across a line: onto its start (just after the CRLF before it), its LF, its CR and into its fields.
+        monkeypatch.setattr(pipeline, "_SPLIT_BYTES", 20)
         rows = [f"{' ' * pad}s00000,X"] + [f"s{i:05d},{'OCMX'[i % 4]}" for i in range(1, 9)]
         path = tmp_path / "labels.csv"
         path.write_bytes(("id,label\r\n" + "".join(r + "\r\n" for r in rows)).encode())
@@ -1124,23 +1125,26 @@ class TestSplitCsv:
         assert multiprocessing.active_children() == [] and threading.active_count() == threads
 
 
-class TestBulkReads:
-    """Files from the writers, parsed by np.loadtxt in 1, 2 or 3 byte ranges: clean ones give the row
-    oracle's columns, and one with a single fault the row oracle's message and line."""
+@pytest.fixture(scope="module")
+def clean(tmp_path_factory):
+    """A directory of the four CSV files of one 240-row table, as the writers write them."""
+    d = tmp_path_factory.mktemp("clean")
+    table = gen_synthetic(240, [0.4, 0.3, 0.2, 0.1], seed=5, feature_dim=3)
+    write_samples(d / "samples.csv", table)
+    peak_us, ranks = events_for_samples(table)
+    write_events(d / "events.csv", peak_us + np.arange(len(peak_us)) % 3 * 250_000, ranks)  # both stamp forms
+    write_labels(d / "labels.csv", table.ids, table.labels)
+    probs = np.random.default_rng(5).dirichlet(np.ones(4), len(table)).tolist()
+    (d / "preds.csv").write_text("id,p_o,p_c,p_m,p_x\n" + "".join(
+        f"{sid}," + ",".join(map(repr, p)) + "\n" for sid, p in zip(table.ids.tolist(), probs)
+    ))
+    return d
 
-    @pytest.fixture(scope="class")
-    def clean(self, tmp_path_factory):
-        d = tmp_path_factory.mktemp("clean")
-        table = gen_synthetic(240, [0.4, 0.3, 0.2, 0.1], seed=5, feature_dim=3)
-        write_samples(d / "samples.csv", table)
-        peak_us, ranks = events_for_samples(table)
-        write_events(d / "events.csv", peak_us + np.arange(len(peak_us)) % 3 * 250_000, ranks)  # both stamp forms
-        write_labels(d / "labels.csv", table.ids, table.labels)
-        probs = np.random.default_rng(5).dirichlet(np.ones(4), len(table)).tolist()
-        (d / "preds.csv").write_text("id,p_o,p_c,p_m,p_x\n" + "".join(
-            f"{sid}," + ",".join(map(repr, p)) + "\n" for sid, p in zip(table.ids.tolist(), probs)
-        ))
-        return d
+
+class TestBulkReads:
+    """Files from the writers, parsed by np.loadtxt in one process, or line by line by 2 or 3 forked
+    workers: clean ones give the row oracle's columns, and one with a single fault the row oracle's
+    message and line."""
 
     @staticmethod
     def id_class_rows(path, *headers):
@@ -1164,7 +1168,8 @@ class TestBulkReads:
 
     @pytest.fixture(autouse=True, params=[1, 2, 3], ids=["1-range", "2-ranges", "3-ranges"])
     def ranges(self, request, monkeypatch):
-        """Split every file into ``param`` ranges (one: these files are far below the split size)."""
+        """Read every file in one range (these files are far below the split size), or cut it into one-line
+        ranges parsed by ``param`` workers."""
         if request.param > 1:
             split_everything(monkeypatch, cpus=request.param)
         with deadline(60):
@@ -1220,6 +1225,65 @@ class TestBulkReads:
         path.write_text("\n".join(lines) + "\n")
         got, want = self.read_both(path)
         assert isinstance(got, str) and got == want and got.startswith(f"{path}:{row + 1}: ")
+
+
+class TestLandedRead:
+    """Files cut into ranges of about 256 bytes, parsed in this process (one usable CPU) or by three forked
+    workers (all): each range's columns land in place, in columns as long as the file has lines, which are
+    then cut to the rows read."""
+
+    @pytest.fixture(params=["one", "all"])
+    def cpus(self, request, monkeypatch):
+        """The CPUs the read may use, and the (ranges, processes) of each read."""
+        monkeypatch.setattr(pipeline, "_SPLIT_BYTES", 256)
+        usable = {0} if request.param == "one" else {0, 1, 2}
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: usable, raising=False)
+        reads, in_order = [], pipeline._in_order
+
+        def spy(func, items, processes):
+            reads.append((len(items), processes))
+            return in_order(func, items, processes)
+
+        monkeypatch.setattr(pipeline, "_in_order", spy)
+        with deadline(60):
+            yield request.param, reads
+
+    @pytest.mark.parametrize("name", sorted(TestBulkReads.readers))
+    def test_blank_lines_in_several_ranges_read_like_row_oracle(self, clean, tmp_path, cpus, name):
+        # A blank line (LF or CRLF) after every fifth row, after the header and at the end.
+        lines = (clean / name).read_bytes().splitlines(keepends=True)
+        blank = lambda i: b"\r\n" if i % 10 == 5 else b"\n" if i % 5 == 0 else b""
+        text = b"".join(line + blank(i) for i, line in enumerate(lines))
+        path = tmp_path / name
+        path.write_bytes(text + b"\n\r\n")
+        read, oracle = TestBulkReads.readers[name]
+        got, want = read(path), oracle(path)
+        assert text.count(b"\n") > 1.15 * len(want[0]) and len(want[0]) == len(lines) - 1
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+        where, reads = cpus
+        assert reads[-1][0] > 5 and reads[-1][1] == (1 if where == "one" else 3)  # several ranges
+
+    @pytest.mark.parametrize("name, early, late", [("samples.csv", "mask", "width"), ("labels.csv", "class", "width")])
+    def test_faults_in_two_ranges_name_the_first(self, clean, tmp_path, cpus, name, early, late):
+        # The early fault fails the check, the late one np.loadtxt: both lie in the first third of the file, so
+        # that a read cutting one range per worker of three would walk that range and name the late one.
+        lines = (clean / name).read_text().splitlines()
+        for row, fault in ((24, early), (60, late)):
+            column, text = TestBulkReads.faults[name][fault]
+            fields = lines[row].split(",")
+            if column is None:
+                fields.append(text)
+            else:
+                fields[column] = text
+            lines[row] = ",".join(fields)
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n")
+        read, oracle = TestBulkReads.readers[name]
+        got, want = read_or_error(read, path), read_or_error(oracle, path)
+        assert isinstance(got, str) and got == want and got.startswith(f"{path}:25: ")
+        assert cpus[1][-1][1] == (1 if cpus[0] == "one" else 3)
 
 
 class TestFaultWalk:

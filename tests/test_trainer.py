@@ -42,6 +42,11 @@ def small_dataset(n=400, seed=0, feature_dim=4):
     return gen_synthetic(n, PROBS, seed=seed, feature_dim=feature_dim)
 
 
+def columns(table):
+    """The columns train and evaluate_fold read: features, times and labels."""
+    return table.features, table.times, table.labels
+
+
 def small_config(**overrides):
     defaults = dict(
         epochs=4,
@@ -224,7 +229,7 @@ def block_scoring_cases(n_max, sizes):
             rows = slice(100, 100 + n)
             want = real_forward(table.features[rows], trainer_mod._phis(table.times[rows], cfg), params)[-1]
             blocks.clear()
-            observed, predicted, probs = evaluate_fold(table, range(100, 100 + n), params, cfg)
+            observed, predicted, probs = evaluate_fold(*columns(table), range(100, 100 + n), params, cfg)
             results[f"{n}-{embedding}"] = {
                 "blocks": list(blocks),
                 "probs": probs.shape == want.shape and probs.tobytes() == want.tobytes(),
@@ -280,17 +285,18 @@ class TestBlockScoring:
         (1, [1]),
         (64, [64]),
         (65, [65]),
-        (2047, [2047]),
-        (2048, [2048]),
-        (2049, [2049]),
-        (4095, [4095]),
-        (4096, [2048, 2048]),
-        (4097, [2048, 2049]),
-        (6143, [3072, 3071]),
-        (6202, [2048, 2112, 2042]),
-        (8193, [2048, 2048, 2048, 2049]),
-        (9579, [2368, 2432, 2368, 2411]),
-        (12287, [2432, 2496, 2432, 2496, 2431]),
+        (383, [383]),
+        (384, [384]),
+        (385, [385]),
+        (767, [767]),
+        (768, [384, 384]),
+        (769, [384, 385]),
+        (1151, [576, 575]),
+        (1152, [384, 384, 384]),
+        (1153, [384, 384, 385]),
+        (6202, [384] * 8 + [448] + [384] * 6 + [378]),
+        (9579, [384, 384, 448] + [384, 384, 384, 448] * 3 + [384] * 4 + [448, 384, 384, 384, 427]),
+        (12705, [384] * 31 + [448, 353]),  # the smallest last block: EVAL_BLOCK_ROWS - 31 rows
     ]
 
     @staticmethod
@@ -357,7 +363,7 @@ def run():
     samples = small_dataset()
     fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
     cfg = small_config()
-    return samples, fold, cfg, train(samples, fold, cfg)
+    return samples, fold, cfg, train(*columns(samples), fold, cfg)
 
 
 class TestTrainLoop:
@@ -385,7 +391,7 @@ class TestTrainLoop:
 
     def test_deterministic_given_seed(self, run):
         samples, fold, cfg, result = run
-        again = train(samples, fold, cfg)
+        again = train(*columns(samples), fold, cfg)
         for a, b in zip(result.history, again.history):
             assert a == b
         for k in result.best.params:
@@ -395,7 +401,7 @@ class TestTrainLoop:
         samples = small_dataset(200)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config(epochs=3, warmup_epochs=3)
-        result = train(samples, fold, cfg)
+        result = train(*columns(samples), fold, cfg)
         for r in result.history:
             assert r.losses.ib_ce == 0.0 and r.losses.ib_bss == 0.0 and not r.losses.ib_active
 
@@ -413,7 +419,7 @@ class TestTrainLoop:
         samples = small_dataset()
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config()
-        train(samples, fold, cfg)
+        train(*columns(samples), fold, cfg)
         steps = -(-len(fold.train) // cfg.batch_size)
         assert len(fold.train) % cfg.batch_size != 0  # a short last batch is one call too
         assert len(calls) == cfg.epochs * steps
@@ -425,13 +431,24 @@ class TestTrainLoop:
         samples = replace(base, labels=np.where(np.arange(60) >= 54, 3, np.arange(60) % 3))
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         with pytest.raises(ValueError, match="degenerate split.*X"):
-            train(samples, fold, small_config(epochs=1, warmup_epochs=0))
+            train(*columns(samples), fold, small_config(epochs=1, warmup_epochs=0))
+
+    @pytest.mark.parametrize("cut", ["features", "times", "labels"])
+    def test_misaligned_columns_rejected(self, cut):
+        samples = small_dataset(80, feature_dim=3)
+        fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
+        cfg = small_config(epochs=1, warmup_epochs=0)
+        given = [c[:-1] if name == cut else c for name, c in zip(("features", "times", "labels"), columns(samples))]
+        with pytest.raises(ValueError, match="must be aligned"):
+            train(*given, fold, cfg)
+        with pytest.raises(ValueError, match="must be aligned"):
+            evaluate_fold(*given, fold.test, init_params(3, cfg, np.random.default_rng(0)), cfg)
 
     def test_gradient_verification_flag_passes(self):
         samples = small_dataset(80, feature_dim=3)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config(epochs=1, warmup_epochs=0, batch_size=16, hidden_sizes=(4, 4), verify_gradients=True)
-        result = train(samples, fold, cfg)  # raises if analytic and FD gradients disagree
+        result = train(*columns(samples), fold, cfg)  # raises if analytic and FD gradients disagree
         assert len(result.history) == 1
 
     def test_gradient_verification_detects_corruption(self, monkeypatch):
@@ -448,7 +465,7 @@ class TestTrainLoop:
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config(epochs=1, warmup_epochs=0, batch_size=16, hidden_sizes=(4, 4), verify_gradients=True)
         with pytest.raises(RuntimeError, match="gradient verification failed"):
-            train(samples, fold, cfg)
+            train(*columns(samples), fold, cfg)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -466,7 +483,7 @@ class TestTrainLoop:
         samples = small_dataset(n=392, seed=seed)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config(**{"epochs": 3, "warmup_epochs": 1, "seed": seed, **overrides})
-        result = train(samples, fold, cfg)
+        result = train(*columns(samples), fold, cfg)
         history, best_epoch, best_params = train_reference(samples, fold, cfg)
         assert len(fold.train) == 235
         assert [repr(r) for r in result.history] == [repr(r) for r in history]
@@ -490,17 +507,17 @@ class TestTrainLoop:
         samples = small_dataset()
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config()
-        result = train(samples, fold, cfg)
+        result = train(*columns(samples), fold, cfg)
         assert result.best.epoch < cfg.epochs - 1
         assert result.history[-1].val_gmgs != result.best.val_gmgs
-        assert evaluate_fold(samples, fold.validation, result.best.params, cfg).gmgs == result.best.val_gmgs
+        assert evaluate_fold(*columns(samples), fold.validation, result.best.params, cfg).gmgs == result.best.val_gmgs
         assert len(live) == 4
         for p in result.best.params.values():
             assert not any(np.shares_memory(p, buf) for buf in live)
 
     def test_evaluate_fold_report(self, run):
         samples, fold, cfg, result = run
-        report = evaluate_fold(samples, fold.test, result.best.params, cfg)
+        report = evaluate_fold(*columns(samples), fold.test, result.best.params, cfg)
         assert report.confusion.n == len(fold.test)
         assert np.isfinite(report.gmgs)
 
@@ -510,7 +527,7 @@ class TestArtifacts:
         samples = small_dataset(200)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config(epochs=2)
-        result = train(samples, fold, cfg)
+        result = train(*columns(samples), fold, cfg)
         path = tmp_path / "history.csv"
         write_history(path, result.history)
         lines = path.read_text().splitlines()
@@ -525,14 +542,14 @@ class TestArtifacts:
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config(epochs=2)
         for name in ("a.csv", "b.csv"):
-            write_history(tmp_path / name, train(samples, fold, cfg).history)
+            write_history(tmp_path / name, train(*columns(samples), fold, cfg).history)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_checkpoint_round_trip(self, tmp_path):
         samples = small_dataset(200)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config(epochs=2)
-        result = train(samples, fold, cfg)
+        result = train(*columns(samples), fold, cfg)
         path = tmp_path / "checkpoint.txt"
         save_checkpoint(path, result.best, "seed=0\n")
         params, meta = load_checkpoint(path)
