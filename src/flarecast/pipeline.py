@@ -5,13 +5,13 @@ File formats (all comma-separated with a header row):
 
 * events:  ``peak_time,class`` with ISO-8601 timestamps (any UTC offset and
   fraction) and class O/C/M/X, read as int64 UTC epoch microseconds and int8
-  class ranks; written in UTC, with a 6-digit fraction only when needed.
+  class ranks; written as canonical UTC stamps (see :func:`_encode_stamps`).
 * samples: ``id,timestamp,mask,f0..f{D-1}`` with the 10-channel presence mask
   as ten 0/1 characters and finite features, held as a :class:`~flarecast.core.SampleTable`.
 * labels:  ``id,label``, read as an id column and an int8 class-rank column.
 
-All share the writers' dialect (see :func:`_fields`), tokenized by np.loadtxt in byte ranges; each
-format has one check over whole columns (``_check_*``), and a fault names its file and line.
+All share the writers' dialect (see :func:`_fields`), tokenized by np.loadtxt in byte ranges and written by
+:func:`_write_csv`; each format has one check over whole columns (``_check_*``), and a fault names its file and line.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ REFERENCE_SPLIT_SIZES = (31_085, 4_107, 8_386)
 
 DEFAULT_START_TIME = datetime(2011, 6, 1, 0, 0, tzinfo=timezone.utc)
 
-# Rows per string that write_samples builds and writes at once.
+# Rows per string that a writer builds and writes at once (see _write_csv), and per stamp decode.
 _WRITE_BLOCK_ROWS = 4096
 
 # Bytes of CSV text in a range that a reader parses at once, and worth a forked worker process (see _processes).
@@ -305,6 +305,32 @@ def _class_names(ranks) -> List[str]:
     return np.array([c.name for c in FlareClass])[r].tolist()
 
 
+def _encode_stamps(times: np.ndarray) -> List[str]:
+    """The canonical UTC stamp of each datetime64 value: ``YYYY-MM-DDTHH:MM:SSZ`` for a whole second,
+    ``YYYY-MM-DDTHH:MM:SS.ffffffZ`` for any other time."""
+    return [t.removesuffix(".000000") + "Z" for t in np.datetime_as_string(times, unit="us").tolist()]
+
+
+def _decode_stamps(stamps: List[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """UTC epoch microseconds of timestamp texts, and where each is a canonical stamp (see :func:`_encode_stamps`)
+    within the datetime range whose value prints back to it. _WRITE_BLOCK_ROWS texts at a time, a whole second is
+    rewritten as ``SS.000000Z``, so that both forms convert in one cast; any other text is left to _parse_time."""
+    form = np.frombuffer(b"0000-00-00T00:00:00.000000Z", dtype=np.uint8)  # "0" stands for any digit
+    us, ok = np.zeros(len(stamps), dtype=np.int64), np.zeros(len(stamps), dtype=bool)
+    for lo in range(0, len(stamps), _WRITE_BLOCK_ROWS):
+        codes = np.array(stamps[lo : lo + _WRITE_BLOCK_ROWS], dtype="U28").view(np.uint32).reshape(-1, 28)
+        codes[(codes[:, 19] == ord("Z")) & (codes[:, 20] == 0), 19:27] = form[19:]  # no file holds a NUL
+        good = np.where(form == ord("0"), codes[:, :27] - np.uint32(ord("0")) < 10, codes[:, :27] == form).all(axis=1)
+        good &= (codes[:, 27] == 0) & (codes[:, :4] != ord("0")).any(axis=1)  # year 0 is out of range
+        text, values = codes[:, :26].astype(np.uint8, order="C").view("S26").ravel(), us[lo : lo + len(codes)]
+        try:  # bytes cast faster than str
+            values[good] = text[good].astype("datetime64[us]").astype(np.int64)
+        except ValueError:  # a field out of range, such as month 13: every stamp of the block takes the slow path
+            good[:] = False
+        ok[lo : lo + len(text)][good] = values[good].astype("datetime64[us]").astype(text.dtype) == text[good]
+    return us, ok
+
+
 def _parse_time(text: str) -> datetime:
     raw = text.strip()
     if raw.endswith("Z"):
@@ -354,8 +380,9 @@ def _rank_column(names: List[str]) -> np.ndarray:
 
 
 def _processes(size: int) -> int:
-    """Processes for ``size`` bytes of CSV text: one per usable CPU and _SPLIT_BYTES,
-    or 1 without fork or while another thread runs (a child gets only the forking one)."""
+    """Processes for ``size`` bytes of CSV text: one per usable CPU and _SPLIT_BYTES, or 1 without fork or while
+    another Python thread runs (a child gets only the forking one). The OpenBLAS threads that active_count() does not
+    count are safe to fork beside: no child (a reader's parse, a writer's block_text) makes a BLAS call to wait on them."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), size // _SPLIT_BYTES))
@@ -497,31 +524,11 @@ def _read_csv(path, check, *headers: List[str], more: str = "", keyed: bool = Tr
     return cols
 
 
-def write_events(path, peak_us, ranks) -> None:
-    """Write ``peak_time,class`` rows in UTC as csv.writer would, with a 6-digit fraction only where
-    a time is not a whole second; no field needs quoting."""
-    rows = zip(np.datetime_as_string(np.asarray(peak_us, dtype="datetime64[us]")).tolist(), _class_names(ranks))
-    with open(path, "w", newline="") as fh:
-        fh.write("peak_time,class\r\n" + "".join(f"{t.removesuffix('.000000')}Z,{name}\r\n" for t, name in rows))
-
-
-def _check_events(texts: List[List[str]], numbers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The peak times (int64 UTC epoch microseconds) and class ranks (int8) of ``events.csv`` rows:
-    canonical stamps in one cast per form, any other through :func:`_parse_time`."""
-    stamps, names = texts
-    (seconds, whole), (peak_us, fraction) = _canonical_stamps(stamps, 20), _canonical_stamps(stamps, 27)
-    peak_us[whole] = seconds[whole] * 1_000_000
-    _fill(peak_us, lambda s: (_parse_time(s) - EPOCH) // MICROSECOND, stamps, np.flatnonzero(~(whole | fraction)))
-    return peak_us, _rank_column(names)
-
-
-def read_events(path) -> Tuple[np.ndarray, np.ndarray]:
-    """``events.csv`` as columns: peak times (int64 UTC epoch microseconds) and class ranks (int8)."""
-    return _read_csv(path, _check_events, ["peak_time", "class"], keyed=False)
-
-
-def _check_ids(ids: np.ndarray) -> None:
-    """ValueError naming the first id that no CSV file holds (see :func:`_fields`) or that a reader's strip changes."""
+def _write_csv(path, header: List[str], n: int, rows, row_bytes: int, ids=()) -> None:
+    """Write a CSV file as csv.writer would, with CRLF line ends: ``header``, then the fields ``rows(block)`` gives
+    for each _WRITE_BLOCK_ROWS of ``n`` rows, one string a block, built by forked workers when ``n * row_bytes`` bytes
+    of text are worth them (see :func:`_processes`). First, ValueError names the first of ``ids`` that no CSV file
+    holds (see :func:`_fields`) or that a reader's strip changes, so that no file is left."""
     banned = ',"\r\n\x00\x1c\x1d\x1e\x1f'
     for lo in range(0, len(ids), _WRITE_BLOCK_ROWS):
         block = ids[lo : lo + _WRITE_BLOCK_ROWS].tolist()
@@ -532,54 +539,50 @@ def _check_ids(ids: np.ndarray) -> None:
                     why = "too long, padded with whitespace, or holds , \" CR LF NUL or \\x1c-\\x1f"
                     raise ValueError(f"id {sid!r} cannot be written: {why}")
 
-
-def write_samples(path, table: SampleTable) -> None:
-    """Write ``id,timestamp,mask,f0..`` rows as csv.writer would, with CRLF line ends and
-    no field quoted (see :func:`_check_ids`), each feature as its ``repr``; one string
-    and one write per block of rows, built by forked workers if worthwhile."""
-    _check_ids(table.ids)
-    dim = table.features.shape[1]
-    sep = "," if dim else ""
-
     def block_text(lo: int) -> str:
-        block = slice(lo, lo + _WRITE_BLOCK_ROWS)
-        stamps = np.datetime_as_string(table.times[block].astype("datetime64[s]")).tolist()
-        masks = (table.mask[block].astype(np.uint8) + ord("0")).view(f"S{N_CHANNELS}").ravel().astype(str).tolist()
-        rows = zip(table.ids[block].tolist(), stamps, masks, table.features[block].tolist())
-        return "".join(f"{sid},{stamp}Z,{mask}{sep}{','.join(map(repr, feats))}\r\n" for sid, stamp, mask, feats in rows)
+        return "".join(f"{','.join(fields)}\r\n" for fields in rows(slice(lo, lo + _WRITE_BLOCK_ROWS)))
 
-    processes = _processes(20 * table.features.size)  # a feature's repr and comma take about 20 bytes
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(["id", "timestamp", "mask"] + [f"f{i}" for i in range(dim)]) + "\r\n")
-        with _in_order(block_text, range(0, len(table), _WRITE_BLOCK_ROWS), processes) as texts:
+        fh.write(",".join(header) + "\r\n")
+        with _in_order(block_text, range(0, n, _WRITE_BLOCK_ROWS), _processes(n * row_bytes)) as texts:
             fh.writelines(texts)
 
 
-def _canonical_stamps(stamps: List[str], width: int) -> Tuple[np.ndarray, np.ndarray]:
-    """UTC epoch seconds (``width`` 20) or microseconds (27) of timestamp texts, and
-    where each is a ``YYYY-MM-DDTHH:MM:SSZ`` or ``YYYY-MM-DDTHH:MM:SS.ffffffZ`` stamp of
-    that width within the datetime range whose text its value prints back to (else 0)."""
-    codes = np.array(stamps, dtype=f"U{width}").view(np.uint32).reshape(-1, width)
-    form = np.frombuffer(b"0000-00-00T00:00:00.000000"[: width - 1] + b"Z", dtype=np.uint8)
-    ok = np.where(form == ord("0"), codes - np.uint32(ord("0")) < 10, codes == form).all(axis=1)
-    ok &= np.fromiter(map(len, stamps), np.intp, len(stamps)) == width  # the texts' own: the array cuts longer ones
-    ok &= (codes[:, :4] != ord("0")).any(axis=1)  # year 0 is out of range
-    text = codes[:, :-1].astype(np.uint8, order="C").view(f"S{width - 1}").ravel()  # bytes cast faster than str
-    unit = "datetime64[s]" if width == 20 else "datetime64[us]"
-    values = np.zeros(len(text), dtype=np.int64)
-    try:
-        values[ok] = text[ok].astype(unit).astype(np.int64)
-    except ValueError:  # a field out of range, such as month 13: every stamp takes the slow path
-        ok[:] = False
-    # Printing back to the text also rejects whatever else the cast might accept and move.
-    ok[ok] = values[ok].astype(unit).astype(text.dtype) == text[ok]
-    return values, ok
+def write_events(path, peak_us, ranks) -> None:
+    """Write ``peak_time,class`` rows of at most 31 bytes, the times as canonical stamps (see :func:`_encode_stamps`)."""
+    peak_us, names = np.asarray(peak_us, dtype="datetime64[us]"), _class_names(ranks)
+    _write_csv(path, ["peak_time", "class"], len(names), lambda b: zip(_encode_stamps(peak_us[b]), names[b]), 31)
+
+
+def _check_events(texts: List[List[str]], numbers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The peak times (int64 UTC epoch microseconds) and class ranks (int8) of ``events.csv`` rows:
+    canonical stamps decoded at once (see :func:`_decode_stamps`), any other through :func:`_parse_time`."""
+    peak_us, canonical = _decode_stamps(texts[0])
+    _fill(peak_us, lambda s: (_parse_time(s) - EPOCH) // MICROSECOND, texts[0], np.flatnonzero(~canonical))
+    return peak_us, _rank_column(texts[1])
+
+
+def read_events(path) -> Tuple[np.ndarray, np.ndarray]:
+    """``events.csv`` as columns: peak times (int64 UTC epoch microseconds) and class ranks (int8)."""
+    return _read_csv(path, _check_events, ["peak_time", "class"], keyed=False)
+
+
+def write_samples(path, table: SampleTable) -> None:
+    """Write ``id,timestamp,mask,f0..`` rows (see :func:`_write_csv`), each feature as its ``repr``."""
+
+    def rows(block: slice):
+        masks = (table.mask[block].astype(np.uint8) + ord("0")).view(f"S{N_CHANNELS}").ravel().astype(str).tolist()
+        ids, feats = table.ids[block].tolist(), table.features[block].tolist()
+        stamps = _encode_stamps(table.times[block].astype("datetime64[s]"))
+        return ((sid, stamp, mask, *map(repr, f)) for sid, stamp, mask, f in zip(ids, stamps, masks, feats))
+
+    dim = table.features.shape[1]  # a feature's repr and its comma take about 20 bytes
+    _write_csv(path, ["id", "timestamp", "mask"] + [f"f{i}" for i in range(dim)], len(table), rows, 20 * dim, table.ids)
 
 
 def _check_samples(texts: List[List[str]], features: np.ndarray) -> tuple:
-    """The ids, UTC epoch seconds, masks and finite features of ``samples.csv`` rows. ``YYYY-MM-DDTHH:MM:SSZ``
-    stamps are converted in one cast; any other, and any such stamp that does not convert back to its
-    text or lies off the grid, goes through :func:`_parse_time` and :func:`~flarecast.core.grid_seconds`."""
+    """The ids, UTC epoch seconds, masks and finite features of ``samples.csv`` rows: canonical stamps on the grid
+    decoded at once (see :func:`_decode_stamps`), any other through _parse_time and core.grid_seconds."""
     ids, stamps, masks = texts
     masks = [m.strip() for m in masks]
     codes = np.array(masks, dtype=f"U{N_CHANNELS}").view(np.uint32).reshape(-1, N_CHANNELS)
@@ -588,8 +591,9 @@ def _check_samples(texts: List[List[str]], features: np.ndarray) -> tuple:
         i = int(bad.argmax())
         raise _RowFault(i, f"mask must be {N_CHANNELS} characters of 0/1, got {masks[i]!r}")
     ids = _id_column(ids)
-    times, canonical = _canonical_stamps(stamps, 20)
-    _fill(times, lambda s: grid_seconds(_parse_time(s)), stamps, np.flatnonzero(~canonical | (times % GRID_SECONDS != 0)))
+    us, canonical = _decode_stamps(stamps)
+    times, slow = us // 1_000_000, np.flatnonzero(~canonical | (us % (GRID_SECONDS * 1_000_000) != 0))
+    _fill(times, lambda s: grid_seconds(_parse_time(s)), stamps, slow)
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         i = int(finite.argmin())
@@ -605,12 +609,7 @@ def read_samples(path) -> SampleTable:
 def write_labels(path, ids: Sequence[str], labels) -> None:
     """Write ``id,label`` rows as csv.writer would, unquoted; ``labels`` are class ranks or :class:`FlareClass` members."""
     ids, names = _str_ids(ids, np.asarray), _class_names(labels)
-    _check_ids(ids)
-    with open(path, "w", newline="") as fh:
-        fh.write("id,label\r\n")
-        for lo in range(0, len(ids), _WRITE_BLOCK_ROWS):  # one string and one write per block of rows
-            rows = zip(ids[lo : lo + _WRITE_BLOCK_ROWS].tolist(), names[lo : lo + _WRITE_BLOCK_ROWS])
-            fh.write("".join(f"{sid},{name}\r\n" for sid, name in rows))
+    _write_csv(path, ["id", "label"], len(ids), lambda b: zip(ids[b].tolist(), names[b]), ids.itemsize // 4 + 4, ids)
 
 
 def _check_id_classes(texts: List[List[str]], numbers: np.ndarray) -> tuple:

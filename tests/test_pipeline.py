@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import signal
 import threading
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
@@ -545,6 +546,80 @@ class TestCsvFormats:
         )
         with pytest.raises(DataFileError, match=r"samples\.csv:3: duplicate id 'a'"):
             read_samples(path)
+
+
+class TestStampCodec:
+    """write_events and write_samples write every time through one stamp encoder; read_events and read_samples
+    decode what it writes in one pass, and leave any other stamp, such as one with an offset, to the slow path."""
+
+    # The datetime range in UTC epoch microseconds, its whole seconds and its 2-hour grid steps.
+    lo_us = (datetime.min.replace(tzinfo=UTC) - EPOCH) // MICROSECOND
+    hi_us = (datetime.max.replace(tzinfo=UTC) - EPOCH) // MICROSECOND
+    us = st.integers(lo_us, hi_us) | st.sampled_from([lo_us, hi_us, -1, 0, 1, 999_999, 1_000_000])
+    us |= us.map(lambda v: v - v % 10**6)
+    steps = st.integers(-8_629_944, 35_194_763) | st.sampled_from([-8_629_944, 35_194_763, -1, 0, 1])
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(values=st.lists(us, min_size=1, max_size=30), offset=st.sampled_from(["+00:00", "-05:30"]))
+    def test_events_round_trip_and_offsets_read_like_fromisoformat(self, tmp_path_factory, values, offset):
+        ranks = np.arange(len(values), dtype=np.int8) % 4
+        path = tmp_path_factory.mktemp("csv") / "events.csv"
+        write_events(path, np.array(values, dtype=np.int64), ranks)
+        lines = path.read_text().splitlines()
+        stamps = [line.split(",")[0] for line in lines[1:]]
+        assert [len(s) for s in stamps] == [20 if v % 10**6 == 0 else 27 for v in values]
+        back_us, back_ranks = read_events(path)
+        assert back_us.tolist() == values and back_ranks.tolist() == ranks.tolist()
+        # The same file with an offset in place of Z: the instants datetime.fromisoformat reads, or the first one
+        # outside the datetime range named by its line.
+        offsets = path.with_name("offsets.csv")
+        offsets.write_text("\n".join([lines[0]] + [line.replace("Z,", offset + ",") for line in lines[1:]]) + "\n")
+        want = [(datetime.fromisoformat(s[:-1] + offset) - EPOCH) // MICROSECOND for s in stamps]
+        outside = [line for line, v in enumerate(want, start=2) if not self.lo_us <= v <= self.hi_us]
+        got = read_or_error(lambda p: read_events(p)[0].tolist(), offsets)
+        assert got == (f"{offsets}:{outside[0]}: date value out of range" if outside else want)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(steps=st.lists(steps, min_size=1, max_size=30))
+    def test_samples_grid_times_round_trip_in_every_form(self, tmp_path_factory, steps):
+        n, times = len(steps), 7200 * np.array(steps, dtype=np.int64)
+        table = SampleTable([f"s{i}" for i in range(n)], times, np.ones((n, 10), bool), np.zeros((n, 1)))
+        path = tmp_path_factory.mktemp("csv") / "samples.csv"
+        write_samples(path, table)
+        lines = path.read_text().splitlines()
+        assert all(len(line.split(",")[1]) == 20 for line in lines[1:])
+        assert read_samples(path).times.tolist() == times.tolist()
+        for suffix in (".000000Z,", "+00:00,"):  # the fraction form, then the slow path
+            other = path.with_name("other.csv")
+            other.write_text("\n".join([lines[0]] + [line.replace("Z,", suffix) for line in lines[1:]]) + "\n")
+            assert read_samples(other).times.tolist() == times.tolist()
+
+    def test_sample_times_outside_datetime_range_written_as_numpy_prints_them(self, tmp_path):
+        # Not wrapped round in int64 microseconds: read_samples then rejects the file rather than misreading it.
+        path, far = tmp_path / "samples.csv", 7200 * 2_000_000_000
+        write_samples(path, SampleTable(["a", "b", "c"], [0, far, -far], np.ones((3, 10), bool), np.zeros((3, 1))))
+        stamps = [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
+        assert stamps == ["1970-01-01T00:00:00Z", "458287-11-01T16:00:00Z", "-454348-03-01T08:00:00Z"]
+        with pytest.raises(DataFileError, match=r"samples\.csv:3: "):
+            read_samples(path)
+
+    def test_read_events_traced_peak(self, tmp_path):
+        """The reference chain's 29,695 events, one range: decoding the stamps a block at a time traces a peak of
+        about 5.1 MB, where casting each whole column once per stamp form traced 11.2 MB."""
+        peak_us = (grid_seconds(T0) + 36 * 3600 + 37 * 7200 * np.arange(29_695, dtype=np.int64)) * 10**6
+        path = tmp_path / "events.csv"
+        write_events(path, peak_us, np.arange(29_695) % 3 + 1)
+        assert path.stat().st_size < pipeline._SPLIT_BYTES
+        read_events(path)  # so that any lazy import happens outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            back_us, _ = read_events(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert back_us.tolist() == peak_us.tolist()
+        assert peak < 6_000_000, f"traced peak {peak / 1e6:.2f} MB"
 
 
 class TestArrayFormsMatchOracles:
