@@ -236,8 +236,8 @@ def cmd_train(args) -> int:
     cfg, split_spec, fold_index = resolve_run_config(args.config, args.set or [])
     data_dir = Path(args.data_dir)
     samples_path, labels_path = data_dir / "samples.csv", data_dir / "labels.csv"
+    label_ids, ranks = read_labels(labels_path)  # first, so that its parse peaks before the table exists
     table = read_samples(samples_path)
-    label_ids, ranks = read_labels(labels_path)
     labels = ranks[match_ids(label_ids, table.ids, labels_path, samples_path)]
     del label_ids, ranks  # joined
     table, excluded = apply_channel_policy(table, labels, np.argsort(table.times, kind="stable"))

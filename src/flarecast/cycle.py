@@ -46,6 +46,11 @@ def cycle_phase(t: datetime, cfg: CycleConfig = DEFAULT_CYCLE) -> float:
 
 
 def cycle_phases(epoch_us, cfg: CycleConfig = DEFAULT_CYCLE) -> np.ndarray:
-    """:func:`cycle_phase` of each int64 UTC epoch microsecond count, element-wise."""
-    delta_hours = (np.asarray(epoch_us, dtype=np.int64) - (cfg.base_time - EPOCH) // MICROSECOND) / 1e6 / 3600.0
-    return -np.cos(2.0 * np.pi * delta_hours / cfg.period_hours)
+    """:func:`cycle_phase` of each int64 UTC epoch microsecond count, element-wise, in one int64 and one
+    float64 buffer: ``-cos(2 pi ((t - base) / 1e6 / 3600) / period)``, each step in that order."""
+    phases = np.empty(np.shape(epoch_us))
+    np.divide(np.asarray(epoch_us, dtype=np.int64) - (cfg.base_time - EPOCH) // MICROSECOND, 1e6, out=phases)
+    phases /= 3600.0
+    phases *= 2.0 * np.pi
+    phases /= cfg.period_hours
+    return np.negative(np.cos(phases, out=phases), out=phases)

@@ -549,8 +549,14 @@ def _write_csv(path, header: List[str], n: int, rows, row_bytes: int, ids=()) ->
 
 
 def write_events(path, peak_us, ranks) -> None:
-    """Write ``peak_time,class`` rows of at most 31 bytes, the times as canonical stamps (see :func:`_encode_stamps`)."""
-    peak_us, names = np.asarray(peak_us, dtype="datetime64[us]"), _class_names(ranks)
+    """Write ``peak_time,class`` rows of at most 31 bytes, the times (int64 UTC epoch microseconds or datetime64) as
+    canonical stamps (see :func:`_encode_stamps`). Before the file is opened, ValueError names the first datetime64
+    time that microseconds do not hold: one of a coarser unit that numpy's cast would wrap round, or a fraction."""
+    given = np.asarray(peak_us)
+    peak_us, names = np.asarray(given, dtype="datetime64[us]"), _class_names(ranks)
+    lost = given.dtype.kind == "M" and peak_us.astype(given.dtype).view(np.int64) != given.view(np.int64)
+    if np.any(lost):
+        raise ValueError(f"peak time {given[lost][0]} cannot be written: int64 microseconds do not hold it")
     _write_csv(path, ["peak_time", "class"], len(names), lambda b: zip(_encode_stamps(peak_us[b]), names[b]), 31)
 
 
@@ -646,12 +652,15 @@ def match_ids(keys: np.ndarray, wanted: np.ndarray, keys_path, wanted_path) -> n
     lacks, and the files the two sides came from.
     """
     order = np.argsort(keys, kind="stable")  # ids are unique and mostly sorted already
-    slot = np.searchsorted(keys, wanted, sorter=order)
-    found = slot < len(keys)
-    found[found] = keys[order[slot[found]]] == wanted[found]
-    if not found.all():
-        raise ValueError(f"id {str(wanted[~found][0])!r} in {wanted_path} has no row in {keys_path}")
-    return order[slot]
+    pos = np.searchsorted(keys, wanted, sorter=order)
+    for lo in range(0, len(pos), _WRITE_BLOCK_ROWS):  # verified a block at a time: no full-length id copy
+        slot, ids = pos[lo : lo + _WRITE_BLOCK_ROWS], wanted[lo : lo + _WRITE_BLOCK_ROWS]
+        found = slot < len(keys)
+        slot[found] = order[slot[found]]  # in place: pos becomes positions in keys
+        found[found] = keys[slot[found]] == ids[found]
+        if not found.all():
+            raise ValueError(f"id {str(ids[~found][0])!r} in {wanted_path} has no row in {keys_path}")
+    return pos
 
 
 def read_predictions(path) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:

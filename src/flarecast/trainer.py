@@ -17,7 +17,6 @@ validation score wins, earliest epoch on ties.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -259,9 +258,10 @@ def _verify_first_batch(x, phis, params, grads, cfg, y_rows, sample_w, ib_active
 
 
 def require_all_classes(labels: np.ndarray, **ranges: Sequence[int]) -> None:
-    """Raise ValueError naming the first range (by keyword) whose labels miss a class."""
+    """Raise ValueError naming the first range (by keyword) whose labels (class ranks) miss a class."""
     for name, idx in ranges.items():
-        missing = [FlareClass(c).name for c in np.setdiff1d(range(N_CLASSES), labels[np.asarray(idx, dtype=np.intp)])]
+        counts = np.bincount(labels[_rows(idx)], minlength=N_CLASSES)
+        missing = [FlareClass(c).name for c in range(N_CLASSES) if counts[c] == 0]
         if missing:
             raise ValueError(f"degenerate split: {name} range is missing class(es) {', '.join(missing)}")
 
@@ -285,9 +285,8 @@ def train(features: np.ndarray, times: np.ndarray, labels: np.ndarray, fold: Fol
     _check_rows(features, times, labels)
     if np.any(labels < 0):
         raise ValueError("all samples must be labeled for training")
-    labels = labels.astype(np.intp)
     phis_all = _phis(times, cfg)
-    train_idx = np.array(fold.train)
+    train_idx = np.arange(fold.train.start, fold.train.stop, fold.train.step)
     require_all_classes(labels, training=fold.train, validation=fold.validation)
 
     counts = np.bincount(labels[train_idx], minlength=N_CLASSES)
@@ -375,8 +374,9 @@ def _score(x: np.ndarray, phis: Optional[np.ndarray], labels: np.ndarray, params
     6,200 of 9,579 validation rows, and blocks of 320, the last of them 299 rows, about 210."""
     k = max(1, len(x) // EVAL_BLOCK_ROWS)
     cuts = [(j * len(x) // k + 32) // 64 * 64 for j in range(k)] + [len(x)]
-    blocks = [forward(x[lo:hi], None if phis is None else phis[lo:hi], params)[-1] for lo, hi in zip(cuts, cuts[1:])]
-    probs = np.concatenate(blocks)
+    probs = np.empty((len(x), N_CLASSES))
+    for lo, hi in zip(cuts, cuts[1:]):
+        probs[lo:hi] = forward(x[lo:hi], None if phis is None else phis[lo:hi], params)[-1]
     return build_report(labels, probs.argmax(axis=1), probs)
 
 
@@ -399,6 +399,8 @@ def write_history(path, history: Sequence[EpochRecord]) -> None:
 def save_checkpoint(path, checkpoint: Checkpoint, config_text: str) -> None:
     """Plain-text parameter dump: versioned header, config hash (the first 16
     hex digits of the sha256 of ``config_text``, the run's ``config.txt``), named arrays."""
+    import hashlib  # here, so that a command that never hashes does not load OpenSSL
+
     lines = [
         CHECKPOINT_MAGIC,
         f"config_hash={hashlib.sha256(config_text.encode()).hexdigest()[:16]}",

@@ -1,14 +1,17 @@
 """Command-line surface: flags, file contracts, exit codes, determinism,
 config resolution."""
 
+import ast
 import csv
 import hashlib
 import multiprocessing
+import os
 import subprocess
 import sys
 import tracemalloc
 import weakref
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -718,10 +721,14 @@ class TestMemory:
     and dropping the label columns once joined, at about 7.3 times; the read's own columns, batch gathers,
     validation views and the second layer written into the head input, at about 5 times; each range's
     columns landed in place as it arrives, the ids and the mask dropped once joined and blocks of 384 rows,
-    at about 4.1 times. ``label`` holding every output line and the forked read's parts beside their join
-    peaked at about 2.2 times; it peaks at about 1.76 times now. A one-process read holding the whole
-    file's texts peaked at about 6.3 times, one holding each range's parse until the join at about 3.8
-    times, and one holding one range's parse at a time peaks at about 3.3 times."""
+    at about 4.1 times. Its peak is the one-process read of ``samples.csv``: 4.42 times with ``labels.csv``
+    read after it, 4.56 times now that ``labels.csv`` is read first and its columns are held through it. The
+    traced bytes rise by those columns while the resident peak falls, because the labels parse's transient
+    then lands before the table exists and the samples read reuses the freed heap. ``label`` holding every
+    output line and the forked read's parts beside their join peaked at about 2.2 times; it peaks at about
+    1.76 times now. A one-process read holding the whole file's texts peaked at about 6.3 times, one holding
+    each range's parse until the join at about 3.8 times, and one holding one range's parse at a time peaks
+    at about 3.3 times."""
 
     def test_train_peak_within_six_tables(self, tmp_path):
         data = tmp_path / "data"
@@ -871,3 +878,36 @@ class TestEntryPoint:
 
     def test_unknown_flag_is_usage_error(self):
         assert run_cli("gen-data", "--n", 5, "--wat", 3) == 1
+
+
+def child_modules(code, *args):
+    """The names that ``code``, run in a new interpreter over this checkout's ``src`` with ``args`` in sys.argv,
+    prints as a Python list, the last line of its output."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+class TestImports:
+    """A command loads only what it uses. hashlib loads OpenSSL (``_hashlib``, about 3.6 MB resident), and only
+    ``save_checkpoint`` hashes; ``numpy.random`` imports it too, so ``train`` and ``gen-data`` still load it.
+    ``numpy.ma`` came with ``np.setdiff1d``, and ``multiprocessing`` loads only when a CSV file is worth forking."""
+
+    GUARDED = ("hashlib", "_hashlib", "numpy.ma", "numpy.random", "multiprocessing")
+
+    def test_cli_import_leaves_guarded_modules_out(self):
+        code = "import sys, flarecast.cli; print([m for m in sys.argv[1:] if m in sys.modules])"
+        assert child_modules(code, *self.GUARDED) == []
+
+    def test_label_leaves_openssl_out(self, tmp_path):
+        make_training_data(tmp_path)
+        code = (
+            "import sys; from flarecast.cli import main\n"
+            "assert main(['label', '--events', sys.argv[1], '--samples', sys.argv[2], '--out', sys.argv[3]]) == 0\n"
+            "print([m for m in ('hashlib', '_hashlib') if m in sys.modules])"
+        )
+        out = tmp_path / "again.csv"
+        assert child_modules(code, tmp_path / "events.csv", tmp_path / "samples.csv", out) == []
+        assert out.read_bytes() == (tmp_path / "labels.csv").read_bytes()

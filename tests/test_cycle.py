@@ -1,11 +1,13 @@
 """Solar-cycle phase embedding: anchor values, periodicity, symmetry."""
 
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 from flarecast import CycleConfig, cycle_phase
+from flarecast.core import EPOCH, MICROSECOND
 from flarecast.cycle import DEFAULT_BASE_TIME, DEFAULT_PERIOD_HOURS, cycle_phases
 
 
@@ -72,3 +74,30 @@ class TestProperties:
     def test_naive_timestamp_rejected(self):
         with pytest.raises(ValueError, match="UTC"):
             cycle_phase(datetime(2020, 1, 1))
+
+
+class TestPhaseBuffers:
+    """cycle_phases works in one int64 and one float64 buffer, with the steps of one expression in its order."""
+
+    times_us = 7200 * 10**6 * np.arange(-8_000, 39_895, dtype=np.int64)  # the reference size on the 2-hour grid
+
+    def test_same_bits_as_one_expression(self):
+        rng = np.random.default_rng(4)
+        t = np.concatenate([self.times_us, rng.integers(-10**16, 10**16, 20_001)])
+        for cfg in (CycleConfig(), CycleConfig(base_time=datetime(2001, 3, 4, 5, tzinfo=timezone.utc), period_hours=1234.5678)):
+            base_us = (cfg.base_time - EPOCH) // MICROSECOND
+            want = -np.cos(2.0 * np.pi * ((t - base_us) / 1e6 / 3600.0) / cfg.period_hours)
+            assert cycle_phases(t, cfg).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_traced_peak_within_two_buffers(self):
+        """47,895 times trace 0.83 MB: the int64 difference, the float64 result and the ufunc's 64 KiB cast buffer.
+        An expression making a temporary at each step traced 1.15 MB, three n x 8-byte buffers."""
+        cycle_phases(self.times_us)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cycle_phases(self.times_us)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * self.times_us.nbytes + 2**17, f"traced peak {peak} B"

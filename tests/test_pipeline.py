@@ -603,6 +603,29 @@ class TestStampCodec:
         with pytest.raises(DataFileError, match=r"samples\.csv:3: "):
             read_samples(path)
 
+    @pytest.mark.parametrize(
+        "times",
+        [
+            np.array([0, 7200 * 2_000_000_000], "datetime64[s]"),  # year 458287, which microseconds wrapped to -126267
+            np.array([3_600_000_000_001], "datetime64[ns]"),  # a nanosecond past a microsecond
+        ],
+        ids=["coarser-unit-overflow", "finer-unit-fraction"],
+    )
+    def test_events_times_microseconds_cannot_hold_rejected(self, tmp_path, times):
+        path = tmp_path / "events.csv"
+        with pytest.raises(ValueError, match=rf"peak time {np.datetime_as_string(times[-1])} cannot be written"):
+            write_events(path, times, [1] * len(times))
+        assert not path.exists()
+
+    def test_events_datetime64_times_written_like_microseconds(self, tmp_path):
+        us = 10**6 * np.array([0, 3_600, -86_400 * 365], dtype=np.int64) + np.array([0, 0, 5])
+        for times in (us, us.astype("datetime64[us]"), us.astype("datetime64[us]").astype("datetime64[ns]")):
+            write_events(tmp_path / f"{times.dtype}.csv", times, [1, 2, 3])
+        texts = {p.read_text() for p in tmp_path.iterdir()}
+        assert len(texts) == 1 and "1969-01-01T00:00:00.000005Z,X" in texts.pop()
+        write_events(tmp_path / "s.csv", (us[:2] // 10**6).astype("datetime64[s]"), [1, 2])
+        assert (tmp_path / "s.csv").read_bytes() == b"peak_time,class\r\n1970-01-01T00:00:00Z,C\r\n1970-01-01T01:00:00Z,M\r\n"
+
     def test_read_events_traced_peak(self, tmp_path):
         """The reference chain's 29,695 events, one range: decoding the stamps a block at a time traces a peak of
         about 5.1 MB, where casting each whole column once per stamp form traced 11.2 MB."""
@@ -1410,6 +1433,47 @@ class TestMatchIds:
         else:
             got = match_ids(key_arr, wanted_arr, "keys.csv", "wanted.csv")
             assert got.dtype == np.intp and got.tolist() == want
+
+    @pytest.mark.parametrize(
+        "strays",
+        [{}, {8_300: "zz"}, {4_100: "s9", 8_300: "a"}, {8_999: "zz"}],
+        ids=["all-found", "third-block", "second-and-third-blocks", "last-row"],
+    )
+    def test_blocks_equal_dict_loop(self, strays):
+        # 9,000 wanted ids are verified in three blocks; the message names the first stray in wanted's order.
+        rng = np.random.default_rng(5)
+        keys = [f"s{i:05d}" for i in rng.permutation(9_500)]
+        wanted = [keys[i] for i in rng.permutation(9_500)[:9_000]]
+        for i, stray in strays.items():
+            wanted[i] = stray
+        key_arr, wanted_arr = np.array(keys), np.array(wanted)
+        try:
+            want = match_ids_loop(keys, wanted)
+        except KeyError as exc:
+            with pytest.raises(ValueError) as info:
+                match_ids(key_arr, wanted_arr, "keys.csv", "wanted.csv")
+            assert str(info.value) == f"id {exc.args[0]!r} in wanted.csv has no row in keys.csv"
+            assert exc.args[0] == strays[min(strays)]
+        else:
+            got = match_ids(key_arr, wanted_arr, "keys.csv", "wanted.csv")
+            assert got.dtype == np.intp and got.tolist() == want
+
+    def test_no_full_length_id_copy(self):
+        """47,895 seven-character ids, one side shuffled: the join traces 1.0 MB (the sort order, the positions and
+        one block's temporaries), less than one copy of an id column (1.34 MB). Comparing the found keys with the
+        wanted ids as whole columns traced 3.5 MB."""
+        keys = np.array([f"s{i:06d}" for i in range(47_895)])
+        wanted = keys[np.random.default_rng(0).permutation(len(keys))]
+        match_ids(keys, wanted, "k", "w")  # so that any lazy import happens outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = match_ids(keys, wanted, "k", "w")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(keys[got], wanted)
+        assert peak < keys.nbytes, f"traced peak {peak} B; the ids hold {keys.nbytes} B"
 
     def test_empty_sides(self):
         empty, one = np.array([], dtype=str), np.array(["a"])
