@@ -2,7 +2,9 @@
 and gradient checking as reproducible seeded runs.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or data error, 3 numerical
-failure. Every command that owns an output directory writes the resolved
+failure. A command's files land whole or not at all: it writes them into a
+hidden directory inside its target and moves them into place only if it
+succeeds. Every command that owns an output directory writes the resolved
 configuration there as ``config.txt``. Training configuration is read from a
 ``key=value`` file (``#`` comments allowed), overridden by ``--set key=value``
 flags; nothing else sets it. A ``train`` run's ``config.txt`` can be passed
@@ -13,11 +15,14 @@ the first 16 hex digits of that file's sha256.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -165,16 +170,28 @@ def _write_config(out_dir: Path, items: Iterable[Tuple[str, object]]) -> str:
     return text
 
 
-def _ensure_out_dir(path_str: str) -> Path:
-    path = Path(path_str)
+@contextmanager
+def _landing(target: Path) -> Iterator[Path]:
+    """A hidden ``.flarecast-*`` directory inside ``target`` (made if missing) for a command to write its files into.
+    When the body returns, each file moves into ``target`` by rename, ``config.txt`` last, replacing a file of the same
+    name and leaving the others. When it raises, the hidden directory goes, and so does each directory made here, so
+    that ``target`` is left as it was. OSError names ``target`` if it or the hidden directory cannot be made."""
+    made = [path for path in (target, *target.parents) if not path.exists()]  # deepest first
     try:
-        path.mkdir(parents=True, exist_ok=True)
-        probe = path / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        raise IOError(f"output directory {path} is not writable: {exc}") from None
-    return path
+        try:
+            target.mkdir(parents=True, exist_ok=True)
+            hidden = tempfile.TemporaryDirectory(prefix=".flarecast-", dir=target)
+        except OSError as exc:
+            raise OSError(f"output directory {target} is not writable: {exc}") from None
+        with hidden as staging:
+            yield Path(staging)
+            for name in sorted(os.listdir(staging), key=lambda name: (name == "config.txt", name)):
+                os.replace(os.path.join(staging, name), target / name)
+    except BaseException:
+        for path in made:
+            with suppress(OSError):
+                path.rmdir()
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +204,11 @@ def cmd_gen_data(args) -> int:
         table = gen_synthetic(args.n, probs, args.seed, args.feature_dim, spacing_steps=args.spacing_steps)
     except ValueError as exc:
         raise UsageError(f"invalid arguments: {exc}") from None
-    out_dir = _ensure_out_dir(args.out_dir)
-    write_samples(out_dir / "samples.csv", table)
-    write_events(out_dir / "events.csv", *events_for_samples(table))
-    _write_config(out_dir, vars(args).items())
-    print(f"wrote {len(table)} samples and events to {out_dir}")
+    with _landing(Path(args.out_dir)) as staging:
+        write_samples(staging / "samples.csv", table)
+        write_events(staging / "events.csv", *events_for_samples(table))
+        _write_config(staging, vars(args).items())
+    print(f"wrote {len(table)} samples and events to {Path(args.out_dir)}")
     return 0
 
 
@@ -202,7 +219,9 @@ def cmd_label(args) -> int:
         raise UsageError(f"invalid --horizon-hours: {exc}") from None
     events = read_events(args.events)
     table = read_samples(args.samples)
-    write_labels(args.out, table.ids, label_samples(table, *events, horizon_hours=args.horizon_hours))
+    out = Path(args.out)
+    with _landing(out.parent) as staging:
+        write_labels(staging / out.name, table.ids, label_samples(table, *events, horizon_hours=args.horizon_hours))
     print(f"labeled {len(table)} samples -> {args.out}")
     return 0
 
@@ -223,11 +242,11 @@ def cmd_eval(args) -> int:
     probs = pred_probs[order] if pred_probs is not None else None
     report = build_report(observed, predicted[order], probs, climatology)
 
-    out_dir = _ensure_out_dir(args.out_dir)
     text = report.to_text()
-    (out_dir / "report.txt").write_text(text)
-    (out_dir / "report.csv").write_text(report.to_csv())
-    _write_config(out_dir, vars(args).items())
+    with _landing(Path(args.out_dir)) as staging:
+        (staging / "report.txt").write_text(text)
+        (staging / "report.csv").write_text(report.to_csv())
+        _write_config(staging, vars(args).items())
     sys.stdout.write(text)
     return 0
 
@@ -247,13 +266,13 @@ def cmd_train(args) -> int:
     require_all_classes(labels, test=fold.test)
     result = train(features, times, labels, fold, cfg)
 
-    out_dir = _ensure_out_dir(args.out_dir)
-    config_text = _write_config(out_dir, _config_items(cfg, split_spec, fold_index))
-    write_history(out_dir / "history.csv", result.history)
-    save_checkpoint(out_dir / "checkpoint.txt", result.best, config_text)
-    test_report = evaluate_fold(features, times, labels, fold.test, result.best.params, cfg)
-    (out_dir / "test_report.txt").write_text(test_report.to_text())
-    (out_dir / "test_report.csv").write_text(test_report.to_csv())
+    with _landing(Path(args.out_dir)) as staging:
+        config_text = _write_config(staging, _config_items(cfg, split_spec, fold_index))
+        write_history(staging / "history.csv", result.history)
+        save_checkpoint(staging / "checkpoint.txt", result.best, config_text)
+        test_report = evaluate_fold(features, times, labels, fold.test, result.best.params, cfg)
+        (staging / "test_report.txt").write_text(test_report.to_text())
+        (staging / "test_report.csv").write_text(test_report.to_csv())
     print(
         f"best epoch {result.best.epoch}: validation gmgs {result.best.val_gmgs:.4f}; "
         f"test gmgs {test_report.gmgs:.4f}, tss {test_report.tss_ge_m:.4f}; "
@@ -269,9 +288,7 @@ def cmd_gradcheck(args) -> int:
     hidden_width = 6
     ones = np.ones(1)
 
-    worst_fd = 0.0
-    worst_identity = 0.0
-    worst_total = 0.0
+    worst_fd = worst_identity = worst_total = 0.0
     for _ in range(args.trials):
         h = rng.standard_normal(hidden_width)
         w = rng.standard_normal((N_CLASSES, hidden_width))
@@ -305,12 +322,9 @@ def cmd_gradcheck(args) -> int:
         ("influence factor vs absolute gradient sum", worst_identity, GRADCHECK_TOL_IDENTITY),
         ("composite loss logit gradient vs central differences", worst_total, GRADCHECK_TOL_FD),
     ]
-    ok = True
     for name, err, tol in checks:
-        status = "PASS" if err <= tol else "FAIL"
-        ok = ok and err <= tol
-        print(f"{status} {name}: max relative error {err:.3e} (tolerance {tol:g})")
-    return 0 if ok else 3
+        print(f"{'PASS' if err <= tol else 'FAIL'} {name}: max relative error {err:.3e} (tolerance {tol:g})")
+    return 0 if all(err <= tol for _, err, tol in checks) else 3
 
 
 # ---------------------------------------------------------------------------

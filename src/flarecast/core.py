@@ -131,10 +131,6 @@ class SampleTable:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def take(self, rows) -> "SampleTable":
-        """The rows selected by an index array or boolean mask, in that order."""
-        return self._adopt(self.ids[rows], self.times[rows], self.mask[rows], self.features[rows], self.labels[rows])
-
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -161,9 +157,6 @@ class ConfusionMatrix:
 
     def observed_counts(self) -> np.ndarray:
         return self.counts.sum(axis=1)
-
-    def predicted_counts(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
 
 
 def build_confusion(observed, predicted) -> ConfusionMatrix:

@@ -183,14 +183,13 @@ def gmgs_influence(cm: ConfusionMatrix, s: ScoringMatrix) -> List[InfluenceEntry
     by class order for determinism). Diagonal cells contribute exactly zero
     and are excluded.
     """
-    entries = []
     n = cm.n
-    for i in range(N_CLASSES):
-        for j in range(N_CLASSES):
-            if i == j:
-                continue
-            infl = float(cm.counts[i, j] * (s.scores[i, i] - s.scores[i, j]) / n)
-            entries.append(InfluenceEntry(FlareClass(i), FlareClass(j), infl))
+    entries = [
+        InfluenceEntry(FlareClass(i), FlareClass(j), float(cm.counts[i, j] * (s.scores[i, i] - s.scores[i, j]) / n))
+        for i in range(N_CLASSES)
+        for j in range(N_CLASSES)
+        if i != j
+    ]
     entries.sort(key=lambda e: (-e.influence, int(e.observed), int(e.predicted)))
     return entries
 
@@ -221,14 +220,15 @@ class MetricReport:
             raise ValueError("influence table must exclude diagonal pairs")
         object.__setattr__(self, "influence_table", tuple(self.influence_table))
 
+    def _scores(self) -> List[Tuple[str, Optional[float]]]:
+        return [("gmgs", self.gmgs), ("tss_ge_m", self.tss_ge_m), ("bss_ge_m", self.bss_ge_m), ("hm", self.hm)]
+
     def to_text(self) -> str:
         """Plain-text table: scores, confusion matrix, top influence rows."""
         out = io.StringIO()
         out.write("metric        value\n")
-        out.write(f"gmgs          {self.gmgs: .6f}\n")
-        out.write(f"tss_ge_m      {self.tss_ge_m: .6f}\n")
-        out.write(f"bss_ge_m      {self.bss_ge_m: .6f}\n" if self.bss_ge_m is not None else "bss_ge_m      n/a\n")
-        out.write(f"hm            {self.hm: .6f}\n" if self.hm is not None else "hm            n/a\n")
+        for name, value in self._scores():
+            out.write(f"{name:<14}n/a\n" if value is None else f"{name:<14}{value: .6f}\n")
         names = [c.name for c in FlareClass]
         out.write("\nconfusion (rows observed, cols predicted)\n")
         out.write("      " + "".join(f"{n:>8}" for n in names) + "\n")
@@ -242,11 +242,7 @@ class MetricReport:
 
     def to_csv(self) -> str:
         """Machine-readable companion, one `metric,value` row per line."""
-        rows = ["metric,value"]
-        rows.append(f"gmgs,{self.gmgs!r}")
-        rows.append(f"tss_ge_m,{self.tss_ge_m!r}")
-        rows.append(f"bss_ge_m,{self.bss_ge_m!r}" if self.bss_ge_m is not None else "bss_ge_m,n/a")
-        rows.append(f"hm,{self.hm!r}" if self.hm is not None else "hm,n/a")
+        rows = ["metric,value"] + [f"{name},{'n/a' if v is None else repr(v)}" for name, v in self._scores()]
         for i, obs in enumerate(FlareClass):
             for j, pred in enumerate(FlareClass):
                 rows.append(f"confusion_{obs.name}_{pred.name},{int(self.confusion.counts[i, j])}")

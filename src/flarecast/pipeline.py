@@ -550,13 +550,14 @@ def _write_csv(path, header: List[str], n: int, rows, row_bytes: int, ids=()) ->
 
 def write_events(path, peak_us, ranks) -> None:
     """Write ``peak_time,class`` rows of at most 31 bytes, the times (int64 UTC epoch microseconds or datetime64) as
-    canonical stamps (see :func:`_encode_stamps`). Before the file is opened, ValueError names the first datetime64
-    time that microseconds do not hold: one of a coarser unit that numpy's cast would wrap round, or a fraction."""
+    canonical stamps (see :func:`_encode_stamps`). Before the file is opened, ValueError names the first time that
+    no stamp holds: NaT (or int64 ``-2**63``, which is NaT as a datetime64), or a datetime64 time that microseconds
+    do not hold, one of a coarser unit that numpy's cast would wrap round or a fraction."""
     given = np.asarray(peak_us)
     peak_us, names = np.asarray(given, dtype="datetime64[us]"), _class_names(ranks)
-    lost = given.dtype.kind == "M" and peak_us.astype(given.dtype).view(np.int64) != given.view(np.int64)
-    if np.any(lost):
-        raise ValueError(f"peak time {given[lost][0]} cannot be written: int64 microseconds do not hold it")
+    wrapped = given.dtype.kind == "M" and peak_us.astype(given.dtype).view(np.int64) != given.view(np.int64)
+    if np.any(lost := np.isnat(peak_us) | wrapped):
+        raise ValueError(f"peak time {given[lost][0]} cannot be written: NaT, or int64 microseconds do not hold it")
     _write_csv(path, ["peak_time", "class"], len(names), lambda b: zip(_encode_stamps(peak_us[b]), names[b]), 31)
 
 

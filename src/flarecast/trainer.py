@@ -147,12 +147,8 @@ def _phis(times: np.ndarray, cfg: TrainConfig) -> Optional[np.ndarray]:
 def _views(flat: np.ndarray, like: Params) -> Params:
     """Reshaped views into consecutive slices of ``flat``, with the names,
     order and shapes of ``like``."""
-    views: Params = {}
-    lo = 0
-    for name, p in like.items():
-        views[name] = flat[lo : lo + p.size].reshape(p.shape)
-        lo += p.size
-    return views
+    parts = np.split(flat, np.cumsum([p.size for p in like.values()]))  # the last part is what ``like`` leaves over
+    return {name: part.reshape(p.shape) for (name, p), part in zip(like.items(), parts)}
 
 
 def _backprop(x, a0, a1, head_in, d_logits, params: Params, grads: Params) -> None:

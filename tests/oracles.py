@@ -179,6 +179,11 @@ def label_max_class(t, peak_us, ranks, horizon_hours=72.0):
     return best
 
 
+def select_rows(table, rows) -> SampleTable:
+    """The rows of ``table`` that an index array or boolean mask selects, in that order, as a new table."""
+    return SampleTable(*(column[rows] for column in (table.ids, table.times, table.mask, table.features, table.labels)))
+
+
 def channel_policy_loop(masks, features, labels):
     """The channel policy one row at a time.
 

@@ -46,6 +46,7 @@ from oracles import (
     gerrity_mp,
     ib_factor_bss,
     max_rel_err,
+    select_rows,
 )
 
 
@@ -279,7 +280,7 @@ def test_criterion_9_pipeline_policies():
     assert np.array_equal(kept.features[0], np.ones(10))
     assert np.array_equal(kept.features[1], [0, 0] + [1] * 8)
 
-    first = base.take([0])
+    first = select_rows(base, [0])
     t0, hour = int(first.times[0]) * 10**6, 3600 * 10**6  # UTC epoch microseconds
     assert label_samples(first, [t0 + 63 * hour], [FlareClass.X])[0] == FlareClass.X
     assert label_samples(first, [t0], [FlareClass.X])[0] == FlareClass.O

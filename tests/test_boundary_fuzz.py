@@ -2,8 +2,9 @@
 run through ``label``, ``train`` and ``eval`` in process. Each run is either
 processed (exit 0) or rejected (exit 2) with a message that names the file and
 line, or the id join's ``id ... in ... has no row in ...``; never a traceback.
-What ``label`` and ``eval`` accept, they must compute as the row oracles of
-``oracles.py`` do from the same files."""
+A rejected run leaves no output, and no run leaves its hidden ``.flarecast-*``
+directory. What ``label`` and ``eval`` accept, they must compute as the row
+oracles of ``oracles.py`` do from the same files."""
 
 import io
 import re
@@ -152,12 +153,15 @@ def test_mutated_inputs_exit_0_or_2_naming_line(chain, tmp_path_factory, name, d
                   *[a for s in TRAIN_SETTINGS for a in ("--set", s)]),
         "eval": ("eval", "--preds", d / "preds.csv", "--labels", d / "labels.csv", "--out-dir", d / "eval"),
     }
+    outputs = {"label": d / "out.csv", "train": d / "run", "eval": d / "eval"}
     files = "|".join(re.escape(str(d / f)) for f in READERS)
     for command in READERS[name]:
         code, err = run(*commands[command])
         assert code in (0, 2), (command, code, err)
         assert "Traceback" not in err
+        assert not list(d.rglob(".flarecast-*")), command
         if code == 2:
+            assert not outputs[command].exists(), command
             assert re.match(rf"data error: ((?:{files}):\d+: |id '.*' in (?:{files}) has no row in (?:{files})$)",
                             err, re.S), (command, err)
         elif command == "label":

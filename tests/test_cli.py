@@ -692,6 +692,137 @@ class TestTrain:
         assert np.isfinite(float(flare_metrics["gmgs"])) and np.isfinite(float(ce_metrics["gmgs"]))
 
 
+def hidden_dirs(root):
+    """The ``.flarecast-*`` directories under ``root``, where commands write before their files land."""
+    return list(Path(root).rglob(".flarecast-*"))
+
+
+def listing(root):
+    """Every file under ``root`` (relative path -> bytes)."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+class TestLanding:
+    """A command writes its files into a hidden directory inside its target and moves them into place, config.txt
+    last, only when it succeeds: a failed command leaves its target as it was."""
+
+    def test_failed_checkpoint_leaves_no_out_dir(self, tmp_path, monkeypatch, capsys):
+        make_training_data(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CONFIG)
+        before, written = listing(tmp_path), []
+
+        def disk_full(path, *args):
+            written.extend(sorted(p.name for p in Path(path).parent.iterdir()))
+            raise OSError(f"disk full: {path}")
+
+        monkeypatch.setattr(cli, "save_checkpoint", disk_full)
+        code = run_cli("train", "--config", cfg, "--data-dir", tmp_path, "--out-dir", tmp_path / "runs" / "a")
+        assert code == 2 and "data error: disk full" in capsys.readouterr().err
+        assert written == ["config.txt", "history.csv"]  # it failed after two files were written
+        assert listing(tmp_path) == before and not (tmp_path / "runs").exists()
+        assert not hidden_dirs(tmp_path)
+
+    def test_failed_eval_leaves_existing_target_and_success_keeps_other_files(self, tmp_path, monkeypatch):
+        write_labels(tmp_path / "labels.csv", [f"s{i}" for i in range(8)], [0, 1, 2, 3] * 2)
+        out = tmp_path / "eval"
+        out.mkdir()
+        old = {"keep.txt": b"mine\n", "report.txt": b"old report\n", "report.csv": b"metric,value\ngmgs,0.5\n"}
+        for name, data in old.items():
+            (out / name).write_bytes(data)
+        args = ("eval", "--preds", tmp_path / "labels.csv", "--labels", tmp_path / "labels.csv", "--out-dir", out)
+        real, calls = Path.write_text, []
+
+        def second_write_fails(path, *a, **kw):
+            calls.append(path.name)
+            if len(calls) == 2:
+                raise OSError(f"disk full: {path}")
+            return real(path, *a, **kw)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", second_write_fails)
+            assert run_cli(*args) == 2
+        assert calls == ["report.txt", "report.csv"]
+        assert listing(out) == old and not hidden_dirs(tmp_path)
+
+        assert run_cli(*args) == 0
+        landed = listing(out)
+        assert sorted(landed) == ["config.txt", "keep.txt", "report.csv", "report.txt"]
+        assert landed["keep.txt"] == old["keep.txt"]
+        assert landed["report.txt"] != old["report.txt"] and landed["report.csv"] != old["report.csv"]
+        assert not hidden_dirs(tmp_path)
+
+    def test_failed_label_leaves_previous_labels(self, tmp_path, monkeypatch, capsys):
+        make_training_data(tmp_path)
+        before = listing(tmp_path)
+
+        def partial(path, ids, labels):
+            with open(path, "w", newline="") as fh:
+                fh.write("id,label\r\ns000")
+            raise OSError(f"disk full: {path}")
+
+        monkeypatch.setattr(cli, "write_labels", partial)
+        args = ("--events", tmp_path / "events.csv", "--samples", tmp_path / "samples.csv")
+        assert run_cli("label", *args, "--out", tmp_path / "labels.csv") == 2
+        assert run_cli("label", *args, "--out", tmp_path / "new" / "labels.csv") == 2
+        assert "data error: disk full" in capsys.readouterr().err
+        assert listing(tmp_path) == before and not (tmp_path / "new").exists()
+        assert not hidden_dirs(tmp_path)
+
+    def test_label_makes_a_missing_parent(self, tmp_path):
+        make_training_data(tmp_path)
+        out = tmp_path / "a" / "b" / "labels.csv"
+        assert run_cli("label", "--events", tmp_path / "events.csv", "--samples", tmp_path / "samples.csv", "--out", out) == 0
+        assert out.read_bytes() == (tmp_path / "labels.csv").read_bytes()
+        assert [p.name for p in out.parent.iterdir()] == ["labels.csv"]
+
+    @pytest.mark.parametrize("command", ["gen-data", "eval", "train", "label"])
+    def test_target_under_a_file_exits_2_naming_it(self, tmp_path, capsys, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")  # a regular file where a directory should go
+        target = blocker / "sub"
+        make_training_data(tmp_path / "data")
+        data = tmp_path / "data"
+        before = listing(tmp_path)
+        args = {
+            "gen-data": ("--n", 5, "--out-dir", target),
+            "eval": ("--preds", data / "labels.csv", "--labels", data / "labels.csv", "--out-dir", target),
+            "train": ("--data-dir", data, "--out-dir", target, "--set", "epochs=1", "--set", "warmup_epochs=0"),
+            "label": ("--events", data / "events.csv", "--samples", data / "samples.csv", "--out", target / "l.csv"),
+        }[command]
+        assert run_cli(command, *args) == 2
+        assert f"data error: output directory {target} is not writable: " in capsys.readouterr().err
+        assert listing(tmp_path) == before and not hidden_dirs(tmp_path)
+
+    def test_files_land_from_inside_the_target_config_last(self, tmp_path, monkeypatch):
+        real, moves = os.replace, []
+
+        def spy(src, dst):
+            moves.append((Path(src).parent, Path(dst)))
+            real(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", spy)
+        out = tmp_path / "data"
+        assert run_cli("gen-data", "--n", 20, "--out-dir", out) == 0
+        assert [dst for _, dst in moves] == [out / "events.csv", out / "samples.csv", out / "config.txt"]
+        (hidden,) = {src for src, _ in moves}
+        assert hidden.parent == out and hidden.name.startswith(".flarecast-")
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt", "events.csv", "samples.csv"]
+
+    def test_killed_command_leaves_only_a_hidden_directory(self, tmp_path):
+        """A SIGKILL after samples.csv is written, before events.csv: no visible file, partial or whole."""
+        code = (
+            "import os, signal, sys, flarecast.cli as cli\n"
+            "cli.write_events = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "cli.main(['gen-data', '--n', '50', '--out-dir', sys.argv[1]])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], env=env, capture_output=True)
+        assert proc.returncode == -9, proc.stderr
+        (hidden,) = (tmp_path / "out").iterdir()
+        assert hidden.name.startswith(".flarecast-") and [p.name for p in hidden.iterdir()] == ["samples.csv"]
+
+
 def table_bytes(path):
     table = read_samples(path)
     return sum(c.nbytes for c in (table.ids, table.times, table.mask, table.features, table.labels))

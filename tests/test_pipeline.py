@@ -51,6 +51,7 @@ from oracles import (
     read_events_rows,
     read_id_classes_rows,
     read_samples_rows,
+    select_rows,
     write_samples_rows,
 )
 
@@ -211,10 +212,10 @@ class TestChannelPolicy:
 class TestAdoptedColumns:
     """Tables the library builds hold the arrays it has just built, frozen like any other."""
 
-    def test_read_samples_and_take_frozen_and_unshared(self, tmp_path):
+    def test_read_samples_and_selected_rows_frozen_and_unshared(self, tmp_path):
         write_samples(tmp_path / "samples.csv", gen_synthetic(50, [0.4, 0.3, 0.2, 0.1], seed=1, feature_dim=3))
         table = read_samples(tmp_path / "samples.csv")
-        for sub in (table.take(np.array([7, 2, 9])), table.take(table.ids != "s01")):
+        for sub in (select_rows(table, np.array([7, 2, 9])), select_rows(table, table.ids != "s01")):
             for column, source in zip(table_columns(sub), table_columns(table)):
                 assert not column.flags.writeable and not source.flags.writeable
                 assert not np.shares_memory(column, source)
@@ -617,6 +618,21 @@ class TestStampCodec:
             write_events(path, times, [1] * len(times))
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "times, shown",
+        [
+            (np.array([0, "NaT"], "datetime64[s]"), "NaT"),
+            (np.array([0, -(2**63)], np.int64), str(-(2**63))),  # NaT as a datetime64
+        ],
+        ids=["datetime64-nat", "int64-nat"],
+    )
+    def test_events_nat_time_rejected(self, tmp_path, times, shown):
+        # Written as the stamp 'NaTZ', which read_events then rejected.
+        path = tmp_path / "events.csv"
+        with pytest.raises(ValueError, match=rf"peak time {shown} cannot be written: NaT"):
+            write_events(path, times, [1, 2])
+        assert not path.exists()
+
     def test_events_datetime64_times_written_like_microseconds(self, tmp_path):
         us = 10**6 * np.array([0, 3_600, -86_400 * 365], dtype=np.int64) + np.array([0, 0, 5])
         for times in (us, us.astype("datetime64[us]"), us.astype("datetime64[us]").astype("datetime64[ns]")):
@@ -733,11 +749,13 @@ class TestArrayFormsMatchOracles:
         table = SampleTable([f"s{i}" for i in range(n)], grid_seconds(T0) + 7200 * np.arange(n), masks, feats)
 
         got, got_excluded = apply_channel_policy(table, labels, order)
-        want, want_excluded = apply_channel_policy(dataclasses.replace(table, labels=labels).take(order))
+        want, want_excluded = apply_channel_policy(select_rows(dataclasses.replace(table, labels=labels), order))
         assert got_excluded == want_excluded
+        # A table kept whole, in order and with no channel missing, shares its columns (test_unchanged_table_...).
+        unchanged = got_excluded == 0 and (order == np.arange(n)).all() and masks.all()
         for g, w in zip(table_columns(got), table_columns(want)):
             assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
-            assert not g.flags.writeable and not any(np.shares_memory(g, c) for c in table_columns(table))
+            assert not g.flags.writeable and (unchanged or not any(np.shares_memory(g, c) for c in table_columns(table)))
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(data=st.data(), n=st.integers(1, 15), dim=st.integers(1, 6))
