@@ -49,7 +49,7 @@ from .pipeline import (
     write_labels,
     write_samples,
 )
-from .trainer import TrainConfig, evaluate_fold, require_all_classes, save_checkpoint, train, write_history
+from .trainer import TrainConfig, evaluate_fold, save_checkpoint, train, write_history
 
 GRADCHECK_TOL_FD = 1e-6
 GRADCHECK_TOL_IDENTITY = 1e-10
@@ -68,18 +68,13 @@ class _Parser(argparse.ArgumentParser):
 # Config handling
 # ---------------------------------------------------------------------------
 
-# Fields that are not configuration keys: the cycle has its own keys, and
-# explicit split sizes are for library callers only.
-NOT_KEYS = ("cycle", "sizes")
-
-
 def _config_items(cfg: TrainConfig, split: SplitSpec, fold_index: int) -> List[Tuple[str, object]]:
     """Every configuration key with its value: the fields of TrainConfig, its
     CycleConfig and SplitSpec, plus the fold index. The keys are the ones config
     files and --set accept; the items are ``train``'s ``config.txt``, which fed
     back through --config or --set rebuilds the same configuration."""
     items = [(f.name, getattr(obj, f.name)) for obj in (cfg, cfg.cycle, split) for f in fields(obj)]
-    return [(key, value) for key, value in items if key not in NOT_KEYS] + [("fold", fold_index)]
+    return [(key, value) for key, value in items if key != "cycle"] + [("fold", fold_index)]
 
 
 def parse_config_file(path) -> Dict[str, str]:
@@ -174,8 +169,9 @@ def _write_config(out_dir: Path, items: Iterable[Tuple[str, object]]) -> str:
 def _landing(target: Path) -> Iterator[Path]:
     """A hidden ``.flarecast-*`` directory inside ``target`` (made if missing) for a command to write its files into.
     When the body returns, each file moves into ``target`` by rename, ``config.txt`` last, replacing a file of the same
-    name and leaving the others. When it raises, the hidden directory goes, and so does each directory made here, so
-    that ``target`` is left as it was. OSError names ``target`` if it or the hidden directory cannot be made."""
+    name and leaving the others; none moves if ``target`` holds a directory of a file's name (IsADirectoryError). When
+    it raises, the hidden directory goes, and so does each directory made here, so that ``target`` is left as it was.
+    OSError names ``target`` if it or the hidden directory cannot be made."""
     made = [path for path in (target, *target.parents) if not path.exists()]  # deepest first
     try:
         try:
@@ -185,6 +181,8 @@ def _landing(target: Path) -> Iterator[Path]:
             raise OSError(f"output directory {target} is not writable: {exc}") from None
         with hidden as staging:
             yield Path(staging)
+            if clash := sorted(name for name in os.listdir(staging) if (target / name).is_dir()):
+                raise IsADirectoryError(f"output directory {target} holds a directory named {clash[0]}")
             for name in sorted(os.listdir(staging), key=lambda name: (name == "config.txt", name)):
                 os.replace(os.path.join(staging, name), target / name)
     except BaseException:
@@ -263,7 +261,6 @@ def cmd_train(args) -> int:
     fold = split_timeseries(table, split_spec)[fold_index]
     features, times, labels = table.features, table.times, table.labels
     del table  # with it go the ids and the mask, which nothing below reads
-    require_all_classes(labels, test=fold.test)
     result = train(features, times, labels, fold, cfg)
 
     with _landing(Path(args.out_dir)) as staging:

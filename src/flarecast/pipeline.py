@@ -66,11 +66,12 @@ DEFAULT_HORIZON_HOURS = 72.0
 # Exclusion threshold: "at least 25%" of 10 channels is 3 or more missing.
 MAX_MISSING_CHANNELS = 2
 
-# Split sizes documented for the reference full-scale configuration
-# (train, validation, test of its first fold over 47,895 samples).
-REFERENCE_SPLIT_SIZES = (31_085, 4_107, 8_386)
+DEFAULT_START_TIME = datetime(2011, 6, 1, 0, 0, tzinfo=timezone.utc)  # gen_synthetic's first sample time
+CLASS_SEPARATION = 1.2  # gen_synthetic's step between the feature means of adjacent classes
+EVENT_OFFSET_HOURS = 36  # how long after its sample an event of events_for_samples peaks
 
-DEFAULT_START_TIME = datetime(2011, 6, 1, 0, 0, tzinfo=timezone.utc)
+_BANNED = b'"\x00\x1c\x1d\x1e\x1f'  # in no CSV field: none is quoted, and np.loadtxt strips the rest around a number
+_OUT_OF_DIALECT = re.compile(b"[" + re.escape(_BANNED) + rb"]|\r(?!\n)")  # or a CR not before its LF
 
 # Rows per string that a writer builds and writes at once (see _write_csv), and per stamp decode.
 _WRITE_BLOCK_ROWS = 4096
@@ -157,30 +158,24 @@ class Fold:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Chronological cross-validation layout.
+    """Chronological cross-validation layout; there is no other.
 
     Fold f (1-based) spans the first ``n * f / fold_count`` samples and is
     partitioned by the train/validation/test fractions, so later folds extend
-    the training range (expanding window). ``sizes`` overrides the fractions
-    with explicit fold-1 (train, validation, test) counts; successive folds
-    then shift the evaluation window forward by its own length.
+    the training range (expanding window).
     """
 
     fold_count: int = 3
     train_frac: float = 0.6
     val_frac: float = 0.2
     test_frac: float = 0.2
-    sizes: Optional[Tuple[int, int, int]] = None
 
     def __post_init__(self) -> None:
         if self.fold_count < 1:
             raise ValueError("fold_count must be positive")
-        if self.sizes is None:
-            fracs = (self.train_frac, self.val_frac, self.test_frac)
-            if not all(0.0 < f <= 1.0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:  # NaN fails the first
-                raise ValueError("train/val/test fractions must be positive and sum to 1")
-        elif any(v < 1 for v in self.sizes):
-            raise ValueError("explicit split sizes must be positive")
+        fracs = (self.train_frac, self.val_frac, self.test_frac)
+        if not all(0.0 < f <= 1.0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:  # NaN fails the first
+            raise ValueError("train/val/test fractions must be positive and sum to 1")
 
 
 def split_timeseries(table: SampleTable, spec: SplitSpec) -> List[Fold]:
@@ -201,18 +196,9 @@ def split_timeseries(table: SampleTable, spec: SplitSpec) -> List[Fold]:
         raise ValueError("samples must be sorted chronologically")
     folds = []
     for f in range(1, spec.fold_count + 1):
-        if spec.sizes is not None:
-            n_train, n_val, n_test = spec.sizes
-            start = n_train + (f - 1) * (n_val + n_test)
-            bounds = (start, start + n_val, start + n_val + n_test)
-        else:
-            span = (n * f) // spec.fold_count
-            bounds = (
-                int(spec.train_frac * span + 1e-9),
-                int((spec.train_frac + spec.val_frac) * span + 1e-9),
-                span,
-            )
-        t_end, v_end, s_end = bounds
+        s_end = (n * f) // spec.fold_count
+        t_end = int(spec.train_frac * s_end + 1e-9)
+        v_end = int((spec.train_frac + spec.val_frac) * s_end + 1e-9)
         if not (0 < t_end < v_end < s_end <= n):
             raise ValueError(f"too few samples ({n}) for {spec.fold_count} folds")
         folds.append(Fold(range(0, t_end), range(t_end, v_end), range(v_end, s_end)))
@@ -230,22 +216,16 @@ def _stratified_counts(n: int, probs: np.ndarray) -> np.ndarray:
 
 
 def gen_synthetic(
-    n: int,
-    class_probs: Sequence[float],
-    seed: int,
-    feature_dim: int,
-    spacing_steps: int = 1,
-    start: datetime = DEFAULT_START_TIME,
-    separation: float = 1.2,
+    n: int, class_probs: Sequence[float], seed: int, feature_dim: int, spacing_steps: int = 1
 ) -> SampleTable:
     """Deterministic labeled samples with class-conditional Gaussian features.
 
     Class counts follow the target probabilities exactly (largest-remainder
     rounding), so ``n=4`` with a uniform target yields one sample per class.
-    Features are unit-variance Gaussians whose means step by ``separation``
+    Features are unit-variance Gaussians whose means step by CLASS_SEPARATION
     along a shared direction per class rank: adjacent classes overlap, so the
-    task is learnable but not trivial. Timestamps advance ``spacing_steps``
-    two-hour grid steps per sample; all channels are present.
+    task is learnable but not trivial. Timestamps start at DEFAULT_START_TIME and
+    advance ``spacing_steps`` two-hour grid steps per sample; all channels are present.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -262,10 +242,10 @@ def gen_synthetic(
     rng.shuffle(ranks)
     direction = np.ones(feature_dim) / np.sqrt(feature_dim)
     feats = rng.standard_normal((n, feature_dim))
-    feats += (ranks[:, None] - 1.5) * separation * direction
+    feats += (ranks[:, None] - 1.5) * CLASS_SEPARATION * direction
     return SampleTable._adopt(
         ids=_sample_ids(n),
-        times=grid_seconds(start) + np.arange(n, dtype=np.int64) * (GRID_SECONDS * spacing_steps),
+        times=grid_seconds(DEFAULT_START_TIME) + np.arange(n, dtype=np.int64) * (GRID_SECONDS * spacing_steps),
         mask=np.ones((n, N_CHANNELS), dtype=bool),
         features=feats,
         labels=ranks,
@@ -281,8 +261,8 @@ def _sample_ids(n: int) -> np.ndarray:
     return codes.view(f"U{width + 1}").ravel()
 
 
-def events_for_samples(table: SampleTable, offset_hours: float = 36.0) -> Tuple[np.ndarray, np.ndarray]:
-    """One event per row of class C or above, peaking ``offset_hours`` after
+def events_for_samples(table: SampleTable) -> Tuple[np.ndarray, np.ndarray]:
+    """One event per row of class C or above, peaking EVENT_OFFSET_HOURS after
     it, as ``(peak_us, ranks)`` columns in table order.
 
     With samples spaced more than the labeling horizon apart the windows do
@@ -290,7 +270,7 @@ def events_for_samples(table: SampleTable, offset_hours: float = 36.0) -> Tuple[
     table's own labels exactly.
     """
     flaring = table.labels > FlareClass.O
-    return table.times[flaring] * 1_000_000 + timedelta(hours=offset_hours) // MICROSECOND, table.labels[flaring]
+    return table.times[flaring] * 1_000_000 + EVENT_OFFSET_HOURS * 3_600_000_000, table.labels[flaring]
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +405,8 @@ def _in_order(func, items: Sequence, processes: int):
 
 def _fields(line: bytes) -> List[str]:
     """The fields of one line of CSV text, decoded as open() does, without its line end; ValueError at a byte out of
-    dialect: ``"`` (no field is quoted), NUL, \\x1c-\\x1f (np.loadtxt strips those around a number) or a lone CR."""
-    if bad := re.search(rb'["\x00\x1c-\x1f]|\r(?!\n)', line):
+    dialect (see _BANNED)."""
+    if bad := _OUT_OF_DIALECT.search(line):
         raise ValueError(f"{bad.group().decode()!r} is not allowed: CSV files hold no quote, NUL, \\x1c-\\x1f or lone CR")
     return line.decode(locale.getpreferredencoding(False)).removesuffix("\n").removesuffix("\r").split(",")
 
@@ -487,7 +467,7 @@ def _read_csv(path, check, *headers: List[str], more: str = "", keyed: bool = Tr
 
     def parse(span: Tuple[int, int]):
         data, fault = read(*span), None
-        if not (any(map(data.__contains__, b'"\x00\x1c\x1d\x1e\x1f')) or re.search(rb"\r(?!\n)", data)):
+        if not (any(map(data.__contains__, _BANNED)) or re.search(rb"\r(?!\n)", data)):  # per-byte scans beat one regex
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # a range of blank lines
@@ -527,11 +507,13 @@ def _read_csv(path, check, *headers: List[str], more: str = "", keyed: bool = Tr
 def _write_csv(path, header: List[str], n: int, rows, row_bytes: int, ids=()) -> None:
     """Write a CSV file as csv.writer would, with CRLF line ends: ``header``, then the fields ``rows(block)`` gives
     for each _WRITE_BLOCK_ROWS of ``n`` rows, one string a block, built by forked workers when ``n * row_bytes`` bytes
-    of text are worth them (see :func:`_processes`). First, ValueError names the first of ``ids`` that no CSV file
-    holds (see :func:`_fields`) or that a reader's strip changes, so that no file is left."""
-    banned = ',"\r\n\x00\x1c\x1d\x1e\x1f'
+    of text are worth them (see :func:`_processes`). First, so that no file is left, ValueError names the first of
+    ``ids`` that no CSV file holds (see :func:`_fields`) or that a reader's strip changes, and UnicodeEncodeError (a
+    ValueError) meets one that open()'s encoding cannot write, such as a lone surrogate in UTF-8."""
+    banned = ",\r\n" + _BANNED.decode()
     for lo in range(0, len(ids), _WRITE_BLOCK_ROWS):
         block = ids[lo : lo + _WRITE_BLOCK_ROWS].tolist()
+        "".join(block).encode(locale.getpreferredencoding(False))  # as open() encodes
         stripped = list(map(str.strip, block))  # as every reader strips ids
         if ids.itemsize > 4 * MAX_ID_CHARS or stripped != block or any(map("".join(block).__contains__, banned)):
             for sid in block:

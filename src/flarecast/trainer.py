@@ -37,7 +37,6 @@ __all__ = [
     "init_params",
     "forward",
     "adamw_step",
-    "require_all_classes",
     "train",
     "evaluate_fold",
     "write_history",
@@ -253,12 +252,11 @@ def _verify_first_batch(x, phis, params, grads, cfg, y_rows, sample_w, ib_active
         raise RuntimeError(f"diverged: gradient verification failed (relative error {worst:.3e})")
 
 
-def require_all_classes(labels: np.ndarray, **ranges: Sequence[int]) -> None:
-    """Raise ValueError naming the first range (by keyword) whose labels (class ranks) miss a class."""
-    for name, idx in ranges.items():
+def _require_all_classes(labels: np.ndarray, fold: Fold) -> None:
+    """Raise ValueError naming the first of the fold's training, validation and test ranges that lacks a class."""
+    for name, idx in (("training", fold.train), ("validation", fold.validation), ("test", fold.test)):
         counts = np.bincount(labels[_rows(idx)], minlength=N_CLASSES)
-        missing = [FlareClass(c).name for c in range(N_CLASSES) if counts[c] == 0]
-        if missing:
+        if missing := [FlareClass(c).name for c in range(N_CLASSES) if counts[c] == 0]:
             raise ValueError(f"degenerate split: {name} range is missing class(es) {', '.join(missing)}")
 
 
@@ -273,17 +271,17 @@ def train(features: np.ndarray, times: np.ndarray, labels: np.ndarray, fold: Fol
     Raises
     ------
     ValueError
-        If the columns are not aligned, a row is unlabeled, or the train or
-        validation range is missing a flare class.
+        If the columns are not aligned, a row is unlabeled, or the training, validation
+        or test range (checked in that order, before anything is set up) lacks a class.
     RuntimeError
         On numerical divergence.
     """
     _check_rows(features, times, labels)
     if np.any(labels < 0):
         raise ValueError("all samples must be labeled for training")
+    _require_all_classes(labels, fold)
     phis_all = _phis(times, cfg)
     train_idx = np.arange(fold.train.start, fold.train.stop, fold.train.step)
-    require_all_classes(labels, training=fold.train, validation=fold.validation)
 
     counts = np.bincount(labels[train_idx], minlength=N_CLASSES)
     weights = class_weights(counts) if cfg.use_class_weights else ClassWeights.uniform()

@@ -794,6 +794,18 @@ class TestLanding:
         assert f"data error: output directory {target} is not writable: " in capsys.readouterr().err
         assert listing(tmp_path) == before and not hidden_dirs(tmp_path)
 
+    def test_directory_of_an_output_name_lands_no_file(self, tmp_path, capsys):
+        """A directory where gen-data's samples.csv would land: the check comes before the first move, so not even
+        events.csv, which sorts before it, lands."""
+        out = tmp_path / "t"
+        (out / "samples.csv").mkdir(parents=True)
+        (out / "samples.csv" / "mine.txt").write_text("mine\n")
+        before = sorted(tmp_path.rglob("*")), listing(tmp_path)
+        assert run_cli("gen-data", "--n", 20, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert f"data error: output directory {out} holds a directory named samples.csv" in err and ".flarecast-" not in err
+        assert (sorted(tmp_path.rglob("*")), listing(tmp_path)) == before
+
     def test_files_land_from_inside_the_target_config_last(self, tmp_path, monkeypatch):
         real, moves = os.replace, []
 

@@ -31,7 +31,6 @@ from flarecast.core import EPOCH, MICROSECOND, grid_seconds
 from flarecast.pipeline import (
     DEFAULT_START_TIME,
     DataFileError,
-    REFERENCE_SPLIT_SIZES,
     events_for_samples,
     match_ids,
     read_events,
@@ -246,11 +245,6 @@ class TestSplitTimeseries:
             assert train.stop >= prev_train_end
             prev_train_end = train.stop
         assert folds[0].train.stop < folds[1].train.stop < folds[2].train.stop
-
-    def test_reference_sizes_expressible(self):
-        spec = SplitSpec(fold_count=1, sizes=REFERENCE_SPLIT_SIZES)
-        fold = split_timeseries(make_table(range(47_895), features=np.zeros((47_895, 10))), spec)[0]
-        assert (len(fold.train), len(fold.validation), len(fold.test)) == REFERENCE_SPLIT_SIZES
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="too few samples"):
@@ -547,6 +541,41 @@ class TestCsvFormats:
         )
         with pytest.raises(DataFileError, match=r"samples\.csv:3: duplicate id 'a'"):
             read_samples(path)
+
+
+class TestRoundTrip:
+    """A writer and its reader are inverses: what the writer accepts, the reader gives back unchanged, and what
+    it refuses, it refuses with ValueError before the file exists."""
+
+    # Edge ids: 1, 255-257 characters, non-ASCII, outer whitespace (NBSP and the ideographic space among it), bytes
+    # out of the one dialect, a trailing NUL and a lone surrogate, which UTF-8 cannot encode.
+    edge = list(' \xa0\u3000\t\x0b\x85\u2028"\r\n\x00\x1c\x1f,é\U0001f600\ud800')
+    chars = st.characters() | st.sampled_from(edge)
+    pad = st.sampled_from(["", " ", "\xa0", "\u3000", "\t"])
+    ids = (
+        st.text(chars, max_size=6)
+        | st.builds(str.__mul__, st.sampled_from(["a", "é", "\U0001f600"]), st.sampled_from([1, 255, 256, 257]))
+        | st.builds(lambda a, core, b: a + core + b, pad, st.text(chars, min_size=1, max_size=4), pad)
+        | st.text(chars, max_size=4).map(lambda sid: sid + "\x00")
+    )
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        ids=st.lists(ids, min_size=1, max_size=4, unique=True),
+        ranks=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+        bad_rank=st.none() | st.sampled_from([-1, 4, 127, -128, 2**63 - 1, -(2**63)]),
+    )
+    def test_labels(self, tmp_path_factory, ids, ranks, bad_rank):
+        """Ids include every edge value above; ranks are 0..3, but for one out of range in some examples."""
+        path = tmp_path_factory.mktemp("labels") / "labels.csv"
+        ranks = (([] if bad_rank is None else [bad_rank]) + ranks)[: len(ids)]
+        try:
+            write_labels(path, ids, ranks)
+        except ValueError:
+            assert not path.exists()
+            return
+        got_ids, got_ranks = read_labels(path)
+        assert got_ids.tolist() == ids and got_ranks.tolist() == ranks
 
 
 class TestStampCodec:

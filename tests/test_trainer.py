@@ -433,6 +433,20 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="degenerate split.*X"):
             train(*columns(samples), fold, small_config(epochs=1, warmup_epochs=0))
 
+    @pytest.mark.parametrize("first", ["training", "validation", "test"])
+    def test_each_range_lacking_a_class_rejected_before_set_up(self, monkeypatch, first):
+        """train checks the fold's training, validation and test ranges, in that order, before it sets up anything:
+        X is missing from the range ``first`` and from every range after it, and the error names ``first``."""
+        import flarecast.trainer as trainer_mod
+
+        monkeypatch.setattr(trainer_mod, "init_params", lambda *args: pytest.fail("parameters initialised"))
+        samples = small_dataset(60, feature_dim=3)
+        fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
+        lacking = {"training": fold.train, "validation": fold.validation, "test": fold.test}[first].start
+        labels = np.where(np.arange(60) < lacking, np.arange(60) % 4, np.arange(60) % 3)
+        with pytest.raises(ValueError, match=rf"^degenerate split: {first} range is missing class\(es\) X$"):
+            train(samples.features, samples.times, labels, fold, small_config(epochs=1, warmup_epochs=0))
+
     @pytest.mark.parametrize("cut", ["features", "times", "labels"])
     def test_misaligned_columns_rejected(self, cut):
         samples = small_dataset(80, feature_dim=3)
