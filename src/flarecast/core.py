@@ -19,11 +19,11 @@ import numpy as np
 N_CLASSES = 4
 
 SAMPLE_CADENCE_HOURS = 2.0
-GRID_SECONDS = int(SAMPLE_CADENCE_HOURS * 3600)
 N_CHANNELS = 10
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 MICROSECOND = timedelta(microseconds=1)
+GRID_US = timedelta(hours=SAMPLE_CADENCE_HOURS) // MICROSECOND  # the sample grid's step
 
 
 class FlareClass(IntEnum):
@@ -63,14 +63,21 @@ def _climatology(values) -> np.ndarray:
     return _frozen(p)
 
 
-def grid_seconds(t: datetime) -> int:
-    """UTC epoch seconds of ``t``; ValueError if it is naive or off the 2-hour grid (sub-seconds count)."""
+def grid_us(t: datetime) -> int:
+    """UTC epoch microseconds of ``t``; ValueError if it is naive or off the 2-hour grid."""
     if t.tzinfo is None:
         raise ValueError(f"timestamp must be UTC: {t!r}")
     us = (t - EPOCH) // MICROSECOND
-    if us % (GRID_SECONDS * 1_000_000):
+    if us % GRID_US:
         raise ValueError(f"timestamp not aligned to the {SAMPLE_CADENCE_HOURS:g}-hour grid: {t.isoformat()}")
-    return us // 1_000_000
+    return us
+
+
+def _check_grid(times) -> None:
+    """ValueError unless each of ``times`` is on the 2-hour grid of UTC epoch microseconds (one in seconds is not)."""
+    if np.any(np.asarray(times) % GRID_US):
+        why = "grid of UTC epoch microseconds; multiply times in seconds by 10**6"
+        raise ValueError(f"timestamp not aligned to the {SAMPLE_CADENCE_HOURS:g}-hour {why}")
 
 
 def _str_ids(ids, convert=np.array) -> np.ndarray:
@@ -86,7 +93,7 @@ def _str_ids(ids, convert=np.array) -> np.ndarray:
 class SampleTable:
     """Observation instants as aligned columns, one row per instant.
 
-    ``ids`` (str), ``times`` (int64 UTC epoch seconds on the 2-hour grid),
+    ``ids`` (str), ``times`` (int64 UTC epoch microseconds on the 2-hour grid),
     ``mask`` (bool ``(n, 10)`` channel presence), ``features`` (float64
     ``(n, D)``) and ``labels`` (int8 class rank, -1 for unlabeled; all -1
     when omitted). Construction checks that the columns are aligned and
@@ -116,8 +123,7 @@ class SampleTable:
             raise ValueError("sample columns must be aligned: one entry per id")
         if columns["features"].ndim != 2 or columns["mask"].shape != (n, N_CHANNELS):
             raise ValueError(f"features must be 2-d and the mask must have {N_CHANNELS} channels per row")
-        if np.any(columns["times"] % GRID_SECONDS):
-            raise ValueError(f"timestamp not aligned to the {SAMPLE_CADENCE_HOURS:g}-hour grid")
+        _check_grid(columns["times"])
         for name, column in columns.items():
             object.__setattr__(self, name, _frozen(column))
 

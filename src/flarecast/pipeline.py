@@ -32,14 +32,14 @@ import numpy as np
 
 from .core import (
     EPOCH,
-    GRID_SECONDS,
+    GRID_US,
     MICROSECOND,
     N_CHANNELS,
     N_CLASSES,
     FlareClass,
     SampleTable,
     _str_ids,
-    grid_seconds,
+    grid_us,
 )
 
 __all__ = [
@@ -69,6 +69,10 @@ MAX_MISSING_CHANNELS = 2
 DEFAULT_START_TIME = datetime(2011, 6, 1, 0, 0, tzinfo=timezone.utc)  # gen_synthetic's first sample time
 CLASS_SEPARATION = 1.2  # gen_synthetic's step between the feature means of adjacent classes
 EVENT_OFFSET_HOURS = 36  # how long after its sample an event of events_for_samples peaks
+_EVENT_OFFSET_US = timedelta(hours=EVENT_OFFSET_HOURS) // MICROSECOND
+
+# The times a stamp holds, datetime's, in UTC epoch microseconds: 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59.999999Z
+_FIRST_US, _LAST_US = ((t.replace(tzinfo=timezone.utc) - EPOCH) // MICROSECOND for t in (datetime.min, datetime.max))
 
 _BANNED = b'"\x00\x1c\x1d\x1e\x1f'  # in no CSV field: none is quoted, and np.loadtxt strips the rest around a number
 _OUT_OF_DIALECT = re.compile(b"[" + re.escape(_BANNED) + rb"]|\r(?!\n)")  # or a CR not before its LF
@@ -103,20 +107,19 @@ def _horizon_us(horizon_hours: float) -> int:
 def label_samples(table: SampleTable, peak_us, ranks, horizon_hours: float = DEFAULT_HORIZON_HOURS) -> np.ndarray:
     """Largest class of the events peaking inside ``(t, t + horizon]``, for every row.
 
-    Events are aligned peak times (int64 UTC epoch microseconds) and class ranks,
-    in any order. An event peaking exactly at ``t`` is excluded, one peaking
-    exactly at ``t + horizon`` is included. Returns int8 class ranks, 0 (O)
-    where no event of class C or above peaks in the window. Times are compared
-    in integer microseconds, so fractional seconds in event times and in the
-    horizon keep their place relative to the boundaries.
+    Events are aligned peak times (int64 UTC epoch microseconds, as the table's
+    times are) and class ranks, in any order. An event peaking exactly at ``t``
+    is excluded, one peaking exactly at ``t + horizon`` is included. Returns int8
+    class ranks, 0 (O) where no event of class C or above peaks in the window.
+    Times are compared in integer microseconds, so fractional seconds in event
+    times and in the horizon keep their place relative to the boundaries.
     """
     window = _horizon_us(horizon_hours)
     ev_us, ev_cls = np.asarray(peak_us, dtype=np.int64), np.asarray(ranks, dtype=np.int8)
     order = np.argsort(ev_us, kind="stable")
     ev_us, ev_cls = ev_us[order], ev_cls[order]
-    t_us = table.times * 1_000_000
-    lo = np.searchsorted(ev_us, t_us, side="right")
-    hi = np.searchsorted(ev_us, t_us + window, side="right")
+    lo = np.searchsorted(ev_us, table.times, side="right")
+    hi = np.searchsorted(ev_us, table.times + window, side="right")
     # The window max is the number of thresholds (>= C, >= M, >= X) with an event inside.
     labels = np.zeros(len(table), dtype=np.int8)
     for c in range(1, N_CLASSES):
@@ -226,6 +229,7 @@ def gen_synthetic(
     along a shared direction per class rank: adjacent classes overlap, so the
     task is learnable but not trivial. Timestamps start at DEFAULT_START_TIME and
     advance ``spacing_steps`` two-hour grid steps per sample; all channels are present.
+    The last sample, and an event EVENT_OFFSET_HOURS after it, must fall by 9999-12-31T23:59:59.999999Z.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -233,6 +237,9 @@ def gen_synthetic(
         raise ValueError("feature_dim must be positive")
     if spacing_steps < 1:
         raise ValueError("spacing_steps must be at least 1")
+    start = grid_us(DEFAULT_START_TIME)  # in Python ints, so that nothing wraps round
+    if start + (int(n) - 1) * int(spacing_steps) * GRID_US + _EVENT_OFFSET_US > _LAST_US:
+        raise ValueError("n and spacing_steps put the last sample or its event after 9999-12-31T23:59:59.999999Z")
     probs = np.asarray(class_probs, dtype=float)
     if probs.shape != (N_CLASSES,) or not np.all(probs >= 0) or abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("class_probs must be 4 non-negative values summing to 1")
@@ -245,7 +252,7 @@ def gen_synthetic(
     feats += (ranks[:, None] - 1.5) * CLASS_SEPARATION * direction
     return SampleTable._adopt(
         ids=_sample_ids(n),
-        times=grid_seconds(DEFAULT_START_TIME) + np.arange(n, dtype=np.int64) * (GRID_SECONDS * spacing_steps),
+        times=start + np.arange(n, dtype=np.int64) * (GRID_US * spacing_steps),
         mask=np.ones((n, N_CHANNELS), dtype=bool),
         features=feats,
         labels=ranks,
@@ -270,7 +277,7 @@ def events_for_samples(table: SampleTable) -> Tuple[np.ndarray, np.ndarray]:
     table's own labels exactly.
     """
     flaring = table.labels > FlareClass.O
-    return table.times[flaring] * 1_000_000 + EVENT_OFFSET_HOURS * 3_600_000_000, table.labels[flaring]
+    return table.times[flaring] + _EVENT_OFFSET_US, table.labels[flaring]
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +537,28 @@ def _write_csv(path, header: List[str], n: int, rows, row_bytes: int, ids=()) ->
             fh.writelines(texts)
 
 
+def _stamp_times(times, name) -> np.ndarray:
+    """``times`` (int64 UTC epoch microseconds, or datetime64) as datetime64[us], which :func:`_encode_stamps` writes.
+    ValueError names (as ``name(i)``) the first that no stamp holds: one outside 0001-01-01T00:00:00Z ..
+    9999-12-31T23:59:59.999999Z, NaT (or int64 ``-2**63``) among them, or a datetime64 time that int64 microseconds do
+    not hold, one of a coarser unit that numpy's cast would wrap round or a fraction."""
+    given = np.asarray(times)
+    us = np.asarray(given, dtype="datetime64[us]" if given.dtype.kind == "M" else np.int64).view("datetime64[us]")
+    bad = (us.view(np.int64) < _FIRST_US) | (us.view(np.int64) > _LAST_US)
+    if given.dtype.kind == "M":
+        bad |= us.astype(given.dtype).view(np.int64) != given.view(np.int64)
+    if bad.any():
+        why = "NaT or outside 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59.999999Z, or int64 microseconds do not hold it"
+        raise ValueError(f"{name(int(bad.argmax()))} cannot be written: {why}")
+    return us
+
+
 def write_events(path, peak_us, ranks) -> None:
     """Write ``peak_time,class`` rows of at most 31 bytes, the times (int64 UTC epoch microseconds or datetime64) as
-    canonical stamps (see :func:`_encode_stamps`). Before the file is opened, ValueError names the first time that
-    no stamp holds: NaT (or int64 ``-2**63``, which is NaT as a datetime64), or a datetime64 time that microseconds
-    do not hold, one of a coarser unit that numpy's cast would wrap round or a fraction."""
-    given = np.asarray(peak_us)
-    peak_us, names = np.asarray(given, dtype="datetime64[us]"), _class_names(ranks)
-    wrapped = given.dtype.kind == "M" and peak_us.astype(given.dtype).view(np.int64) != given.view(np.int64)
-    if np.any(lost := np.isnat(peak_us) | wrapped):
-        raise ValueError(f"peak time {given[lost][0]} cannot be written: NaT, or int64 microseconds do not hold it")
+    canonical stamps (see :func:`_encode_stamps`). Before the file is opened, ValueError names the first time that no
+    stamp holds (see :func:`_stamp_times`)."""
+    given, names = np.asarray(peak_us), _class_names(ranks)
+    peak_us = _stamp_times(given, lambda i: f"peak time {given[i]}")
     _write_csv(path, ["peak_time", "class"], len(names), lambda b: zip(_encode_stamps(peak_us[b]), names[b]), 31)
 
 
@@ -557,12 +576,18 @@ def read_events(path) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def write_samples(path, table: SampleTable) -> None:
-    """Write ``id,timestamp,mask,f0..`` rows (see :func:`_write_csv`), each feature as its ``repr``."""
+    """Write ``id,timestamp,mask,f0..`` rows (see :func:`_write_csv`), each feature as its ``repr``. Before the file is
+    opened, ValueError names the id of the first row whose time no stamp holds (see :func:`_stamp_times`) or whose
+    features are not all finite, which read_samples would reject."""
+    times = _stamp_times(table.times, lambda i: f"time of id {str(table.ids[i])!r}")
+    finite = np.isfinite(table.features).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"features of id {str(table.ids[finite.argmin()])!r} cannot be written: they must be finite")
 
     def rows(block: slice):
         masks = (table.mask[block].astype(np.uint8) + ord("0")).view(f"S{N_CHANNELS}").ravel().astype(str).tolist()
         ids, feats = table.ids[block].tolist(), table.features[block].tolist()
-        stamps = _encode_stamps(table.times[block].astype("datetime64[s]"))
+        stamps = _encode_stamps(times[block])
         return ((sid, stamp, mask, *map(repr, f)) for sid, stamp, mask, f in zip(ids, stamps, masks, feats))
 
     dim = table.features.shape[1]  # a feature's repr and its comma take about 20 bytes
@@ -570,8 +595,8 @@ def write_samples(path, table: SampleTable) -> None:
 
 
 def _check_samples(texts: List[List[str]], features: np.ndarray) -> tuple:
-    """The ids, UTC epoch seconds, masks and finite features of ``samples.csv`` rows: canonical stamps on the grid
-    decoded at once (see :func:`_decode_stamps`), any other through _parse_time and core.grid_seconds."""
+    """The ids, UTC epoch microseconds, masks and finite features of ``samples.csv`` rows: canonical stamps on the
+    grid decoded at once (see :func:`_decode_stamps`), any other through _parse_time and core.grid_us."""
     ids, stamps, masks = texts
     masks = [m.strip() for m in masks]
     codes = np.array(masks, dtype=f"U{N_CHANNELS}").view(np.uint32).reshape(-1, N_CHANNELS)
@@ -580,9 +605,8 @@ def _check_samples(texts: List[List[str]], features: np.ndarray) -> tuple:
         i = int(bad.argmax())
         raise _RowFault(i, f"mask must be {N_CHANNELS} characters of 0/1, got {masks[i]!r}")
     ids = _id_column(ids)
-    us, canonical = _decode_stamps(stamps)
-    times, slow = us // 1_000_000, np.flatnonzero(~canonical | (us % (GRID_SECONDS * 1_000_000) != 0))
-    _fill(times, lambda s: grid_seconds(_parse_time(s)), stamps, slow)
+    times, canonical = _decode_stamps(stamps)
+    _fill(times, lambda s: grid_us(_parse_time(s)), stamps, np.flatnonzero(~canonical | (times % GRID_US != 0)))
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         i = int(finite.argmin())

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ClassWeights, FlareClass, N_CLASSES, class_weights
+from .core import ClassWeights, FlareClass, N_CLASSES, _check_grid, class_weights
 from .cycle import DEFAULT_CYCLE, CycleConfig, cycle_phases
 from .losses import LossBreakdown, batch_factors_arrays, flare_loss_arrays, gradient_error, softmax
 from .metrics import MetricReport, build_report
@@ -140,7 +140,7 @@ def forward(x: np.ndarray, phis: Optional[np.ndarray], params: Params):
 
 
 def _phis(times: np.ndarray, cfg: TrainConfig) -> Optional[np.ndarray]:
-    return cycle_phases(times * 1_000_000, cfg.cycle) if cfg.use_cycle_embedding else None
+    return cycle_phases(times, cfg.cycle) if cfg.use_cycle_embedding else None
 
 
 def _views(flat: np.ndarray, like: Params) -> Params:
@@ -262,7 +262,8 @@ def _require_all_classes(labels: np.ndarray, fold: Fold) -> None:
 
 def train(features: np.ndarray, times: np.ndarray, labels: np.ndarray, fold: Fold, cfg: TrainConfig) -> TrainResult:
     """Run the full training loop on one chronological fold of the rows of ``features`` (float64 ``(n, D)``),
-    with their ``times`` (int64 UTC epoch seconds) and class-rank ``labels``, such as a table's columns.
+    with their ``times`` (int64 UTC epoch microseconds on the 2-hour grid) and class-rank ``labels``, such as a
+    table's columns.
 
     Influence terms activate at ``epoch == warmup_epochs``; validation GMGS is
     computed every epoch and drives checkpoint selection (argmax, earliest on
@@ -271,8 +272,8 @@ def train(features: np.ndarray, times: np.ndarray, labels: np.ndarray, fold: Fol
     Raises
     ------
     ValueError
-        If the columns are not aligned, a row is unlabeled, or the training, validation
-        or test range (checked in that order, before anything is set up) lacks a class.
+        If the columns are not aligned, a time is off the grid (as one in seconds is), a row is unlabeled, or the
+        training, validation or test range (checked in that order, before anything is set up) lacks a class.
     RuntimeError
         On numerical divergence.
     """
@@ -349,6 +350,7 @@ def evaluate_fold(
 def _check_rows(features: np.ndarray, times: np.ndarray, labels: np.ndarray) -> None:
     if features.ndim != 2 or not len(features) == len(times) == len(labels):
         raise ValueError("features (2-d), times and labels must be aligned: one row per sample")
+    _check_grid(times)
 
 
 def _rows(idx):
@@ -392,7 +394,11 @@ def write_history(path, history: Sequence[EpochRecord]) -> None:
 
 def save_checkpoint(path, checkpoint: Checkpoint, config_text: str) -> None:
     """Plain-text parameter dump: versioned header, config hash (the first 16
-    hex digits of the sha256 of ``config_text``, the run's ``config.txt``), named arrays."""
+    hex digits of the sha256 of ``config_text``, the run's ``config.txt``), named arrays.
+    Before the file is opened, ValueError names an array that holds a non-finite
+    value: a NaN's payload does not survive ``repr``."""
+    if bad := [name for name in sorted(checkpoint.params) if not np.isfinite(checkpoint.params[name]).all()]:
+        raise ValueError(f"parameter array {bad[0]!r} cannot be written: its values must be finite")
     import hashlib  # here, so that a command that never hashes does not load OpenSSL
 
     lines = [

@@ -10,7 +10,7 @@ time, and the sample, event and id-class CSV files through ``csv.writer``
 and per-row reader loops. None of them import the code paths they verify beyond
 plain data containers (``DataFileError`` among them) and the softmax, with
 four exceptions: the CSV reader loops check the 2-hour grid with
-``core.grid_seconds``, whose message the readers share; the list forms
+``core.grid_us``, whose message the readers share; the list forms
 ``flare_loss``/``flare_loss_grad`` adapt ``(HeadState, y)`` pairs to the
 array kernel ``flarecast.losses.flare_loss_arrays``; ``forward_row`` reads
 one row through ``flarecast.trainer.forward`` with the phases of
@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import mpmath as mp
 import numpy as np
 
-from flarecast.core import EPOCH, N_CLASSES, ClassWeights, FlareClass, SampleTable, _frozen, class_weights, grid_seconds
+from flarecast.core import EPOCH, N_CLASSES, ClassWeights, FlareClass, SampleTable, _frozen, class_weights, grid_us
 from flarecast.losses import FACTOR_FLOOR, PROB_FLOOR, LossBreakdown, flare_loss_arrays, softmax
 from flarecast.metrics import build_report
 from flarecast.pipeline import DataFileError
@@ -230,7 +230,7 @@ def write_samples_rows(path, table):
         w = csv.writer(fh)
         w.writerow(["id", "timestamp", "mask"] + [f"f{i}" for i in range(table.features.shape[1])])
         for sid, t, mask, feats in zip(table.ids.tolist(), table.times.tolist(), table.mask.tolist(), table.features.tolist()):
-            stamp = (EPOCH + timedelta(seconds=t)).isoformat().replace("+00:00", "Z")
+            stamp = (EPOCH + timedelta(microseconds=t)).isoformat().replace("+00:00", "Z")
             w.writerow([sid, stamp, "".join("1" if b else "0" for b in mask)] + [repr(v) for v in feats])
 
 
@@ -305,7 +305,7 @@ def read_samples_rows(path) -> SampleTable:
             if len(mask) != 10 or set(mask) - {"0", "1"}:
                 raise ValueError(f"mask must be 10 characters of 0/1, got {mask!r}")
             ids.append(_new_id_row(row[0], line_no, seen))
-            times.append(grid_seconds(_parse_time_row(row[1])))
+            times.append(grid_us(_parse_time_row(row[1])))
             feats.append([_float_row(v) for v in row[3:]])
             masks.append([c == "1" for c in mask])
     features = np.array(feats, dtype=float).reshape(len(ids), len(header) - 3)

@@ -281,7 +281,7 @@ def test_criterion_9_pipeline_policies():
     assert np.array_equal(kept.features[1], [0, 0] + [1] * 8)
 
     first = select_rows(base, [0])
-    t0, hour = int(first.times[0]) * 10**6, 3600 * 10**6  # UTC epoch microseconds
+    t0, hour = int(first.times[0]), 3600 * 10**6  # UTC epoch microseconds
     assert label_samples(first, [t0 + 63 * hour], [FlareClass.X])[0] == FlareClass.X
     assert label_samples(first, [t0], [FlareClass.X])[0] == FlareClass.O
     assert label_samples(first, [t0 + 72 * hour], [FlareClass.X])[0] == FlareClass.X

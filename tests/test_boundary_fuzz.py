@@ -117,7 +117,7 @@ def check_label(d):
     """``label``'s output equals the row oracles' labeling of the same samples and events."""
     table = read_samples_rows(d / "samples.csv")
     peak_us, ranks = read_events_rows(d / "events.csv")
-    want = [int(label_max_class(EPOCH + timedelta(seconds=int(t)), peak_us, ranks)) for t in table.times.tolist()]
+    want = [int(label_max_class(EPOCH + timedelta(microseconds=int(t)), peak_us, ranks)) for t in table.times.tolist()]
     assert labels_rows(d / "out.csv") == (table.ids.tolist(), want)
 
 

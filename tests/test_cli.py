@@ -64,6 +64,14 @@ class TestGenData:
         assert run_cli("gen-data", "--n", 0, "--out-dir", tmp_path) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, spacing", [(40, 2_000_000), (3, 17_506_617), (2, 2**62)], ids=["spaced", "last-step", "wide"])
+    def test_times_after_year_9999_are_usage_error_leaving_nothing(self, tmp_path, capsys, n, spacing):
+        # --n 40 --spacing-steps 2000000 wrote events.csv with the stamp 10225-02-20T12:00:00Z, which label rejected.
+        out = tmp_path / "far"
+        assert run_cli("gen-data", "--n", n, "--spacing-steps", spacing, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert "the last sample or its event after 9999-12-31T23:59:59.999999Z" in err and not out.exists()
+
     def test_bad_class_probs_is_usage_error(self, tmp_path):
         assert run_cli("gen-data", "--n", 10, "--class-probs", "0.5,0.5", "--out-dir", tmp_path) == 1
 

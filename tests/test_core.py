@@ -14,7 +14,7 @@ from flarecast import (
     class_weights,
     gerrity_matrix,
 )
-from flarecast.core import grid_seconds
+from flarecast.core import grid_us
 
 from oracles import REFERENCE_CLASS_COUNTS, REFERENCE_CONFUSION, pairs_from_matrix, ranks_from_pairs
 
@@ -59,7 +59,7 @@ def table_at(*stamps, mask_width=10, features=None, labels=None):
     n = len(stamps)
     return SampleTable(
         [f"s{i}" for i in range(n)],
-        [grid_seconds(t) if isinstance(t, datetime) else t for t in stamps],
+        [grid_us(t) if isinstance(t, datetime) else t for t in stamps],
         np.ones((n, mask_width), dtype=bool),
         np.zeros((n, 4)) if features is None else features,
         labels,
@@ -69,13 +69,20 @@ def table_at(*stamps, mask_width=10, features=None, labels=None):
 class TestSample:
     def test_grid_alignment_enforced(self):
         with pytest.raises(ValueError, match="2-hour grid"):
-            grid_seconds(datetime(2020, 1, 1, 3, tzinfo=UTC))
+            grid_us(datetime(2020, 1, 1, 3, tzinfo=UTC))
         with pytest.raises(ValueError, match="2-hour grid"):
-            grid_seconds(datetime(2020, 1, 1, 4, 0, 0, 500_000, tzinfo=UTC))
+            grid_us(datetime(2020, 1, 1, 4, 0, 0, 500_000, tzinfo=UTC))
         with pytest.raises(ValueError, match="2-hour grid"):
-            table_at(grid_seconds(datetime(2020, 1, 1, tzinfo=UTC)) + 3600)
+            table_at(grid_us(datetime(2020, 1, 1, tzinfo=UTC)) + 3_600_000_000)
         table = table_at(datetime(2020, 1, 1, 4, tzinfo=UTC))
-        assert table.times[0] == datetime(2020, 1, 1, 4, tzinfo=UTC).timestamp()
+        assert table.times[0] == datetime(2020, 1, 1, 4, tzinfo=UTC).timestamp() * 10**6
+
+    def test_times_in_seconds_rejected(self):
+        # A table of UTC epoch seconds, the unit of sample times before they became microseconds, is off the grid.
+        seconds = int(datetime(2020, 1, 1, 4, tzinfo=UTC).timestamp())
+        with pytest.raises(ValueError, match=r"2-hour grid of UTC epoch microseconds; multiply times in seconds by 10\*\*6"):
+            table_at(seconds, seconds + 7200)
+        assert table_at(seconds * 10**6, (seconds + 7200) * 10**6).times.tolist() == [seconds * 10**6, (seconds + 7200) * 10**6]
 
     def test_mask_length_enforced(self):
         with pytest.raises(ValueError, match="10 channels"):
@@ -83,7 +90,7 @@ class TestSample:
 
     def test_naive_timestamp_rejected(self):
         with pytest.raises(ValueError, match="UTC"):
-            grid_seconds(datetime(2020, 1, 1))
+            grid_us(datetime(2020, 1, 1))
 
     def test_columns_must_align(self):
         t = datetime(2020, 1, 1, tzinfo=UTC)

@@ -3,6 +3,7 @@ and the CSV round trips."""
 
 import dataclasses
 import io
+import math
 import multiprocessing
 import os
 import signal
@@ -11,6 +12,7 @@ import tracemalloc
 import warnings
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -27,7 +29,7 @@ from flarecast import (
     split_timeseries,
 )
 from flarecast import pipeline
-from flarecast.core import EPOCH, MICROSECOND, grid_seconds
+from flarecast.core import EPOCH, GRID_US, MICROSECOND, grid_us
 from flarecast.pipeline import (
     DEFAULT_START_TIME,
     DataFileError,
@@ -41,6 +43,7 @@ from flarecast.pipeline import (
     write_labels,
     write_samples,
 )
+from flarecast.trainer import Checkpoint, load_checkpoint, save_checkpoint
 
 from oracles import (
     DIALECT,
@@ -79,7 +82,7 @@ def make_table(rows, labels=None, mask=(True,) * 10, features=None, step_hours=2
     feats = np.arange(10, dtype=float) + rows[:, None] if features is None else features
     return SampleTable(
         [f"s{i:03d}" for i in rows],
-        grid_seconds(start) + 3600 * step_hours * rows,
+        grid_us(start) + 3600 * 10**6 * step_hours * rows,
         np.tile(mask, (len(rows), 1)),
         feats,
         labels,
@@ -286,10 +289,20 @@ class TestGenSynthetic:
 
     def test_two_hour_grid_and_spacing(self):
         table = gen_synthetic(5, [0.25] * 4, seed=0, feature_dim=2, spacing_steps=37)
-        assert np.all(np.diff(table.times) == 74 * 3600)
-        assert table.times[0] == grid_seconds(DEFAULT_START_TIME)
+        assert np.all(np.diff(table.times) == 74 * 3600 * 10**6)
+        assert table.times[0] == grid_us(DEFAULT_START_TIME)
         assert list(table.ids) == ["s0", "s1", "s2", "s3", "s4"]
         assert table.mask.all()
+
+    def test_last_event_within_year_9999(self):
+        # The check runs in Python ints: a numpy spacing whose product wraps round int64 is refused too.
+        most = 35_013_234  # samples at spacing 1 whose last event peaks by 9999-12-31T23:59:59.999999Z
+        table = gen_synthetic(2, [0.0, 0.0, 0.0, 1.0], seed=0, feature_dim=1, spacing_steps=most - 1)
+        assert np.datetime_as_string(events_for_samples(table)[0][-1].astype("datetime64[us]")) == "9999-12-31T22:00:00.000000"
+        assert gen_synthetic(3, [0.25] * 4, seed=0, feature_dim=1, spacing_steps=(most - 1) // 2).times[-1] < table.times[-1]
+        for n, spacing in ((2, most), (3, most // 2), (3, np.int64(2**62))):  # no more than 3 rows, if the check fails
+            with pytest.raises(ValueError, match=r"last sample or its event after 9999-12-31T23:59:59\.999999Z$"):
+                gen_synthetic(n, [0.25] * 4, seed=0, feature_dim=1, spacing_steps=spacing)
 
     def test_classes_overlap_but_separate(self):
         table = gen_synthetic(4000, [0.25] * 4, seed=5, feature_dim=6)
@@ -522,7 +535,7 @@ class TestCsvFormats:
         path = tmp_path / "out.csv"
         with pytest.raises(ValueError, match="cannot be written") as info:
             if write == "samples":
-                write_samples(path, SampleTable(["a", sid], [0, 7200], np.ones((2, 10), bool), np.zeros((2, 1))))
+                write_samples(path, SampleTable(["a", sid], [0, GRID_US], np.ones((2, 10), bool), np.zeros((2, 1))))
             else:
                 write_labels(path, ["a", sid], [0, 1])
         assert repr(sid) in str(info.value) and not path.exists()
@@ -577,6 +590,126 @@ class TestRoundTrip:
         got_ids, got_ranks = read_labels(path)
         assert got_ids.tolist() == ids and got_ranks.tolist() == ranks
 
+    # The datetime range, which is the stamps' range, in UTC epoch microseconds, and its first and last grid steps.
+    lo_us = (datetime.min.replace(tzinfo=UTC) - EPOCH) // MICROSECOND
+    hi_us = (datetime.max.replace(tzinfo=UTC) - EPOCH) // MICROSECOND
+    first, last = -(-lo_us // GRID_US), hi_us // GRID_US
+    int64 = [-(2**63), 2**63 - 1]  # NaT as a datetime64, and the largest int64
+    # Edge floats: -0.0, subnormals, the normal minimum and both finite extremes; then the non-finite ones.
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+         -1.7976931348623157e308]
+    )
+    non_finite = [math.inf, -math.inf, math.nan, -math.nan]
+
+    # Sample times no stamp holds or off the grid: a grid step past either end of the stamp range, a grid time in
+    # seconds, the int64 extremes and the last grid steps inside them.
+    bad_times = [GRID_US * (first - 1), GRID_US * (last + 1), 1_303_430_400, *int64]
+    bad_times += [-GRID_US * (2**63 // GRID_US), GRID_US * (2**63 // GRID_US)]
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 4),
+        dim=st.integers(1, 3),
+        fault=st.none() | st.tuples(st.just("time"), st.sampled_from(bad_times))
+        | st.tuples(st.just("feature"), st.sampled_from(non_finite)),
+    )
+    def test_samples(self, tmp_path_factory, data, n, dim, fault):
+        """Ids are letters and digits, non-ASCII among them, of 1 to 6 and 256 characters, but for one of the edge
+        values above. Times lie on the grid across the stamp range and at its ends, features are edge floats, but
+        for one of bad_times or one non-finite feature in some examples."""
+        plain = st.text(st.characters(categories=("L", "N")), min_size=1, max_size=6)
+        plain |= st.builds(str.__mul__, st.sampled_from(["a", "é", "\U0001f600"]), st.just(256))
+        grid = st.integers(self.first, self.last).map(GRID_US.__mul__)
+        grid |= st.sampled_from([GRID_US * self.first, GRID_US * self.last, 0])
+        ids = data.draw(st.lists(plain, min_size=n - 1, max_size=n - 1, unique=True))
+        ids.insert(data.draw(st.integers(0, n - 1)), data.draw(self.ids.filter(lambda sid: sid not in ids)))
+        times = data.draw(st.lists(grid, min_size=n, max_size=n))
+        feats = data.draw(st.lists(self.finite, min_size=n * dim, max_size=n * dim))
+        if fault is not None:
+            column = times if fault[0] == "time" else feats
+            column[data.draw(st.integers(0, len(column) - 1))] = fault[1]
+        mask = np.reshape(data.draw(st.lists(st.booleans(), min_size=10 * n, max_size=10 * n)), (n, 10))
+        path = tmp_path_factory.mktemp("samples") / "samples.csv"
+        try:
+            table = SampleTable(ids, times, mask, np.reshape(feats, (n, dim)))  # refuses a time off the grid
+            write_samples(path, table)
+        except ValueError:
+            assert not path.exists()
+            return
+        assert fault is None
+        back = read_samples(path)
+        assert back.ids.tolist() == ids and back.times.tolist() == times and np.array_equal(back.mask, mask)
+        assert back.features.tobytes() == np.reshape(feats, (n, dim)).tobytes()
+
+    # Microseconds per tick of each unit write_events takes: int64 microseconds and datetime64 of four units.
+    ticks = {"int64": 1, "datetime64[us]": 1, "datetime64[s]": 10**6, "datetime64[D]": 86_400 * 10**6}
+    ticks["datetime64[ns]"] = Fraction(1, 1000)
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        data=st.data(),
+        unit=st.sampled_from(sorted(ticks)),
+        ranks=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+        bad_rank=st.none() | st.sampled_from([-1, 4]),
+    )
+    def test_events(self, tmp_path_factory, data, unit, ranks, bad_rank):
+        """Ticks across the int64 range and across the stamp range of each unit, the ends of both and a tick past
+        either; NaT is the int64 minimum. The writer refuses exactly the times no stamp holds."""
+        tick = self.ticks[unit]
+        lo, hi = (min(max(v, self.int64[0]), self.int64[1]) for v in (-(-self.lo_us // tick), self.hi_us // tick))
+        edges = [min(max(v, self.int64[0]), self.int64[1]) for v in self.int64 + [lo, hi, lo - 1, hi + 1, 0]]
+        per = tick.denominator  # ticks per microsecond, for the nanoseconds
+        whole = st.integers(-(-lo // per), hi // per).map(per.__mul__)  # in the stamp range, whole microseconds
+        values = st.integers(*self.int64) | whole | st.sampled_from(edges)
+        values = data.draw(st.lists(values, min_size=1, max_size=4))
+        ranks = (([] if bad_rank is None else [bad_rank]) + ranks)[: len(values)]
+        given = np.array(values, dtype=np.int64)
+        given = given if unit == "int64" else given.view(unit)
+        exact = [v * tick for v in values]  # None for NaT
+        exact = [None if unit != "int64" and v == -(2**63) else e for v, e in zip(values, exact)]
+        writable = all(e is not None and e == int(e) and self.lo_us <= e <= self.hi_us for e in exact)
+        path = tmp_path_factory.mktemp("events") / "events.csv"
+        try:
+            write_events(path, given, ranks)
+        except ValueError:
+            assert not path.exists() and not (writable and bad_rank is None)
+            return
+        assert writable and bad_rank is None
+        back_us, back_ranks = read_events(path)
+        assert back_us.tolist() == [int(e) for e in exact] and back_ranks.tolist() == ranks
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        data=st.data(),
+        names=st.lists(st.sampled_from(["w0", "b0", "w1", "b1", "head"]), min_size=1, max_size=5, unique=True),
+        epoch=st.integers(0, 2**31),
+        val_gmgs=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, -1.0, 1.0]),
+    )
+    def test_checkpoint(self, tmp_path_factory, data, names, epoch, val_gmgs):
+        """Parameters of every edge float, in arrays of one or two dimensions: each comes back bit for bit, or
+        save_checkpoint refuses a non-finite one before the file exists."""
+        params = {}
+        for name in names:
+            shape = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+            floats = self.finite | st.sampled_from(self.non_finite)
+            values = data.draw(st.lists(floats, min_size=math.prod(shape), max_size=math.prod(shape)))
+            params[name] = np.reshape(np.array(values, dtype=float), shape)
+        path = tmp_path_factory.mktemp("checkpoint") / "checkpoint.txt"
+        finite = all(np.isfinite(p).all() for p in params.values())
+        try:
+            save_checkpoint(path, Checkpoint(epoch=epoch, params=params, val_gmgs=val_gmgs, val_report=None), "seed=0\n")
+        except ValueError:
+            assert not path.exists() and not finite
+            return
+        assert finite
+        back, meta = load_checkpoint(path)
+        assert sorted(back) == sorted(params)
+        for name, p in params.items():
+            assert back[name].shape == p.shape and back[name].tobytes() == p.tobytes()
+        assert meta["epoch"] == str(epoch) and np.float64(meta["val_gmgs"]).tobytes() == np.float64(val_gmgs).tobytes()
+
 
 class TestStampCodec:
     """write_events and write_samples write every time through one stamp encoder; read_events and read_samples
@@ -612,7 +745,7 @@ class TestStampCodec:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(steps=st.lists(steps, min_size=1, max_size=30))
     def test_samples_grid_times_round_trip_in_every_form(self, tmp_path_factory, steps):
-        n, times = len(steps), 7200 * np.array(steps, dtype=np.int64)
+        n, times = len(steps), GRID_US * np.array(steps, dtype=np.int64)
         table = SampleTable([f"s{i}" for i in range(n)], times, np.ones((n, 10), bool), np.zeros((n, 1)))
         path = tmp_path_factory.mktemp("csv") / "samples.csv"
         write_samples(path, table)
@@ -624,14 +757,39 @@ class TestStampCodec:
             other.write_text("\n".join([lines[0]] + [line.replace("Z,", suffix) for line in lines[1:]]) + "\n")
             assert read_samples(other).times.tolist() == times.tolist()
 
-    def test_sample_times_outside_datetime_range_written_as_numpy_prints_them(self, tmp_path):
-        # Not wrapped round in int64 microseconds: read_samples then rejects the file rather than misreading it.
-        path, far = tmp_path / "samples.csv", 7200 * 2_000_000_000
-        write_samples(path, SampleTable(["a", "b", "c"], [0, far, -far], np.ones((3, 10), bool), np.zeros((3, 1))))
-        stamps = [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
-        assert stamps == ["1970-01-01T00:00:00Z", "458287-11-01T16:00:00Z", "-454348-03-01T08:00:00Z"]
-        with pytest.raises(DataFileError, match=r"samples\.csv:3: "):
-            read_samples(path)
+    @pytest.mark.parametrize(
+        "times",
+        [[0, 40_000_000 * GRID_US], [0, -40_000_000 * GRID_US], [0, -62_135_596_800_000_000 - GRID_US]],
+        ids=["after-9999", "before-year-1", "year-0"],  # years 11096, -7157 and 0000-12-31T22:00:00
+    )
+    def test_sample_times_outside_the_stamp_range_rejected(self, tmp_path, times):
+        # Written as numpy prints them (11096-05-10T08:00:00Z), which read_samples then rejected.
+        path = tmp_path / "samples.csv"
+        table = SampleTable(["a", "b"], times, np.ones((2, 10), bool), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match=r"^time of id 'b' cannot be written: NaT or outside 0001-01-01T00:00:00Z "):
+            write_samples(path, table)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("stamp", ["10000-01-01T00:00:00", "0000-06-01T00:00:00", "-001-01-01T00:00:00"])
+    @pytest.mark.parametrize("form", ["int64", "datetime64[us]", "datetime64[s]"])
+    def test_events_times_outside_the_stamp_range_rejected(self, tmp_path, stamp, form):
+        # Written as 10000-01-01T00:00:00Z, 0000-06-01T00:00:00Z and -001-01-01T00:00:00Z, which read_events rejected.
+        times = np.array([0, stamp], "datetime64[s]").astype("datetime64[us]" if form == "int64" else form)
+        times = times.view(np.int64) if form == "int64" else times
+        path = tmp_path / "events.csv"
+        why = r"NaT or outside 0001-01-01T00:00:00Z \.\. 9999-12-31T23:59:59\.999999Z"
+        with pytest.raises(ValueError, match=rf"^peak time {times[-1]} cannot be written: {why}"):
+            write_events(path, times, [1, 2])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_samples_non_finite_features_rejected(self, tmp_path, value):
+        # Written as 'inf' or 'nan', which read_samples rejected ("features of id 'b' must be finite").
+        path = tmp_path / "samples.csv"
+        table = SampleTable(["a", "b", "c"], [0, GRID_US, 2 * GRID_US], np.ones((3, 10), bool), [[0.0], [value], [value]])
+        with pytest.raises(ValueError, match=r"^features of id 'b' cannot be written: they must be finite$"):
+            write_samples(path, table)
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "times",
@@ -674,7 +832,7 @@ class TestStampCodec:
     def test_read_events_traced_peak(self, tmp_path):
         """The reference chain's 29,695 events, one range: decoding the stamps a block at a time traces a peak of
         about 5.1 MB, where casting each whole column once per stamp form traced 11.2 MB."""
-        peak_us = (grid_seconds(T0) + 36 * 3600 + 37 * 7200 * np.arange(29_695, dtype=np.int64)) * 10**6
+        peak_us = grid_us(T0) + 36 * 3600 * 10**6 + 37 * GRID_US * np.arange(29_695, dtype=np.int64)
         path = tmp_path / "events.csv"
         write_events(path, peak_us, np.arange(29_695) % 3 + 1)
         assert path.stat().st_size < pipeline._SPLIT_BYTES
@@ -758,7 +916,7 @@ class TestArrayFormsMatchOracles:
         feats = rng.standard_normal((n, dim))
         feats[rng.random((n, dim)) < 0.2] = -0.0
         labels = rng.integers(-1, 4, n)
-        table = SampleTable([f"s{i}" for i in range(n)], grid_seconds(T0) + 7200 * np.arange(n), masks, feats, labels)
+        table = SampleTable([f"s{i}" for i in range(n)], grid_us(T0) + GRID_US * np.arange(n), masks, feats, labels)
 
         kept, excluded = apply_channel_policy(table)
         rows, want_feats, want_excluded = channel_policy_loop(masks, feats, labels)
@@ -775,7 +933,7 @@ class TestArrayFormsMatchOracles:
         masks = rng.random((n, 10)) >= rng.integers(0, 5, n)[:, None] / 10
         feats = rng.standard_normal((n, dim))
         labels, order = rng.integers(-1, 4, n), rng.permutation(n)
-        table = SampleTable([f"s{i}" for i in range(n)], grid_seconds(T0) + 7200 * np.arange(n), masks, feats)
+        table = SampleTable([f"s{i}" for i in range(n)], grid_us(T0) + GRID_US * np.arange(n), masks, feats)
 
         got, got_excluded = apply_channel_policy(table, labels, order)
         want, want_excluded = apply_channel_policy(select_rows(dataclasses.replace(table, labels=labels), order))
@@ -794,7 +952,7 @@ class TestArrayFormsMatchOracles:
         masks = np.array(data.draw(st.lists(st.booleans(), min_size=10 * n, max_size=10 * n))).reshape(n, 10)
         steps = data.draw(st.lists(st.integers(-300_000, 300_000), min_size=n, max_size=n))
         ids = [f"r;'é {i}" for i in range(n)]  # no field is quoted: an id holds anything but , " CR LF NUL \x1c-\x1f
-        table = SampleTable(ids, grid_seconds(T0) + 7200 * np.array(steps), masks, feats.reshape(n, dim))
+        table = SampleTable(ids, grid_us(T0) + GRID_US * np.array(steps), masks, feats.reshape(n, dim))
 
         path = tmp_path_factory.mktemp("csv") / "samples.csv"
         write_samples(path, table)
@@ -871,7 +1029,7 @@ class TestCsvMatchesRowOracles:
         feats = data.draw(st.lists(self.floats, min_size=n * dim, max_size=n * dim))
         masks = data.draw(st.lists(st.booleans(), min_size=10 * n, max_size=10 * n))
         table = SampleTable(
-            ids, 7200 * np.array(steps, dtype=np.int64), np.reshape(masks, (n, 10)), np.reshape(feats, (n, dim))
+            ids, GRID_US * np.array(steps, dtype=np.int64), np.reshape(masks, (n, 10)), np.reshape(feats, (n, dim))
         )
         d = tmp_path_factory.mktemp("csv")
         if any(c in sid for sid in table.ids.tolist() for c in ',"\r\n\x1c\x1d\x1e\x1f'):  # out of the one dialect
@@ -905,7 +1063,7 @@ class TestCsvMatchesRowOracles:
         path.write_text("\n".join(lines) + "\n")
         got = read_or_error(read_samples, path)
         assert_same_samples(got, read_samples_rows(path))
-        assert got.times.tolist() == [7200 * step for step, _ in rows]
+        assert got.times.tolist() == [GRID_US * step for step, _ in rows]
 
     sample_faults = {
         "mask": (2, ["111111111", "11111111x1", "", "1111111111 1"]),

@@ -11,7 +11,7 @@ import platform
 import subprocess
 import sys
 from dataclasses import replace
-from datetime import datetime, timezone
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flarecast import SplitSpec, TrainConfig, adamw_step, forward, gen_synthetic, train
+from flarecast.core import EPOCH
 from flarecast.pipeline import split_timeseries
 from flarecast.trainer import (
     Checkpoint,
@@ -84,7 +85,7 @@ class TestForward:
             b = forward_row(samples, row, params_on, cfg_on)
             assert b.hidden.size == a.hidden.size + 1
             assert np.array_equal(b.hidden[:-1], a.hidden)
-            stamp = datetime.fromtimestamp(int(samples.times[row]), timezone.utc)
+            stamp = EPOCH + timedelta(microseconds=int(samples.times[row]))
             assert b.hidden[-1] == cycle_phase(stamp, cfg_on.cycle)
             assert np.allclose(a.probs, b.probs)
 
@@ -458,6 +459,18 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="must be aligned"):
             evaluate_fold(*given, fold.test, init_params(3, cfg, np.random.default_rng(0)), cfg)
 
+    def test_times_in_seconds_rejected(self):
+        # Sample times in UTC epoch seconds, their unit before they became microseconds, would give wrong cycle phases.
+        samples = small_dataset(80, feature_dim=3)
+        fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
+        cfg = small_config(epochs=1, warmup_epochs=0)
+        seconds = samples.times // 10**6
+        message = r"2-hour grid of UTC epoch microseconds; multiply times in seconds by 10\*\*6"
+        with pytest.raises(ValueError, match=message):
+            train(samples.features, seconds, samples.labels, fold, cfg)
+        with pytest.raises(ValueError, match=message):
+            evaluate_fold(samples.features, seconds, samples.labels, fold.test, init_params(3, cfg, np.random.default_rng(0)), cfg)
+
     def test_gradient_verification_flag_passes(self):
         samples = small_dataset(80, feature_dim=3)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
@@ -571,6 +584,15 @@ class TestArtifacts:
         assert meta["epoch"] == str(result.best.epoch)
         for k in result.best.params:
             assert np.array_equal(params[k], result.best.params[k])
+
+    @pytest.mark.parametrize("value", [np.nan, -np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_refused_before_the_file_exists(self, tmp_path, value):
+        # Written as 'nan' or 'inf': a NaN's sign and payload do not survive repr.
+        params = {"a": np.array([0.5, value]), "b": np.array([value])}
+        path = tmp_path / "checkpoint.txt"
+        with pytest.raises(ValueError, match=r"^parameter array 'a' cannot be written: its values must be finite$"):
+            save_checkpoint(path, Checkpoint(epoch=0, params=params, val_gmgs=0.0, val_report=None), "seed=0\n")
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "edit, message",
