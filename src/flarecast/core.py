@@ -73,11 +73,37 @@ def grid_us(t: datetime) -> int:
     return us
 
 
-def _check_grid(times) -> None:
-    """ValueError unless each of ``times`` is on the 2-hour grid of UTC epoch microseconds (one in seconds is not)."""
-    if np.any(np.asarray(times) % GRID_US):
+def _check_times(times, column: str) -> np.ndarray:
+    """``times`` as int64 UTC epoch microseconds, the one time unit. ValueError names ``column`` and the dtype unless
+    it is an integer one that int64 holds: a datetime64, float, bool or object time is refused (an empty one is not)."""
+    t = np.asarray(times)
+    if t.size and not (t.dtype.kind in "iu" and np.can_cast(t.dtype, np.int64)):
+        why = 'convert datetime64 times t with t.astype("datetime64[us]").astype(np.int64)'
+        raise ValueError(f"{column} must be int64 UTC epoch microseconds, got dtype {t.dtype}; {why}")
+    return t.astype(np.int64, copy=False)
+
+
+def _check_ranks(ranks, column: str, unlabeled: bool = False) -> np.ndarray:
+    """``ranks`` as int8 class ranks. ValueError names ``column`` and the dtype unless it is an integer one (an empty
+    column's is not checked), or the first value outside 0..3 (-1..3 where ``unlabeled`` rows' -1 is allowed), which
+    is tested before the cast to int8, so that none wraps round."""
+    r = np.asarray(ranks)
+    if r.size and r.dtype.kind not in "iu":
+        raise ValueError(f"{column} must be integer class ranks, got dtype {r.dtype}")
+    bad = (r < -unlabeled) | (r >= N_CLASSES)
+    if bad.any():
+        raise ValueError(f"{column} holds {r[bad][0]}: class rank outside {-unlabeled}..{N_CLASSES - 1}")
+    return r.astype(np.int8, copy=False)
+
+
+def _check_grid(times) -> np.ndarray:
+    """``times`` as int64 UTC epoch microseconds (see :func:`_check_times`); ValueError unless each is on the 2-hour
+    grid (one in seconds is not)."""
+    times = _check_times(times, "times")
+    if np.any(times % GRID_US):
         why = "grid of UTC epoch microseconds; multiply times in seconds by 10**6"
         raise ValueError(f"timestamp not aligned to the {SAMPLE_CADENCE_HOURS:g}-hour {why}")
+    return times
 
 
 def _str_ids(ids, convert=np.array) -> np.ndarray:
@@ -109,21 +135,18 @@ class SampleTable:
 
     def __post_init__(self, convert=np.array) -> None:
         n = len(self.ids)
-        labels = np.full(n, -1) if self.labels is None else np.asarray(self.labels)
-        if np.any((labels < -1) | (labels >= N_CLASSES)):
-            raise ValueError(f"labels must be class ranks in -1..{N_CLASSES - 1}")
+        labels = np.full(n, -1) if self.labels is None else self.labels
         columns = {
             "ids": _str_ids(self.ids, convert),
-            "times": convert(self.times, dtype=np.int64),
+            "times": _check_grid(convert(self.times)),
             "mask": convert(self.mask, dtype=bool),
             "features": convert(self.features, dtype=float),
-            "labels": convert(labels, dtype=np.int8),
+            "labels": _check_ranks(convert(labels), "labels", unlabeled=True),
         }
         if columns["ids"].ndim != 1 or any(c.shape[:1] != (n,) for c in columns.values()):
             raise ValueError("sample columns must be aligned: one entry per id")
         if columns["features"].ndim != 2 or columns["mask"].shape != (n, N_CHANNELS):
             raise ValueError(f"features must be 2-d and the mask must have {N_CHANNELS} channels per row")
-        _check_grid(columns["times"])
         for name, column in columns.items():
             object.__setattr__(self, name, _frozen(column))
 
@@ -177,16 +200,13 @@ def build_confusion(observed, predicted) -> ConfusionMatrix:
     Raises
     ------
     ValueError
-        If the arrays are empty, differ in shape, or hold a rank outside 0..3.
+        If the arrays are empty, differ in shape, or are not integer class ranks 0..3.
     """
-    obs = np.asarray(observed, dtype=np.int64)
-    pred = np.asarray(predicted, dtype=np.int64)
+    obs, pred = _check_ranks(observed, "observed"), _check_ranks(predicted, "predicted")
     if obs.ndim != 1 or obs.shape != pred.shape:
         raise ValueError(f"observed and predicted must be 1-d and aligned, got shapes {obs.shape} and {pred.shape}")
     if obs.size == 0:
         raise ValueError("empty evaluation set")
-    if min(obs.min(), pred.min()) < 0 or max(obs.max(), pred.max()) >= N_CLASSES:
-        raise ValueError(f"class rank outside 0..{N_CLASSES - 1}")
     counts = np.bincount(N_CLASSES * obs + pred, minlength=N_CLASSES * N_CLASSES)
     return ConfusionMatrix(counts.reshape(N_CLASSES, N_CLASSES))
 

@@ -7,7 +7,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import EPOCH, MICROSECOND
+from .core import EPOCH, MICROSECOND, _check_times
 
 __all__ = ["CycleConfig", "cycle_phase", "cycle_phases", "DEFAULT_CYCLE"]
 
@@ -47,9 +47,10 @@ def cycle_phase(t: datetime, cfg: CycleConfig = DEFAULT_CYCLE) -> float:
 
 def cycle_phases(epoch_us, cfg: CycleConfig = DEFAULT_CYCLE) -> np.ndarray:
     """:func:`cycle_phase` of each int64 UTC epoch microsecond count, element-wise, in one int64 and one
-    float64 buffer: ``-cos(2 pi ((t - base) / 1e6 / 3600) / period)``, each step in that order."""
+    float64 buffer: ``-cos(2 pi ((t - base) / 1e6 / 3600) / period)``, each step in that order. ValueError for
+    times of another dtype, such as datetime64 or float (see :func:`flarecast.core._check_times`)."""
     phases = np.empty(np.shape(epoch_us))
-    np.divide(np.asarray(epoch_us, dtype=np.int64) - (cfg.base_time - EPOCH) // MICROSECOND, 1e6, out=phases)
+    np.divide(_check_times(epoch_us, "times") - (cfg.base_time - EPOCH) // MICROSECOND, 1e6, out=phases)
     phases /= 3600.0
     phases *= 2.0 * np.pi
     phases /= cfg.period_hours

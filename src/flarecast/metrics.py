@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import N_CLASSES, ConfusionMatrix, FlareClass, ScoringMatrix, _climatology, build_confusion
+from .core import N_CLASSES, ConfusionMatrix, FlareClass, ScoringMatrix, _check_ranks, _climatology, build_confusion
 
 __all__ = [
     "gerrity_matrix",
@@ -148,9 +148,9 @@ def bss_ge_m(probs, observed) -> float:
     Raises
     ------
     ValueError
-        If the set is empty or its base rate is 0 or 1.
+        If the set is empty, a rank is not an integer in 0..3, or the base rate is 0 or 1.
     """
-    obs = np.asarray(observed)
+    obs = _check_ranks(observed, "observed")
     if obs.size == 0:
         raise ValueError("empty evaluation set")
     p = np.asarray(probs, dtype=float)

@@ -38,6 +38,8 @@ from .core import (
     N_CLASSES,
     FlareClass,
     SampleTable,
+    _check_ranks,
+    _check_times,
     _str_ids,
     grid_us,
 )
@@ -112,10 +114,11 @@ def label_samples(table: SampleTable, peak_us, ranks, horizon_hours: float = DEF
     is excluded, one peaking exactly at ``t + horizon`` is included. Returns int8
     class ranks, 0 (O) where no event of class C or above peaks in the window.
     Times are compared in integer microseconds, so fractional seconds in event
-    times and in the horizon keep their place relative to the boundaries.
+    times and in the horizon keep their place relative to the boundaries. ValueError for peak times or ranks of
+    another dtype, or a rank outside 0..3 (see :func:`flarecast.core._check_times` and ``_check_ranks``).
     """
     window = _horizon_us(horizon_hours)
-    ev_us, ev_cls = np.asarray(peak_us, dtype=np.int64), np.asarray(ranks, dtype=np.int8)
+    ev_us, ev_cls = _check_times(peak_us, "peak times"), _check_ranks(ranks, "event ranks")
     order = np.argsort(ev_us, kind="stable")
     ev_us, ev_cls = ev_us[order], ev_cls[order]
     lo = np.searchsorted(ev_us, table.times, side="right")
@@ -284,12 +287,9 @@ def events_for_samples(table: SampleTable) -> Tuple[np.ndarray, np.ndarray]:
 # CSV formats
 # ---------------------------------------------------------------------------
 
-def _class_names(ranks) -> List[str]:
-    """The class name of every rank; ValueError for a rank outside 0..3."""
-    r = np.asarray(ranks, dtype=np.int64)
-    if r.size and not (0 <= r.min() and r.max() < N_CLASSES):
-        raise ValueError(f"class rank outside 0..{N_CLASSES - 1}")
-    return np.array([c.name for c in FlareClass])[r].tolist()
+def _class_names(ranks, column: str) -> List[str]:
+    """The class name of every rank of ``column`` (see :func:`flarecast.core._check_ranks`)."""
+    return np.array([c.name for c in FlareClass])[_check_ranks(ranks, column)].tolist()
 
 
 def _encode_stamps(times: np.ndarray) -> List[str]:
@@ -516,7 +516,8 @@ def _write_csv(path, header: List[str], n: int, rows, row_bytes: int, ids=()) ->
     for each _WRITE_BLOCK_ROWS of ``n`` rows, one string a block, built by forked workers when ``n * row_bytes`` bytes
     of text are worth them (see :func:`_processes`). First, so that no file is left, ValueError names the first of
     ``ids`` that no CSV file holds (see :func:`_fields`) or that a reader's strip changes, and UnicodeEncodeError (a
-    ValueError) meets one that open()'s encoding cannot write, such as a lone surrogate in UTF-8."""
+    ValueError) meets one that open()'s encoding cannot write, such as a lone surrogate in UTF-8; then ValueError
+    names the least id that is repeated, which every keyed reader rejects."""
     banned = ",\r\n" + _BANNED.decode()
     for lo in range(0, len(ids), _WRITE_BLOCK_ROWS):
         block = ids[lo : lo + _WRITE_BLOCK_ROWS].tolist()
@@ -527,6 +528,9 @@ def _write_csv(path, header: List[str], n: int, rows, row_bytes: int, ids=()) ->
                 if len(sid) > MAX_ID_CHARS or any(map(sid.__contains__, banned)) or sid != sid.strip():
                     why = "too long, padded with whitespace, or holds , \" CR LF NUL or \\x1c-\\x1f"
                     raise ValueError(f"id {sid!r} cannot be written: {why}")
+    ordered = np.sort(ids, kind="stable")  # timsort, as _read_csv's: ids come nearly sorted
+    if (repeated := ordered[1:][ordered[1:] == ordered[:-1]]).size:
+        raise ValueError(f"id {str(repeated[0])!r} cannot be written twice: a reader rejects a repeated id")
 
     def block_text(lo: int) -> str:
         return "".join(f"{','.join(fields)}\r\n" for fields in rows(slice(lo, lo + _WRITE_BLOCK_ROWS)))
@@ -537,29 +541,25 @@ def _write_csv(path, header: List[str], n: int, rows, row_bytes: int, ids=()) ->
             fh.writelines(texts)
 
 
-def _stamp_times(times, name) -> np.ndarray:
-    """``times`` (int64 UTC epoch microseconds, or datetime64) as datetime64[us], which :func:`_encode_stamps` writes.
-    ValueError names (as ``name(i)``) the first that no stamp holds: one outside 0001-01-01T00:00:00Z ..
-    9999-12-31T23:59:59.999999Z, NaT (or int64 ``-2**63``) among them, or a datetime64 time that int64 microseconds do
-    not hold, one of a coarser unit that numpy's cast would wrap round or a fraction."""
-    given = np.asarray(times)
-    us = np.asarray(given, dtype="datetime64[us]" if given.dtype.kind == "M" else np.int64).view("datetime64[us]")
-    bad = (us.view(np.int64) < _FIRST_US) | (us.view(np.int64) > _LAST_US)
-    if given.dtype.kind == "M":
-        bad |= us.astype(given.dtype).view(np.int64) != given.view(np.int64)
+def _stamp_times(times, column: str, name) -> np.ndarray:
+    """``times``, int64 UTC epoch microseconds (see :func:`flarecast.core._check_times`, which names ``column``), as
+    datetime64[us], which :func:`_encode_stamps` writes. ValueError names (as ``name(i)``) the first that no stamp
+    holds: one outside 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59.999999Z, ``-2**63`` (NaT) among them."""
+    us = _check_times(times, column)
+    bad = (us < _FIRST_US) | (us > _LAST_US)
     if bad.any():
-        why = "NaT or outside 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59.999999Z, or int64 microseconds do not hold it"
+        why = "NaT or outside 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59.999999Z"
         raise ValueError(f"{name(int(bad.argmax()))} cannot be written: {why}")
-    return us
+    return us.view("datetime64[us]")
 
 
 def write_events(path, peak_us, ranks) -> None:
-    """Write ``peak_time,class`` rows of at most 31 bytes, the times (int64 UTC epoch microseconds or datetime64) as
-    canonical stamps (see :func:`_encode_stamps`). Before the file is opened, ValueError names the first time that no
-    stamp holds (see :func:`_stamp_times`)."""
-    given, names = np.asarray(peak_us), _class_names(ranks)
-    peak_us = _stamp_times(given, lambda i: f"peak time {given[i]}")
-    _write_csv(path, ["peak_time", "class"], len(names), lambda b: zip(_encode_stamps(peak_us[b]), names[b]), 31)
+    """Write ``peak_time,class`` rows of at most 31 bytes, the times (int64 UTC epoch microseconds) as canonical
+    stamps (see :func:`_encode_stamps`). Before the file is opened, ValueError names the first time that no stamp
+    holds (see :func:`_stamp_times`)."""
+    names = _class_names(ranks, "ranks")
+    times = _stamp_times(peak_us, "peak times", lambda i: f"peak time {peak_us[i]}")
+    _write_csv(path, ["peak_time", "class"], len(names), lambda b: zip(_encode_stamps(times[b]), names[b]), 31)
 
 
 def _check_events(texts: List[List[str]], numbers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -579,7 +579,7 @@ def write_samples(path, table: SampleTable) -> None:
     """Write ``id,timestamp,mask,f0..`` rows (see :func:`_write_csv`), each feature as its ``repr``. Before the file is
     opened, ValueError names the id of the first row whose time no stamp holds (see :func:`_stamp_times`) or whose
     features are not all finite, which read_samples would reject."""
-    times = _stamp_times(table.times, lambda i: f"time of id {str(table.ids[i])!r}")
+    times = _stamp_times(table.times, "times", lambda i: f"time of id {str(table.ids[i])!r}")
     finite = np.isfinite(table.features).all(axis=1)
     if not finite.all():
         raise ValueError(f"features of id {str(table.ids[finite.argmin()])!r} cannot be written: they must be finite")
@@ -621,7 +621,7 @@ def read_samples(path) -> SampleTable:
 
 def write_labels(path, ids: Sequence[str], labels) -> None:
     """Write ``id,label`` rows as csv.writer would, unquoted; ``labels`` are class ranks or :class:`FlareClass` members."""
-    ids, names = _str_ids(ids, np.asarray), _class_names(labels)
+    ids, names = _str_ids(ids, np.asarray), _class_names(labels, "labels")
     _write_csv(path, ["id", "label"], len(ids), lambda b: zip(ids[b].tolist(), names[b]), ids.itemsize // 4 + 4, ids)
 
 

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ClassWeights, FlareClass, N_CLASSES, _check_grid, class_weights
+from .core import ClassWeights, FlareClass, N_CLASSES, _check_grid, _check_ranks, class_weights
 from .cycle import DEFAULT_CYCLE, CycleConfig, cycle_phases
 from .losses import LossBreakdown, batch_factors_arrays, flare_loss_arrays, gradient_error, softmax
 from .metrics import MetricReport, build_report
@@ -272,14 +272,13 @@ def train(features: np.ndarray, times: np.ndarray, labels: np.ndarray, fold: Fol
     Raises
     ------
     ValueError
-        If the columns are not aligned, a time is off the grid (as one in seconds is), a row is unlabeled, or the
-        training, validation or test range (checked in that order, before anything is set up) lacks a class.
+        If the columns are not aligned, the times are not int64 microseconds on the grid (one in seconds is off
+        it), a label is not a class rank 0..3 (an unlabeled row's -1 is not), or the training, validation or test
+        range (checked in that order, before anything is set up) lacks a class.
     RuntimeError
         On numerical divergence.
     """
-    _check_rows(features, times, labels)
-    if np.any(labels < 0):
-        raise ValueError("all samples must be labeled for training")
+    times, labels = _check_rows(features, times, labels), _check_ranks(labels, "labels")
     _require_all_classes(labels, fold)
     phis_all = _phis(times, cfg)
     train_idx = np.arange(fold.train.start, fold.train.stop, fold.train.step)
@@ -342,15 +341,16 @@ def evaluate_fold(
     features: np.ndarray, times: np.ndarray, labels: np.ndarray, idx: Sequence[int], params: Params, cfg: TrainConfig
 ) -> MetricReport:
     """Metric report of the parameters on one index range of the rows (see :func:`train`)."""
-    _check_rows(features, times, labels)
+    times = _check_rows(features, times, labels)
     rows = _rows(idx)
     return _score(features[rows], _phis(times[rows], cfg), labels[rows], params)
 
 
-def _check_rows(features: np.ndarray, times: np.ndarray, labels: np.ndarray) -> None:
+def _check_rows(features: np.ndarray, times: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The times, through core._check_grid, of aligned columns."""
     if features.ndim != 2 or not len(features) == len(times) == len(labels):
         raise ValueError("features (2-d), times and labels must be aligned: one row per sample")
-    _check_grid(times)
+    return _check_grid(times)
 
 
 def _rows(idx):
@@ -395,10 +395,15 @@ def write_history(path, history: Sequence[EpochRecord]) -> None:
 def save_checkpoint(path, checkpoint: Checkpoint, config_text: str) -> None:
     """Plain-text parameter dump: versioned header, config hash (the first 16
     hex digits of the sha256 of ``config_text``, the run's ``config.txt``), named arrays.
-    Before the file is opened, ValueError names an array that holds a non-finite
-    value: a NaN's payload does not survive ``repr``."""
-    if bad := [name for name in sorted(checkpoint.params) if not np.isfinite(checkpoint.params[name]).all()]:
-        raise ValueError(f"parameter array {bad[0]!r} cannot be written: its values must be finite")
+    Before the file is opened, ValueError names an array that :func:`load_checkpoint`
+    cannot read back: one whose name is empty or holds whitespace, one of no
+    dimensions, whose shape field is empty, or one that holds a non-finite value:
+    a NaN's payload does not survive ``repr``."""
+    for name in sorted(checkpoint.params):
+        if name.split() != [name] or checkpoint.params[name].ndim == 0:
+            raise ValueError(f"parameter array {name!r} cannot be written: it needs a one-word name and a dimension")
+        if not np.isfinite(checkpoint.params[name]).all():
+            raise ValueError(f"parameter array {name!r} cannot be written: its values must be finite")
     import hashlib  # here, so that a command that never hashes does not load OpenSSL
 
     lines = [

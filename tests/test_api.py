@@ -1,5 +1,6 @@
 """Public surface: every name a module lists in ``__all__``, every name the
-package exports, and every name the README imports resolves."""
+package exports, and every name the README imports resolves, and every README
+python block that reads no file runs."""
 
 import ast
 import importlib
@@ -43,9 +44,27 @@ def test_package_exports_resolve_and_are_public():
         assert name in getattr(module, "__all__", [name]), f"{module_name}.{name} is not in its __all__"
 
 
+README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+
+
 def test_readme_imports_resolve():
-    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
-    names = [pair for block in blocks for pair in imported_names(block)]
+    names = [pair for block in README_BLOCKS for pair in imported_names(block)]
     assert names
     for module_name, name in names:
         assert hasattr(importlib.import_module(module_name), name), f"README imports {module_name}.{name}"
+
+
+# The README python blocks that read no file, by their place among all of them.
+RUNNABLE = {
+    f"block{i}": block
+    for i, block in enumerate(README_BLOCKS)
+    if not re.search(r"\bread_\w*\(|\bopen\(|\bload_checkpoint\(", block)
+}
+
+
+@pytest.mark.parametrize("name", list(RUNNABLE))
+def test_readme_block_runs(name, tmp_path, monkeypatch):
+    """Each README python block that reads no file runs as written, in an empty directory for any file it writes:
+    the Library section cannot drift from what the library takes and refuses."""
+    monkeypatch.chdir(tmp_path)
+    exec(compile(RUNNABLE[name], f"README.md python {name}", "exec"), {"__name__": "readme"})

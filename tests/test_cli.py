@@ -352,7 +352,7 @@ class TestEval:
 
     def test_duplicate_prediction_id_exits_2_naming_line(self, tmp_path, capsys):
         write_labels(tmp_path / "labels.csv", list("abcd"), list(FlareClass))
-        write_labels(tmp_path / "preds.csv", list("abcda"), list(FlareClass) + [FlareClass.O])
+        (tmp_path / "preds.csv").write_text("id,label\na,O\nb,C\nc,M\nd,X\na,O\n")  # write_labels refuses it
         code = run_cli(
             "eval", "--preds", tmp_path / "preds.csv", "--labels", tmp_path / "labels.csv",
             "--out-dir", tmp_path / "out",
@@ -362,7 +362,7 @@ class TestEval:
         assert not (tmp_path / "out").exists()
 
     def test_duplicate_label_id_exits_2_naming_line(self, tmp_path, capsys):
-        write_labels(tmp_path / "labels.csv", list("abca"), list(FlareClass))
+        (tmp_path / "labels.csv").write_text("id,label\na,O\nb,C\nc,M\na,X\n")  # write_labels refuses it
         write_labels(tmp_path / "preds.csv", list("abc"), list(FlareClass)[:3])
         code = run_cli(
             "eval", "--preds", tmp_path / "preds.csv", "--labels", tmp_path / "labels.csv",

@@ -1,6 +1,7 @@
 """Core domain types: flare classes, the scoring-matrix climatology, confusion
 counting, class weights."""
 
+import re
 from datetime import datetime, timezone
 
 import numpy as np
@@ -109,6 +110,19 @@ class TestSample:
             with pytest.raises(ValueError, match="-1..3"):
                 table_at(t, labels=[bad])
 
+    def test_fractional_label_rejected(self):
+        # Once cast to int8 and held as M.
+        with pytest.raises(ValueError, match=r"^labels must be integer class ranks, got dtype float64$"):
+            table_at(datetime(2020, 1, 1, tzinfo=UTC), labels=[2.7])
+
+    @pytest.mark.parametrize("form", ["float64", "datetime64[us]", "datetime64[s]"])
+    def test_times_of_another_dtype_rejected(self, form):
+        # Once cast to int64 as they stood: datetime64[s] times counted seconds as microseconds.
+        us = np.array([grid_us(datetime(2020, 1, 1, tzinfo=UTC))])
+        times = us.astype(form) if form == "float64" else us.astype("datetime64[us]").astype(form)
+        with pytest.raises(ValueError, match=rf"^times must be int64 UTC epoch microseconds, got dtype {re.escape(form)}; "):
+            table_at(*times)
+
     def test_columns_frozen_and_copied(self):
         feats = np.zeros((1, 4))
         table = table_at(datetime(2020, 1, 1, tzinfo=UTC), features=feats)
@@ -149,6 +163,13 @@ class TestBuildConfusion:
         for observed, predicted in (([4], [0]), ([0], [-1])):
             with pytest.raises(ValueError, match="outside 0..3"):
                 build_confusion(observed, predicted)
+
+    def test_fractional_rank_rejected(self):
+        # Once cast to int64 and counted as M.
+        with pytest.raises(ValueError, match=r"^observed must be integer class ranks, got dtype float64$"):
+            build_confusion([2.7, 0], [2, 0])
+        with pytest.raises(ValueError, match=r"^predicted must be integer class ranks, got dtype float64$"):
+            build_confusion([2, 0], [2.7, 0])
 
     def test_misaligned_arrays_rejected(self):
         with pytest.raises(ValueError, match="aligned"):

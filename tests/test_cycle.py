@@ -1,5 +1,6 @@
 """Solar-cycle phase embedding: anchor values, periodicity, symmetry."""
 
+import re
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 
@@ -74,6 +75,20 @@ class TestProperties:
     def test_naive_timestamp_rejected(self):
         with pytest.raises(ValueError, match="UTC"):
             cycle_phase(datetime(2020, 1, 1))
+
+
+class TestIntake:
+    @pytest.mark.parametrize("form", ["float64", "datetime64[us]", "datetime64[s]"])
+    def test_times_of_another_dtype_rejected(self, form):
+        # Once cast to int64 as they stood: 2020-01-01 as datetime64[s] gave 0.971, and in microseconds it gives -0.999.
+        us = np.array([(datetime(2020, 1, 1, tzinfo=timezone.utc) - EPOCH) // MICROSECOND])
+        times = us.astype(form) if form == "float64" else us.astype("datetime64[us]").astype(form)
+        with pytest.raises(ValueError, match=rf"^times must be int64 UTC epoch microseconds, got dtype {re.escape(form)}; "):
+            cycle_phases(times)
+
+    def test_empty_and_narrow_integer_times_taken(self):
+        assert cycle_phases([]).shape == (0,)
+        assert cycle_phases(np.array([0], np.int32)).tolist() == cycle_phases(np.array([0], np.int64)).tolist()
 
 
 class TestPhaseBuffers:

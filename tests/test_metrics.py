@@ -191,6 +191,15 @@ class TestBss:
         with pytest.raises(ValueError, match="shape"):
             bss_ge_m([np.array([0.25, 0.25, 0.25, 0.25])], [FlareClass.X, FlareClass.O])
 
+    @pytest.mark.parametrize(
+        "observed, message",
+        [([2.7, 0], "must be integer class ranks, got dtype float64"), ([4, 0], r"holds 4: class rank outside 0\.\.3")],
+    )
+    def test_observed_outside_classes_rejected(self, observed, message):
+        # Once compared as they stood: 2.7 and 4 each counted as an event of class M or above.
+        with pytest.raises(ValueError, match=rf"^observed {message}$"):
+            bss_ge_m(np.full((2, 4), 0.25), observed)
+
 
 class TestInfluence:
     def test_diagonal_excluded_and_sorted(self):

@@ -6,6 +6,7 @@ import io
 import math
 import multiprocessing
 import os
+import re
 import signal
 import threading
 import tracemalloc
@@ -69,6 +70,11 @@ def columns(events):
     """``(peak_us, ranks)`` columns of ``(peak_time, class)`` pairs."""
     peak_us = [(t - EPOCH) // MICROSECOND for t, _ in events]
     return np.array(peak_us, dtype=np.int64), np.array([c for _, c in events], dtype=np.int8)
+
+
+def refused(dtype):
+    """As a regex, the one time check's message for peak times of ``dtype``."""
+    return rf"^peak times must be int64 UTC epoch microseconds, got dtype {re.escape(str(dtype))}; convert datetime64 "
 
 
 def table_columns(table: SampleTable):
@@ -139,6 +145,29 @@ class TestLabelMaxClass:
         batch = label_samples(make_table(range(40)), *columns(events))
         for i, got in enumerate(batch):
             assert got == label_max_class(T0 + timedelta(hours=2 * i), *columns(events))
+
+    @pytest.mark.parametrize("form", ["datetime64[s]", "float64"])
+    def test_peak_times_of_another_dtype_rejected(self, form):
+        # Once cast to int64 as they stood: datetime64[s] peaks counted seconds as microseconds, and every row was O.
+        peak_us, ranks = columns([event(10, FlareClass.X)])
+        peaks = (peak_us // 10**6).astype(form) if form.startswith("datetime64") else peak_us.astype(form)
+        with pytest.raises(ValueError, match=refused(form)):
+            label_samples(make_table([0]), peaks, ranks)
+
+    @pytest.mark.parametrize(
+        "ranks, message",
+        [
+            ([5], r"holds 5: class rank outside 0\.\.3$"),  # once labelled X
+            ([-1], r"holds -1: class rank outside 0\.\.3$"),  # once O
+            ([2.7], r"must be integer class ranks, got dtype float64$"),  # once M
+            (np.full(1, 200), r"holds 200: class rank outside 0\.\.3$"),  # once O: int8 wrapped it to -56
+        ],
+        ids=["5", "-1", "2.7", "int64-200"],
+    )
+    def test_event_ranks_outside_classes_rejected(self, ranks, message):
+        peak_us, _ = columns([event(10, FlareClass.X)])
+        with pytest.raises(ValueError, match=rf"^event ranks {message}"):
+            label_samples(make_table([0]), peak_us, ranks)
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf"), 1e10, 1e15, 1e-10])
     def test_unusable_horizon_rejected(self, horizon):
@@ -395,6 +424,28 @@ class TestCsvFormats:
             write(path)
         assert not path.exists()
 
+    def test_fractional_rank_rejected(self, tmp_path):
+        # Once cast to int64 and written as M.
+        path = tmp_path / "labels.csv"
+        with pytest.raises(ValueError, match=r"^labels must be integer class ranks, got dtype float64$"):
+            write_labels(path, ["a"], [2.7])
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: write_labels(path, ["b", "a", "b"], [0, 1, 2]),
+            lambda path: write_samples(path, SampleTable(["b", "a", "b"], [0, GRID_US, 0], np.ones((3, 10), bool), [[0.0]] * 3)),
+        ],
+        ids=["labels", "samples"],
+    )
+    def test_repeated_id_refused_before_the_file_exists(self, tmp_path, write):
+        # Once written, and then rejected by the reader: "labels.csv:4: duplicate id 'b' (first on line 2)".
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=r"^id 'b' cannot be written twice: a reader rejects a repeated id$"):
+            write(path)
+        assert not path.exists()
+
     def test_hard_predictions_read_like_labels(self, tmp_path):
         path = tmp_path / "preds.csv"
         write_labels(path, ["a", "b", "c"], [FlareClass.X, FlareClass.O, FlareClass.M])
@@ -574,12 +625,13 @@ class TestRoundTrip:
 
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(
-        ids=st.lists(ids, min_size=1, max_size=4, unique=True),
-        ranks=st.lists(st.integers(0, 3), min_size=4, max_size=4),
-        bad_rank=st.none() | st.sampled_from([-1, 4, 127, -128, 2**63 - 1, -(2**63)]),
+        ids=st.lists(ids, min_size=1, max_size=4).flatmap(lambda ids: st.sampled_from([ids, ids + ids[-1:]])),
+        ranks=st.lists(st.integers(0, 3), min_size=5, max_size=5),
+        bad_rank=st.none() | st.sampled_from([-1, 4, 127, -128, 200, 2**63 - 1, -(2**63), 2.7]),
     )
     def test_labels(self, tmp_path_factory, ids, ranks, bad_rank):
-        """Ids include every edge value above; ranks are 0..3, but for one out of range in some examples."""
+        """Ids include every edge value above, and a repeated one in some examples; ranks are 0..3, but for one out
+        of range or fractional in some examples."""
         path = tmp_path_factory.mktemp("labels") / "labels.csv"
         ranks = (([] if bad_rank is None else [bad_rank]) + ranks)[: len(ids)]
         try:
@@ -587,6 +639,7 @@ class TestRoundTrip:
         except ValueError:
             assert not path.exists()
             return
+        assert bad_rank is None and len(set(ids)) == len(ids)
         got_ids, got_ranks = read_labels(path)
         assert got_ids.tolist() == ids and got_ranks.tolist() == ranks
 
@@ -617,14 +670,14 @@ class TestRoundTrip:
     )
     def test_samples(self, tmp_path_factory, data, n, dim, fault):
         """Ids are letters and digits, non-ASCII among them, of 1 to 6 and 256 characters, but for one of the edge
-        values above. Times lie on the grid across the stamp range and at its ends, features are edge floats, but
-        for one of bad_times or one non-finite feature in some examples."""
+        values above or a repeated one. Times lie on the grid across the stamp range and at its ends, features are
+        edge floats, but for one of bad_times or one non-finite feature in some examples."""
         plain = st.text(st.characters(categories=("L", "N")), min_size=1, max_size=6)
         plain |= st.builds(str.__mul__, st.sampled_from(["a", "é", "\U0001f600"]), st.just(256))
         grid = st.integers(self.first, self.last).map(GRID_US.__mul__)
         grid |= st.sampled_from([GRID_US * self.first, GRID_US * self.last, 0])
-        ids = data.draw(st.lists(plain, min_size=n - 1, max_size=n - 1, unique=True))
-        ids.insert(data.draw(st.integers(0, n - 1)), data.draw(self.ids.filter(lambda sid: sid not in ids)))
+        ids = data.draw(st.lists(plain, min_size=n - 1, max_size=n - 1))
+        ids.insert(data.draw(st.integers(0, n - 1)), data.draw(self.ids | st.sampled_from(ids) if ids else self.ids))
         times = data.draw(st.lists(grid, min_size=n, max_size=n))
         feats = data.draw(st.lists(self.finite, min_size=n * dim, max_size=n * dim))
         if fault is not None:
@@ -638,12 +691,13 @@ class TestRoundTrip:
         except ValueError:
             assert not path.exists()
             return
-        assert fault is None
+        assert fault is None and len(set(ids)) == n
         back = read_samples(path)
         assert back.ids.tolist() == ids and back.times.tolist() == times and np.array_equal(back.mask, mask)
         assert back.features.tobytes() == np.reshape(feats, (n, dim)).tobytes()
 
-    # Microseconds per tick of each unit write_events takes: int64 microseconds and datetime64 of four units.
+    # Microseconds per tick of int64 microseconds, which write_events takes, and of datetime64 of four units, which it
+    # refuses whatever the values: int64 microseconds are the library's one time unit.
     ticks = {"int64": 1, "datetime64[us]": 1, "datetime64[s]": 10**6, "datetime64[D]": 86_400 * 10**6}
     ticks["datetime64[ns]"] = Fraction(1, 1000)
 
@@ -656,7 +710,8 @@ class TestRoundTrip:
     )
     def test_events(self, tmp_path_factory, data, unit, ranks, bad_rank):
         """Ticks across the int64 range and across the stamp range of each unit, the ends of both and a tick past
-        either; NaT is the int64 minimum. The writer refuses exactly the times no stamp holds."""
+        either; NaT is the int64 minimum. The writer refuses exactly the int64 times no stamp holds, and every
+        datetime64 column, naming its dtype."""
         tick = self.ticks[unit]
         lo, hi = (min(max(v, self.int64[0]), self.int64[1]) for v in (-(-self.lo_us // tick), self.hi_us // tick))
         edges = [min(max(v, self.int64[0]), self.int64[1]) for v in self.int64 + [lo, hi, lo - 1, hi + 1, 0]]
@@ -670,40 +725,50 @@ class TestRoundTrip:
         exact = [v * tick for v in values]  # None for NaT
         exact = [None if unit != "int64" and v == -(2**63) else e for v, e in zip(values, exact)]
         writable = all(e is not None and e == int(e) and self.lo_us <= e <= self.hi_us for e in exact)
+        writable &= unit == "int64"
         path = tmp_path_factory.mktemp("events") / "events.csv"
         try:
             write_events(path, given, ranks)
-        except ValueError:
+        except ValueError as exc:
             assert not path.exists() and not (writable and bad_rank is None)
+            if unit != "int64" and bad_rank is None:
+                assert str(exc).startswith(f"peak times must be int64 UTC epoch microseconds, got dtype {unit}")
             return
         assert writable and bad_rank is None
         back_us, back_ranks = read_events(path)
         assert back_us.tolist() == [int(e) for e in exact] and back_ranks.tolist() == ranks
 
+    # Parameter names load_checkpoint cannot read back (empty, or holding whitespace: a space, a tab, a line end,
+    # \x1c, NBSP) beside ones it can (non-ASCII, punctuation).
+    edge_names = ["", " ", "a b", "a\tb", "b\n", "a\x1cb", "\xa0x", "é", "w0.x-1", "array"]
+
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
         data=st.data(),
-        names=st.lists(st.sampled_from(["w0", "b0", "w1", "b1", "head"]), min_size=1, max_size=5, unique=True),
+        names=st.lists(st.sampled_from(["w0", "b0", "w1", "b1", "head"]) | st.sampled_from(edge_names), min_size=1,
+                       max_size=5, unique=True),
         epoch=st.integers(0, 2**31),
         val_gmgs=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, -1.0, 1.0]),
     )
     def test_checkpoint(self, tmp_path_factory, data, names, epoch, val_gmgs):
-        """Parameters of every edge float, in arrays of one or two dimensions: each comes back bit for bit, or
-        save_checkpoint refuses a non-finite one before the file exists."""
+        """Parameters of every edge float, in arrays of zero to two dimensions, each of 0 to 3 entries, named as the
+        trainer names them or by an edge name: each comes back bit for bit, or save_checkpoint refuses, before the
+        file exists, a non-finite value, a name that is empty or holds whitespace, or an array of no dimensions."""
         params = {}
         for name in names:
-            shape = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+            shape = data.draw(st.lists(st.integers(0, 3), min_size=0, max_size=2))
             floats = self.finite | st.sampled_from(self.non_finite)
             values = data.draw(st.lists(floats, min_size=math.prod(shape), max_size=math.prod(shape)))
             params[name] = np.reshape(np.array(values, dtype=float), shape)
         path = tmp_path_factory.mktemp("checkpoint") / "checkpoint.txt"
         finite = all(np.isfinite(p).all() for p in params.values())
+        readable = all(name and not any(c.isspace() for c in name) and p.shape != () for name, p in params.items())
         try:
             save_checkpoint(path, Checkpoint(epoch=epoch, params=params, val_gmgs=val_gmgs, val_report=None), "seed=0\n")
         except ValueError:
-            assert not path.exists() and not finite
+            assert not path.exists() and not (finite and readable)
             return
-        assert finite
+        assert finite and readable
         back, meta = load_checkpoint(path)
         assert sorted(back) == sorted(params)
         for name, p in params.items():
@@ -778,7 +843,8 @@ class TestStampCodec:
         times = times.view(np.int64) if form == "int64" else times
         path = tmp_path / "events.csv"
         why = r"NaT or outside 0001-01-01T00:00:00Z \.\. 9999-12-31T23:59:59\.999999Z"
-        with pytest.raises(ValueError, match=rf"^peak time {times[-1]} cannot be written: {why}"):
+        message = rf"^peak time {times[-1]} cannot be written: {why}" if form == "int64" else refused(form)
+        with pytest.raises(ValueError, match=message):
             write_events(path, times, [1, 2])
         assert not path.exists()
 
@@ -800,8 +866,9 @@ class TestStampCodec:
         ids=["coarser-unit-overflow", "finer-unit-fraction"],
     )
     def test_events_times_microseconds_cannot_hold_rejected(self, tmp_path, times):
+        # Once written wrapped round or cut to a microsecond; now refused, as every datetime64 column is.
         path = tmp_path / "events.csv"
-        with pytest.raises(ValueError, match=rf"peak time {np.datetime_as_string(times[-1])} cannot be written"):
+        with pytest.raises(ValueError, match=refused(times.dtype)):
             write_events(path, times, [1] * len(times))
         assert not path.exists()
 
@@ -814,19 +881,25 @@ class TestStampCodec:
         ids=["datetime64-nat", "int64-nat"],
     )
     def test_events_nat_time_rejected(self, tmp_path, times, shown):
-        # Written as the stamp 'NaTZ', which read_events then rejected.
+        # Written as the stamp 'NaTZ', which read_events then rejected. A datetime64 column is refused for its dtype.
         path = tmp_path / "events.csv"
-        with pytest.raises(ValueError, match=rf"peak time {shown} cannot be written: NaT"):
+        message = rf"peak time {shown} cannot be written: NaT" if times.dtype == np.int64 else refused(times.dtype)
+        with pytest.raises(ValueError, match=message):
             write_events(path, times, [1, 2])
         assert not path.exists()
 
-    def test_events_datetime64_times_written_like_microseconds(self, tmp_path):
+    def test_events_datetime64_times_refused_and_converted_by_the_recipe(self, tmp_path):
+        # write_events once took datetime64 times too; it refuses them now, and the README's conversion writes them.
         us = 10**6 * np.array([0, 3_600, -86_400 * 365], dtype=np.int64) + np.array([0, 0, 5])
-        for times in (us, us.astype("datetime64[us]"), us.astype("datetime64[us]").astype("datetime64[ns]")):
-            write_events(tmp_path / f"{times.dtype}.csv", times, [1, 2, 3])
+        for times in (us.astype("datetime64[us]"), us.astype("datetime64[us]").astype("datetime64[ns]")):
+            with pytest.raises(ValueError, match=refused(times.dtype)):
+                write_events(tmp_path / f"{times.dtype}.csv", times, [1, 2, 3])
+            write_events(tmp_path / f"{times.dtype}.csv", times.astype("datetime64[us]").astype(np.int64), [1, 2, 3])
+        write_events(tmp_path / "int64.csv", us, [1, 2, 3])
         texts = {p.read_text() for p in tmp_path.iterdir()}
         assert len(texts) == 1 and "1969-01-01T00:00:00.000005Z,X" in texts.pop()
-        write_events(tmp_path / "s.csv", (us[:2] // 10**6).astype("datetime64[s]"), [1, 2])
+        seconds = (us[:2] // 10**6).astype("datetime64[s]")
+        write_events(tmp_path / "s.csv", seconds.astype("datetime64[us]").astype(np.int64), [1, 2])
         assert (tmp_path / "s.csv").read_bytes() == b"peak_time,class\r\n1970-01-01T00:00:00Z,C\r\n1970-01-01T01:00:00Z,M\r\n"
 
     def test_read_events_traced_peak(self, tmp_path):
@@ -1036,9 +1109,15 @@ class TestCsvMatchesRowOracles:
             with pytest.raises(ValueError, match="cannot be written"):
                 write_samples(d / "samples.csv", table)
             return
+        write_samples_rows(d / "rows.csv", table)
+        if len(set(ids)) < n:  # the writer refuses a repeated id; the readers reject the row writer's file alike
+            with pytest.raises(ValueError, match=r"^id .* cannot be written twice"):
+                write_samples(d / "samples.csv", table)
+            assert not (d / "samples.csv").exists()
+            assert_same_samples(read_or_error(read_samples, d / "rows.csv"), read_or_error(read_samples_rows, d / "rows.csv"))
+            return
         with mock.patch.object(pipeline, "_WRITE_BLOCK_ROWS", block):
             write_samples(d / "samples.csv", table)
-        write_samples_rows(d / "rows.csv", table)
         assert (d / "samples.csv").read_bytes() == (d / "rows.csv").read_bytes()
         assert_same_samples(read_or_error(read_samples, d / "samples.csv"), read_or_error(read_samples_rows, d / "samples.csv"))
 

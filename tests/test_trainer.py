@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -470,6 +471,30 @@ class TestTrainLoop:
             train(samples.features, seconds, samples.labels, fold, cfg)
         with pytest.raises(ValueError, match=message):
             evaluate_fold(samples.features, seconds, samples.labels, fold.test, init_params(3, cfg, np.random.default_rng(0)), cfg)
+
+    @pytest.mark.parametrize("form", ["float64", "datetime64[us]"])
+    def test_times_of_another_dtype_rejected(self, form):
+        # Once cast to int64 as they stood, and datetime64[s] times not even then (their cycle phases were wrong).
+        samples = small_dataset(80, feature_dim=3)
+        fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
+        cfg = small_config(epochs=1, warmup_epochs=0)
+        times = samples.times.astype(form)
+        message = rf"^times must be int64 UTC epoch microseconds, got dtype {re.escape(form)}; "
+        with pytest.raises(ValueError, match=message):
+            train(samples.features, times, samples.labels, fold, cfg)
+        with pytest.raises(ValueError, match=message):
+            evaluate_fold(samples.features, times, samples.labels, fold.test, init_params(3, cfg, np.random.default_rng(0)), cfg)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(-1, r"holds -1: class rank outside 0\.\.3$"), (2.5, r"must be integer class ranks, got dtype float64$")],
+    )
+    def test_labels_outside_classes_rejected(self, bad, message):
+        samples = small_dataset(80, feature_dim=3)
+        fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
+        labels = np.where(np.arange(80) == 5, bad, samples.labels)
+        with pytest.raises(ValueError, match=rf"^labels {message}"):
+            train(samples.features, samples.times, labels, fold, small_config(epochs=1, warmup_epochs=0))
 
     def test_gradient_verification_flag_passes(self):
         samples = small_dataset(80, feature_dim=3)
