@@ -10,9 +10,9 @@ from flarecast.pipeline import split_timeseries
 from flarecast.trainer import evaluate_fold
 
 # Class mix mirroring real flare statistics: X-class events are ~4% of samples.
-samples = gen_synthetic(6000, [0.38, 0.35, 0.23, 0.04], seed=0, feature_dim=12)
+samples, labels = gen_synthetic(6000, [0.38, 0.35, 0.23, 0.04], seed=0, feature_dim=12)
 fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
-columns = samples.features, samples.times, samples.labels  # what train and evaluate_fold read
+columns = samples.features, samples.times, labels  # what train and evaluate_fold read
 print(f"samples: {len(samples)} | train/val/test = "
       f"{len(fold.train)}/{len(fold.validation)}/{len(fold.test)}")
 

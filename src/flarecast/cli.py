@@ -199,12 +199,12 @@ def _landing(target: Path) -> Iterator[Path]:
 def cmd_gen_data(args) -> int:
     try:
         probs = [float(v) for v in args.class_probs.split(",")]
-        table = gen_synthetic(args.n, probs, args.seed, args.feature_dim, spacing_steps=args.spacing_steps)
+        table, ranks = gen_synthetic(args.n, probs, args.seed, args.feature_dim, spacing_steps=args.spacing_steps)
     except ValueError as exc:
         raise UsageError(f"invalid arguments: {exc}") from None
     with _landing(Path(args.out_dir)) as staging:
         write_samples(staging / "samples.csv", table)
-        write_events(staging / "events.csv", *events_for_samples(table))
+        write_events(staging / "events.csv", *events_for_samples(table.times, ranks))
         _write_config(staging, vars(args).items())
     print(f"wrote {len(table)} samples and events to {Path(args.out_dir)}")
     return 0
@@ -257,9 +257,9 @@ def cmd_train(args) -> int:
     table = read_samples(samples_path)
     labels = ranks[match_ids(label_ids, table.ids, labels_path, samples_path)]
     del label_ids, ranks  # joined
-    table, excluded = apply_channel_policy(table, labels, np.argsort(table.times, kind="stable"))
+    table, labels, excluded = apply_channel_policy(table, labels, np.argsort(table.times, kind="stable"))
     fold = split_timeseries(table, split_spec)[fold_index]
-    features, times, labels = table.features, table.times, table.labels
+    features, times = table.features, table.times
     del table  # with it go the ids and the mask, which nothing below reads
     result = train(features, times, labels, fold, cfg)
 

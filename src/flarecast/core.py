@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,17 +83,25 @@ def _check_times(times, column: str) -> np.ndarray:
     return t.astype(np.int64, copy=False)
 
 
-def _check_ranks(ranks, column: str, unlabeled: bool = False) -> np.ndarray:
+def _check_ranks(ranks, column: str) -> np.ndarray:
     """``ranks`` as int8 class ranks. ValueError names ``column`` and the dtype unless it is an integer one (an empty
-    column's is not checked), or the first value outside 0..3 (-1..3 where ``unlabeled`` rows' -1 is allowed), which
-    is tested before the cast to int8, so that none wraps round."""
+    column's is not checked), or the first value outside 0..3, which is tested before the cast to int8, so that none
+    wraps round."""
     r = np.asarray(ranks)
     if r.size and r.dtype.kind not in "iu":
         raise ValueError(f"{column} must be integer class ranks, got dtype {r.dtype}")
-    bad = (r < -unlabeled) | (r >= N_CLASSES)
+    bad = (r < 0) | (r >= N_CLASSES)
     if bad.any():
-        raise ValueError(f"{column} holds {r[bad][0]}: class rank outside {-unlabeled}..{N_CLASSES - 1}")
+        raise ValueError(f"{column} holds {r[bad][0]}: class rank outside 0..{N_CLASSES - 1}")
     return r.astype(np.int8, copy=False)
+
+
+def _check_aligned(**columns) -> None:
+    """ValueError naming each column and its length unless all have one length: one entry per row."""
+    lengths = [len(column) for column in columns.values()]
+    if len(set(lengths)) > 1:
+        got = " and ".join(map(str, lengths))
+        raise ValueError(f"{' and '.join(columns)} must be aligned, one entry per row: got {got}")
 
 
 def _check_grid(times) -> np.ndarray:
@@ -120,10 +128,10 @@ class SampleTable:
     """Observation instants as aligned columns, one row per instant.
 
     ``ids`` (str), ``times`` (int64 UTC epoch microseconds on the 2-hour grid),
-    ``mask`` (bool ``(n, 10)`` channel presence), ``features`` (float64
-    ``(n, D)``) and ``labels`` (int8 class rank, -1 for unlabeled; all -1
-    when omitted). Construction checks that the columns are aligned and
-    well-formed and freezes them. The constructor freezes copies of its
+    ``mask`` (bool ``(n, 10)`` channel presence) and ``features`` (float64
+    ``(n, D)``): what ``samples.csv`` holds. Class ranks travel beside the
+    table, as a column of their own. Construction checks that the columns are
+    aligned and well-formed and freezes them. The constructor freezes copies of its
     arguments; the tables the library builds adopt the fresh arrays they made.
     """
 
@@ -131,17 +139,14 @@ class SampleTable:
     times: np.ndarray
     mask: np.ndarray
     features: np.ndarray
-    labels: Optional[np.ndarray] = None
 
     def __post_init__(self, convert=np.array) -> None:
         n = len(self.ids)
-        labels = np.full(n, -1) if self.labels is None else self.labels
         columns = {
             "ids": _str_ids(self.ids, convert),
             "times": _check_grid(convert(self.times)),
             "mask": convert(self.mask, dtype=bool),
             "features": convert(self.features, dtype=float),
-            "labels": _check_ranks(convert(labels), "labels", unlabeled=True),
         }
         if columns["ids"].ndim != 1 or any(c.shape[:1] != (n,) for c in columns.values()):
             raise ValueError("sample columns must be aligned: one entry per id")
@@ -151,9 +156,9 @@ class SampleTable:
             object.__setattr__(self, name, _frozen(column))
 
     @classmethod
-    def _adopt(cls, ids, times, mask, features, labels=None) -> "SampleTable":
+    def _adopt(cls, ids, times, mask, features) -> "SampleTable":
         table = object.__new__(cls)
-        table.__dict__.update(ids=ids, times=times, mask=mask, features=features, labels=labels)
+        table.__dict__.update(ids=ids, times=times, mask=mask, features=features)
         table.__post_init__(np.asarray)  # the same checks; a column of the right dtype is kept, not copied
         return table
 

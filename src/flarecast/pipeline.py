@@ -38,6 +38,7 @@ from .core import (
     N_CLASSES,
     FlareClass,
     SampleTable,
+    _check_aligned,
     _check_ranks,
     _check_times,
     _str_ids,
@@ -115,10 +116,12 @@ def label_samples(table: SampleTable, peak_us, ranks, horizon_hours: float = DEF
     class ranks, 0 (O) where no event of class C or above peaks in the window.
     Times are compared in integer microseconds, so fractional seconds in event
     times and in the horizon keep their place relative to the boundaries. ValueError for peak times or ranks of
-    another dtype, or a rank outside 0..3 (see :func:`flarecast.core._check_times` and ``_check_ranks``).
+    another dtype, a rank outside 0..3 (see :func:`flarecast.core._check_times` and ``_check_ranks``), or columns of
+    different lengths.
     """
     window = _horizon_us(horizon_hours)
     ev_us, ev_cls = _check_times(peak_us, "peak times"), _check_ranks(ranks, "event ranks")
+    _check_aligned(peak_us=ev_us, ranks=ev_cls)
     order = np.argsort(ev_us, kind="stable")
     ev_us, ev_cls = ev_us[order], ev_cls[order]
     lo = np.searchsorted(ev_us, table.times, side="right")
@@ -131,26 +134,27 @@ def label_samples(table: SampleTable, peak_us, ranks, horizon_hours: float = DEF
     return labels
 
 
-def apply_channel_policy(table: SampleTable, labels=None, order=None) -> Tuple[SampleTable, int]:
-    """Enforce the channel-completeness and labeled-only policy.
+def apply_channel_policy(table: SampleTable, labels, order=None) -> Tuple[SampleTable, np.ndarray, int]:
+    """Enforce the channel-completeness policy on a table and its class-rank ``labels``, one per row.
 
-    Rows missing 3 or more of the 10 channels (at least 25%) are excluded, as
-    are unlabeled rows. Rows missing 1-2 channels are kept with the missing
-    channels' ``np.array_split(range(D), 10)`` feature blocks set to +0.0;
-    other features pass through unchanged. Returns the kept rows, taken in ``order`` (row
-    indices, else table order) with ``labels`` (else the table's own), and the number excluded.
-    Where every row is kept in table order and none misses a channel, the result shares the
-    table's columns (which are frozen) and holds a copy of the labels.
+    Rows missing 3 or more of the 10 channels (at least 25%) are excluded. Rows
+    missing 1-2 channels are kept with the missing channels'
+    ``np.array_split(range(D), 10)`` feature blocks set to +0.0; other features
+    pass through unchanged. Returns the kept rows, taken in ``order`` (row
+    indices, else table order), a new int8 array of their labels, and the number
+    excluded. Where every row is kept in table order and none misses a channel,
+    the kept rows are the table itself.
     """
-    labels = table.labels if labels is None else np.asarray(labels)
-    keep = (labels >= 0) & (N_CHANNELS - table.mask.sum(axis=1) <= MAX_MISSING_CHANNELS)
+    labels = _check_ranks(labels, "labels")
+    _check_aligned(table=table, labels=labels)
+    keep = N_CHANNELS - table.mask.sum(axis=1) <= MAX_MISSING_CHANNELS
     rows = np.flatnonzero(keep) if order is None else np.asarray(order)[keep[order]]
     if len(rows) == len(table) and (rows[1:] > rows[:-1]).all() and table.mask.all():  # rows 0.., nothing zeroed
-        return SampleTable._adopt(table.ids, table.times, table.mask, table.features, labels.copy()), 0
+        return table, labels[rows], 0
     mask, features = table.mask[rows], table.features[rows]
     block_sizes = [len(block) for block in np.array_split(range(features.shape[1]), N_CHANNELS)]
     np.copyto(features, 0.0, where=~np.repeat(mask, block_sizes, axis=1))
-    return SampleTable._adopt(table.ids[rows], table.times[rows], mask, features, labels[rows]), len(table) - len(rows)
+    return SampleTable._adopt(table.ids[rows], table.times[rows], mask, features), labels[rows], len(table) - len(rows)
 
 
 @dataclass(frozen=True)
@@ -223,8 +227,8 @@ def _stratified_counts(n: int, probs: np.ndarray) -> np.ndarray:
 
 def gen_synthetic(
     n: int, class_probs: Sequence[float], seed: int, feature_dim: int, spacing_steps: int = 1
-) -> SampleTable:
-    """Deterministic labeled samples with class-conditional Gaussian features.
+) -> Tuple[SampleTable, np.ndarray]:
+    """Deterministic samples with class-conditional Gaussian features, and their class ranks (int8).
 
     Class counts follow the target probabilities exactly (largest-remainder
     rounding), so ``n=4`` with a uniform target yields one sample per class.
@@ -248,7 +252,7 @@ def gen_synthetic(
         raise ValueError("class_probs must be 4 non-negative values summing to 1")
     rng = np.random.default_rng(seed)
     counts = _stratified_counts(n, probs)
-    ranks = np.repeat(np.arange(N_CLASSES), counts)
+    ranks = np.repeat(np.arange(N_CLASSES, dtype=np.int8), counts)
     rng.shuffle(ranks)
     direction = np.ones(feature_dim) / np.sqrt(feature_dim)
     feats = rng.standard_normal((n, feature_dim))
@@ -258,8 +262,7 @@ def gen_synthetic(
         times=start + np.arange(n, dtype=np.int64) * (GRID_US * spacing_steps),
         mask=np.ones((n, N_CHANNELS), dtype=bool),
         features=feats,
-        labels=ranks,
-    )
+    ), ranks
 
 
 def _sample_ids(n: int) -> np.ndarray:
@@ -271,16 +274,18 @@ def _sample_ids(n: int) -> np.ndarray:
     return codes.view(f"U{width + 1}").ravel()
 
 
-def events_for_samples(table: SampleTable) -> Tuple[np.ndarray, np.ndarray]:
-    """One event per row of class C or above, peaking EVENT_OFFSET_HOURS after
-    it, as ``(peak_us, ranks)`` columns in table order.
+def events_for_samples(times, ranks) -> Tuple[np.ndarray, np.ndarray]:
+    """One event per sample whose class rank in ``ranks`` is C or above, peaking EVENT_OFFSET_HOURS after its
+    time in ``times`` (aligned with ``ranks``), as ``(peak_us, ranks)`` columns in sample order.
 
     With samples spaced more than the labeling horizon apart the windows do
-    not overlap, so :func:`label_samples` on the result reproduces the
-    table's own labels exactly.
+    not overlap, so :func:`label_samples` on the result reproduces ``ranks``
+    exactly.
     """
-    flaring = table.labels > FlareClass.O
-    return table.times[flaring] + _EVENT_OFFSET_US, table.labels[flaring]
+    times, ranks = _check_times(times, "times"), _check_ranks(ranks, "ranks")
+    _check_aligned(times=times, ranks=ranks)
+    flaring = ranks > FlareClass.O
+    return times[flaring] + _EVENT_OFFSET_US, ranks[flaring]
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +561,10 @@ def _stamp_times(times, column: str, name) -> np.ndarray:
 def write_events(path, peak_us, ranks) -> None:
     """Write ``peak_time,class`` rows of at most 31 bytes, the times (int64 UTC epoch microseconds) as canonical
     stamps (see :func:`_encode_stamps`). Before the file is opened, ValueError names the first time that no stamp
-    holds (see :func:`_stamp_times`)."""
+    holds (see :func:`_stamp_times`), or the lengths of columns that differ."""
     names = _class_names(ranks, "ranks")
     times = _stamp_times(peak_us, "peak times", lambda i: f"peak time {peak_us[i]}")
+    _check_aligned(peak_us=times, ranks=names)
     _write_csv(path, ["peak_time", "class"], len(names), lambda b: zip(_encode_stamps(times[b]), names[b]), 31)
 
 
@@ -615,13 +621,15 @@ def _check_samples(texts: List[List[str]], features: np.ndarray) -> tuple:
 
 
 def read_samples(path) -> SampleTable:
-    """``samples.csv`` as an unlabeled table (see :func:`_check_samples`)."""
+    """``samples.csv`` as a table (see :func:`_check_samples`)."""
     return SampleTable._adopt(*_read_csv(path, _check_samples, ["id", "timestamp", "mask"], more="f0.."))
 
 
 def write_labels(path, ids: Sequence[str], labels) -> None:
-    """Write ``id,label`` rows as csv.writer would, unquoted; ``labels`` are class ranks or :class:`FlareClass` members."""
+    """Write ``id,label`` rows as csv.writer would, unquoted; ``labels`` are class ranks or :class:`FlareClass` members,
+    one per id (ValueError names the lengths of columns that differ, before the file is opened)."""
     ids, names = _str_ids(ids, np.asarray), _class_names(labels, "labels")
+    _check_aligned(ids=ids, labels=names)
     _write_csv(path, ["id", "label"], len(ids), lambda b: zip(ids[b].tolist(), names[b]), ids.itemsize // 4 + 4, ids)
 
 

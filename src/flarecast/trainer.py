@@ -263,7 +263,7 @@ def _require_all_classes(labels: np.ndarray, fold: Fold) -> None:
 def train(features: np.ndarray, times: np.ndarray, labels: np.ndarray, fold: Fold, cfg: TrainConfig) -> TrainResult:
     """Run the full training loop on one chronological fold of the rows of ``features`` (float64 ``(n, D)``),
     with their ``times`` (int64 UTC epoch microseconds on the 2-hour grid) and class-rank ``labels``, such as a
-    table's columns.
+    table's columns and the labels beside it.
 
     Influence terms activate at ``epoch == warmup_epochs``; validation GMGS is
     computed every epoch and drives checkpoint selection (argmax, earliest on
@@ -273,8 +273,8 @@ def train(features: np.ndarray, times: np.ndarray, labels: np.ndarray, fold: Fol
     ------
     ValueError
         If the columns are not aligned, the times are not int64 microseconds on the grid (one in seconds is off
-        it), a label is not a class rank 0..3 (an unlabeled row's -1 is not), or the training, validation or test
-        range (checked in that order, before anything is set up) lacks a class.
+        it), a label is not a class rank 0..3, or the training, validation or test range (checked in that order,
+        before anything is set up) lacks a class.
     RuntimeError
         On numerical divergence.
     """
@@ -424,9 +424,9 @@ def save_checkpoint(path, checkpoint: Checkpoint, config_text: str) -> None:
 def load_checkpoint(path) -> Tuple[Params, Dict[str, str]]:
     """Read a checkpoint file back into (params, metadata).
 
-    A malformed array header, a missing values line (a truncated file) or a
-    value count that does not fit the declared shape raises ValueError naming
-    the path and line.
+    A malformed array header (its shape fields are ASCII digits), a repeated
+    array name, a missing values line (a truncated file) or a value count that
+    does not fit the declared shape raises ValueError naming the path and line.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -441,9 +441,11 @@ def load_checkpoint(path) -> Tuple[Params, Dict[str, str]]:
         i += 1
     while i < len(lines):
         parts = lines[i].split()
-        if len(parts) != 3 or parts[0] != "array" or not all(d.isdigit() for d in parts[2].split("x")):
+        if len(parts) != 3 or parts[0] != "array" or not all(d.isascii() and d.isdigit() for d in parts[2].split("x")):
             raise ValueError(f"{path}:{i + 1}: expected 'array <name> <shape>', got {lines[i]!r}")
         _, name, shape = parts
+        if name in params:
+            raise ValueError(f"{path}:{i + 1}: duplicate array {name}")
         dims = tuple(int(d) for d in shape.split("x"))
         if i + 1 == len(lines):
             raise ValueError(f"{path}:{i + 2}: truncated file: array {name} has no values line")

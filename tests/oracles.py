@@ -181,18 +181,18 @@ def label_max_class(t, peak_us, ranks, horizon_hours=72.0):
 
 def select_rows(table, rows) -> SampleTable:
     """The rows of ``table`` that an index array or boolean mask selects, in that order, as a new table."""
-    return SampleTable(*(column[rows] for column in (table.ids, table.times, table.mask, table.features, table.labels)))
+    return SampleTable(*(column[rows] for column in (table.ids, table.times, table.mask, table.features)))
 
 
-def channel_policy_loop(masks, features, labels):
+def channel_policy_loop(masks, features):
     """The channel policy one row at a time.
 
     Returns the kept row indices, their features with each missing channel's
     ``np.array_split`` block assigned 0.0, and the number of rows excluded.
     """
     kept, rows, excluded = [], [], 0
-    for i, (mask, feats, label) in enumerate(zip(masks, features, labels)):
-        if label < 0 or 10 - sum(bool(b) for b in mask) >= 3:
+    for i, (mask, feats) in enumerate(zip(masks, features)):
+        if 10 - sum(bool(b) for b in mask) >= 3:
             excluded += 1
             continue
         out = np.array(feats, dtype=float)
@@ -594,14 +594,14 @@ def flare_loss_allocating(probs, ys, h_l1, sample_w, lambda_bss, ib_active):
     return (wce, ib_ce, wbss, ib_bss), (w * ce_scale)[:, None] * delta + (w * bss_scale)[:, None] * g
 
 
-def train_reference(table, fold, cfg):
+def train_reference(table, labels, fold, cfg):
     """The training loop with a fancy-index gather, an ``np.eye`` one-hot and
     freshly allocated arrays on every batch, and no gradient verification
     (which must leave the parameters as it found them).
 
     Returns the epoch records, the best epoch and its parameters.
     """
-    labels = table.labels.astype(np.intp)
+    labels = np.asarray(labels, dtype=np.intp)
     phis_all = _phis(table.times, cfg)
     train_idx = np.array(fold.train)
     counts = np.bincount(labels[train_idx], minlength=N_CLASSES)
@@ -632,7 +632,7 @@ def train_reference(table, fold, cfg):
         wce, ib_ce, wbss, ib_bss = (float(s) for s in sums / len(order))
         losses = LossBreakdown(wce, ib_ce, wbss, ib_bss, (wce + ib_ce) + cfg.lambda_bss * (wbss + ib_bss), ib_active)
         probs = forward_allocating(table.features[val], _phis(table.times[val], cfg), params)[-1]
-        report = build_report(table.labels[val], probs.argmax(axis=1), probs)
+        report = build_report(labels[val], probs.argmax(axis=1), probs)
         bss = report.bss_ge_m if report.bss_ge_m is not None else float("nan")
         history.append(EpochRecord(epoch, losses, report.gmgs, report.tss_ge_m, bss))
         if best is None or report.gmgs > best[1]:

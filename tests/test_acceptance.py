@@ -219,14 +219,14 @@ def test_criterion_6_embedding():
 
 
 def test_criterion_7_warmup_contract():
-    samples = gen_synthetic(1000, [0.38, 0.35, 0.23, 0.04], seed=5, feature_dim=6)
+    samples, labels = gen_synthetic(1000, [0.38, 0.35, 0.23, 0.04], seed=5, feature_dim=6)
     fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
     warmup = 3
     cfg = TrainConfig(
         epochs=6, warmup_epochs=warmup, learning_rate=1e-2,
         batch_size=64, hidden_sizes=(16, 16), seed=5,
     )
-    history = train(samples.features, samples.times, samples.labels, fold, cfg).history
+    history = train(samples.features, samples.times, labels, fold, cfg).history
     for r in history:
         if r.epoch < warmup:
             assert r.losses.ib_ce == 0.0 and r.losses.ib_bss == 0.0
@@ -240,7 +240,7 @@ def test_criterion_8_end_to_end_synthetic():
     probs = (0.38, 0.35, 0.23, 0.04)
     flare_gmgs, ce_gmgs, flare_recall, ce_recall = [], [], [], []
     for seed in range(5):
-        samples = gen_synthetic(10_000, probs, seed=seed, feature_dim=12)
+        samples, labels = gen_synthetic(10_000, probs, seed=seed, feature_dim=12)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         common = dict(
             epochs=20, batch_size=64, learning_rate=1e-2, warmup_epochs=5,
@@ -254,7 +254,7 @@ def test_criterion_8_end_to_end_synthetic():
             (flare_cfg, flare_gmgs, flare_recall),
             (plain_ce_cfg, ce_gmgs, ce_recall),
         ):
-            result = train(samples.features, samples.times, samples.labels, fold, cfg)
+            result = train(samples.features, samples.times, labels, fold, cfg)
             gmgs_acc.append(result.best.val_gmgs)
             c = result.best.val_report.confusion.counts
             recall_acc.append(c[3, 3] / c[3].sum())
@@ -271,11 +271,11 @@ def test_criterion_8_end_to_end_synthetic():
 
 
 def test_criterion_9_pipeline_policies():
-    base = gen_synthetic(3, [0.25] * 4, seed=0, feature_dim=10)
+    base, _ = gen_synthetic(3, [0.25] * 4, seed=0, feature_dim=10)
     masks = [(True,) * 10, (False, False) + (True,) * 8, (False,) * 3 + (True,) * 7]
     labels = [FlareClass.C, FlareClass.O, FlareClass.M]
-    table = SampleTable(["a", "b", "c"], base.times, masks, np.ones((3, 10)), labels)
-    kept, excluded = apply_channel_policy(table)
+    table = SampleTable(["a", "b", "c"], base.times, masks, np.ones((3, 10)))
+    kept, _, excluded = apply_channel_policy(table, labels)
     assert kept.ids.tolist() == ["a", "b"] and excluded == 1
     assert np.array_equal(kept.features[0], np.ones(10))
     assert np.array_equal(kept.features[1], [0, 0] + [1] * 8)

@@ -1,6 +1,6 @@
 """Public surface: every name a module lists in ``__all__``, every name the
 package exports, and every name the README imports resolves, and every README
-python block that reads no file runs."""
+python block runs."""
 
 import ast
 import importlib
@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import flarecast
+from flarecast.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["core", "cycle", "losses", "metrics", "pipeline", "trainer", "cli"]
@@ -54,17 +55,17 @@ def test_readme_imports_resolve():
         assert hasattr(importlib.import_module(module_name), name), f"README imports {module_name}.{name}"
 
 
-# The README python blocks that read no file, by their place among all of them.
-RUNNABLE = {
-    f"block{i}": block
-    for i, block in enumerate(README_BLOCKS)
-    if not re.search(r"\bread_\w*\(|\bopen\(|\bload_checkpoint\(", block)
-}
+README_BLOCK_NAMES = [f"block{i}" for i in range(len(README_BLOCKS))]
 
 
-@pytest.mark.parametrize("name", list(RUNNABLE))
+@pytest.mark.parametrize("name", README_BLOCK_NAMES)
 def test_readme_block_runs(name, tmp_path, monkeypatch):
-    """Each README python block that reads no file runs as written, in an empty directory for any file it writes:
-    the Library section cannot drift from what the library takes and refuses."""
+    """Each README python block runs as written, in a directory holding ``data/samples.csv``, ``data/events.csv``
+    and ``data/labels.csv`` as ``flarecast gen-data`` and ``label`` write them, and nothing else but their
+    ``config.txt``: the Library section cannot drift from what the library takes and refuses."""
     monkeypatch.chdir(tmp_path)
-    exec(compile(RUNNABLE[name], f"README.md python {name}", "exec"), {"__name__": "readme"})
+    assert main(["gen-data", "--n", "40", "--out-dir", "data"]) == 0
+    label = ["label", "--events", "data/events.csv", "--samples", "data/samples.csv", "--out", "data/labels.csv"]
+    assert main(label) == 0
+    block = README_BLOCKS[README_BLOCK_NAMES.index(name)]
+    exec(compile(block, f"README.md python {name}", "exec"), {"__name__": "readme"})

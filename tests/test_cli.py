@@ -845,7 +845,7 @@ class TestLanding:
 
 def table_bytes(path):
     table = read_samples(path)
-    return sum(c.nbytes for c in (table.ids, table.times, table.mask, table.features, table.labels))
+    return sum(c.nbytes for c in (table.ids, table.times, table.mask, table.features))
 
 
 def traced_peak(*args):

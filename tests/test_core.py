@@ -11,6 +11,7 @@ from flarecast import (
     ConfusionMatrix,
     FlareClass,
     SampleTable,
+    apply_channel_policy,
     build_confusion,
     class_weights,
     gerrity_matrix,
@@ -56,14 +57,13 @@ class TestProbDist:
             gerrity_matrix([-0.1, 0.4, 0.4, 0.3])
 
 
-def table_at(*stamps, mask_width=10, features=None, labels=None):
+def table_at(*stamps, mask_width=10, features=None):
     n = len(stamps)
     return SampleTable(
         [f"s{i}" for i in range(n)],
         [grid_us(t) if isinstance(t, datetime) else t for t in stamps],
         np.ones((n, mask_width), dtype=bool),
         np.zeros((n, 4)) if features is None else features,
-        labels,
     )
 
 
@@ -98,22 +98,14 @@ class TestSample:
         with pytest.raises(ValueError, match="aligned"):
             table_at(t, t, features=np.zeros((3, 4)))
         with pytest.raises(ValueError, match="aligned"):
-            table_at(t, labels=[0, 1])
+            apply_channel_policy(table_at(t), [0, 1])
         with pytest.raises(ValueError, match="2-d"):
             table_at(t, features=np.zeros(1))
-
-    def test_labels_are_ranks_or_unlabeled(self):
-        t = datetime(2020, 1, 1, tzinfo=UTC)
-        assert table_at(t).labels.tolist() == [-1]
-        assert table_at(t, t, labels=[FlareClass.X, -1]).labels.dtype == np.int8
-        for bad in (-2, 4):
-            with pytest.raises(ValueError, match="-1..3"):
-                table_at(t, labels=[bad])
 
     def test_fractional_label_rejected(self):
         # Once cast to int8 and held as M.
         with pytest.raises(ValueError, match=r"^labels must be integer class ranks, got dtype float64$"):
-            table_at(datetime(2020, 1, 1, tzinfo=UTC), labels=[2.7])
+            apply_channel_policy(table_at(datetime(2020, 1, 1, tzinfo=UTC)), [2.7])
 
     @pytest.mark.parametrize("form", ["float64", "datetime64[us]", "datetime64[s]"])
     def test_times_of_another_dtype_rejected(self, form):
@@ -128,7 +120,7 @@ class TestSample:
         table = table_at(datetime(2020, 1, 1, tzinfo=UTC), features=feats)
         feats[0, 0] = 1.0
         assert table.features[0, 0] == 0.0
-        for column in (table.ids, table.times, table.mask, table.features, table.labels):
+        for column in (table.ids, table.times, table.mask, table.features):
             assert not column.flags.writeable
 
     @pytest.mark.parametrize("sid", ["a\x00", "\x00", "a\x00\x00"])

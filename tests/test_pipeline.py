@@ -79,10 +79,10 @@ def refused(dtype):
 
 def table_columns(table: SampleTable):
     """The column arrays themselves (``dataclasses.astuple`` would deep-copy them)."""
-    return table.ids, table.times, table.mask, table.features, table.labels
+    return table.ids, table.times, table.mask, table.features
 
 
-def make_table(rows, labels=None, mask=(True,) * 10, features=None, step_hours=2, start=T0) -> SampleTable:
+def make_table(rows, mask=(True,) * 10, features=None, step_hours=2, start=T0) -> SampleTable:
     """Rows ``i`` in ``rows``: id ``s{i:03d}``, time ``start + step_hours * i``, features ``arange(10) + i``."""
     rows = np.asarray(rows)
     feats = np.arange(10, dtype=float) + rows[:, None] if features is None else features
@@ -91,7 +91,6 @@ def make_table(rows, labels=None, mask=(True,) * 10, features=None, step_hours=2
         grid_us(start) + 3600 * 10**6 * step_hours * rows,
         np.tile(mask, (len(rows), 1)),
         feats,
-        labels,
     )
 
 
@@ -169,6 +168,13 @@ class TestLabelMaxClass:
         with pytest.raises(ValueError, match=rf"^event ranks {message}"):
             label_samples(make_table([0]), peak_us, ranks)
 
+    @pytest.mark.parametrize("ranks, got", [([1, 3, 3], "1 and 3"), ([], "1 and 0")], ids=["longer", "shorter"])
+    def test_event_columns_of_different_lengths_rejected(self, ranks, got):
+        # Once the longer ranks' X went unread and the row was labelled C; shorter ranks raised IndexError.
+        peak_us, _ = columns([event(10, FlareClass.C)])
+        with pytest.raises(ValueError, match=rf"^peak_us and ranks must be aligned, one entry per row: got {got}$"):
+            label_samples(make_table([0]), peak_us, np.array(ranks, dtype=np.int8))
+
     @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf"), 1e10, 1e15, 1e-10])
     def test_unusable_horizon_rejected(self, horizon):
         with pytest.raises(ValueError, match="horizon must be positive and within the datetime range"):
@@ -177,17 +183,17 @@ class TestLabelMaxClass:
 
 class TestChannelPolicy:
     def test_complete_sample_kept_unchanged(self):
-        table = make_table([0], labels=[FlareClass.C])
-        kept, excluded = apply_channel_policy(table)
+        table = make_table([0])
+        kept, kept_labels, excluded = apply_channel_policy(table, [FlareClass.C])
         assert excluded == 0
         assert list(kept.ids) == ["s000"] and kept.times[0] == table.times[0]
-        assert np.array_equal(kept.mask, table.mask) and kept.labels[0] == FlareClass.C
+        assert np.array_equal(kept.mask, table.mask) and kept_labels[0] == FlareClass.C
         assert np.array_equal(kept.features.view(np.int64), table.features.view(np.int64))
 
     def test_two_missing_kept_with_zero_fill(self):
         mask = (False, False) + (True,) * 8
-        table = make_table([1], labels=[FlareClass.O], mask=mask)
-        kept, excluded = apply_channel_policy(table)
+        table = make_table([1], mask=mask)
+        kept, _, excluded = apply_channel_policy(table, [FlareClass.O])
         assert excluded == 0
         assert tuple(kept.mask[0]) == mask
         assert np.array_equal(kept.features[0, :2], [0.0, 0.0])
@@ -195,47 +201,56 @@ class TestChannelPolicy:
 
     def test_three_missing_excluded(self):
         mask = (False, False, False) + (True,) * 7
-        kept, excluded = apply_channel_policy(make_table([2], labels=[FlareClass.M], mask=mask))
+        kept, _, excluded = apply_channel_policy(make_table([2], mask=mask), [FlareClass.M])
         assert len(kept) == 0 and excluded == 1
 
-    def test_unlabeled_excluded(self):
-        kept, excluded = apply_channel_policy(make_table([3]))
-        assert len(kept) == 0 and excluded == 1
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0, 1], r"^table and labels must be aligned, one entry per row: got 1 and 2$"),
+            ([-1], r"^labels holds -1: class rank outside 0\.\.3$"),  # once excluded as an unlabeled row
+        ],
+        ids=["misaligned", "minus-one"],
+    )
+    def test_labels_not_one_rank_per_row_rejected(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            apply_channel_policy(make_table([3]), labels)
 
     def test_block_zeroing_for_wide_features(self):
         mask = tuple(ch != 4 for ch in range(10))
-        table = make_table([4], labels=[FlareClass.C], mask=mask, features=np.ones((1, 20)))
-        kept, _ = apply_channel_policy(table)
+        table = make_table([4], mask=mask, features=np.ones((1, 20)))
+        kept, _, _ = apply_channel_policy(table, [FlareClass.C])
         out = kept.features[0]
         assert np.array_equal(out[8:10], [0.0, 0.0])  # channel 4 owns features 8..9
         assert out.sum() == 18.0
 
     @pytest.mark.parametrize("order", [None, "identity"])
     def test_unchanged_table_shares_its_columns(self, order):
-        table = gen_synthetic(30, [0.4, 0.3, 0.2, 0.1], seed=2, feature_dim=20)
-        labels = table.labels[::-1].copy()
-        kept, excluded = apply_channel_policy(table, labels, None if order is None else np.arange(30))
-        assert excluded == 0
-        assert all(column is source for column, source in zip(table_columns(kept)[:4], table_columns(table)))
-        assert kept.labels.tolist() == labels.tolist() and not np.shares_memory(kept.labels, labels)
+        table, ranks = gen_synthetic(30, [0.4, 0.3, 0.2, 0.1], seed=2, feature_dim=20)
+        labels = ranks[::-1].copy()
+        kept, kept_labels, excluded = apply_channel_policy(table, labels, None if order is None else np.arange(30))
+        assert excluded == 0 and kept is table
+        assert all(column is source for column, source in zip(table_columns(kept), table_columns(table)))
+        assert kept_labels.tolist() == labels.tolist() and not np.shares_memory(kept_labels, labels)
         assert labels.flags.writeable  # the caller's labels are copied, not frozen
 
     @pytest.mark.parametrize("change", ["drop", "reorder", "zero"])
     def test_changed_table_copied_leaving_input_untouched(self, change):
-        base = gen_synthetic(30, [0.4, 0.3, 0.2, 0.1], seed=2, feature_dim=20)
-        mask, labels, order = base.mask.copy(), base.labels.copy(), np.arange(30)
+        base, ranks = gen_synthetic(30, [0.4, 0.3, 0.2, 0.1], seed=2, feature_dim=20)
+        mask, labels, order = base.mask.copy(), ranks.copy(), np.arange(30)
         if change == "drop":
-            labels[5] = -1
+            mask[5, :3] = False
         elif change == "reorder":
             order[[3, 4]] = [4, 3]
         else:
             mask[7, 2] = False
-        table = SampleTable(base.ids, base.times, mask, base.features, base.labels)
-        before = [column.copy() for column in table_columns(table)]
-        kept, excluded = apply_channel_policy(table, labels, order)
+        table = SampleTable(base.ids, base.times, mask, base.features)
+        before = [column.copy() for column in (*table_columns(table), labels)]
+        kept, kept_labels, excluded = apply_channel_policy(table, labels, order)
         assert excluded == (change == "drop")
-        assert not any(np.shares_memory(column, source) for column, source in zip(table_columns(kept), table_columns(table)))
-        assert all(column.tobytes() == b.tobytes() for column, b in zip(table_columns(table), before))
+        pairs = zip((*table_columns(kept), kept_labels), (*table_columns(table), labels))
+        assert not any(np.shares_memory(column, source) for column, source in pairs)
+        assert all(column.tobytes() == b.tobytes() for column, b in zip((*table_columns(table), labels), before))
         if change == "zero":
             assert (kept.features[7, 4:6] == 0.0).all() and (table.features[7, 4:6] != 0.0).all()
 
@@ -244,7 +259,7 @@ class TestAdoptedColumns:
     """Tables the library builds hold the arrays it has just built, frozen like any other."""
 
     def test_read_samples_and_selected_rows_frozen_and_unshared(self, tmp_path):
-        write_samples(tmp_path / "samples.csv", gen_synthetic(50, [0.4, 0.3, 0.2, 0.1], seed=1, feature_dim=3))
+        write_samples(tmp_path / "samples.csv", gen_synthetic(50, [0.4, 0.3, 0.2, 0.1], seed=1, feature_dim=3)[0])
         table = read_samples(tmp_path / "samples.csv")
         for sub in (select_rows(table, np.array([7, 2, 9])), select_rows(table, table.ids != "s01")):
             for column, source in zip(table_columns(sub), table_columns(table)):
@@ -252,9 +267,9 @@ class TestAdoptedColumns:
                 assert not np.shares_memory(column, source)
 
     def test_gen_synthetic_frozen(self):
-        table = gen_synthetic(20, [0.4, 0.3, 0.2, 0.1], seed=0, feature_dim=2)
+        table, ranks = gen_synthetic(20, [0.4, 0.3, 0.2, 0.1], seed=0, feature_dim=2)
         assert not any(column.flags.writeable for column in table_columns(table))
-        assert table.labels.dtype == np.int8 and table.features.flags.c_contiguous
+        assert ranks.dtype == np.int8 and table.features.flags.c_contiguous
 
 
 class TestSplitTimeseries:
@@ -295,29 +310,29 @@ class TestSplitTimeseries:
 
 class TestGenSynthetic:
     def test_deterministic(self):
-        a = gen_synthetic(100, [0.38, 0.35, 0.23, 0.04], seed=7, feature_dim=6)
-        b = gen_synthetic(100, [0.38, 0.35, 0.23, 0.04], seed=7, feature_dim=6)
+        a, a_ranks = gen_synthetic(100, [0.38, 0.35, 0.23, 0.04], seed=7, feature_dim=6)
+        b, b_ranks = gen_synthetic(100, [0.38, 0.35, 0.23, 0.04], seed=7, feature_dim=6)
         assert np.array_equal(a.ids, b.ids) and np.array_equal(a.times, b.times)
-        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a_ranks, b_ranks)
         assert np.array_equal(a.features, b.features)
 
     def test_seed_changes_output(self):
-        a = gen_synthetic(50, [0.25] * 4, seed=0, feature_dim=4)
-        b = gen_synthetic(50, [0.25] * 4, seed=1, feature_dim=4)
+        a, _ = gen_synthetic(50, [0.25] * 4, seed=0, feature_dim=4)
+        b, _ = gen_synthetic(50, [0.25] * 4, seed=1, feature_dim=4)
         assert any(not np.array_equal(x, y) for x, y in zip(a.features, b.features))
 
     def test_label_frequencies_match_targets(self):
         probs = np.array([0.38, 0.35, 0.23, 0.04])
-        table = gen_synthetic(10_000, probs, seed=3, feature_dim=5)
-        freq = np.bincount(table.labels, minlength=4) / 10_000
+        _, ranks = gen_synthetic(10_000, probs, seed=3, feature_dim=5)
+        freq = np.bincount(ranks, minlength=4) / 10_000
         assert np.all(np.abs(freq - probs) <= 0.02)
 
     def test_stratified_base_case(self):
-        table = gen_synthetic(4, [0.25] * 4, seed=11, feature_dim=3)
-        assert sorted(table.labels.tolist()) == [0, 1, 2, 3]
+        _, ranks = gen_synthetic(4, [0.25] * 4, seed=11, feature_dim=3)
+        assert sorted(ranks.tolist()) == [0, 1, 2, 3]
 
     def test_two_hour_grid_and_spacing(self):
-        table = gen_synthetic(5, [0.25] * 4, seed=0, feature_dim=2, spacing_steps=37)
+        table, _ = gen_synthetic(5, [0.25] * 4, seed=0, feature_dim=2, spacing_steps=37)
         assert np.all(np.diff(table.times) == 74 * 3600 * 10**6)
         assert table.times[0] == grid_us(DEFAULT_START_TIME)
         assert list(table.ids) == ["s0", "s1", "s2", "s3", "s4"]
@@ -326,17 +341,17 @@ class TestGenSynthetic:
     def test_last_event_within_year_9999(self):
         # The check runs in Python ints: a numpy spacing whose product wraps round int64 is refused too.
         most = 35_013_234  # samples at spacing 1 whose last event peaks by 9999-12-31T23:59:59.999999Z
-        table = gen_synthetic(2, [0.0, 0.0, 0.0, 1.0], seed=0, feature_dim=1, spacing_steps=most - 1)
-        assert np.datetime_as_string(events_for_samples(table)[0][-1].astype("datetime64[us]")) == "9999-12-31T22:00:00.000000"
-        assert gen_synthetic(3, [0.25] * 4, seed=0, feature_dim=1, spacing_steps=(most - 1) // 2).times[-1] < table.times[-1]
+        table, ranks = gen_synthetic(2, [0.0, 0.0, 0.0, 1.0], seed=0, feature_dim=1, spacing_steps=most - 1)
+        last_peak = events_for_samples(table.times, ranks)[0][-1]
+        assert np.datetime_as_string(last_peak.astype("datetime64[us]")) == "9999-12-31T22:00:00.000000"
+        assert gen_synthetic(3, [0.25] * 4, seed=0, feature_dim=1, spacing_steps=(most - 1) // 2)[0].times[-1] < table.times[-1]
         for n, spacing in ((2, most), (3, most // 2), (3, np.int64(2**62))):  # no more than 3 rows, if the check fails
             with pytest.raises(ValueError, match=r"last sample or its event after 9999-12-31T23:59:59\.999999Z$"):
                 gen_synthetic(n, [0.25] * 4, seed=0, feature_dim=1, spacing_steps=spacing)
 
     def test_classes_overlap_but_separate(self):
-        table = gen_synthetic(4000, [0.25] * 4, seed=5, feature_dim=6)
+        table, labels = gen_synthetic(4000, [0.25] * 4, seed=5, feature_dim=6)
         proj = table.features.mean(axis=1)
-        labels = table.labels
         means = [proj[labels == k].mean() for k in range(4)]
         stds = [proj[labels == k].std() for k in range(4)]
         assert all(a < b for a, b in zip(means, means[1:]))  # ordered class means
@@ -362,18 +377,23 @@ class TestGenSynthetic:
 
 class TestEventsForSamples:
     def test_round_trip_with_disjoint_windows(self, tmp_path):
-        table = gen_synthetic(300, [0.38, 0.35, 0.23, 0.04], seed=9, feature_dim=4, spacing_steps=37)
-        peak_us, ranks = events_for_samples(table)
+        table, labels = gen_synthetic(300, [0.38, 0.35, 0.23, 0.04], seed=9, feature_dim=4, spacing_steps=37)
+        peak_us, ranks = events_for_samples(table.times, labels)
         assert peak_us.dtype == np.int64 and ranks.dtype == np.int8
         relabeled = label_samples(table, peak_us, ranks)
-        assert np.array_equal(table.labels, relabeled)
+        assert np.array_equal(labels, relabeled)
         write_events(tmp_path / "events.csv", peak_us, ranks)
-        assert np.array_equal(table.labels, label_samples(table, *read_events(tmp_path / "events.csv")))
+        assert np.array_equal(labels, label_samples(table, *read_events(tmp_path / "events.csv")))
 
     def test_quiet_samples_produce_no_events(self):
-        table = gen_synthetic(50, [1.0, 0.0, 0.0, 0.0], seed=2, feature_dim=3)
-        peak_us, ranks = events_for_samples(table)
+        table, labels = gen_synthetic(50, [1.0, 0.0, 0.0, 0.0], seed=2, feature_dim=3)
+        peak_us, ranks = events_for_samples(table.times, labels)
         assert peak_us.shape == ranks.shape == (0,)
+
+    def test_columns_of_different_lengths_rejected(self):
+        table, labels = gen_synthetic(3, [0.25] * 4, seed=0, feature_dim=1)
+        with pytest.raises(ValueError, match=r"^times and ranks must be aligned, one entry per row: got 3 and 2$"):
+            events_for_samples(table.times, labels[:2])
 
 
 class TestCsvFormats:
@@ -387,7 +407,7 @@ class TestCsvFormats:
         assert back_us.tolist() == peak_us.tolist() and back_ranks.tolist() == ranks.tolist()
 
     def test_samples_round_trip(self, tmp_path):
-        table = gen_synthetic(20, [0.25] * 4, seed=1, feature_dim=3)
+        table, _ = gen_synthetic(20, [0.25] * 4, seed=1, feature_dim=3)
         path = tmp_path / "samples.csv"
         write_samples(path, table)
         header = path.read_text().splitlines()[0]
@@ -397,7 +417,6 @@ class TestCsvFormats:
         assert np.array_equal(table.ids, back.ids) and np.array_equal(table.times, back.times)
         assert np.array_equal(table.mask, back.mask)
         assert np.array_equal(table.features, back.features)  # repr round-trips exactly
-        assert np.all(back.labels == -1)
 
     def test_labels_round_trip(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -407,7 +426,7 @@ class TestCsvFormats:
         assert ranks.dtype == np.int8 and ranks.tolist() == [FlareClass.X, FlareClass.O]
 
     def test_rank_outside_classes_rejected(self, tmp_path):
-        # an unlabeled row's -1 would otherwise index the last name, X
+        # a rank of -1 would otherwise index the last name, X
         with pytest.raises(ValueError, match=r"class rank outside 0\.\.3"):
             write_labels(tmp_path / "labels.csv", ["a", "b"], [FlareClass.C, -1])
         with pytest.raises(ValueError, match=r"class rank outside 0\.\.3"):
@@ -421,6 +440,21 @@ class TestCsvFormats:
     def test_rank_outside_classes_leaves_no_file(self, tmp_path, write):
         path = tmp_path / "out.csv"
         with pytest.raises(ValueError, match=r"class rank outside 0\.\.3"):
+            write(path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "write, message",
+        [
+            (lambda path: write_labels(path, ["a", "b"], [0]), "ids and labels"),
+            (lambda path: write_events(path, [0, 7_200_000_000], [1]), "peak_us and ranks"),
+        ],
+        ids=["labels", "events"],
+    )
+    def test_columns_of_different_lengths_leave_no_file(self, tmp_path, write, message):
+        # Once the shorter column set the rows: labels.csv held only 'a,O', events.csv one event.
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=f"^{message} must be aligned, one entry per row: got 2 and 1$"):
             write(path)
         assert not path.exists()
 
@@ -557,7 +591,7 @@ class TestCsvFormats:
         "quoted, line", [((5,), 5), ((5, 8), 5), ((2, 8), 2)], ids=["unclosed", "closed-later", "first-row"]
     )
     def test_quote_names_line_of_first(self, tmp_path, quoted, line):
-        table = gen_synthetic(10, [0.25] * 4, seed=1, feature_dim=2)
+        table, _ = gen_synthetic(10, [0.25] * 4, seed=1, feature_dim=2)
         path = tmp_path / "samples.csv"
         write_samples(path, table)
         lines = path.read_text().splitlines()
@@ -626,20 +660,21 @@ class TestRoundTrip:
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(
         ids=st.lists(ids, min_size=1, max_size=4).flatmap(lambda ids: st.sampled_from([ids, ids + ids[-1:]])),
-        ranks=st.lists(st.integers(0, 3), min_size=5, max_size=5),
+        ranks=st.lists(st.integers(0, 3), min_size=6, max_size=6),
         bad_rank=st.none() | st.sampled_from([-1, 4, 127, -128, 200, 2**63 - 1, -(2**63), 2.7]),
+        cut=st.sampled_from([0, 0, -1, 1]),
     )
-    def test_labels(self, tmp_path_factory, ids, ranks, bad_rank):
+    def test_labels(self, tmp_path_factory, ids, ranks, bad_rank, cut):
         """Ids include every edge value above, and a repeated one in some examples; ranks are 0..3, but for one out
-        of range or fractional in some examples."""
+        of range or fractional in some examples, and one more or one fewer than the ids in others."""
         path = tmp_path_factory.mktemp("labels") / "labels.csv"
-        ranks = (([] if bad_rank is None else [bad_rank]) + ranks)[: len(ids)]
+        ranks = (([] if bad_rank is None else [bad_rank]) + ranks)[: len(ids) + cut]
         try:
             write_labels(path, ids, ranks)
         except ValueError:
             assert not path.exists()
             return
-        assert bad_rank is None and len(set(ids)) == len(ids)
+        assert bad_rank is None and cut == 0 and len(set(ids)) == len(ids)
         got_ids, got_ranks = read_labels(path)
         assert got_ids.tolist() == ids and got_ranks.tolist() == ranks
 
@@ -705,13 +740,14 @@ class TestRoundTrip:
     @given(
         data=st.data(),
         unit=st.sampled_from(sorted(ticks)),
-        ranks=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+        ranks=st.lists(st.integers(0, 3), min_size=5, max_size=5),
         bad_rank=st.none() | st.sampled_from([-1, 4]),
+        cut=st.sampled_from([0, 0, -1, 1]),
     )
-    def test_events(self, tmp_path_factory, data, unit, ranks, bad_rank):
+    def test_events(self, tmp_path_factory, data, unit, ranks, bad_rank, cut):
         """Ticks across the int64 range and across the stamp range of each unit, the ends of both and a tick past
-        either; NaT is the int64 minimum. The writer refuses exactly the int64 times no stamp holds, and every
-        datetime64 column, naming its dtype."""
+        either; NaT is the int64 minimum. The writer refuses exactly the int64 times no stamp holds, every
+        datetime64 column, naming its dtype, and ranks one more or one fewer than the times."""
         tick = self.ticks[unit]
         lo, hi = (min(max(v, self.int64[0]), self.int64[1]) for v in (-(-self.lo_us // tick), self.hi_us // tick))
         edges = [min(max(v, self.int64[0]), self.int64[1]) for v in self.int64 + [lo, hi, lo - 1, hi + 1, 0]]
@@ -719,7 +755,7 @@ class TestRoundTrip:
         whole = st.integers(-(-lo // per), hi // per).map(per.__mul__)  # in the stamp range, whole microseconds
         values = st.integers(*self.int64) | whole | st.sampled_from(edges)
         values = data.draw(st.lists(values, min_size=1, max_size=4))
-        ranks = (([] if bad_rank is None else [bad_rank]) + ranks)[: len(values)]
+        ranks = (([] if bad_rank is None else [bad_rank]) + ranks)[: len(values) + cut]
         given = np.array(values, dtype=np.int64)
         given = given if unit == "int64" else given.view(unit)
         exact = [v * tick for v in values]  # None for NaT
@@ -730,11 +766,11 @@ class TestRoundTrip:
         try:
             write_events(path, given, ranks)
         except ValueError as exc:
-            assert not path.exists() and not (writable and bad_rank is None)
+            assert not path.exists() and not (writable and bad_rank is None and cut == 0)
             if unit != "int64" and bad_rank is None:
                 assert str(exc).startswith(f"peak times must be int64 UTC epoch microseconds, got dtype {unit}")
             return
-        assert writable and bad_rank is None
+        assert writable and bad_rank is None and cut == 0
         back_us, back_ranks = read_events(path)
         assert back_us.tolist() == [int(e) for e in exact] and back_ranks.tolist() == ranks
 
@@ -988,29 +1024,30 @@ class TestArrayFormsMatchOracles:
         masks = rng.random((n, 10)).argsort(axis=1) >= missing[:, None]  # exactly `missing` channels off
         feats = rng.standard_normal((n, dim))
         feats[rng.random((n, dim)) < 0.2] = -0.0
-        labels = rng.integers(-1, 4, n)
-        table = SampleTable([f"s{i}" for i in range(n)], grid_us(T0) + GRID_US * np.arange(n), masks, feats, labels)
+        labels = rng.integers(0, 4, n)
+        table = SampleTable([f"s{i}" for i in range(n)], grid_us(T0) + GRID_US * np.arange(n), masks, feats)
 
-        kept, excluded = apply_channel_policy(table)
-        rows, want_feats, want_excluded = channel_policy_loop(masks, feats, labels)
+        kept, kept_labels, excluded = apply_channel_policy(table, labels)
+        rows, want_feats, want_excluded = channel_policy_loop(masks, feats)
         assert excluded == want_excluded and kept.ids.tolist() == [f"s{i}" for i in rows]
         assert np.array_equal(kept.features.view(np.int64), want_feats.view(np.int64))  # -0.0 kept, +0.0 filled
-        assert np.array_equal(kept.mask, masks[rows]) and np.array_equal(kept.labels, labels[rows])
+        assert np.array_equal(kept.mask, masks[rows]) and np.array_equal(kept_labels, labels[rows])
         assert np.array_equal(kept.times, table.times[rows])
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(n=st.integers(0, 30), dim=st.integers(1, 25), seed=st.integers(0, 2**32 - 1))
     def test_channel_policy_labels_and_order_equal_take_first(self, n, dim, seed):
-        """The policy given labels and a row order gathers what labeling, then take, then the policy give."""
+        """The policy given a row order gathers what take, then the policy give."""
         rng = np.random.default_rng(seed)
         masks = rng.random((n, 10)) >= rng.integers(0, 5, n)[:, None] / 10
         feats = rng.standard_normal((n, dim))
-        labels, order = rng.integers(-1, 4, n), rng.permutation(n)
+        labels, order = rng.integers(0, 4, n), rng.permutation(n)
         table = SampleTable([f"s{i}" for i in range(n)], grid_us(T0) + GRID_US * np.arange(n), masks, feats)
 
-        got, got_excluded = apply_channel_policy(table, labels, order)
-        want, want_excluded = apply_channel_policy(select_rows(dataclasses.replace(table, labels=labels), order))
+        got, got_labels, got_excluded = apply_channel_policy(table, labels, order)
+        want, want_labels, want_excluded = apply_channel_policy(select_rows(table, order), labels[order])
         assert got_excluded == want_excluded
+        assert (got_labels.dtype, got_labels.tobytes()) == (want_labels.dtype, want_labels.tobytes())
         # A table kept whole, in order and with no channel missing, shares its columns (test_unchanged_table_...).
         unchanged = got_excluded == 0 and (order == np.arange(n)).all() and masks.all()
         for g, w in zip(table_columns(got), table_columns(want)):
@@ -1033,7 +1070,6 @@ class TestArrayFormsMatchOracles:
         assert back.ids.tolist() == ids and np.array_equal(back.times, table.times)
         assert np.array_equal(back.mask, masks)
         assert np.array_equal(back.features.view(np.int64), table.features.view(np.int64))
-        assert np.all(back.labels == -1)
 
 
 def read_or_error(read, path, *args):
@@ -1470,7 +1506,7 @@ class TestSplitCsv:
         assert self.read_both(path) == f"{path}:{line}: '\\r' is not allowed: {DIALECT}"
 
     def test_samples_split_equal_row_oracle(self, tmp_path):
-        table = gen_synthetic(500, [0.25] * 4, seed=3, feature_dim=3)
+        table, _ = gen_synthetic(500, [0.25] * 4, seed=3, feature_dim=3)
         path = tmp_path / "samples.csv"
         write_samples(path, table)
         write_samples_rows(tmp_path / "rows.csv", table)
@@ -1479,7 +1515,7 @@ class TestSplitCsv:
 
     def test_no_worker_left_behind(self, tmp_path):
         threads = threading.active_count()
-        table = gen_synthetic(300, [0.25] * 4, seed=4, feature_dim=2)
+        table, _ = gen_synthetic(300, [0.25] * 4, seed=4, feature_dim=2)
         write_samples(tmp_path / "samples.csv", table)
         read_samples(tmp_path / "samples.csv")
         lines = (tmp_path / "samples.csv").read_text().splitlines()
@@ -1511,11 +1547,11 @@ class TestSplitCsv:
 def clean(tmp_path_factory):
     """A directory of the four CSV files of one 240-row table, as the writers write them."""
     d = tmp_path_factory.mktemp("clean")
-    table = gen_synthetic(240, [0.4, 0.3, 0.2, 0.1], seed=5, feature_dim=3)
+    table, labels = gen_synthetic(240, [0.4, 0.3, 0.2, 0.1], seed=5, feature_dim=3)
     write_samples(d / "samples.csv", table)
-    peak_us, ranks = events_for_samples(table)
+    peak_us, ranks = events_for_samples(table.times, labels)
     write_events(d / "events.csv", peak_us + np.arange(len(peak_us)) % 3 * 250_000, ranks)  # both stamp forms
-    write_labels(d / "labels.csv", table.ids, table.labels)
+    write_labels(d / "labels.csv", table.ids, labels)
     probs = np.random.default_rng(5).dirichlet(np.ones(4), len(table)).tolist()
     (d / "preds.csv").write_text("id,p_o,p_c,p_m,p_x\n" + "".join(
         f"{sid}," + ",".join(map(repr, p)) + "\n" for sid, p in zip(table.ids.tolist(), probs)
@@ -1537,8 +1573,8 @@ class TestBulkReads:
     # Each file's reader, and its row oracle from tests/oracles.py.
     readers = {
         "samples.csv": (
-            lambda path: dataclasses.astuple(read_samples(path))[:4],
-            lambda path: dataclasses.astuple(read_samples_rows(path))[:4],
+            lambda path: dataclasses.astuple(read_samples(path)),
+            lambda path: dataclasses.astuple(read_samples_rows(path)),
         ),
         "events.csv": (read_events, read_events_rows),
         "labels.csv": (read_labels, lambda path: TestBulkReads.id_class_rows(path, ["id", "label"])),

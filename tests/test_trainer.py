@@ -11,7 +11,6 @@ import platform
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 
@@ -41,12 +40,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_dataset(n=400, seed=0, feature_dim=4):
+    """A table and its class ranks."""
     return gen_synthetic(n, PROBS, seed=seed, feature_dim=feature_dim)
 
 
-def columns(table):
+def columns(table, labels):
     """The columns train and evaluate_fold read: features, times and labels."""
-    return table.features, table.times, table.labels
+    return table.features, table.times, labels
 
 
 def small_config(**overrides):
@@ -65,7 +65,7 @@ def small_config(**overrides):
 class TestForward:
     def test_zero_parameters_give_uniform_distribution(self):
         cfg = small_config()
-        samples = small_dataset(4)
+        samples, _ = small_dataset(4)
         params = init_params(4, cfg, np.random.default_rng(0))
         for name in params:
             params[name] = np.zeros_like(params[name])
@@ -77,7 +77,7 @@ class TestForward:
 
         cfg_off = small_config(use_cycle_embedding=False)
         cfg_on = small_config(use_cycle_embedding=True)
-        samples = small_dataset(3)
+        samples, _ = small_dataset(3)
         params_off = init_params(4, cfg_off, np.random.default_rng(5))
         params_on = {k: v.copy() for k, v in params_off.items()}
         params_on["head"] = np.hstack([params_off["head"], np.zeros((4, 1))])
@@ -92,7 +92,7 @@ class TestForward:
 
     def test_deterministic(self):
         cfg = small_config()
-        samples = small_dataset(2)
+        samples, _ = small_dataset(2)
         params = init_params(4, cfg, np.random.default_rng(3))
         a = forward_row(samples, 0, params, cfg)
         b = forward_row(samples, 0, params, cfg)
@@ -100,7 +100,7 @@ class TestForward:
 
     def test_dimension_mismatch_rejected(self):
         cfg = small_config()
-        samples = small_dataset(1, feature_dim=6)
+        samples, _ = small_dataset(1, feature_dim=6)
         params = init_params(4, cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="dimension mismatch"):
             forward_row(samples, 0, params, cfg)
@@ -219,7 +219,7 @@ def block_scoring_cases(n_max, sizes):
     bytes. Run in a child process, whose OpenBLAS settings are fixed when numpy loads."""
     import flarecast.trainer as trainer_mod
 
-    table = gen_synthetic(100 + n_max, PROBS, seed=5, feature_dim=12)
+    table, labels = gen_synthetic(100 + n_max, PROBS, seed=5, feature_dim=12)
     real_forward, blocks = trainer_mod.forward, []
     trainer_mod.forward = lambda x, phis, params: blocks.append(len(x)) or real_forward(x, phis, params)
     trainer_mod.build_report = lambda observed, predicted, probs: (observed, predicted, probs)
@@ -231,11 +231,11 @@ def block_scoring_cases(n_max, sizes):
             rows = slice(100, 100 + n)
             want = real_forward(table.features[rows], trainer_mod._phis(table.times[rows], cfg), params)[-1]
             blocks.clear()
-            observed, predicted, probs = evaluate_fold(*columns(table), range(100, 100 + n), params, cfg)
+            observed, predicted, probs = evaluate_fold(*columns(table, labels), range(100, 100 + n), params, cfg)
             results[f"{n}-{embedding}"] = {
                 "blocks": list(blocks),
                 "probs": probs.shape == want.shape and probs.tobytes() == want.tobytes(),
-                "classes": bool(np.array_equal(predicted, want.argmax(axis=1)) and np.array_equal(observed, table.labels[rows])),
+                "classes": bool(np.array_equal(predicted, want.argmax(axis=1)) and np.array_equal(observed, labels[rows])),
             }
     return {"core": blas_core(), "cases": results, "forward": forward_cases()}
 
@@ -362,10 +362,10 @@ class TestBackprop:
 
 @pytest.fixture(scope="module")
 def run():
-    samples = small_dataset()
+    samples, labels = small_dataset()
     fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
     cfg = small_config()
-    return samples, fold, cfg, train(*columns(samples), fold, cfg)
+    return (samples, labels), fold, cfg, train(*columns(samples, labels), fold, cfg)
 
 
 class TestTrainLoop:
@@ -393,17 +393,17 @@ class TestTrainLoop:
 
     def test_deterministic_given_seed(self, run):
         samples, fold, cfg, result = run
-        again = train(*columns(samples), fold, cfg)
+        again = train(*columns(*samples), fold, cfg)
         for a, b in zip(result.history, again.history):
             assert a == b
         for k in result.best.params:
             assert np.array_equal(result.best.params[k], again.best.params[k])
 
     def test_full_warmup_never_activates_influence(self):
-        samples = small_dataset(200)
+        samples, labels = small_dataset(200)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config(epochs=3, warmup_epochs=3)
-        result = train(*columns(samples), fold, cfg)
+        result = train(*columns(samples, labels), fold, cfg)
         for r in result.history:
             assert r.losses.ib_ce == 0.0 and r.losses.ib_bss == 0.0 and not r.losses.ib_active
 
@@ -418,22 +418,22 @@ class TestTrainLoop:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(trainer_mod, "flare_loss_arrays", spy)
-        samples = small_dataset()
+        samples, labels = small_dataset()
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config()
-        train(*columns(samples), fold, cfg)
+        train(*columns(samples, labels), fold, cfg)
         steps = -(-len(fold.train) // cfg.batch_size)
         assert len(fold.train) % cfg.batch_size != 0  # a short last batch is one call too
         assert len(calls) == cfg.epochs * steps
         assert sum(calls) == cfg.epochs * len(fold.train)
 
     def test_degenerate_split_rejected(self):
-        base = small_dataset(60, feature_dim=3)
+        samples, _ = small_dataset(60, feature_dim=3)
         # X appears only in the final test range, never during training
-        samples = replace(base, labels=np.where(np.arange(60) >= 54, 3, np.arange(60) % 3))
+        labels = np.where(np.arange(60) >= 54, 3, np.arange(60) % 3)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         with pytest.raises(ValueError, match="degenerate split.*X"):
-            train(*columns(samples), fold, small_config(epochs=1, warmup_epochs=0))
+            train(*columns(samples, labels), fold, small_config(epochs=1, warmup_epochs=0))
 
     @pytest.mark.parametrize("first", ["training", "validation", "test"])
     def test_each_range_lacking_a_class_rejected_before_set_up(self, monkeypatch, first):
@@ -442,7 +442,7 @@ class TestTrainLoop:
         import flarecast.trainer as trainer_mod
 
         monkeypatch.setattr(trainer_mod, "init_params", lambda *args: pytest.fail("parameters initialised"))
-        samples = small_dataset(60, feature_dim=3)
+        samples, labels = small_dataset(60, feature_dim=3)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         lacking = {"training": fold.train, "validation": fold.validation, "test": fold.test}[first].start
         labels = np.where(np.arange(60) < lacking, np.arange(60) % 4, np.arange(60) % 3)
@@ -451,10 +451,10 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("cut", ["features", "times", "labels"])
     def test_misaligned_columns_rejected(self, cut):
-        samples = small_dataset(80, feature_dim=3)
+        samples, labels = small_dataset(80, feature_dim=3)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config(epochs=1, warmup_epochs=0)
-        given = [c[:-1] if name == cut else c for name, c in zip(("features", "times", "labels"), columns(samples))]
+        given = [c[:-1] if name == cut else c for name, c in zip(("features", "times", "labels"), columns(samples, labels))]
         with pytest.raises(ValueError, match="must be aligned"):
             train(*given, fold, cfg)
         with pytest.raises(ValueError, match="must be aligned"):
@@ -462,45 +462,45 @@ class TestTrainLoop:
 
     def test_times_in_seconds_rejected(self):
         # Sample times in UTC epoch seconds, their unit before they became microseconds, would give wrong cycle phases.
-        samples = small_dataset(80, feature_dim=3)
+        samples, labels = small_dataset(80, feature_dim=3)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config(epochs=1, warmup_epochs=0)
         seconds = samples.times // 10**6
         message = r"2-hour grid of UTC epoch microseconds; multiply times in seconds by 10\*\*6"
         with pytest.raises(ValueError, match=message):
-            train(samples.features, seconds, samples.labels, fold, cfg)
+            train(samples.features, seconds, labels, fold, cfg)
         with pytest.raises(ValueError, match=message):
-            evaluate_fold(samples.features, seconds, samples.labels, fold.test, init_params(3, cfg, np.random.default_rng(0)), cfg)
+            evaluate_fold(samples.features, seconds, labels, fold.test, init_params(3, cfg, np.random.default_rng(0)), cfg)
 
     @pytest.mark.parametrize("form", ["float64", "datetime64[us]"])
     def test_times_of_another_dtype_rejected(self, form):
         # Once cast to int64 as they stood, and datetime64[s] times not even then (their cycle phases were wrong).
-        samples = small_dataset(80, feature_dim=3)
+        samples, labels = small_dataset(80, feature_dim=3)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config(epochs=1, warmup_epochs=0)
         times = samples.times.astype(form)
         message = rf"^times must be int64 UTC epoch microseconds, got dtype {re.escape(form)}; "
         with pytest.raises(ValueError, match=message):
-            train(samples.features, times, samples.labels, fold, cfg)
+            train(samples.features, times, labels, fold, cfg)
         with pytest.raises(ValueError, match=message):
-            evaluate_fold(samples.features, times, samples.labels, fold.test, init_params(3, cfg, np.random.default_rng(0)), cfg)
+            evaluate_fold(samples.features, times, labels, fold.test, init_params(3, cfg, np.random.default_rng(0)), cfg)
 
     @pytest.mark.parametrize(
         "bad, message",
         [(-1, r"holds -1: class rank outside 0\.\.3$"), (2.5, r"must be integer class ranks, got dtype float64$")],
     )
     def test_labels_outside_classes_rejected(self, bad, message):
-        samples = small_dataset(80, feature_dim=3)
+        samples, labels = small_dataset(80, feature_dim=3)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
-        labels = np.where(np.arange(80) == 5, bad, samples.labels)
+        labels = np.where(np.arange(80) == 5, bad, labels)
         with pytest.raises(ValueError, match=rf"^labels {message}"):
             train(samples.features, samples.times, labels, fold, small_config(epochs=1, warmup_epochs=0))
 
     def test_gradient_verification_flag_passes(self):
-        samples = small_dataset(80, feature_dim=3)
+        samples, labels = small_dataset(80, feature_dim=3)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config(epochs=1, warmup_epochs=0, batch_size=16, hidden_sizes=(4, 4), verify_gradients=True)
-        result = train(*columns(samples), fold, cfg)  # raises if analytic and FD gradients disagree
+        result = train(*columns(samples, labels), fold, cfg)  # raises if analytic and FD gradients disagree
         assert len(result.history) == 1
 
     def test_gradient_verification_detects_corruption(self, monkeypatch):
@@ -513,11 +513,11 @@ class TestTrainLoop:
             grads["head"] *= 1.01
 
         monkeypatch.setattr(trainer_mod, "_backprop", corrupted)
-        samples = small_dataset(80, feature_dim=3)
+        samples, labels = small_dataset(80, feature_dim=3)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config(epochs=1, warmup_epochs=0, batch_size=16, hidden_sizes=(4, 4), verify_gradients=True)
         with pytest.raises(RuntimeError, match="gradient verification failed"):
-            train(*columns(samples), fold, cfg)
+            train(*columns(samples, labels), fold, cfg)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -532,11 +532,11 @@ class TestTrainLoop:
     )
     @pytest.mark.parametrize("seed", [0, 7])
     def test_loop_bit_equal_to_per_batch_reference(self, overrides, seed):
-        samples = small_dataset(n=392, seed=seed)
+        samples, labels = small_dataset(n=392, seed=seed)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config(**{"epochs": 3, "warmup_epochs": 1, "seed": seed, **overrides})
-        result = train(*columns(samples), fold, cfg)
-        history, best_epoch, best_params = train_reference(samples, fold, cfg)
+        result = train(*columns(samples, labels), fold, cfg)
+        history, best_epoch, best_params = train_reference(samples, labels, fold, cfg)
         assert len(fold.train) == 235
         assert [repr(r) for r in result.history] == [repr(r) for r in history]
         assert result.best.epoch == best_epoch
@@ -556,30 +556,30 @@ class TestTrainLoop:
             real(theta, grad, m, v, *args)
 
         monkeypatch.setattr(trainer_mod, "adamw_step", spy)
-        samples = small_dataset()
+        samples, labels = small_dataset()
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config()
-        result = train(*columns(samples), fold, cfg)
+        result = train(*columns(samples, labels), fold, cfg)
         assert result.best.epoch < cfg.epochs - 1
         assert result.history[-1].val_gmgs != result.best.val_gmgs
-        assert evaluate_fold(*columns(samples), fold.validation, result.best.params, cfg).gmgs == result.best.val_gmgs
+        assert evaluate_fold(*columns(samples, labels), fold.validation, result.best.params, cfg).gmgs == result.best.val_gmgs
         assert len(live) == 4
         for p in result.best.params.values():
             assert not any(np.shares_memory(p, buf) for buf in live)
 
     def test_evaluate_fold_report(self, run):
         samples, fold, cfg, result = run
-        report = evaluate_fold(*columns(samples), fold.test, result.best.params, cfg)
+        report = evaluate_fold(*columns(*samples), fold.test, result.best.params, cfg)
         assert report.confusion.n == len(fold.test)
         assert np.isfinite(report.gmgs)
 
 
 class TestArtifacts:
     def test_history_file_format(self, tmp_path):
-        samples = small_dataset(200)
+        samples, labels = small_dataset(200)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config(epochs=2)
-        result = train(*columns(samples), fold, cfg)
+        result = train(*columns(samples, labels), fold, cfg)
         path = tmp_path / "history.csv"
         write_history(path, result.history)
         lines = path.read_text().splitlines()
@@ -590,18 +590,18 @@ class TestArtifacts:
         assert float(first[5]) == pytest.approx(result.history[0].losses.total)
 
     def test_history_bytes_deterministic(self, tmp_path):
-        samples = small_dataset(200)
+        samples, labels = small_dataset(200)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config(epochs=2)
         for name in ("a.csv", "b.csv"):
-            write_history(tmp_path / name, train(*columns(samples), fold, cfg).history)
+            write_history(tmp_path / name, train(*columns(samples, labels), fold, cfg).history)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_checkpoint_round_trip(self, tmp_path):
-        samples = small_dataset(200)
+        samples, labels = small_dataset(200)
         fold = split_timeseries(samples, SplitSpec(fold_count=1))[0]
         cfg = small_config(epochs=2)
-        result = train(*columns(samples), fold, cfg)
+        result = train(*columns(samples, labels), fold, cfg)
         path = tmp_path / "checkpoint.txt"
         save_checkpoint(path, result.best, "seed=0\n")
         params, meta = load_checkpoint(path)
@@ -632,8 +632,17 @@ class TestArtifacts:
                 r"checkpoint\.txt:6: array a has 6 values, its shape 3x3 needs 9",
             ),
             (lambda lines: lines[:6] + ["array b"], r"checkpoint\.txt:7: expected 'array <name> <shape>'"),
+            # '²' passed str.isdigit(), and int() then raised without the path or line.
+            (
+                lambda lines: lines[:6] + ["array b ²"] + lines[7:],
+                r"checkpoint\.txt:7: expected 'array <name> <shape>', got 'array b ²'$",
+            ),
+            (lambda lines: lines + lines[4:6], r"checkpoint\.txt:9: duplicate array a$"),  # once replaced the first a
         ],
-        ids=["values-line-missing", "values-line-cut", "shape-mismatch", "header-line-cut"],
+        ids=[
+            "values-line-missing", "values-line-cut", "shape-mismatch", "header-line-cut", "shape-not-ascii",
+            "repeated-array",
+        ],
     )
     def test_damaged_checkpoint_names_path_and_line(self, tmp_path, edit, message):
         params = {"a": np.arange(6.0).reshape(2, 3), "b": np.array([0.5, -1.0])}
