@@ -20,10 +20,12 @@ import functools
 import io
 import locale
 import os
+import pickle
 import re
+import signal
 import threading
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import List, Optional, Sequence, Tuple
@@ -143,12 +145,20 @@ def apply_channel_policy(table: SampleTable, labels, order=None) -> Tuple[Sample
     pass through unchanged. Returns the kept rows, taken in ``order`` (row
     indices, else table order), a new int8 array of their labels, and the number
     excluded. Where every row is kept in table order and none misses a channel,
-    the kept rows are the table itself.
+    the kept rows are the table itself. ValueError, before any row is taken, for an
+    ``order`` that does not hold each row's index once, from 0.
     """
     labels = _check_ranks(labels, "labels")
     _check_aligned(table=table, labels=labels)
+    if order is not None:  # checked with a flag a row, not a sorted copy, whose heap stays in train's peak RSS
+        order, seen = np.asarray(order), np.zeros(len(table), bool)
+        integral = order.dtype.kind in "iu"
+        if integral and order.shape == seen.shape and (not seen.size or 0 <= order.min() <= order.max() < seen.size):
+            seen[order] = True  # n indices in range(n) flag every row only if none repeats
+        if not (integral and seen.all()):
+            raise ValueError(f"order must be a permutation of range({len(table)}), each row's index once")
     keep = N_CHANNELS - table.mask.sum(axis=1) <= MAX_MISSING_CHANNELS
-    rows = np.flatnonzero(keep) if order is None else np.asarray(order)[keep[order]]
+    rows = np.flatnonzero(keep) if order is None else order[keep[order]]
     if len(rows) == len(table) and (rows[1:] > rows[:-1]).all() and table.mask.all():  # rows 0.., nothing zeroed
         return table, labels[rows], 0
     mask, features = table.mask[rows], table.features[rows]
@@ -380,39 +390,43 @@ def _processes(size: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), size // _SPLIT_BYTES))
 
 
-def _send_all(func, items: Sequence, conn) -> None:
-    for item in items:
-        conn.send(func(item))
-
-
 @contextmanager
 def _in_order(func, items: Sequence, processes: int):
     """Yield ``map(func, items)``, computed here or by ``processes`` forked workers,
-    which inherit ``func``; worker k pipes back items k, k + processes, ... one at a
-    time to this thread. Leaving the block, also on an error, ends and joins them."""
+    which inherit ``func``; worker k pickles items k, k + processes, ... one at a
+    time into its own pipe to this thread, and leaves by os._exit, never through the
+    caller's code. Leaving the block, also on an error, ends and reaps them."""
     processes = min(processes, len(items))
     if processes < 2:
         yield map(func, items)
         return
-    import multiprocessing  # here, so that a command that never forks does not load it
-    fork = multiprocessing.get_context("fork")
     workers, pipes = [], []
     try:
         for k in range(processes):
-            receive, send = fork.Pipe(duplex=False)
-            pipes.append(receive)
-            with send:  # closed before the next fork, so that this worker's exit ends its pipe
-                worker = fork.Process(target=_send_all, args=(func, items[k::processes], send), daemon=True)
-                worker.start()
-            workers.append(worker)
-        yield (pipes[i % processes].recv() for i in range(len(items)))
-    except EOFError:
+            receive, send = os.pipe()
+            pipes.append(open(receive, "rb"))
+            with open(send, "wb") as out:  # closed here before the next fork, so that this worker's exit ends its pipe
+                if (pid := os.fork()) == 0:
+                    try:
+                        for pipe in pipes:
+                            pipe.close()
+                        for item in items[k::processes]:
+                            pickle.dump(func(item), out)
+                            out.flush()
+                        os._exit(0)
+                    finally:  # on any exception
+                        os._exit(1)
+            workers.append(pid)
+        yield (pickle.load(pipes[i % processes]) for i in range(len(items)))
+    except (EOFError, pickle.UnpicklingError):  # a worker that ended before, or while, sending an item
         raise ChildProcessError("a CSV worker process ended early") from None
     finally:
-        for receive, worker in zip(pipes, workers):
-            worker.terminate()
-            worker.join()
-            receive.close()
+        for pid in workers:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 def _fields(line: bytes) -> List[str]:

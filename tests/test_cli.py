@@ -4,8 +4,8 @@ config resolution."""
 import ast
 import csv
 import hashlib
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -984,7 +984,26 @@ class TestPinnedBytes:
         paths = [data / "samples.csv", data / "events.csv", data / "labels.csv", tmp_path / "eval" / "report.csv"]
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
         assert got == self.DIGESTS[request.node.callspec.id]
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # no worker is left, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_killed_worker_exits_2(self, tmp_path, monkeypatch, capsys):
+        make_training_data(tmp_path)
+        monkeypatch.setattr(pipeline, "_SPLIT_BYTES", 1)  # a range a line: both workers parse
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        parent, loadtxt = os.getpid(), np.loadtxt
+
+        def killed_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline.np, "loadtxt", killed_in_worker)
+        capsys.readouterr()
+        out = tmp_path / "again.csv"
+        args = ["label", "--events", tmp_path / "events.csv", "--samples", tmp_path / "samples.csv", "--out", out]
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err == "data error: a CSV worker process ended early\n" and not out.exists()
 
 
 class TestGradcheck:
@@ -1044,7 +1063,7 @@ def child_modules(code, *args):
 class TestImports:
     """A command loads only what it uses. hashlib loads OpenSSL (``_hashlib``, about 3.6 MB resident), and only
     ``save_checkpoint`` hashes; ``numpy.random`` imports it too, so ``train`` and ``gen-data`` still load it.
-    ``numpy.ma`` came with ``np.setdiff1d``, and ``multiprocessing`` loads only when a CSV file is worth forking."""
+    ``numpy.ma`` came with ``np.setdiff1d``, and ``multiprocessing`` never loads: the CSV workers are bare forks."""
 
     GUARDED = ("hashlib", "_hashlib", "numpy.ma", "numpy.random", "multiprocessing")
 
@@ -1062,3 +1081,17 @@ class TestImports:
         out = tmp_path / "again.csv"
         assert child_modules(code, tmp_path / "events.csv", tmp_path / "samples.csv", out) == []
         assert out.read_bytes() == (tmp_path / "labels.csv").read_bytes()
+
+    def test_forking_label_leaves_multiprocessing_out(self, tmp_path):
+        assert run_cli("gen-data", "--n", 10_000, "--seed", 3, "--feature-dim", 12, "--out-dir", tmp_path) == 0
+        assert (tmp_path / "samples.csv").stat().st_size >= 2 * _SPLIT_BYTES  # worth two workers
+        code = (
+            "import os, sys; from flarecast.cli import main\n"
+            "os.sched_getaffinity, forks, fork = lambda pid: {0, 1}, [], os.fork  # two CPUs on any host\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "assert main(['label', '--events', sys.argv[1], '--samples', sys.argv[2], '--out', sys.argv[3]]) == 0\n"
+            "assert forks\n"
+            "print([m for m in ('multiprocessing',) if m in sys.modules])"
+        )
+        out = tmp_path / "labels.csv"
+        assert child_modules(code, tmp_path / "events.csv", tmp_path / "samples.csv", out) == []

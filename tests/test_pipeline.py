@@ -4,16 +4,19 @@ and the CSV round trips."""
 import dataclasses
 import io
 import math
-import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -215,6 +218,14 @@ class TestChannelPolicy:
     def test_labels_not_one_rank_per_row_rejected(self, labels, message):
         with pytest.raises(ValueError, match=message):
             apply_channel_policy(make_table([3]), labels)
+
+    @pytest.mark.parametrize(
+        "order", [[0], [0, 0, 1], [0, 1, 5], [-1, 0, 1]], ids=["short", "repeated", "past", "negative"]
+    )
+    def test_order_not_a_permutation_rejected(self, order):
+        # Once [0] kept one row and counted two as excluded, [0, 0, 1] repeated s000, and -1 wrapped to the last row.
+        with pytest.raises(ValueError, match=r"^order must be a permutation of range\(3\), each row's index once$"):
+            apply_channel_policy(make_table([0, 1, 2]), [0, 1, 2], order)
 
     def test_block_zeroing_for_wide_features(self):
         mask = tuple(ch != 4 for ch in range(10))
@@ -1391,6 +1402,13 @@ def split_everything(monkeypatch, cpus=2):
     monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
+def no_child_left():
+    """True once no child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
 @contextmanager
 def deadline(seconds):
     """Raise TimeoutError in the block after ``seconds``, so that a worker
@@ -1525,7 +1543,7 @@ class TestSplitCsv:
             read_samples(tmp_path / "bad.csv")
         with pytest.raises(OSError):
             write_samples(tmp_path / "missing" / "samples.csv", table)
-        assert multiprocessing.active_children() == [] and threading.active_count() == threads
+        assert no_child_left() and threading.active_count() == threads
 
     def test_workers_joined_when_reader_stops_early(self):
         threads = threading.active_count()
@@ -1533,14 +1551,56 @@ class TestSplitCsv:
             with pipeline._in_order(abs, list(range(-50, 0)), 2) as results:
                 assert next(results) == 50
                 raise KeyError("stop")
-        assert multiprocessing.active_children() == [] and threading.active_count() == threads
+        assert no_child_left() and threading.active_count() == threads
 
     def test_worker_that_dies_is_an_error(self):
         threads = threading.active_count()
         with pytest.raises(ChildProcessError, match="a CSV worker process ended early"):
             with pipeline._in_order(lambda item: os._exit(1) if item == 3 else item, list(range(6)), 2) as results:
                 list(results)
-        assert multiprocessing.active_children() == [] and threading.active_count() == threads
+        assert no_child_left() and threading.active_count() == threads
+
+    def test_worker_that_dies_mid_item_is_an_error(self):
+        # Worker 1 fills its pipe with the start of a 1 MiB item and blocks there, unread, until its timer kills it:
+        # the pipe ends inside a frame, where the unpickler raises UnpicklingError, not EOFError. (A worker that ends
+        # itself while pickling, by os._exit in a __reduce__, cuts its pipe after a whole frame: EOFError.)
+        def item(k):
+            if k:
+                signal.signal(signal.SIGALRM, signal.SIG_DFL)
+                signal.setitimer(signal.ITIMER_REAL, 0.2)
+            return bytes(k)
+
+        with pytest.raises(ChildProcessError, match="a CSV worker process ended early"):
+            with pipeline._in_order(item, [0, 1 << 20], 2) as results:
+                assert next(results) == b""
+                time.sleep(1)
+                list(results)
+        assert no_child_left()
+
+    def test_worker_that_raises_runs_none_of_the_callers_code(self, tmp_path):
+        # Unless the worker leaves by os._exit, its exception unwinds into this test in the worker, too.
+        ran = tmp_path / "ran"
+        try:
+            with pytest.raises(ChildProcessError, match="a CSV worker process ended early"):
+                with pipeline._in_order(lambda item: 1 / item, [1, 0], 2) as results:
+                    list(results)
+        finally:
+            with open(ran, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        assert ran.read_text() == f"{os.getpid()}\n" and no_child_left()
+
+    def test_text_buffered_before_the_fork_written_once(self, tmp_path):
+        code = (
+            "from flarecast import pipeline\n"
+            "print('before')\n"  # held in the buffer of a stdout that is a file
+            "with pipeline._in_order(str, list(range(4)), 2) as results:\n"
+            "    print(*results)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # which would flush each print
+        env["PYTHONPATH"] = str(Path(pipeline.__file__).resolve().parents[1])
+        with open(tmp_path / "out.txt", "w") as out:
+            subprocess.run([sys.executable, "-c", code], stdout=out, env=env, check=True)
+        assert (tmp_path / "out.txt").read_text() == "before\n0 1 2 3\n"
 
 
 @pytest.fixture(scope="module")
